@@ -32,6 +32,7 @@ from .grade_analyzer import (
     fpf_test,
     generic_combination_grade,
     grade_of_derivation,
+    grade_of_ideal,
     grade_two_generated,
 )
 from .groebner_engine import (

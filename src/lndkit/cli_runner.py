@@ -2,36 +2,47 @@
 shipped example corpus.
 
 The session grammar is line-oriented (`#` starts a comment; braced blocks
-may span lines):
+may span lines).  Every statement form is one entry of `_FORMS`, whose
+template is both the form's grammar and its printed form:
 
     ring <name> = poly(<vars>)
-    ring <name> = quotient(<ring>, (<poly>, ...))
-    subalgebra <name> in <ring> = gens { <poly>, ... }
-    derivation <name> on <ring|subalgebra> { <var> -> <poly>; ... }
-    ideal <name> in <ring|subalgebra> = ( <poly>, ... )
+    ring <name> = quotient(<ring>, (<polys>))
+    subalgebra <name> in <ring> = gens { <polys> }
+    derivation <name> on <ring|subalgebra> { <images> }
+    ideal <name> in <ring|subalgebra> = ( <polys> )
 
-    check nilpotent <D> [bound N]      check fpf <D>
-    check irreducible <D>              check contained <D> in (<poly>)
-    grade <D>                          grade ideal <I>
-    kernel <D> degree N [expect <A>]   slice <D> degree N
-    dixmier <D> slice <poly> of <poly>
-    symbolic <I> power N saturate <poly>
-    rees <I> upto N saturate <poly>
-    verify generators <A> claim { <poly>, ... } degree N
+    check nilpotent <derivation> [bound <int>]
+    check fpf <derivation>
+    check irreducible <derivation>
+    check contained <derivation> in (<poly>)
+    grade <derivation>
+    grade ideal <ideal>
+    kernel <derivation> degree <int> [expect <subalgebra>]
+    slice <derivation> degree <int>
+    dixmier <derivation> slice <poly> of <poly>
+    symbolic <ideal> power <int> saturate <poly>
+    rees <ideal> upto <int> saturate <poly>
+    verify generators <subalgebra> claim { <polys> } degree <int>
 
-Exit codes: 0 all commands succeeded, 1 parse or I/O error, 2 at least one
-command-level failure.
+`<vars>` and `<polys>` are comma-separated, `<images>` is a `;`-separated
+list of `var -> poly`; spaces next to punctuation are optional.
+
+Exit codes: 0 all commands succeeded; 1 parse or I/O error, a malformed
+number included; 2 at least one command-level failure, an out-of-range
+count (`kernel D degree 0`) included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
 
+from . import __version__
 from .config import RunConfig
 from .derivation_engine import (
     Derivation,
@@ -44,13 +55,8 @@ from .derivation_engine import (
     restricts_to,
 )
 from .errors import LndError, ParseError
-from .grade_analyzer import (
-    fpf_test,
-    generic_combination_grade,
-    grade_of_derivation,
-    grade_two_generated,
-)
-from .groebner_engine import Ideal
+from .grade_analyzer import fpf_test, grade_of_derivation, grade_of_ideal
+from .groebner_engine import Ideal, ideal_equal
 from .kernel_lab import (
     SliceData,
     compare_kernel_to_subalgebra,
@@ -64,7 +70,6 @@ from .presentation import PresentedRing, present_subalgebra
 from .rees_builder import ideal_power, rees_truncation, symbolic_power
 
 TOOL_NAME = "lndkit"
-TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
 
 
@@ -73,90 +78,17 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 
 @dataclass
-class RingDecl:
-    name: str
-    vars: tuple
-    relations: tuple = ()          # polynomial texts already canonical
-    base: str = None               # quotient base ring name
+class Statement:
+    """One parsed statement: the kind of its form and its slot values."""
 
-    def pretty(self):
-        if self.base is None:
-            return f"ring {self.name} = poly({', '.join(self.vars)})"
-        rels = ", ".join(self.relations)
-        return f"ring {self.name} = quotient({self.base}, ({rels}))"
-
-
-@dataclass
-class SubalgebraDecl:
-    name: str
-    ring: str
-    generators: tuple
-
-    def pretty(self):
-        gens = ", ".join(self.generators)
-        return f"subalgebra {self.name} in {self.ring} = gens {{ {gens} }}"
-
-
-@dataclass
-class DerivationDecl:
-    name: str
-    host: str
-    images: tuple                  # ((var, poly text), ...) in host var order
-
-    def pretty(self):
-        imgs = "; ".join(f"{v} -> {p}" for v, p in self.images)
-        return f"derivation {self.name} on {self.host} {{ {imgs} }}"
-
-
-@dataclass
-class IdealDecl:
-    name: str
-    host: str
-    generators: tuple
-
-    def pretty(self):
-        gens = ", ".join(self.generators)
-        return f"ideal {self.name} in {self.host} = ( {gens} )"
-
-
-@dataclass
-class Command:
     kind: str
     args: dict = field(default_factory=dict)
 
     def pretty(self):
-        a = self.args
-        if self.kind == "check-nilpotent":
-            tail = f" bound {a['bound']}" if a.get("bound") else ""
-            return f"check nilpotent {a['name']}{tail}"
-        if self.kind == "check-fpf":
-            return f"check fpf {a['name']}"
-        if self.kind == "check-irreducible":
-            return f"check irreducible {a['name']}"
-        if self.kind == "check-contained":
-            return f"check contained {a['name']} in ({a['poly']})"
-        if self.kind == "grade-derivation":
-            return f"grade {a['name']}"
-        if self.kind == "grade-ideal":
-            return f"grade ideal {a['name']}"
-        if self.kind == "kernel":
-            tail = f" expect {a['expect']}" if a.get("expect") else ""
-            return f"kernel {a['name']} degree {a['degree']}{tail}"
-        if self.kind == "slice":
-            return f"slice {a['name']} degree {a['degree']}"
-        if self.kind == "dixmier":
-            return f"dixmier {a['name']} slice {a['slice']} of {a['target']}"
-        if self.kind == "symbolic":
-            return (f"symbolic {a['name']} power {a['power']} "
-                    f"saturate {a['saturator']}")
-        if self.kind == "rees":
-            return (f"rees {a['name']} upto {a['upto']} "
-                    f"saturate {a['saturator']}")
-        if self.kind == "verify-generators":
-            claim = ", ".join(a["claimed"])
-            return (f"verify generators {a['name']} claim {{ {claim} }} "
-                    f"degree {a['degree']}")
-        raise ValueError(f"unknown command kind {self.kind}")
+        return _KINDS[self.kind].show(self.args)
+
+
+Command = Statement
 
 
 @dataclass
@@ -165,23 +97,153 @@ class Session:
     commands: list
 
     def pretty(self):
-        lines = [d.pretty() for d in self.declarations]
-        lines += [c.pretty() for c in self.commands]
-        return "\n".join(lines) + "\n"
+        statements = self.declarations + self.commands
+        return "\n".join(s.pretty() for s in statements) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# slot types: how a template's <slot:type> reads and prints its value
+# ---------------------------------------------------------------------------
+
+_NAME = r"[^\W\d]\w*"
+_TEXT = r".*?"
+
+
+def _read_new(parser, text):
+    if text in parser.names:
+        raise ParseError(f"duplicate name {text!r}")
+    return text
+
+
+def _reference(kinds):
+    """Reader of a declared name of one of `kinds`; the first reference of
+    a statement fixes the variables its polynomials are read in."""
+    def read(parser, text):
+        info = parser.names.get(text)
+        if info is None:
+            raise ParseError(f"undefined name {text!r}")
+        if info[0] not in kinds:
+            raise ParseError(f"{text!r} is a {info[0]}, expected {'|'.join(kinds)}")
+        if parser.vars is None:
+            parser.vars = info[1]
+        return text
+    return read
+
+
+def _read_vars(parser, text):
+    vars = tuple(v.strip() for v in text.split(","))
+    if not all(re.fullmatch(_NAME, v) for v in vars):
+        raise ParseError(f"bad variable list ({text})")
+    if len(set(vars)) != len(vars):
+        raise ParseError("repeated variable")
+    parser.vars = vars
+    return vars
+
+
+def _read_int(parser, text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"expected an integer, found {text!r}") from None
+
+
+def _read_poly(parser, text):
+    return format_polynomial(parse_polynomial(text, parser.vars))
+
+
+def _read_polys(parser, text):
+    polys = tuple(_read_poly(parser, t) for t in text.split(",") if t.strip())
+    if not polys:
+        raise ParseError("empty polynomial list")
+    return polys
+
+
+def _read_images(parser, text):
+    images = []
+    for piece in filter(str.strip, text.split(";")):
+        var, arrow, poly = (s.strip() for s in piece.partition("->"))
+        if not arrow:
+            raise ParseError(f"expected 'var -> poly' in {piece.strip()!r}")
+        if var not in parser.vars:
+            raise ParseError(f"{var!r} is not one of the variables "
+                             f"({', '.join(parser.vars)})")
+        if not poly:
+            raise ParseError(f"empty image for {var!r}")
+        images.append((var, _read_poly(parser, poly)))
+    if len({v for v, _ in images}) != len(images):
+        raise ParseError("repeated variable image")
+    return tuple(images)
+
+
+@dataclass(frozen=True)
+class _SlotType:
+    regex: str
+    read: object     # (parser, text) -> value
+    show: object     # value -> text
+
+
+_TYPES = {
+    "new": _SlotType(_NAME, _read_new, str),
+    "vars": _SlotType(_TEXT, _read_vars, ", ".join),
+    "int": _SlotType(r"\S+", _read_int, str),
+    "poly": _SlotType(_TEXT, _read_poly, str),
+    "polys": _SlotType(_TEXT, _read_polys, ", ".join),
+    "images": _SlotType(_TEXT, _read_images,
+                        lambda images: "; ".join(f"{v} -> {p}" for v, p in images)),
+}
+_TYPES.update((kinds, _SlotType(_NAME, _reference(kinds.split("|")), str))
+              for kinds in ("ring", "subalgebra", "derivation", "ideal",
+                            "ring|subalgebra"))
+
+
+# ---------------------------------------------------------------------------
+# statement forms
+# ---------------------------------------------------------------------------
+
+_SLOT = re.compile(r"<(\w+):([\w|]+)>")
+_TEMPLATE_TOKEN = re.compile(r"<\w+:[\w|]+>|\w+|\S")
+_OPTION = re.compile(r" \[(.*?)\]")
+
+
+class _Form:
+    """One statement form.  Its template `word <slot:type> [option]` gives
+    the grammar (adjacent words need whitespace, punctuation may touch its
+    neighbours) and, filled in, the printed form."""
+
+    def __init__(self, kind, template, execute):
+        self.kind = kind
+        self.template = template
+        self.execute = execute
+        self.keyword = template.split()[0]
+        self.slots = _SLOT.findall(template)
+        self.declares = self.slots[0][1] == "new"
+        self.usage = _SLOT.sub(
+            lambda m: "<name>" if m[2] == "new" else f"<{m[2]}>", template)
+        pieces, prev_word = [], None
+        for token in _TEMPLATE_TOKEN.findall(template):
+            if token in ("[", "]"):
+                pieces.append("(?:" if token == "[" else ")?")
+                continue
+            word = token[0] == "<" or token[0].isalnum()
+            if prev_word is not None:
+                pieces.append(r"\s+" if prev_word and word else r"\s*")
+            slot = _SLOT.fullmatch(token)
+            pieces.append(f"(?P<{slot[1]}>{_TYPES[slot[2]].regex})" if slot
+                          else re.escape(token))
+            prev_word = word
+        self.pattern = re.compile("".join(pieces))
+
+    def show(self, args):
+        def option(m):
+            used = all(args[slot] is not None for slot, _ in _SLOT.findall(m[1]))
+            return " " + m[1] if used else ""
+        text = _OPTION.sub(option, self.template)
+        return _SLOT.sub(lambda m: _TYPES[m[2]].show(args[m[1]]), text)
 
 
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
-
-def _strip_comment(line):
-    out = []
-    for ch in line:
-        if ch == "#":
-            break
-        out.append(ch)
-    return "".join(out)
-
 
 def _logical_lines(text):
     """Comment-stripped statements; braced blocks may span lines."""
@@ -189,7 +251,7 @@ def _logical_lines(text):
     pending = ""
     pending_line = 0
     for i, raw in enumerate(text.splitlines(), start=1):
-        chunk = _strip_comment(raw).strip()
+        chunk = raw.split("#", 1)[0].strip()
         if not chunk:
             continue
         if pending:
@@ -205,399 +267,43 @@ def _logical_lines(text):
     return lines
 
 
-def _split_top_level(text, sep, line):
-    parts = []
-    depth = 0
-    current = ""
-    for ch in text:
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parentheses", line=line)
-        if ch == sep and depth == 0:
-            parts.append(current.strip())
-            current = ""
-        else:
-            current += ch
-    parts.append(current.strip())
-    return parts
-
-
-def _extract_braced(text, line):
-    start = text.find("{")
-    if start < 0:
-        raise ParseError("expected '{'", line=line)
-    depth = 0
-    for i in range(start, len(text)):
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return text[:start].strip(), text[start + 1:i].strip(), \
-                    text[i + 1:].strip()
-    raise ParseError("unterminated '{'", line=line)
-
-
-def _extract_parenthesized(text, line):
-    start = text.find("(")
-    if start < 0:
-        raise ParseError("expected '('", line=line)
-    depth = 0
-    for i in range(start, len(text)):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return text[:start].strip(), text[start + 1:i].strip(), \
-                    text[i + 1:].strip()
-    raise ParseError("unterminated '('", line=line)
-
-
-def _is_name(token):
-    return token and (token[0].isalpha() or token[0] == "_") and \
-        all(ch.isalnum() or ch == "_" for ch in token)
-
-
 class _Parser:
     def __init__(self):
         self.names = {}       # name -> (kind, ambient variable tuple)
-        self.declarations = []
-        self.commands = []
-
-    def declared_vars(self, name, line, kinds=("ring", "subalgebra")):
-        info = self.names.get(name)
-        if info is None:
-            raise ParseError(f"undefined name {name!r}", line=line)
-        kind, vars = info
-        if kind not in kinds:
-            raise ParseError(f"{name!r} is a {kind}, expected one of {kinds}",
-                             line=line)
-        return vars
-
-    def canonical(self, text, vars, line):
-        try:
-            return format_polynomial(parse_polynomial(text, vars))
-        except ParseError as exc:
-            raise ParseError(str(exc), line=line) from None
-
-    def declare(self, name, kind, vars, line):
-        if name in self.names:
-            raise ParseError(f"duplicate name {name!r}", line=line)
-        if not _is_name(name):
-            raise ParseError(f"invalid name {name!r}", line=line)
-        self.names[name] = (kind, vars)
-
-    # -- statement dispatch -------------------------------------------------
+        self.vars = None      # variables of the statement being read
+        self.session = Session([], [])
 
     def feed(self, line, text):
-        for prefix, handler in _STATEMENTS:
-            if text.startswith(prefix):
-                handler(self, line, text)
-                return
-        raise ParseError(f"unrecognized statement: {text!r}", line=line)
-
-    def ring(self, line, text):
-        body = text[len("ring"):].strip()
-        if "=" not in body:
-            raise ParseError("expected '=' in ring declaration", line=line)
-        name, rhs = (s.strip() for s in body.split("=", 1))
-        if rhs.startswith("poly"):
-            _, inner, rest = _extract_parenthesized(rhs, line)
-            if rest:
-                raise ParseError(f"trailing input {rest!r}", line=line)
-            vars = tuple(v.strip() for v in inner.split(","))
-            if not all(_is_name(v) for v in vars):
-                raise ParseError(f"bad variable list ({inner})", line=line)
-            if len(set(vars)) != len(vars):
-                raise ParseError("repeated variable", line=line)
-            self.declare(name, "ring", vars, line)
-            self.declarations.append(RingDecl(name, vars))
-            return
-        if rhs.startswith("quotient"):
-            _, inner, rest = _extract_parenthesized(rhs, line)
-            if rest:
-                raise ParseError(f"trailing input {rest!r}", line=line)
-            parts = _split_top_level(inner, ",", line)
-            base = parts[0]
-            vars = self.declared_vars(base, line, kinds=("ring",))
-            rel_text = ", ".join(parts[1:])
-            if not (rel_text.startswith("(") and rel_text.endswith(")")):
-                raise ParseError("quotient relations must be parenthesized",
-                                 line=line)
-            rels = tuple(self.canonical(t, vars, line)
-                         for t in _split_top_level(rel_text[1:-1], ",", line)
-                         if t)
-            if not rels:
-                raise ParseError("empty relation list", line=line)
-            self.declare(name, "ring", vars, line)
-            self.declarations.append(RingDecl(name, vars, rels, base))
-            return
-        raise ParseError("expected poly(...) or quotient(...)", line=line)
-
-    def subalgebra(self, line, text):
-        body = text[len("subalgebra"):].strip()
-        head, brace, rest = _extract_braced(body, line)
-        if rest:
-            raise ParseError(f"trailing input {rest!r}", line=line)
-        tokens = head.split()
-        if len(tokens) != 5 or tokens[1] != "in" or tokens[3] != "=" or \
-                tokens[4] != "gens":
-            raise ParseError("expected '<name> in <ring> = gens { ... }'",
+        keyword = text.split(None, 1)[0]
+        forms = [f for f in _FORMS if f.keyword == keyword]
+        found = next(((f, m) for f in forms if (m := f.pattern.fullmatch(text))),
+                     None)
+        if found is None:
+            if not forms:
+                raise ParseError(f"unrecognized statement: {text!r}", line=line)
+            raise ParseError("expected " + " or ".join(f"'{f.usage}'" for f in forms),
                              line=line)
-        name, ring = tokens[0], tokens[2]
-        vars = self.declared_vars(ring, line, kinds=("ring",))
-        gens = tuple(self.canonical(t, vars, line)
-                     for t in _split_top_level(brace, ",", line) if t)
-        if not gens:
-            raise ParseError("empty generator list", line=line)
-        self.declare(name, "subalgebra", vars, line)
-        self.declarations.append(SubalgebraDecl(name, ring, gens))
-
-    def derivation(self, line, text):
-        body = text[len("derivation"):].strip()
-        head, brace, rest = _extract_braced(body, line)
-        if rest:
-            raise ParseError(f"trailing input {rest!r}", line=line)
-        tokens = head.split()
-        if len(tokens) != 3 or tokens[1] != "on":
-            raise ParseError("expected '<name> on <ring|subalgebra> { ... }'",
-                             line=line)
-        name, host = tokens[0], tokens[2]
-        vars = self.declared_vars(host, line)
-        images = []
-        for piece in _split_top_level(brace, ";", line):
-            if not piece:
-                continue
-            if "->" not in piece:
-                raise ParseError(f"expected 'var -> poly' in {piece!r}",
-                                 line=line)
-            var, poly = (s.strip() for s in piece.split("->", 1))
-            if var not in vars:
-                raise ParseError(f"{var!r} is not a variable of {host}",
-                                 line=line)
-            if not poly:
-                raise ParseError(f"empty image for {var!r}", line=line)
-            images.append((var, self.canonical(poly, vars, line)))
-        seen = [v for v, _ in images]
-        if len(seen) != len(set(seen)):
-            raise ParseError("repeated variable image", line=line)
-        self.declare(name, "derivation", vars, line)
-        self.declarations.append(DerivationDecl(name, host, tuple(images)))
-
-    def ideal(self, line, text):
-        body = text[len("ideal"):].strip()
-        if "=" not in body:
-            raise ParseError("expected '=' in ideal declaration", line=line)
-        head, rhs = (s.strip() for s in body.split("=", 1))
-        tokens = head.split()
-        if len(tokens) != 3 or tokens[1] != "in":
-            raise ParseError("expected '<name> in <ring|subalgebra>'", line=line)
-        name, host = tokens[0], tokens[2]
-        vars = self.declared_vars(host, line)
-        if not (rhs.startswith("(") and rhs.endswith(")")):
-            raise ParseError("ideal generators must be parenthesized", line=line)
-        gens = tuple(self.canonical(t, vars, line)
-                     for t in _split_top_level(rhs[1:-1], ",", line) if t)
-        if not gens:
-            raise ParseError("empty ideal", line=line)
-        self.declare(name, "ideal", vars, line)
-        self.declarations.append(IdealDecl(name, host, gens))
-
-    # -- commands -------------------------------------------------------------
-
-    def require(self, name, kind, line):
-        info = self.names.get(name)
-        if info is None:
-            raise ParseError(f"undefined name {name!r}", line=line)
-        if info[0] != kind:
-            raise ParseError(f"{name!r} is a {info[0]}, expected {kind}",
-                             line=line)
-        return info[1]
-
-    def check(self, line, text):
-        tokens = text.split()
-        if len(tokens) < 3:
-            raise ParseError("incomplete check command", line=line)
-        sub = tokens[1]
-        if sub == "nilpotent":
-            name = tokens[2]
-            self.require(name, "derivation", line)
-            bound = None
-            if len(tokens) == 5 and tokens[3] == "bound":
-                bound = int(tokens[4])
-            elif len(tokens) != 3:
-                raise ParseError("expected 'check nilpotent D [bound N]'",
-                                 line=line)
-            self.commands.append(Command("check-nilpotent",
-                                         {"name": name, "bound": bound}))
-        elif sub == "fpf":
-            self.require(tokens[2], "derivation", line)
-            self.commands.append(Command("check-fpf", {"name": tokens[2]}))
-        elif sub == "irreducible":
-            self.require(tokens[2], "derivation", line)
-            self.commands.append(Command("check-irreducible",
-                                         {"name": tokens[2]}))
-        elif sub == "contained":
-            rest = text.split(None, 2)[2]
-            parts = rest.split(None, 1)
-            name = parts[0]
-            vars = self.require(name, "derivation", line)
-            tail = parts[1].strip() if len(parts) > 1 else ""
-            if not tail.startswith("in"):
-                raise ParseError("expected 'check contained D in (poly)'",
-                                 line=line)
-            _, inner, after = _extract_parenthesized(tail, line)
-            if after:
-                raise ParseError(f"trailing input {after!r}", line=line)
-            poly = self.canonical(inner, vars, line)
-            self.commands.append(Command("check-contained",
-                                         {"name": name, "poly": poly}))
+        form, match = found
+        self.vars = None
+        try:
+            args = {slot: None if match[slot] is None
+                    else _TYPES[type_].read(self, match[slot])
+                    for slot, type_ in form.slots}
+        except LndError as exc:
+            raise ParseError(str(exc), line=line) from None
+        statement = Statement(form.kind, args)
+        if form.declares:
+            self.names[args["name"]] = (form.keyword, self.vars)
+            self.session.declarations.append(statement)
         else:
-            raise ParseError(f"unknown check {sub!r}", line=line)
-
-    def grade(self, line, text):
-        tokens = text.split()
-        if len(tokens) == 2:
-            self.require(tokens[1], "derivation", line)
-            self.commands.append(Command("grade-derivation", {"name": tokens[1]}))
-        elif len(tokens) == 3 and tokens[1] == "ideal":
-            self.require(tokens[2], "ideal", line)
-            self.commands.append(Command("grade-ideal", {"name": tokens[2]}))
-        else:
-            raise ParseError("expected 'grade D' or 'grade ideal I'", line=line)
-
-    def kernel(self, line, text):
-        tokens = text.split()
-        if len(tokens) not in (4, 6) or tokens[2] != "degree":
-            raise ParseError("expected 'kernel D degree N [expect A]'",
-                             line=line)
-        self.require(tokens[1], "derivation", line)
-        args = {"name": tokens[1], "degree": int(tokens[3]), "expect": None}
-        if len(tokens) == 6:
-            if tokens[4] != "expect":
-                raise ParseError("expected 'expect <subalgebra>'", line=line)
-            self.require(tokens[5], "subalgebra", line)
-            args["expect"] = tokens[5]
-        self.commands.append(Command("kernel", args))
-
-    def slice(self, line, text):
-        tokens = text.split()
-        if len(tokens) != 4 or tokens[2] != "degree":
-            raise ParseError("expected 'slice D degree N'", line=line)
-        self.require(tokens[1], "derivation", line)
-        self.commands.append(Command("slice", {"name": tokens[1],
-                                               "degree": int(tokens[3])}))
-
-    def dixmier(self, line, text):
-        tokens = text.split(None, 2)
-        if len(tokens) < 3:
-            raise ParseError("expected 'dixmier D slice <poly> of <poly>'",
-                             line=line)
-        name = tokens[1]
-        vars = self.require(name, "derivation", line)
-        rest = tokens[2]
-        if not rest.startswith("slice"):
-            raise ParseError("expected 'slice <poly> of <poly>'", line=line)
-        rest = rest[len("slice"):].strip()
-        split_at = _find_keyword(rest, "of", line)
-        slice_text = rest[:split_at].strip()
-        target_text = rest[split_at + 2:].strip()
-        if not slice_text or not target_text:
-            raise ParseError("expected 'slice <poly> of <poly>'", line=line)
-        self.commands.append(Command("dixmier", {
-            "name": name,
-            "slice": self.canonical(slice_text, vars, line),
-            "target": self.canonical(target_text, vars, line)}))
-
-    def symbolic(self, line, text):
-        tokens = text.split()
-        if len(tokens) < 6 or tokens[2] != "power" or tokens[4] != "saturate":
-            raise ParseError("expected 'symbolic I power N saturate <poly>'",
-                             line=line)
-        vars = self.require(tokens[1], "ideal", line)
-        saturator = text.split("saturate", 1)[1].strip()
-        self.commands.append(Command("symbolic", {
-            "name": tokens[1], "power": int(tokens[3]),
-            "saturator": self.canonical(saturator, vars, line)}))
-
-    def rees(self, line, text):
-        tokens = text.split()
-        if len(tokens) < 6 or tokens[2] != "upto" or tokens[4] != "saturate":
-            raise ParseError("expected 'rees I upto N saturate <poly>'",
-                             line=line)
-        vars = self.require(tokens[1], "ideal", line)
-        saturator = text.split("saturate", 1)[1].strip()
-        self.commands.append(Command("rees", {
-            "name": tokens[1], "upto": int(tokens[3]),
-            "saturator": self.canonical(saturator, vars, line)}))
-
-    def verify(self, line, text):
-        body = text[len("verify"):].strip()
-        if not body.startswith("generators"):
-            raise ParseError("expected 'verify generators ...'", line=line)
-        body = body[len("generators"):].strip()
-        head, brace, rest = _extract_braced(body, line)
-        tokens = head.split()
-        if len(tokens) != 2 or tokens[1] != "claim":
-            raise ParseError(
-                "expected 'verify generators A claim { ... } degree N'",
-                line=line)
-        name = tokens[0]
-        vars = self.require(name, "subalgebra", line)
-        claimed = tuple(self.canonical(t, vars, line)
-                        for t in _split_top_level(brace, ",", line) if t)
-        rest_tokens = rest.split()
-        if len(rest_tokens) != 2 or rest_tokens[0] != "degree":
-            raise ParseError("expected 'degree N' after the claim", line=line)
-        self.commands.append(Command("verify-generators", {
-            "name": name, "claimed": claimed,
-            "degree": int(rest_tokens[1])}))
-
-
-def _find_keyword(text, keyword, line):
-    depth = 0
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
-        elif depth == 0 and text[i:i + len(keyword)] == keyword:
-            before_ok = i == 0 or text[i - 1].isspace()
-            j = i + len(keyword)
-            after_ok = j >= len(text) or text[j].isspace()
-            if before_ok and after_ok:
-                return i
-        i += 1
-    raise ParseError(f"expected keyword {keyword!r}", line=line)
-
-
-_STATEMENTS = (
-    ("ring ", _Parser.ring),
-    ("subalgebra ", _Parser.subalgebra),
-    ("derivation ", _Parser.derivation),
-    ("ideal ", _Parser.ideal),
-    ("check ", _Parser.check),
-    ("grade ", _Parser.grade),
-    ("kernel ", _Parser.kernel),
-    ("slice ", _Parser.slice),
-    ("dixmier ", _Parser.dixmier),
-    ("symbolic ", _Parser.symbolic),
-    ("rees ", _Parser.rees),
-    ("verify ", _Parser.verify),
-)
+            self.session.commands.append(statement)
 
 
 def parse_session(text):
     parser = _Parser()
     for line, statement in _logical_lines(text):
         parser.feed(line, statement)
-    return Session(parser.declarations, parser.commands)
+    return parser.session
 
 
 def format_session(session):
@@ -616,235 +322,109 @@ class _BoundIdeal:
 
 
 class _Environment:
+    """The objects a session's declarations bound, by kind."""
+
     def __init__(self, cfg):
         self.cfg = cfg
         self.rings = {}
         self.subalgebras = {}
         self.derivations = {}
         self.ideals = {}
+        self.of_kind = {"ring": self.rings, "subalgebra": self.subalgebras,
+                        "derivation": self.derivations, "ideal": self.ideals}
 
-    def computational_ring(self, host_name):
-        if host_name in self.rings:
-            return self.rings[host_name], None
-        sub = self.subalgebras[host_name]
-        return sub.presented_ring(), sub
-
-    def express(self, poly_text, host_name):
-        """Parse in ambient coordinates; convert to tags inside a subalgebra."""
-        if host_name in self.rings:
-            ring = self.rings[host_name]
-            return ring.normal(parse_polynomial(poly_text, ring.vars))
-        sub = self.subalgebras[host_name]
-        ambient = parse_polynomial(poly_text, sub.ambient.vars)
-        return sub.presented_ring().normal(sub.express(ambient))
+    def declare(self, decl):
+        form = _KINDS[decl.kind]
+        bound = form.execute(self, **decl.args)
+        self.of_kind[form.keyword][decl.args["name"]] = bound
 
 
-def _poly_str(p):
-    return format_polynomial(p)
+def _element(text, ring, host=None):
+    """Parse in ambient coordinates, express on the tags of `host` when the
+    element lives inside a subalgebra, and normalise in `ring`."""
+    if host is None:
+        return ring.normal(parse_polynomial(text, ring.vars))
+    return ring.normal(host.express(parse_polynomial(text, host.ambient.vars)))
 
 
 def _display(p, host):
     """Render an element in ambient coordinates when it lives on tags."""
-    if host is not None:
-        return _poly_str(host.to_ambient(p))
-    return _poly_str(p)
+    return format_polynomial(p if host is None else host.to_ambient(p))
 
 
-def _execute_declaration(env, decl):
-    if isinstance(decl, RingDecl):
-        if decl.base is None:
-            env.rings[decl.name] = PresentedRing.polynomial_ring(decl.vars)
-        else:
-            base = env.rings[decl.base]
-            rels = [parse_polynomial(t, base.vars) for t in decl.relations]
-            env.rings[decl.name] = PresentedRing.quotient(
-                base.vars, rels, pair_budget=env.cfg.pair_budget)
-        return
-    if isinstance(decl, SubalgebraDecl):
-        ring = env.rings[decl.ring]
-        gens = [parse_polynomial(t, ring.vars) for t in decl.generators]
-        env.subalgebras[decl.name] = present_subalgebra(
-            ring, gens, pair_budget=env.cfg.pair_budget)
-        return
-    if isinstance(decl, DerivationDecl):
-        ring, sub = env.computational_ring(decl.host)
-        if sub is None:
-            images = {v: parse_polynomial(t, ring.vars) for v, t in decl.images}
-            derivation = Derivation(ring, images)
-            if ring.has_relations() and not check_well_defined(
-                    derivation, pair_budget=env.cfg.pair_budget):
-                raise LndError(
-                    f"derivation {decl.name} is not well defined on the "
-                    f"quotient {decl.host}: a relation escapes the relation ideal")
-            env.derivations[decl.name] = derivation
-            return
-        ambient = sub.ambient
-        images = {v: parse_polynomial(t, ambient.vars) for v, t in decl.images}
-        ambient_derivation = Derivation(ambient, images)
-        if not restricts_to(ambient_derivation, sub):
+# -- declarations: each returns the object it binds --------------------------
+
+def _ring(env, name, vars):
+    return PresentedRing.polynomial_ring(vars)
+
+
+def _quotient_ring(env, name, base, relations):
+    vars = env.rings[base].vars
+    rels = [parse_polynomial(t, vars) for t in relations]
+    return PresentedRing.quotient(vars, rels, pair_budget=env.cfg.pair_budget)
+
+
+def _subalgebra(env, name, ring, generators):
+    ring = env.rings[ring]
+    return present_subalgebra(ring, [_element(t, ring) for t in generators],
+                              pair_budget=env.cfg.pair_budget)
+
+
+def _derivation(env, name, host, images):
+    if host in env.rings:
+        ring = env.rings[host]
+        d = Derivation(ring, {v: _element(t, ring) for v, t in images})
+        if ring.has_relations() and not check_well_defined(
+                d, pair_budget=env.cfg.pair_budget):
             raise LndError(
-                f"derivation {decl.name} does not restrict to {decl.host}")
-        env.derivations[decl.name] = restrict_to_subalgebra(
-            ambient_derivation, sub)
-        return
-    if isinstance(decl, IdealDecl):
-        ring, sub = env.computational_ring(decl.host)
-        gens = [env.express(t, decl.host) for t in decl.generators]
-        env.ideals[decl.name] = _BoundIdeal(Ideal(gens, ring.vars), ring, sub)
-        return
-    raise ValueError(f"unknown declaration {decl!r}")
+                f"derivation {name} is not well defined on the "
+                f"quotient {host}: a relation escapes the relation ideal")
+        return d
+    sub = env.subalgebras[host]
+    ambient = Derivation(sub.ambient, {v: _element(t, sub.ambient) for v, t in images})
+    if not restricts_to(ambient, sub):
+        raise LndError(f"derivation {name} does not restrict to {host}")
+    return restrict_to_subalgebra(ambient, sub)
 
 
-def _run_command(env, command):
-    a = command.args
-    kind = command.kind
-    cfg = env.cfg
-    if kind == "check-nilpotent":
-        d = env.derivations[a["name"]]
-        cert = certify_nilpotent(d, bound=a.get("bound"))
-        value = {"certified": cert.certified, "bound": cert.bound}
-        if cert.certified:
-            value["orders"] = {v: cert.orders[v] for v in sorted(cert.orders)}
-        else:
-            value["stuck"] = cert.stuck
-        return value, [], []
-    if kind == "check-fpf":
-        d = env.derivations[a["name"]]
-        return {"fixed_point_free": fpf_test(d, pair_budget=cfg.pair_budget)}, [], []
-    if kind == "check-irreducible":
-        d = env.derivations[a["name"]]
-        report = irreducible_over_ufd(d)
-        value = {"irreducible": report.irreducible}
-        witnesses = [] if report.irreducible else [_poly_str(report.witness)]
-        return value, witnesses, []
-    if kind == "check-contained":
-        d = env.derivations[a["name"]]
-        host = d.host
-        b = parse_polynomial(a["poly"], host.ambient.vars) if host is not None \
-            else parse_polynomial(a["poly"], d.ring.vars)
-        if host is not None:
-            b = d.ring.normal(host.express(b))
-        ok = contained_in_principal(d, b, pair_budget=cfg.pair_budget)
-        notes = ["checks the named candidate divisor only; "
-                 "other localizations are unexamined"]
-        return {"contained": ok, "modulus": a["poly"]}, [], notes
-    if kind == "grade-derivation":
-        d = env.derivations[a["name"]]
-        report = grade_of_derivation(d, trials=cfg.trials, seed=cfg.seed,
-                                     pair_budget=cfg.pair_budget)
-        return _grade_value(report, d.host)
-    if kind == "grade-ideal":
-        bound = env.ideals[a["name"]]
-        gens = bound.ideal.generators
-        if len(gens) <= 2:
-            b = gens[1] if len(gens) > 1 else Polynomial.zero(bound.ring.vars)
-            report = grade_two_generated(gens[0], b, bound.ring,
-                                         pair_budget=cfg.pair_budget)
-        else:
-            report = generic_combination_grade(
-                bound.ideal, bound.ring, trials=cfg.trials, seed=cfg.seed,
-                pair_budget=cfg.pair_budget)
-        return _grade_value(report, bound.host)
-    if kind == "kernel":
-        d = env.derivations[a["name"]]
-        report = kernel_generators(d, a["degree"], dim_budget=cfg.dim_budget,
-                                   pair_budget=cfg.pair_budget)
-        value = {
-            "degree": a["degree"],
-            "basis_size": len(report.basis),
-            "basis": [_display(p, d.host) for p in report.basis],
-            "generators": [_display(p, d.host) for p in report.generators],
-        }
-        notes = []
-        if a.get("expect"):
-            expected = env.subalgebras[a["expect"]]
-            report = compare_kernel_to_subalgebra(report, d, expected)
-            value["expected"] = a["expect"]
-            value["kernel_in_expected"] = report.kernel_in_expected
-            value["expected_in_kernel"] = report.expected_in_kernel
-            notes.append("containment verified up to the stated degree only")
-        return value, [], notes
-    if kind == "slice":
-        d = env.derivations[a["name"]]
-        data = slice_search(d, a["degree"], dim_budget=cfg.dim_budget)
-        if data is None:
-            return {"found": "none"}, [], []
-        if data.is_local():
-            return {"found": "local",
-                    "slice": _display(data.slice, d.host),
-                    "cofactor": _display(data.cofactor, d.host)}, [], []
-        return {"found": "slice", "slice": _display(data.slice, d.host)}, [], []
-    if kind == "dixmier":
-        d = env.derivations[a["name"]]
-        s = env.express(a["slice"], _host_name(env, d))
-        target = env.express(a["target"], _host_name(env, d))
-        image = apply(d, s)
-        if image == Polynomial.one(d.ring.vars):
-            data = SliceData(s)
-        elif not image.is_zero() and apply(d, image).is_zero():
-            data = SliceData(s, image)
-        else:
-            raise LndError("supplied element is neither a slice nor a local slice")
-        out = dixmier(d, data, target)
-        value = {"projection": _display(out.numerator, d.host),
-                 "denominator_power": out.denominator_power}
-        if out.cofactor is not None:
-            value["cofactor"] = _display(out.cofactor, d.host)
-        return value, [], []
-    if kind == "symbolic":
-        bound = env.ideals[a["name"]]
-        saturator = _bound_element(bound, a["saturator"])
-        sym = symbolic_power(bound.ideal, a["power"], saturator, bound.ring,
-                             pair_budget=cfg.pair_budget)
-        ordinary = ideal_power(bound.ideal, a["power"])
-        from .groebner_engine import ideal_equal
-        same = ideal_equal(bound.ring.lifted_ideal(sym.generators),
-                           bound.ring.lifted_ideal(ordinary.generators),
-                           pair_budget=cfg.pair_budget)
-        return {"power": a["power"],
-                "generators": sorted(_display(g, bound.host)
-                                     for g in sym.generators),
-                "equals_ordinary_power": same}, [], []
-    if kind == "rees":
-        bound = env.ideals[a["name"]]
-        saturator = _bound_element(bound, a["saturator"])
-        data = rees_truncation(bound.ideal, a["upto"], saturator, bound.ring,
-                               pair_budget=cfg.pair_budget)
-        return {"truncation": a["upto"],
-                "pieces": [sorted(_display(g, bound.host) for g in piece.generators)
-                           for piece in data.pieces],
-                "checks": "all containment and multiplicativity checks passed"}, [], []
-    if kind == "verify-generators":
-        sub = env.subalgebras[a["name"]]
-        claimed = [parse_polynomial(t, sub.ambient.vars) for t in a["claimed"]]
-        out = verify_generators_up_to_degree(sub, claimed, a["degree"],
-                                             dim_budget=cfg.dim_budget)
-        value = {"verdict": out.verdict, "degree": a["degree"]}
-        witnesses = [_poly_str(out.witness)] if out.witness is not None else []
-        return value, witnesses, []
-    raise ValueError(f"unknown command kind {kind}")
+def _ideal(env, name, host, generators):
+    sub = env.subalgebras.get(host)
+    ring = env.rings[host] if sub is None else sub.presented_ring()
+    gens = [_element(t, ring, sub) for t in generators]
+    return _BoundIdeal(Ideal(gens, ring.vars), ring, sub)
 
 
-def _express_in(sub, text):
-    return sub.express(parse_polynomial(text, sub.ambient.vars))
+# -- commands: each returns (value, witnesses, notes) ------------------------
+
+def _check_nilpotent(env, name, bound):
+    cert = certify_nilpotent(env.derivations[name], bound=bound)
+    value = {"certified": cert.certified, "bound": cert.bound}
+    if cert.certified:
+        value["orders"] = {v: cert.orders[v] for v in sorted(cert.orders)}
+    else:
+        value["stuck"] = cert.stuck
+    return value, [], []
 
 
-def _bound_element(bound, text):
-    if bound.host is None:
-        return bound.ring.normal(parse_polynomial(text, bound.ring.vars))
-    return bound.ring.normal(_express_in(bound.host, text))
+def _check_fpf(env, name):
+    d = env.derivations[name]
+    return {"fixed_point_free": fpf_test(d, pair_budget=env.cfg.pair_budget)}, [], []
 
 
-def _host_name(env, derivation):
-    if derivation.host is None:
-        for name, ring in env.rings.items():
-            if ring is derivation.ring:
-                return name
-        raise LndError("derivation host not found")
-    for name, sub in env.subalgebras.items():
-        if sub is derivation.host:
-            return name
-    raise LndError("derivation host not found")
+def _check_irreducible(env, name):
+    d = env.derivations[name]
+    report = irreducible_over_ufd(d)
+    witnesses = [] if report.irreducible else [format_polynomial(report.witness)]
+    return {"irreducible": report.irreducible}, witnesses, []
+
+
+def _check_contained(env, name, poly):
+    d = env.derivations[name]
+    ok = contained_in_principal(d, _element(poly, d.ring, d.host),
+                                pair_budget=env.cfg.pair_budget)
+    notes = ["checks the named candidate divisor only; "
+             "other localizations are unexamined"]
+    return {"contained": ok, "modulus": poly}, [], notes
 
 
 def _grade_value(report, host):
@@ -858,6 +438,152 @@ def _grade_value(report, host):
     return value, witnesses, list(report.notes)
 
 
+def _grade_derivation(env, name):
+    d = env.derivations[name]
+    cfg = env.cfg
+    report = grade_of_derivation(d, trials=cfg.trials, seed=cfg.seed,
+                                 pair_budget=cfg.pair_budget)
+    return _grade_value(report, d.host)
+
+
+def _grade_ideal(env, name):
+    bound = env.ideals[name]
+    cfg = env.cfg
+    report = grade_of_ideal(bound.ideal, bound.ring, trials=cfg.trials,
+                            seed=cfg.seed, pair_budget=cfg.pair_budget)
+    return _grade_value(report, bound.host)
+
+
+def _kernel(env, name, degree, expect):
+    d = env.derivations[name]
+    cfg = env.cfg
+    report = kernel_generators(d, degree, dim_budget=cfg.dim_budget,
+                               pair_budget=cfg.pair_budget)
+    value = {
+        "degree": degree,
+        "basis_size": len(report.basis),
+        "basis": [_display(p, d.host) for p in report.basis],
+        "generators": [_display(p, d.host) for p in report.generators],
+    }
+    notes = []
+    if expect is not None:
+        report = compare_kernel_to_subalgebra(report, d, env.subalgebras[expect])
+        value["expected"] = expect
+        value["kernel_in_expected"] = report.kernel_in_expected
+        value["expected_in_kernel"] = report.expected_in_kernel
+        notes.append("containment verified up to the stated degree only")
+    return value, [], notes
+
+
+def _slice(env, name, degree):
+    d = env.derivations[name]
+    data = slice_search(d, degree, dim_budget=env.cfg.dim_budget)
+    if data is None:
+        return {"found": "none"}, [], []
+    if data.is_local():
+        return {"found": "local",
+                "slice": _display(data.slice, d.host),
+                "cofactor": _display(data.cofactor, d.host)}, [], []
+    return {"found": "slice", "slice": _display(data.slice, d.host)}, [], []
+
+
+def _dixmier(env, name, slice, target):
+    d = env.derivations[name]
+    s = _element(slice, d.ring, d.host)
+    image = apply(d, s)
+    if image == Polynomial.one(d.ring.vars):
+        data = SliceData(s)
+    elif not image.is_zero() and apply(d, image).is_zero():
+        data = SliceData(s, image)
+    else:
+        raise LndError("supplied element is neither a slice nor a local slice")
+    out = dixmier(d, data, _element(target, d.ring, d.host))
+    value = {"projection": _display(out.numerator, d.host),
+             "denominator_power": out.denominator_power}
+    if out.cofactor is not None:
+        value["cofactor"] = _display(out.cofactor, d.host)
+    return value, [], []
+
+
+def _symbolic(env, name, power, saturator):
+    bound = env.ideals[name]
+    budget = env.cfg.pair_budget
+    sym = symbolic_power(bound.ideal, power,
+                         _element(saturator, bound.ring, bound.host), bound.ring,
+                         pair_budget=budget)
+    ordinary = ideal_power(bound.ideal, power)
+    same = ideal_equal(bound.ring.lifted_ideal(sym.generators),
+                       bound.ring.lifted_ideal(ordinary.generators),
+                       pair_budget=budget)
+    return {"power": power,
+            "generators": sorted(_display(g, bound.host) for g in sym.generators),
+            "equals_ordinary_power": same}, [], []
+
+
+def _rees(env, name, upto, saturator):
+    bound = env.ideals[name]
+    data = rees_truncation(bound.ideal, upto,
+                           _element(saturator, bound.ring, bound.host), bound.ring,
+                           pair_budget=env.cfg.pair_budget)
+    return {"truncation": upto,
+            "pieces": [sorted(_display(g, bound.host) for g in piece.generators)
+                       for piece in data.pieces],
+            "checks": "all containment and multiplicativity checks passed"}, [], []
+
+
+def _verify_generators(env, name, claimed, degree):
+    sub = env.subalgebras[name]
+    out = verify_generators_up_to_degree(
+        sub, [_element(t, sub.ambient) for t in claimed], degree,
+        dim_budget=env.cfg.dim_budget)
+    witnesses = [] if out.witness is None else [format_polynomial(out.witness)]
+    return {"verdict": out.verdict, "degree": degree}, witnesses, []
+
+
+_FORMS = (
+    _Form("ring", "ring <name:new> = poly(<vars:vars>)", _ring),
+    _Form("quotient-ring",
+          "ring <name:new> = quotient(<base:ring>, (<relations:polys>))",
+          _quotient_ring),
+    _Form("subalgebra",
+          "subalgebra <name:new> in <ring:ring> = gens { <generators:polys> }",
+          _subalgebra),
+    _Form("derivation",
+          "derivation <name:new> on <host:ring|subalgebra> { <images:images> }",
+          _derivation),
+    _Form("ideal",
+          "ideal <name:new> in <host:ring|subalgebra> = ( <generators:polys> )",
+          _ideal),
+    _Form("check-nilpotent",
+          "check nilpotent <name:derivation> [bound <bound:int>]",
+          _check_nilpotent),
+    _Form("check-fpf", "check fpf <name:derivation>", _check_fpf),
+    _Form("check-irreducible", "check irreducible <name:derivation>",
+          _check_irreducible),
+    _Form("check-contained", "check contained <name:derivation> in (<poly:poly>)",
+          _check_contained),
+    _Form("grade-derivation", "grade <name:derivation>", _grade_derivation),
+    _Form("grade-ideal", "grade ideal <name:ideal>", _grade_ideal),
+    _Form("kernel",
+          "kernel <name:derivation> degree <degree:int> [expect <expect:subalgebra>]",
+          _kernel),
+    _Form("slice", "slice <name:derivation> degree <degree:int>", _slice),
+    _Form("dixmier",
+          "dixmier <name:derivation> slice <slice:poly> of <target:poly>",
+          _dixmier),
+    _Form("symbolic",
+          "symbolic <name:ideal> power <power:int> saturate <saturator:poly>",
+          _symbolic),
+    _Form("rees", "rees <name:ideal> upto <upto:int> saturate <saturator:poly>",
+          _rees),
+    _Form("verify-generators",
+          "verify generators <name:subalgebra> claim { <claimed:polys> } "
+          "degree <degree:int>",
+          _verify_generators),
+)
+_KINDS = {form.kind: form for form in _FORMS}
+
+
 def load_environment(session, cfg=None):
     """Execute only the declarations, returning the bound objects.
 
@@ -867,7 +593,11 @@ def load_environment(session, cfg=None):
         cfg = RunConfig.from_environment()
     env = _Environment(cfg)
     for decl in session.declarations:
-        _execute_declaration(env, decl)
+        try:
+            env.declare(decl)
+        except LndError as exc:
+            raise LndError(
+                f"declaration {decl.args['name']!r} failed: {exc}") from exc
     return env
 
 
@@ -876,42 +606,34 @@ def run(session, cfg=None, session_name=None):
     do not abort the rest.  Returns (report dict, exit code)."""
     if cfg is None:
         cfg = RunConfig.from_environment()
-    env = _Environment(cfg)
+    t_start = time.monotonic()
+    try:
+        env, decl_error = load_environment(session, cfg), None
+    except LndError as exc:
+        env, decl_error = None, str(exc)
+    failed = decl_error is not None
     entries = []
     timings = []
-    failed = False
-    t_start = time.monotonic()
-    decl_error = None
-    for decl in session.declarations:
-        try:
-            _execute_declaration(env, decl)
-        except LndError as exc:
-            decl_error = f"declaration {decl.name!r} failed: {exc}"
-            failed = True
-            break
     for index, command in enumerate(session.commands):
         entry = {"index": index, "command": command.pretty()}
         t0 = time.monotonic()
-        if decl_error is not None:
-            entry["status"] = "error"
-            entry["error"] = decl_error
-            failed = True
-        else:
+        error = decl_error
+        if error is None:
             try:
-                value, witnesses, notes = _run_command(env, command)
-                entry["status"] = "ok"
-                entry["value"] = value
-                entry["witnesses"] = witnesses
-                entry["notes"] = notes
+                value, witnesses, notes = _KINDS[command.kind].execute(
+                    env, **command.args)
+                entry.update(status="ok", value=value, witnesses=witnesses,
+                             notes=notes)
             except LndError as exc:
-                entry["status"] = "error"
-                entry["error"] = str(exc)
-                failed = True
+                error = str(exc)
+        if error is not None:
+            entry.update(status="error", error=error)
+            failed = True
         timings.append(int((time.monotonic() - t0) * 1000))
         entries.append(entry)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
+        "tool": {"name": TOOL_NAME, "version": __version__},
         "seed": cfg.seed,
         "session": session_name or "",
         "declaration_error": decl_error,
@@ -930,8 +652,7 @@ def report_to_json(report):
 
 def strip_timing(report):
     """Copy of a report without its timing fields, for golden comparison."""
-    out = {k: v for k, v in report.items() if k != "timing"}
-    return out
+    return {k: v for k, v in report.items() if k != "timing"}
 
 
 # ---------------------------------------------------------------------------

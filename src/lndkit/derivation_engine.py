@@ -20,13 +20,11 @@ from .presentation import PresentedRing
 class Derivation:
     """A derivation of a presented ring, given on the ambient variables.
 
-    Variables missing from `images` are sent to zero.  `constants` names a
-    declared subring whose generators map to zero (used by linearity
-    checks and reports; not enforced beyond the images).  A derivation
+    Variables missing from `images` are sent to zero.  A derivation
     induced on a subalgebra presentation keeps a link to its host.
     """
 
-    def __init__(self, ring, images, constants=(), host=None, ambient_source=None):
+    def __init__(self, ring, images, host=None):
         self.ring = ring
         self.images = {}
         for name in ring.vars:
@@ -41,9 +39,7 @@ class Derivation:
         for name in images:
             if name not in ring.vars:
                 raise VariableMismatchError(f"{name!r} is not a ring variable")
-        self.constants = tuple(constants)
         self.host = host              # Subalgebra when induced on tags
-        self.ambient_source = ambient_source  # the derivation it came from
 
     def is_zero(self):
         return all(p.is_zero() for p in self.images.values())
@@ -124,7 +120,7 @@ def certify_nilpotent(d, bound=None):
     if bound is None:
         bound = default_nilpotency_bound(d)
     if bound < 1:
-        raise ValueError("bound must be at least 1")
+        raise DegenerateInputError("bound must be at least 1")
     orders = {}
     for name in d.ring.vars:
         current = d.ring.variable(name)
@@ -159,7 +155,7 @@ def restrict_to_subalgebra(d, subalgebra):
             raise DegenerateInputError(
                 f"derivation does not restrict: image of {g} escapes")
         images[name] = ring.normal(res.witness)
-    return Derivation(ring, images, host=subalgebra, ambient_source=d)
+    return Derivation(ring, images, host=subalgebra)
 
 
 def _require_same_ring(d, subalgebra):
@@ -220,4 +216,4 @@ def extend_with_variable(d, name):
     ring = PresentedRing(new_vars, rels, d.ring.order) if rels \
         else PresentedRing.polynomial_ring(new_vars)
     images = {v: p.embed(new_vars) for v, p in d.images.items()}
-    return Derivation(ring, images, constants=d.constants)
+    return Derivation(ring, images)

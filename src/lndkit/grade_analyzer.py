@@ -26,7 +26,6 @@ from .presentation import nzd_test
 
 
 class GradeValue(Enum):
-    ZERO = "0"
     ONE = "1"
     TWO = "2"
     INFINITE = "inf"
@@ -183,18 +182,24 @@ def _random_combination(rng, gens, spread=1):
     return combo
 
 
+def grade_of_ideal(ideal, ring, trials=None, seed=0, pair_budget=None):
+    """Grade of an ideal of a presented domain: the two-generator test for
+    at most two nonzero generators, the generic-combination search beyond."""
+    gens = [g for g in ideal.generators if not g.is_zero()]
+    if not gens:
+        raise DegenerateInputError("zero ideal has no grade")
+    if len(gens) <= 2:
+        b = gens[1] if len(gens) > 1 else Polynomial.zero(ring.vars)
+        return grade_two_generated(gens[0], b, ring, pair_budget=pair_budget)
+    return generic_combination_grade(ideal, ring, trials=trials, seed=seed,
+                                     pair_budget=pair_budget)
+
+
 def grade_of_derivation(d, trials=None, seed=0, pair_budget=None):
     """Grade of the ideal generated by all variable images of d."""
     if d.is_zero():
         raise DegenerateInputError("zero derivation has no image ideal")
-    ideal = image_ideal(d)
-    ring = d.ring
     if fpf_test(d, pair_budget=pair_budget):
         return GradeReport(GradeValue.INFINITE, [], "unit-ideal", seed=seed)
-    gens = [g for g in ideal.generators if not g.is_zero()]
-    if len(gens) <= 2:
-        a = gens[0]
-        b = gens[1] if len(gens) > 1 else Polynomial.zero(ring.vars)
-        return grade_two_generated(a, b, ring, pair_budget=pair_budget)
-    return generic_combination_grade(ideal, ring, trials=trials, seed=seed,
-                                     pair_budget=pair_budget)
+    return grade_of_ideal(image_ideal(d), d.ring, trials=trials, seed=seed,
+                          pair_budget=pair_budget)

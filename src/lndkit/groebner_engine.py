@@ -30,7 +30,6 @@ class GroebnerBasis:
 
     elements: list
     order: MonomialOrder
-    reduced: bool = True
 
     def __iter__(self):
         return iter(self.elements)

@@ -14,7 +14,7 @@ from math import factorial
 
 from . import config
 from ._linalg import RowSpace, nullspace, solve
-from .derivation_engine import apply, certify_nilpotent, iterate
+from .derivation_engine import apply, certify_nilpotent
 from .errors import DegenerateInputError, DimensionBudgetError
 from .poly_core import Polynomial, monomial_div
 
@@ -66,22 +66,18 @@ class KernelReport:
         return [host.to_ambient(p) for p in self.basis]
 
 
-def _derivation_matrix(d, monomials):
-    """Sparse column map m -> coordinates of D(m) over image monomials."""
+def _derivation_matrix(d, monomials, power=1):
+    """Sparse rows of D^power on the monomials (one column each), with the
+    row index of every image monomial, numbered in order of appearance."""
     ring = d.ring
-    columns = []
     row_index = {}
     rows = {}
     for ci, mono in enumerate(monomials):
-        image = apply(d, Polynomial(ring.vars, {mono: Fraction(1)}))
-        col = {}
+        image = Polynomial(ring.vars, {mono: Fraction(1)})
+        for _ in range(power):
+            image = apply(d, image)
         for m, c in image.terms.items():
             ri = row_index.setdefault(m, len(row_index))
-            col[ri] = c
-        columns.append(col)
-    # transpose into rows for elimination
-    for ci, col in enumerate(columns):
-        for ri, c in col.items():
             rows.setdefault(ri, {})[ci] = c
     return [rows[i] for i in range(len(row_index))], row_index
 
@@ -100,7 +96,7 @@ def kernel_basis(d, degree, dim_budget=None, certificate=None,
     unless the caller overrides; the kernel itself is exact regardless.
     """
     if degree < 1:
-        raise ValueError("degree bound must be at least 1")
+        raise DegenerateInputError("degree bound must be at least 1")
     if not assume_nilpotent and certificate is None:
         certificate = certify_nilpotent(d)
         if not certificate.certified:
@@ -193,7 +189,7 @@ def slice_search(d, degree, dim_budget=None):
             s = Polynomial(ring.vars, {monomials[j]: c for j, c in vec.items()})
             return SliceData(ring.normal(s))
     # local slices: s in Ker(D^2) \ Ker(D), minimizing the cofactor degree
-    square_rows = _composed_matrix(d, monomials)
+    square_rows, _ = _derivation_matrix(d, monomials, power=2)
     best = None
     for vec in nullspace(square_rows, len(monomials)):
         s = _vector_to_polynomial(vec, monomials, ring)
@@ -209,18 +205,6 @@ def slice_search(d, degree, dim_budget=None):
         return None
     _, s, c = best
     return SliceData(s, c)
-
-
-def _composed_matrix(d, monomials):
-    ring = d.ring
-    row_index = {}
-    rows = {}
-    for ci, mono in enumerate(monomials):
-        image = iterate(d, Polynomial(ring.vars, {mono: Fraction(1)}), 2)
-        for m, c in image.terms.items():
-            ri = row_index.setdefault(m, len(row_index))
-            rows.setdefault(ri, {})[ci] = c
-    return [rows[i] for i in range(len(row_index))]
 
 
 @dataclass

@@ -595,12 +595,6 @@ def gcd(f, g):
 # text syntax: identifiers, ^ for powers, * optional, rationals as a/b
 # ---------------------------------------------------------------------------
 
-_TOKEN_KINDS = (
-    ("ident", lambda ch: ch.isalpha() or ch == "_"),
-    ("number", str.isdigit),
-)
-
-
 def _tokenize_poly(text):
     tokens = []
     i, n = 0, len(text)
@@ -615,9 +609,9 @@ def _tokenize_poly(text):
                 j += 1
             tokens.append(("ident", text[i:j], i))
             i = j
-        elif ch.isdigit():
+        elif ch.isdecimal():
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("number", text[i:j], i))
             i = j

@@ -20,7 +20,7 @@ from .poly_core import Polynomial
 def ideal_power(ideal, n):
     """Generators of I^n: all n-fold products of the generators (I^0 = (1))."""
     if n < 0:
-        raise ValueError("negative ideal power")
+        raise DegenerateInputError("negative ideal power")
     vars = ideal.vars
     if n == 0:
         return Ideal([Polynomial.one(vars)], vars)
@@ -76,7 +76,7 @@ def rees_truncation(ideal, n, saturator, ring, pair_budget=None):
     raised, never silently recorded.
     """
     if n < 1:
-        raise ValueError("truncation must be at least 1")
+        raise DegenerateInputError("truncation must be at least 1")
     pieces = [Ideal([Polynomial.one(ring.vars)], ring.vars)]
     for k in range(1, n + 1):
         pieces.append(symbolic_power(ideal, k, saturator, ring,

@@ -1,13 +1,18 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lndkit.cli_runner import (
+    _FORMS,
     CORPUS_SESSIONS,
     RunConfig,
     Session,
+    Statement,
     corpus_path,
     format_session,
     main,
@@ -18,6 +23,7 @@ from lndkit.cli_runner import (
     strip_timing,
 )
 from lndkit.errors import ParseError
+from lndkit.poly_core import Polynomial, format_polynomial
 
 SIMPLE = """\
 ring B = poly(x, y)
@@ -31,7 +37,7 @@ class TestParse:
     def test_single_ring(self):
         session = parse_session("ring B = poly(x, y)\n")
         assert len(session.declarations) == 1
-        assert session.declarations[0].vars == ("x", "y")
+        assert session.declarations[0].args["vars"] == ("x", "y")
 
     def test_corpus_files_parse(self):
         for name in CORPUS_SESSIONS:
@@ -42,7 +48,7 @@ class TestParse:
     def test_example_6_1_objects(self):
         text = corpus_path("example_6_1.lnd").read_text(encoding="utf-8")
         session = parse_session(text)
-        names = [d.name for d in session.declarations]
+        names = [d.args["name"] for d in session.declarations]
         for expected in ("P3", "R", "A", "B", "C", "D", "Dp", "Dt"):
             assert expected in names
         kinds = {c.kind for c in session.commands}
@@ -77,7 +83,7 @@ subalgebra S in B = gens {
 }
 """
         session = parse_session(text)
-        assert session.declarations[1].generators == ("x^2", "x^3")
+        assert session.declarations[1].args["generators"] == ("x^2", "x^3")
 
     def test_round_trip(self):
         for name in CORPUS_SESSIONS:
@@ -226,3 +232,169 @@ class TestCommandLine:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["schema_version"] == 1
+
+
+PRELUDE = """\
+ring B = poly(x, y)
+subalgebra S in B = gens { x, y^2 }
+derivation D on B { y -> x }
+ideal I in B = ( x, y )
+ideal P in B = ( x )
+ideal Z in B = ( 0 )
+"""
+
+
+def _run_file(tmp_path, text):
+    session_file = tmp_path / "s.lnd"
+    session_file.write_text(text, encoding="utf-8")
+    out_file = tmp_path / "report.json"
+    code = main(["run", str(session_file), "--json", str(out_file)])
+    report = (json.loads(out_file.read_text(encoding="utf-8"))
+              if out_file.exists() else None)
+    return code, report
+
+
+class TestNumericArguments:
+    @pytest.mark.parametrize("line", ["kernel D degree x",
+                                      "check nilpotent D bound x",
+                                      "slice D degree 2.5"])
+    def test_malformed_number_is_parse_error(self, tmp_path, line):
+        with pytest.raises(ParseError) as err:
+            parse_session(PRELUDE + line + "\n")
+        assert err.value.line == 7
+        assert _run_file(tmp_path, PRELUDE + line + "\n") == (1, None)
+
+    @pytest.mark.parametrize("line", ["kernel D degree 0",
+                                      "check nilpotent D bound 0",
+                                      "symbolic P power -1 saturate y",
+                                      "rees P upto 0 saturate y",
+                                      "grade ideal Z"])
+    def test_out_of_range_is_command_error(self, tmp_path, line):
+        code, report = _run_file(tmp_path, PRELUDE + line + "\n")
+        assert code == 2
+        entry = report["commands"][0]
+        assert entry["status"] == "error"
+        assert entry["command"] == line
+
+    def test_bound_zero_printed(self):
+        session = parse_session(PRELUDE + "check nilpotent D bound 0\n")
+        assert format_session(session).endswith("check nilpotent D bound 0\n")
+
+
+def test_docs_list_every_form():
+    from lndkit import cli_runner
+
+    assert len(_FORMS) == 17
+    for form in _FORMS:
+        assert f"    {form.usage}\n" in cli_runner.__doc__
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Session grammar", 1)[1].split("```")[1]
+    examples = [re.sub(r" \[.*?\]", "", line.split("#")[0].strip())
+                for line in block.splitlines() if line.strip()]
+    kinds = [f.kind for line in examples for f in _FORMS
+             if f.pattern.fullmatch(line)]
+    assert sorted(kinds) == sorted(f.kind for f in _FORMS)
+
+
+# -- grammar fuzzing ----------------------------------------------------------
+
+_WORDS = sorted({w for f in _FORMS for w in re.findall(r"[a-z]+", f.usage)})
+_SOUP = _WORDS + list("=(){},;[]#*^/+-") + ["->", "x", "y", "B", "D", "I",
+                                            "S", "0", "1", "7", "\n"]
+
+
+@given(st.text(max_size=80)
+       | st.lists(st.sampled_from(_SOUP), max_size=30).map(" ".join))
+@example("ideal I in B = ( \u00b2 )")   # a digit that int() rejects
+@settings(max_examples=200)
+def test_fuzz_parse_raises_only_parse_error(text):
+    for prefix in ("", PRELUDE):
+        try:
+            parse_session(prefix + text)
+        except ParseError:
+            pass
+
+
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+# the template words are kept out of names: `dixmier D slice <poly> of
+# <poly>` splits at the first free-standing `of`
+_names = st.tuples(st.sampled_from(_LETTERS),
+                   st.text(_LETTERS + "0123456789", max_size=4)).map(
+    "".join).filter(lambda name: name not in _WORDS)
+
+
+@st.composite
+def _filled_form(draw, form):
+    """A prelude declaring one object of each kind under random names, and
+    random canonical values for every slot of `form`."""
+    labels = draw(st.lists(_names, min_size=7, max_size=7, unique=True))
+    vars = tuple(labels[:2])
+    ring, sub, der, ideal, new = labels[2:]
+    x, y = (Polynomial.variable(v, vars) for v in vars)
+    c = st.integers(-3, 3)
+    polys = st.tuples(c, c, c).map(
+        lambda k: format_polynomial(k[0] * x * y + k[1] * y + k[2]))
+    prelude = (f"ring {ring} = poly({', '.join(vars)})\n"
+               f"subalgebra {sub} in {ring} = gens {{ {vars[0]} }}\n"
+               f"derivation {der} on {ring} {{ {vars[1]} -> {vars[0]} }}\n"
+               f"ideal {ideal} in {ring} = ( {vars[0]} )\n")
+    values = {
+        "new": st.just(new),
+        "vars": st.just(vars),
+        "ring": st.just(ring),
+        "subalgebra": st.just(sub),
+        "derivation": st.just(der),
+        "ideal": st.just(ideal),
+        "ring|subalgebra": st.sampled_from([ring, sub]),
+        "int": st.integers(-5, 1000),
+        "poly": polys,
+        "polys": st.lists(polys, min_size=1, max_size=3).map(tuple),
+        "images": st.lists(st.sampled_from(vars), min_size=1, max_size=2,
+                           unique=True).flatmap(
+            lambda vs: st.tuples(*(st.tuples(st.just(v), polys) for v in vs))),
+    }
+    optional = {slot for part in re.findall(r"\[(.*?)\]", form.template)
+                for slot in re.findall(r"<(\w+):", part)}
+    args = {}
+    for slot, type_ in form.slots:
+        strategy = values[type_]
+        args[slot] = draw(st.none() | strategy if slot in optional else strategy)
+    return prelude, Statement(form.kind, args)
+
+
+@given(st.sampled_from(_FORMS).flatmap(_filled_form))
+@settings(max_examples=100)
+def test_fuzz_round_trip(filled):
+    prelude, statement = filled
+    session = parse_session(prelude + statement.pretty() + "\n")
+    assert statement in session.declarations + session.commands
+    assert parse_session(format_session(session)) == session
+
+
+_RUN_PRELUDE = PRELUDE + """\
+derivation E on S { x -> 1 }
+ideal K in S = ( x, y^2 )
+"""
+_RUN_POLYS = st.sampled_from(["x", "y", "0", "1", "x*y", "x^2 - y", "y^2", "z"])
+_RUN_VALUES = {
+    "int": st.integers(-2, 3),
+    "poly": _RUN_POLYS,
+    "polys": st.lists(_RUN_POLYS, min_size=1, max_size=3).map(tuple),
+    # mostly names of the right kind; B is a ring and Q is undeclared
+    "derivation": st.sampled_from(["D", "E"] * 3 + ["B", "Q"]),
+    "ideal": st.sampled_from(["I", "P", "K", "Z", "B", "Q"]),
+    "subalgebra": st.sampled_from(["S"] * 3 + ["B", "Q"]),
+}
+
+
+@given(st.sampled_from([f for f in _FORMS if not f.declares]), st.data())
+@settings(max_examples=60)
+def test_fuzz_run_exit_code(tmp_path_factory, form, data):
+    args = {}
+    for slot, type_ in form.slots:
+        args[slot] = data.draw(_RUN_VALUES[type_])
+    text = _RUN_PRELUDE + Statement(form.kind, args).pretty() + "\n"
+    session_file = tmp_path_factory.mktemp("fuzz") / "s.lnd"
+    session_file.write_text(text, encoding="utf-8")
+    out_file = session_file.with_name("report.json")
+    assert main(["run", str(session_file), "--json", str(out_file)]) in (0, 1, 2)
