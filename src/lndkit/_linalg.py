@@ -1,118 +1,102 @@
-"""Exact rational linear algebra on sparse integer rows.
+"""Exact rational linear algebra on one sparse integer row echelon.
 
-Rows are dicts mapping column index to integer entry; input Fractions are
-cleared to integers row by row (scaling a row changes neither the
-nullspace nor solvability).  Elimination is fraction-free in the Bareiss
-style: every update divides exactly by the previous pivot, keeping entries
-as exact integers of controlled size.
+A row is a dict mapping a column to its entry, integer or Fraction.
+Columns are 0..ncols-1 for matrices, and any comparable keys (such as
+exponent tuples) for a RowSpace.  Every routine runs on the same
+incremental echelon: one primitive integer row per pivot column, where a
+row's pivot is its lowest column.  A new row is reduced at its lowest
+column until it vanishes or has a pivot of its own.  Scaling a row changes
+neither the nullspace nor solvability, and the pivots are exactly the
+columns independent of the columns before them, so every answer depends
+only on the matrix and the column order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd
 
 
-def _clear_row(row):
-    """Scale a Fraction row to coprime integers."""
+def _primitive(row):
+    """Scale a row to coprime integers, positive at its lowest column."""
     denom = 1
     for c in row.values():
-        c = Fraction(c)
-        denom = denom * c.denominator // int_gcd(denom, c.denominator)
-    out = {}
-    for j, c in row.items():
-        c = Fraction(c)
-        v = c.numerator * (denom // c.denominator)
-        if v:
-            out[j] = v
-    if not out:
-        return out
-    g = 0
-    for v in out.values():
-        g = int_gcd(g, abs(v))
-    if g > 1:
-        out = {j: v // g for j, v in out.items()}
-    return out
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    ints = {j: c.numerator * (denom // c.denominator) for j, c in row.items() if c}
+    if not ints:
+        return ints
+    g = gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        g = -g
+    return {j: v // g for j, v in ints.items()}
 
 
-def _exact(a, b):
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("fraction-free update produced a remainder")
-    return q
-
-
-def _eliminate(rows, ncols):
-    """Fraction-free row echelon.  Returns (echelon rows, pivot columns).
-
-    Column order is the natural 0..ncols-1; each echelon row is reduced so
-    that its leading column is the pivot.
-    """
-    active = [_clear_row(r) for r in rows]
-    active = [r for r in active if r]
-    echelon = []
-    pivots = []
-    prev_pivot = 1
-    for col in range(ncols):
-        pivot_idx = None
-        for i, r in enumerate(active):
-            if col in r:
-                pivot_idx = i
-                break
-        if pivot_idx is None:
-            continue
-        pivot_row = active.pop(pivot_idx)
-        p = pivot_row[col]
-        updated = []
-        for r in active:
-            f = r.get(col, 0)
-            new = {}
-            if f:
-                for j in set(r) | set(pivot_row):
-                    if j < col:
-                        continue
-                    v = p * r.get(j, 0) - f * pivot_row.get(j, 0)
-                    if v:
-                        new[j] = _exact(v, prev_pivot)
+def _reduce(echelon, row):
+    """Reduce a primitive row at its lowest column until it is zero (None)
+    or its lowest column is not yet a pivot; returns (row, lowest column)."""
+    while row:
+        lead = min(row)
+        pivot_row = echelon.get(lead)
+        if pivot_row is None:
+            return row, lead
+        p, f = pivot_row[lead], row[lead]
+        g = gcd(p, f)
+        p, f = p // g, f // g
+        row = {j: p * v for j, v in row.items()}
+        for j, v in pivot_row.items():
+            s = row.get(j, 0) - f * v
+            if s:
+                row[j] = s
             else:
-                for j, v in r.items():
-                    new[j] = _exact(p * v, prev_pivot)
-            if new:
-                updated.append(new)
-        active = updated
-        echelon.append(pivot_row)
-        pivots.append(col)
-        prev_pivot = p
-    return echelon, pivots
+                del row[j]
+    return None, None
+
+
+def _insert(echelon, row):
+    """Add a row to the echelon; True when it has a new pivot."""
+    row, lead = _reduce(echelon, _primitive(row))
+    if row is None:
+        return False
+    echelon[lead] = _primitive(row)
+    return True
+
+
+def _echelon(rows):
+    echelon = {}
+    for row in rows:
+        _insert(echelon, row)
+    return echelon
+
+
+def _back_substitute(echelon, vec, below):
+    """Fill in the pivot coordinates of an integer vector from the echelon
+    rows whose pivot is below the given column, highest pivot first.  The
+    vector is rescaled whenever a pivot does not divide its coordinate."""
+    for pc in sorted((pc for pc in echelon if pc < below), reverse=True):
+        row = echelon[pc]
+        s = sum(v * vec[j] for j, v in row.items() if j in vec)
+        if s:
+            g = gcd(s, row[pc])
+            scale = row[pc] // g
+            if scale != 1:
+                vec = {j: x * scale for j, x in vec.items()}
+            vec[pc] = -s // g
+    return vec
 
 
 def nullspace(rows, ncols):
     """Basis of the right nullspace of the sparse matrix, as Fraction dicts.
 
-    One vector per free column; the free coordinate is set to 1 and the
-    pivot coordinates are back-substituted.  Vectors come out ordered by
-    their free column and scaled to primitive integers with positive
-    leading entry (lowest pivot convention keeps the output deterministic).
+    One vector per free column, ordered by it: the unique nullspace vector
+    with 1 on that free column and 0 on the other free columns, scaled to
+    primitive integers with positive leading entry.
     """
-    echelon, pivots = _eliminate(rows, ncols)
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
+    echelon = _echelon(rows)
     basis = []
-    for fc in free:
-        vec = {fc: Fraction(1)}
-        for row, pc in zip(reversed(echelon), reversed(pivots)):
-            if pc > fc:
-                continue
-            s = Fraction(0)
-            for j, v in row.items():
-                if j == pc:
-                    continue
-                x = vec.get(j)
-                if x is not None:
-                    s += v * x
-            if s:
-                vec[pc] = -s / row[pc]
-        basis.append(_primitive(vec))
+    for fc in range(ncols):
+        if fc not in echelon:
+            vec = _back_substitute(echelon, {fc: 1}, fc)
+            basis.append({j: Fraction(v) for j, v in _primitive(vec).items()})
     return basis
 
 
@@ -120,97 +104,41 @@ def solve(rows, rhs, ncols):
     """A particular solution of A x = b, or None when inconsistent.
 
     Free coordinates are set to zero, so the solution is supported on the
-    earliest independent columns.
+    earliest independent columns.  The negated right-hand side is the extra
+    column ncols, set to 1 in back-substitution; the system is inconsistent
+    exactly when that column is a pivot.
     """
-    augmented = []
-    for i, r in enumerate(rows):
-        row = dict(r)
-        b = rhs.get(i, 0) if isinstance(rhs, dict) else (rhs[i] if i < len(rhs) else 0)
-        if b:
-            row[ncols] = b
-        augmented.append(row)
-    echelon, pivots = _eliminate(augmented, ncols + 1)
-    if ncols in pivots:
+    if not isinstance(rhs, dict):
+        rhs = dict(enumerate(rhs))
+    echelon = _echelon({**r, ncols: -rhs[i]} if rhs.get(i) else r
+                       for i, r in enumerate(rows))
+    if ncols in echelon:
         return None
-    vec = {}
-    for row, pc in zip(reversed(echelon), reversed(pivots)):
-        s = Fraction(0)
-        for j, v in row.items():
-            if j == pc:
-                continue
-            if j == ncols:
-                s -= v
-                continue
-            x = vec.get(j)
-            if x is not None:
-                s += v * x
-        value = -s / row[pc]
-        if value:
-            vec[pc] = value
-    return vec
+    vec = _back_substitute(echelon, {ncols: 1}, ncols)
+    denom = vec.pop(ncols)
+    return {j: Fraction(v, denom) for j, v in vec.items()}
 
 
 def rank(rows, ncols):
-    _, pivots = _eliminate(rows, ncols)
-    return len(pivots)
-
-
-def _primitive(vec):
-    """Clear denominators, divide out content, make the first entry positive."""
-    if not vec:
-        return vec
-    denom = 1
-    for c in vec.values():
-        denom = denom * c.denominator // int_gcd(denom, c.denominator)
-    ints = {j: c.numerator * (denom // c.denominator) for j, c in vec.items()}
-    g = 0
-    for v in ints.values():
-        g = int_gcd(g, abs(v))
-    if g > 1:
-        ints = {j: v // g for j, v in ints.items()}
-    lead = min(ints)
-    if ints[lead] < 0:
-        ints = {j: -v for j, v in ints.items()}
-    return {j: Fraction(v) for j, v in ints.items()}
+    return len(_echelon(rows))
 
 
 class RowSpace:
     """Incremental row space over Q for span comparisons.
 
-    Keeps a reduced row-echelon family of Fraction rows; `insert` reports
-    whether the vector enlarged the space, `contains` tests membership.
+    Holds the shared sparse echelon (pivot column -> primitive integer
+    row); `insert` reports whether the vector enlarged the space,
+    `contains` tests membership.  Columns may be any comparable keys.
     """
 
     def __init__(self):
-        self.rows = {}  # pivot column -> row dict (pivot entry 1)
-
-    def _reduce(self, vec):
-        vec = {j: Fraction(c) for j, c in vec.items() if c}
-        while vec:
-            lead = min(vec)
-            row = self.rows.get(lead)
-            if row is None:
-                return vec, lead
-            coeff = vec[lead]
-            for j, v in row.items():
-                s = vec.get(j, Fraction(0)) - coeff * v
-                if s:
-                    vec[j] = s
-                else:
-                    vec.pop(j, None)
-        return None, None
+        self.rows = {}
 
     def contains(self, vec):
-        reduced, _ = self._reduce(vec)
-        return reduced is None
+        return _reduce(self.rows, _primitive(vec))[0] is None
 
     def insert(self, vec):
-        reduced, lead = self._reduce(vec)
-        if reduced is None:
-            return False
-        pivot = reduced[lead]
-        self.rows[lead] = {j: v / pivot for j, v in reduced.items()}
-        return True
+        return _insert(self.rows, vec)
 
     def dimension(self):
         return len(self.rows)

@@ -359,9 +359,10 @@ def _ring(env, name, vars):
 
 
 def _quotient_ring(env, name, base, relations):
-    vars = env.rings[base].vars
-    rels = [parse_polynomial(t, vars) for t in relations]
-    return PresentedRing.quotient(vars, rels, pair_budget=env.cfg.pair_budget)
+    base = env.rings[base]
+    rels = list(base.relations.elements)
+    rels += [parse_polynomial(t, base.vars) for t in relations]
+    return PresentedRing.quotient(base.vars, rels, pair_budget=env.cfg.pair_budget)
 
 
 def _subalgebra(env, name, ring, generators):
@@ -414,7 +415,7 @@ def _check_fpf(env, name):
 def _check_irreducible(env, name):
     d = env.derivations[name]
     report = irreducible_over_ufd(d)
-    witnesses = [] if report.irreducible else [format_polynomial(report.witness)]
+    witnesses = [] if report.irreducible else [_display(report.witness, d.host)]
     return {"irreducible": report.irreducible}, witnesses, []
 
 

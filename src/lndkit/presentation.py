@@ -174,7 +174,7 @@ class Subalgebra:
         value = tag_poly.substitute(images, self.ambient.vars)
         return self.ambient.normal(value)
 
-    def presentation_ideal(self, pair_budget=None):
+    def presentation_ideal(self):
         """Relations among the generators: tag basis intersected with Q[T]."""
         kept = [p.restrict(self.tag_vars) for p in self.tag_basis.elements
                 if p.uses_only(self.tag_vars)]
@@ -183,12 +183,15 @@ class Subalgebra:
         return Ideal(kept, self.tag_vars)
 
     def presented_ring(self):
-        """The subalgebra as a presented ring over its tag variables."""
+        """The subalgebra as a presented ring over its tag variables.
+
+        The block order restricted to the tags is grevlex, so the tag-only
+        elements of the reduced tag basis are already the reduced grevlex
+        basis of the relations, in grevlex order.
+        """
         if self._presented is None:
-            ideal = self.presentation_ideal()
-            rels = [p for p in ideal.generators if not p.is_zero()]
-            basis = buchberger(rels, GREVLEX) if rels else GroebnerBasis([], GREVLEX)
-            self._presented = PresentedRing(self.tag_vars, basis)
+            rels = [p for p in self.presentation_ideal().generators if not p.is_zero()]
+            self._presented = PresentedRing(self.tag_vars, GroebnerBasis(rels, GREVLEX))
         return self._presented
 
     def __repr__(self):

@@ -156,6 +156,31 @@ check fpf D
         assert code == 2
         assert "not well defined" in report["declaration_error"]
 
+    def test_quotient_of_quotient_keeps_base_relations(self):
+        text = """\
+ring B = poly(x, y)
+ring Q = quotient(B, (x^2))
+ring Q2 = quotient(Q, (y))
+derivation D on Q2 { x -> 1 }
+check fpf D
+"""
+        report, code = run(parse_session(text), RunConfig())
+        assert code == 2
+        assert "not well defined" in report["declaration_error"]
+
+    def test_irreducible_witness_in_ambient_coordinates(self):
+        text = """\
+ring B = poly(x, y)
+subalgebra S in B = gens { x, y^2 }
+derivation E on S { x -> y^2 }
+check irreducible E
+"""
+        report, code = run(parse_session(text), RunConfig())
+        assert code == 0
+        entry = report["commands"][0]
+        assert entry["value"]["irreducible"] is False
+        assert entry["witnesses"] == ["y^2"]
+
     def test_well_defined_quotient_derivation_accepted(self):
         text = """\
 ring S = poly(u, v, w)

@@ -1,5 +1,8 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
+
+import pytest
 
 from lndkit._linalg import RowSpace, nullspace, rank, solve
 
@@ -82,3 +85,61 @@ class TestRowSpace:
         assert space.dimension() == 2
         assert space.contains({0: Fraction(5)})
         assert not space.contains({2: Fraction(1)})
+
+    def test_tuple_column_keys(self):
+        # exponent tuples as columns, as the span comparison uses them
+        space = RowSpace()
+        assert space.insert({(2, 0): Fraction(1, 2), (1, 1): Fraction(3)})
+        assert space.insert({(1, 1): Fraction(1), (0, 2): Fraction(-1)})
+        assert not space.insert({(2, 0): Fraction(1), (0, 2): Fraction(6)})
+        assert space.contains({(1, 1): Fraction(-2), (0, 2): Fraction(2)})
+        assert not space.contains({(0, 2): Fraction(1)})
+        assert space.dimension() == 2
+
+
+class TestSympyOracle:
+    """Seeded random sparse rational matrices against sympy's exact answers."""
+
+    @staticmethod
+    def _cases(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            ncols = rng.randint(1, 7)
+            yield rng, ncols, _random_rows(rng, rng.randint(1, 7), ncols,
+                                           density=rng.choice([0.2, 0.4, 0.7]))
+
+    @staticmethod
+    def _matrix(sympy, rows, ncols):
+        return sympy.Matrix([[sympy.Rational(row.get(j, 0)) for j in range(ncols)]
+                             for row in rows])
+
+    @staticmethod
+    def _primitive(column):
+        """A sympy nullspace vector scaled to primitive integers with a
+        positive first nonzero entry, as a Fraction dict."""
+        entries = {j: Fraction(int(c.p), int(c.q)) for j, c in enumerate(column) if c}
+        denom = lcm(*[c.denominator for c in entries.values()])
+        ints = {j: int(c * denom) for j, c in entries.items()}
+        g = gcd(*ints.values())
+        if ints[min(ints)] < 0:
+            g = -g
+        return {j: Fraction(v // g) for j, v in ints.items()}
+
+    def test_nullspace_and_rank(self):
+        sympy = pytest.importorskip("sympy")
+        for _, ncols, rows in self._cases(201, 100):
+            m = self._matrix(sympy, rows, ncols)
+            want = [self._primitive(v) for v in m.nullspace()]
+            assert nullspace(rows, ncols) == want
+            assert rank(rows, ncols) == m.rank()
+
+    def test_solve_consistency(self):
+        sympy = pytest.importorskip("sympy")
+        for rng, ncols, rows in self._cases(202, 100):
+            rhs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in rows]
+            m = self._matrix(sympy, rows, ncols)
+            augmented = m.row_join(sympy.Matrix([sympy.Rational(b) for b in rhs]))
+            vec = solve(rows, rhs, ncols)
+            assert (vec is None) == (augmented.rank() > m.rank())
+            if vec is not None:
+                assert _apply(rows, vec) == rhs
