@@ -83,15 +83,19 @@ class Ideal:
         return f"Ideal({gens})"
 
 
+def _shifted(p, t, lc):
+    """p * t / lc for a monomial t; no division when lc is 1."""
+    if lc == 1:
+        return Polynomial(p.vars, {monomial_mul(m, t): c for m, c in p.terms.items()})
+    return Polynomial(p.vars, {monomial_mul(m, t): c / lc for m, c in p.terms.items()})
+
+
 def s_polynomial(f, g, order):
     mf, cf = f.leading_term(order)
     mg, cg = g.leading_term(order)
     lcm = monomial_lcm(mf, mg)
-    tf = monomial_div(lcm, mf)
-    tg = monomial_div(lcm, mg)
-    f_shift = Polynomial(f.vars, {monomial_mul(m, tf): c / cf for m, c in f.terms.items()})
-    g_shift = Polynomial(g.vars, {monomial_mul(m, tg): c / cg for m, c in g.terms.items()})
-    return f_shift - g_shift
+    return (_shifted(f, monomial_div(lcm, mf), cf)
+            - _shifted(g, monomial_div(lcm, mg), cg))
 
 
 def _interreduce(polys, order):

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lndkit.errors import ExponentOverflowError, ParseError, VariableMismatchError
 from lndkit.poly_core import (
+    EXPONENT_LIMIT,
     GREVLEX,
     GRLEX,
     LEX,
@@ -18,6 +20,7 @@ from lndkit.poly_core import (
     monomial_lcm,
     monomial_mul,
     parse_polynomial,
+    remainder,
 )
 
 XY = ("x", "y")
@@ -40,6 +43,21 @@ class TestMonomials:
         with pytest.raises(ExponentOverflowError):
             monomial_mul(big, (1, 0))
 
+    def test_exponent_at_the_limit_is_allowed(self):
+        assert monomial_mul((EXPONENT_LIMIT - 1, 0), (1, 2)) == (EXPONENT_LIMIT, 2)
+        with pytest.raises(ExponentOverflowError):
+            monomial_mul((0, EXPONENT_LIMIT), (0, 1))
+
+    def test_empty_monomials(self):
+        assert monomial_mul((), ()) == ()
+        assert monomial_div((), ()) == ()
+        assert monomial_lcm((), ()) == ()
+
+    def test_div_returns_none_unless_divisible(self):
+        assert monomial_div((2, 1, 0), (2, 1, 1)) is None
+        assert monomial_div((0, 3), (1, 0)) is None
+        assert monomial_div((2, 1, 1), (2, 1, 1)) == (0, 0, 0)
+
 
 class TestOrders:
     def test_lex(self):
@@ -59,6 +77,23 @@ class TestOrders:
     def test_permutation(self):
         order = MonomialOrder.lex(permutation=(2, 1, 0))
         assert order.key((5, 0, 1)) < order.key((0, 0, 2))
+
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_heap_key_reverses_key(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        order = data.draw(_orders(n))
+        pairs = st.lists(_exponents(n, 4), min_size=2, max_size=2)
+        for a, b in data.draw(st.lists(pairs, min_size=1, max_size=20)):
+            assert (order.heap_key(a) < order.heap_key(b)) == (order.key(a) > order.key(b))
+            assert (order.heap_key(a) == order.heap_key(b)) == (a == b)
+
+    def test_unknown_kind_raises(self):
+        order = MonomialOrder("bogus")
+        with pytest.raises(ValueError):
+            order.key((1, 0))
+        with pytest.raises(ValueError):
+            order.heap_key((1, 0))
 
 
 class TestArithmetic:
@@ -163,6 +198,91 @@ class TestDivision:
     def test_empty_divisor_list(self):
         with pytest.raises(ValueError):
             divide(P("x"), [])
+        assert remainder(P("x"), []) == P("x")
+
+    def test_cancelled_term_that_reenters(self):
+        # reducing x cancels the constant term; reducing y by the non-monic
+        # -y + 1 brings it back before it is reached
+        f = P("x^2 + x*y - 1", XY)
+        divisors = [P("x - 1", XY), P("-y + 1", XY)]
+        qs, r = divide(f, divisors)
+        assert qs == [P("x + y + 1", XY), P("-1", XY)]
+        assert r == P("1", XY)
+        assert remainder(f, divisors) == r
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_matches_max_scan_division(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=4))
+        order = data.draw(_orders(n))
+        vars = ("a", "b", "c", "d")[:n]
+
+        def polys(size):
+            return st.dictionaries(_exponents(n, 3), _coefficients, max_size=size).map(
+                lambda terms: Polynomial(vars, terms))
+
+        divisors = data.draw(st.lists(polys(4).filter(lambda p: not p.is_zero()),
+                                      min_size=1, max_size=3))
+        # combinations of the divisors, so that reductions cancel work terms
+        f = data.draw(polys(4))
+        for d in divisors:
+            f = f + data.draw(polys(2)) * d
+        want_qs, want_r = _max_scan_divide(f, divisors, order)
+        qs, r = divide(f, divisors, order)
+        assert _exact_terms(r) == want_r
+        assert [_exact_terms(q) for q in qs] == want_qs
+        assert _exact_terms(remainder(f, divisors, order)) == want_r
+
+
+def _exponents(n, top):
+    return st.tuples(*(st.integers(min_value=0, max_value=top) for _ in range(n)))
+
+
+_coefficients = st.fractions(
+    min_value=-6, max_value=6, max_denominator=4).filter(lambda c: c != 0)
+
+
+def _orders(n):
+    """Every order kind on n variables, with and without a permutation."""
+    kinds = [st.builds(MonomialOrder, st.sampled_from(["lex", "grlex", "grevlex"]))]
+    if n:
+        kinds.append(st.builds(MonomialOrder.elimination,
+                               st.integers(min_value=1, max_value=n)))
+    plain = st.one_of(*kinds)
+    return st.one_of(plain, st.builds(
+        lambda o, perm: MonomialOrder(o.kind, o.block, tuple(perm)),
+        plain, st.permutations(range(n))))
+
+
+def _exact_terms(p):
+    """Terms in stored order, failing unless every coefficient is a Fraction."""
+    assert all(type(c) is Fraction for c in p.terms.values())
+    return list(p.terms.items())
+
+
+def _max_scan_divide(f, divisors, order):
+    """Textbook division: reduce the largest remaining term, found by a scan."""
+    quotients = [{} for _ in divisors]
+    rem, work = {}, dict(f.terms)
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for q, d in zip(quotients, divisors):
+            lt, lc = d.leading_term(order)
+            if any(x < y for x, y in zip(m, lt)):
+                continue
+            t = tuple(x - y for x, y in zip(m, lt))
+            q[t] = c / lc
+            for tm, tc in d.terms.items():
+                if tm != lt:
+                    mm = tuple(x + y for x, y in zip(t, tm))
+                    work[mm] = work.get(mm, 0) - c / lc * tc
+                    if not work[mm]:
+                        del work[mm]
+            break
+        else:
+            rem[m] = c
+    return [list(q.items()) for q in quotients], list(rem.items())
 
 
 class TestGcd:
