@@ -2,7 +2,7 @@
 generated Q-algebras: Groebner machinery, finite presentations, grade
 computation, kernels, slices and truncated symbolic Rees algebras."""
 
-from .config import RunConfig
+from .config import RunConfig, budget
 from .derivation_engine import (
     Derivation,
     NilpotencyCertificate,

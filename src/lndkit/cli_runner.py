@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from . import __version__
-from .config import RunConfig
+from .config import RunConfig, budget
 from .derivation_engine import (
     Derivation,
     apply,
@@ -86,9 +86,6 @@ class Statement:
 
     def pretty(self):
         return _KINDS[self.kind].show(self.args)
-
-
-Command = Statement
 
 
 @dataclass
@@ -333,10 +330,14 @@ class _Environment:
         self.of_kind = {"ring": self.rings, "subalgebra": self.subalgebras,
                         "derivation": self.derivations, "ideal": self.ideals}
 
+    def execute(self, statement):
+        """Run one statement in a budget scope of its own (config.budget)."""
+        with budget(self.cfg.pair_budget, self.cfg.dim_budget):
+            return _KINDS[statement.kind].execute(self, **statement.args)
+
     def declare(self, decl):
-        form = _KINDS[decl.kind]
-        bound = form.execute(self, **decl.args)
-        self.of_kind[form.keyword][decl.args["name"]] = bound
+        kind = _KINDS[decl.kind].keyword
+        self.of_kind[kind][decl.args["name"]] = self.execute(decl)
 
 
 def _element(text, ring, host=None):
@@ -362,21 +363,19 @@ def _quotient_ring(env, name, base, relations):
     base = env.rings[base]
     rels = list(base.relations.elements)
     rels += [parse_polynomial(t, base.vars) for t in relations]
-    return PresentedRing.quotient(base.vars, rels, pair_budget=env.cfg.pair_budget)
+    return PresentedRing.quotient(base.vars, rels)
 
 
 def _subalgebra(env, name, ring, generators):
     ring = env.rings[ring]
-    return present_subalgebra(ring, [_element(t, ring) for t in generators],
-                              pair_budget=env.cfg.pair_budget)
+    return present_subalgebra(ring, [_element(t, ring) for t in generators])
 
 
 def _derivation(env, name, host, images):
     if host in env.rings:
         ring = env.rings[host]
         d = Derivation(ring, {v: _element(t, ring) for v, t in images})
-        if ring.has_relations() and not check_well_defined(
-                d, pair_budget=env.cfg.pair_budget):
+        if ring.has_relations() and not check_well_defined(d):
             raise LndError(
                 f"derivation {name} is not well defined on the "
                 f"quotient {host}: a relation escapes the relation ideal")
@@ -409,7 +408,7 @@ def _check_nilpotent(env, name, bound):
 
 def _check_fpf(env, name):
     d = env.derivations[name]
-    return {"fixed_point_free": fpf_test(d, pair_budget=env.cfg.pair_budget)}, [], []
+    return {"fixed_point_free": fpf_test(d)}, [], []
 
 
 def _check_irreducible(env, name):
@@ -421,8 +420,7 @@ def _check_irreducible(env, name):
 
 def _check_contained(env, name, poly):
     d = env.derivations[name]
-    ok = contained_in_principal(d, _element(poly, d.ring, d.host),
-                                pair_budget=env.cfg.pair_budget)
+    ok = contained_in_principal(d, _element(poly, d.ring, d.host))
     notes = ["checks the named candidate divisor only; "
              "other localizations are unexamined"]
     return {"contained": ok, "modulus": poly}, [], notes
@@ -442,8 +440,7 @@ def _grade_value(report, host):
 def _grade_derivation(env, name):
     d = env.derivations[name]
     cfg = env.cfg
-    report = grade_of_derivation(d, trials=cfg.trials, seed=cfg.seed,
-                                 pair_budget=cfg.pair_budget)
+    report = grade_of_derivation(d, trials=cfg.trials, seed=cfg.seed)
     return _grade_value(report, d.host)
 
 
@@ -451,15 +448,13 @@ def _grade_ideal(env, name):
     bound = env.ideals[name]
     cfg = env.cfg
     report = grade_of_ideal(bound.ideal, bound.ring, trials=cfg.trials,
-                            seed=cfg.seed, pair_budget=cfg.pair_budget)
+                            seed=cfg.seed)
     return _grade_value(report, bound.host)
 
 
 def _kernel(env, name, degree, expect):
     d = env.derivations[name]
-    cfg = env.cfg
-    report = kernel_generators(d, degree, dim_budget=cfg.dim_budget,
-                               pair_budget=cfg.pair_budget)
+    report = kernel_generators(d, degree)
     value = {
         "degree": degree,
         "basis_size": len(report.basis),
@@ -478,7 +473,7 @@ def _kernel(env, name, degree, expect):
 
 def _slice(env, name, degree):
     d = env.derivations[name]
-    data = slice_search(d, degree, dim_budget=env.cfg.dim_budget)
+    data = slice_search(d, degree)
     if data is None:
         return {"found": "none"}, [], []
     if data.is_local():
@@ -508,14 +503,11 @@ def _dixmier(env, name, slice, target):
 
 def _symbolic(env, name, power, saturator):
     bound = env.ideals[name]
-    budget = env.cfg.pair_budget
     sym = symbolic_power(bound.ideal, power,
-                         _element(saturator, bound.ring, bound.host), bound.ring,
-                         pair_budget=budget)
+                         _element(saturator, bound.ring, bound.host), bound.ring)
     ordinary = ideal_power(bound.ideal, power)
     same = ideal_equal(bound.ring.lifted_ideal(sym.generators),
-                       bound.ring.lifted_ideal(ordinary.generators),
-                       pair_budget=budget)
+                       bound.ring.lifted_ideal(ordinary.generators))
     return {"power": power,
             "generators": sorted(_display(g, bound.host) for g in sym.generators),
             "equals_ordinary_power": same}, [], []
@@ -524,8 +516,7 @@ def _symbolic(env, name, power, saturator):
 def _rees(env, name, upto, saturator):
     bound = env.ideals[name]
     data = rees_truncation(bound.ideal, upto,
-                           _element(saturator, bound.ring, bound.host), bound.ring,
-                           pair_budget=env.cfg.pair_budget)
+                           _element(saturator, bound.ring, bound.host), bound.ring)
     return {"truncation": upto,
             "pieces": [sorted(_display(g, bound.host) for g in piece.generators)
                        for piece in data.pieces],
@@ -535,8 +526,7 @@ def _rees(env, name, upto, saturator):
 def _verify_generators(env, name, claimed, degree):
     sub = env.subalgebras[name]
     out = verify_generators_up_to_degree(
-        sub, [_element(t, sub.ambient) for t in claimed], degree,
-        dim_budget=env.cfg.dim_budget)
+        sub, [_element(t, sub.ambient) for t in claimed], degree)
     witnesses = [] if out.witness is None else [format_polynomial(out.witness)]
     return {"verdict": out.verdict, "degree": degree}, witnesses, []
 
@@ -621,8 +611,7 @@ def run(session, cfg=None, session_name=None):
         error = decl_error
         if error is None:
             try:
-                value, witnesses, notes = _KINDS[command.kind].execute(
-                    env, **command.args)
+                value, witnesses, notes = env.execute(command)
                 entry.update(status="ok", value=value, witnesses=witnesses,
                              notes=notes)
             except LndError as exc:

@@ -74,7 +74,7 @@ def iterate(d, f, m):
     return out
 
 
-def check_well_defined(d, pair_budget=None):
+def check_well_defined(d):
     """True iff every relation generator maps into the relation ideal."""
     if not d.ring.has_relations():
         return True
@@ -84,7 +84,7 @@ def check_well_defined(d, pair_budget=None):
         for name, image in d.images.items():
             if not image.is_zero():
                 img = img + image * rel.diff(name)
-        if not ideal_member(img, rel_ideal, pair_budget=pair_budget):
+        if not ideal_member(img, rel_ideal):
             return False
     return True
 
@@ -196,14 +196,13 @@ def irreducible_over_ufd(d):
     return IrreducibilityReport(False, g)
 
 
-def contained_in_principal(d, b, pair_budget=None):
+def contained_in_principal(d, b):
     """Do all variable images lie in b * ring?  Membership mod relations."""
     b = d.ring.normal(b)
     if b.is_zero():
         raise DegenerateInputError("zero principal candidate")
     principal = d.ring.lifted_ideal([b])
-    return all(ideal_member(p, principal, pair_budget=pair_budget)
-               for _, p in d.nonzero_images())
+    return all(ideal_member(p, principal) for _, p in d.nonzero_images())
 
 
 def extend_with_variable(d, name):

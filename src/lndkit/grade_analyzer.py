@@ -68,23 +68,22 @@ def image_ideal(d):
     return Ideal(gens, d.ring.vars)
 
 
-def fpf_test(d, pair_budget=None):
+def fpf_test(d):
     """Fixed point free: the images generate the unit ideal mod relations."""
     ideal = d.ring.lifted_ideal([p for _, p in d.nonzero_images()])
-    return ideal_member(d.ring.one(), ideal, pair_budget=pair_budget)
+    return ideal_member(d.ring.one(), ideal)
 
 
-def _regular_mod(b, a, ring, pair_budget=None):
+def _regular_mod(b, a, ring):
     """Is b a nonzerodivisor mod (a)?  Membership of b in (a) counts as no
     (zero is a zerodivisor of a nonzero quotient)."""
     try:
-        return bool(nzd_test(b, Ideal([a], ring.vars), ring,
-                             pair_budget=pair_budget))
+        return bool(nzd_test(b, Ideal([a], ring.vars), ring))
     except DegenerateInputError:
         return False
 
 
-def grade_two_generated(a, b, ring, pair_budget=None):
+def grade_two_generated(a, b, ring):
     """Grade of a two-generated ideal (a, b) of a presented domain.
 
     inf when the ideal is the unit ideal; 2 exactly when the pair forms a
@@ -94,20 +93,20 @@ def grade_two_generated(a, b, ring, pair_budget=None):
     if a.is_zero() and b.is_zero():
         raise DegenerateInputError("both generators reduce to zero")
     lifted = ring.lifted_ideal([a, b])
-    if ideal_member(ring.one(), lifted, pair_budget=pair_budget):
+    if ideal_member(ring.one(), lifted):
         return GradeReport(GradeValue.INFINITE, [], "unit-ideal")
     nonzero = [p for p in (a, b) if not p.is_zero()]
     if len(nonzero) <= 1:
         return GradeReport(GradeValue.ONE, nonzero[:1], "two-generator")
     a, b = nonzero
-    if _regular_mod(b, a, ring, pair_budget):
+    if _regular_mod(b, a, ring):
         return GradeReport(GradeValue.TWO, [a, b], "two-generator")
-    if _regular_mod(a, b, ring, pair_budget):
+    if _regular_mod(a, b, ring):
         return GradeReport(GradeValue.TWO, [b, a], "two-generator")
     return GradeReport(GradeValue.ONE, [a], "two-generator")
 
 
-def generic_combination_grade(ideal, ring, trials=None, seed=0, pair_budget=None):
+def generic_combination_grade(ideal, ring, trials=None, seed=0):
     """Grade of an ideal with three or more generators, capped at 2.
 
     Searches for a length-2 regular sequence among generator pairs and
@@ -124,7 +123,7 @@ def generic_combination_grade(ideal, ring, trials=None, seed=0, pair_budget=None
     if not gens:
         raise DegenerateInputError("ideal reduces to zero")
     lifted = ring.lifted_ideal(gens)
-    if ideal_member(ring.one(), lifted, pair_budget=pair_budget):
+    if ideal_member(ring.one(), lifted):
         return GradeReport(GradeValue.INFINITE, [], "unit-ideal", seed=seed)
     if len(gens) == 1:
         return GradeReport(GradeValue.ONE, gens[:1], "generic-combination", seed=seed)
@@ -132,18 +131,17 @@ def generic_combination_grade(ideal, ring, trials=None, seed=0, pair_budget=None
     a = gens[0]
     quotients = []
     for b in gens[1:]:
-        if _regular_mod(b, a, ring, pair_budget):
+        if _regular_mod(b, a, ring):
             return GradeReport(GradeValue.TWO, [a, b], "generic-combination",
                                seed=seed)
-        quotients.append(ideal_quotient(ring.lifted_ideal([a]), b,
-                                        pair_budget=pair_budget))
+        quotients.append(ideal_quotient(ring.lifted_ideal([a]), b))
 
     rng = random.Random(seed)
     for _ in range(trials):
         b = ring.normal(_random_combination(rng, gens))
         if b.is_zero():
             continue
-        if _regular_mod(b, a, ring, pair_budget):
+        if _regular_mod(b, a, ring):
             return GradeReport(GradeValue.TWO, [a, b], "generic-combination",
                                seed=seed)
 
@@ -151,9 +149,9 @@ def generic_combination_grade(ideal, ring, trials=None, seed=0, pair_budget=None
     # every element of I to be a zerodivisor mod a, hence grade 1
     colon = quotients[0]
     for q in quotients[1:]:
-        colon = ideal_intersection(colon, q, pair_budget=pair_budget)
+        colon = ideal_intersection(colon, q)
     lifted_a = ring.lifted_ideal([a])
-    basis = lifted_a.groebner(pair_budget=pair_budget)
+    basis = lifted_a.groebner()
     excess = [h for h in colon.generators
               if not normal_form(h, basis).is_zero()]
     if excess:
@@ -165,7 +163,7 @@ def generic_combination_grade(ideal, ring, trials=None, seed=0, pair_budget=None
         b = ring.normal(_random_combination(rng, gens, spread=1 + extra // trials))
         if b.is_zero():
             continue
-        if _regular_mod(b, a, ring, pair_budget):
+        if _regular_mod(b, a, ring):
             return GradeReport(GradeValue.TWO, [a, b], "generic-combination",
                                seed=seed,
                                notes=["witness found after widened search"])
@@ -182,7 +180,7 @@ def _random_combination(rng, gens, spread=1):
     return combo
 
 
-def grade_of_ideal(ideal, ring, trials=None, seed=0, pair_budget=None):
+def grade_of_ideal(ideal, ring, trials=None, seed=0):
     """Grade of an ideal of a presented domain: the two-generator test for
     at most two nonzero generators, the generic-combination search beyond."""
     gens = [g for g in ideal.generators if not g.is_zero()]
@@ -190,16 +188,14 @@ def grade_of_ideal(ideal, ring, trials=None, seed=0, pair_budget=None):
         raise DegenerateInputError("zero ideal has no grade")
     if len(gens) <= 2:
         b = gens[1] if len(gens) > 1 else Polynomial.zero(ring.vars)
-        return grade_two_generated(gens[0], b, ring, pair_budget=pair_budget)
-    return generic_combination_grade(ideal, ring, trials=trials, seed=seed,
-                                     pair_budget=pair_budget)
+        return grade_two_generated(gens[0], b, ring)
+    return generic_combination_grade(ideal, ring, trials=trials, seed=seed)
 
 
-def grade_of_derivation(d, trials=None, seed=0, pair_budget=None):
+def grade_of_derivation(d, trials=None, seed=0):
     """Grade of the ideal generated by all variable images of d."""
     if d.is_zero():
         raise DegenerateInputError("zero derivation has no image ideal")
-    if fpf_test(d, pair_budget=pair_budget):
+    if fpf_test(d):
         return GradeReport(GradeValue.INFINITE, [], "unit-ideal", seed=seed)
-    return grade_of_ideal(image_ideal(d), d.ring, trials=trials, seed=seed,
-                          pair_budget=pair_budget)
+    return grade_of_ideal(image_ideal(d), d.ring, trials=trials, seed=seed)

@@ -1,8 +1,9 @@
 """Buchberger's algorithm and the ideal toolkit every downstream test uses.
 
 Membership, quotient, saturation, elimination and equality all reduce to
-reduced Groebner bases.  A pair budget converts runaway computations into
-clean errors instead of wrong answers.
+reduced Groebner bases.  Every S-pair reduction is charged to the current
+budget scope (`config.budget`, summed over all the runs in it), so runaway
+computations end in clean errors instead of wrong answers.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from . import config
-from .errors import BudgetExceededError, VariableMismatchError
+from .config import current_budget
+from .errors import VariableMismatchError
 from .poly_core import (
     GREVLEX,
     MonomialOrder,
@@ -68,10 +69,10 @@ class Ideal:
         self.generators = gens
         self._bases = {}
 
-    def groebner(self, order=GREVLEX, pair_budget=None):
+    def groebner(self, order=GREVLEX):
         basis = self._bases.get(order)
         if basis is None:
-            basis = buchberger(self.generators, order, pair_budget=pair_budget)
+            basis = buchberger(self.generators, order)
             self._bases[order] = basis
         return basis
 
@@ -119,15 +120,14 @@ def _interreduce(polys, order):
     return reduced
 
 
-def buchberger(generators, order=GREVLEX, *, pair_budget=None):
+def buchberger(generators, order=GREVLEX):
     """Reduced Groebner basis of the given generators.
 
     Normal pair selection (minimal lcm) with Buchberger's coprimality and
-    chain criteria.  Raises BudgetExceededError past `pair_budget`
-    S-polynomial reductions.
+    chain criteria.  Each S-polynomial reduction is charged to the current
+    budget, which raises BudgetExceededError past its pair limit.
     """
-    if pair_budget is None:
-        pair_budget = config.DEFAULT_PAIR_BUDGET
+    budget = current_budget()
     basis = [g for g in generators if not g.is_zero()]
     if not basis:
         return GroebnerBasis([Polynomial.zero(generators[0].vars)], order)
@@ -153,7 +153,6 @@ def buchberger(generators, order=GREVLEX, *, pair_budget=None):
         for j in range(i + 1, len(basis)):
             heappush(heap, (key(monomial_lcm(lms[i], lms[j])), i, j))
     done = set()
-    reductions = 0
 
     while heap:
         _, i, j = heappop(heap)
@@ -176,10 +175,7 @@ def buchberger(generators, order=GREVLEX, *, pair_budget=None):
                 break
         if skip:
             continue
-        reductions += 1
-        if reductions > pair_budget:
-            raise BudgetExceededError(
-                f"pair budget {pair_budget} exceeded during Buchberger")
+        budget.charge_pair()
         s = s_polynomial(basis[i], basis[j], order)
         r = remainder(s, basis, order)
         if r.is_zero():
@@ -210,18 +206,18 @@ def normal_form(f, basis, order=None):
     return remainder(f, elements, order)
 
 
-def ideal_member(f, ideal, order=GREVLEX, pair_budget=None):
+def ideal_member(f, ideal, order=GREVLEX):
     """True iff f lies in the ideal."""
     if f.is_zero():
         return True
-    basis = ideal.groebner(order, pair_budget=pair_budget)
+    basis = ideal.groebner(order)
     return normal_form(f, basis).is_zero()
 
 
-def ideal_equal(i, j, order=GREVLEX, pair_budget=None):
+def ideal_equal(i, j, order=GREVLEX):
     """Mutual membership of generators."""
-    return (all(ideal_member(g, j, order, pair_budget) for g in i.generators)
-            and all(ideal_member(g, i, order, pair_budget) for g in j.generators))
+    return (all(ideal_member(g, j, order) for g in i.generators)
+            and all(ideal_member(g, i, order) for g in j.generators))
 
 
 def _fresh_name(base, taken):
@@ -233,7 +229,7 @@ def _fresh_name(base, taken):
     return name
 
 
-def eliminate(ideal, first_k, pair_budget=None):
+def eliminate(ideal, first_k):
     """Generators of the intersection with Q[remaining variables].
 
     Uses a block order eliminating the first `first_k` variables; the
@@ -243,13 +239,13 @@ def eliminate(ideal, first_k, pair_budget=None):
     if not 0 < first_k < n:
         raise ValueError(f"cannot eliminate {first_k} of {n} variables")
     order = MonomialOrder.elimination(first_k)
-    basis = ideal.groebner(order, pair_budget=pair_budget)
+    basis = ideal.groebner(order)
     keep = ideal.vars[first_k:]
     kept = [p.restrict(keep) for p in basis.elements if p.uses_only(keep)]
     return Ideal(kept, keep)
 
 
-def ideal_intersection(i, j, pair_budget=None):
+def ideal_intersection(i, j):
     """Intersection via the single-tag trick: eliminate t from tI + (1-t)J."""
     if i.vars != j.vars:
         raise VariableMismatchError("intersection across different rings")
@@ -261,11 +257,11 @@ def ideal_intersection(i, j, pair_budget=None):
     gens += [one_minus_t * g.embed(big_vars) for g in j.generators if not g.is_zero()]
     if not gens:
         return Ideal([Polynomial.zero(i.vars)], i.vars)
-    inter = eliminate(Ideal(gens, big_vars), 1, pair_budget=pair_budget)
+    inter = eliminate(Ideal(gens, big_vars), 1)
     return Ideal(inter.generators, i.vars)
 
 
-def ideal_quotient(ideal, g, pair_budget=None):
+def ideal_quotient(ideal, g):
     """The colon ideal (I : g) = {f : f*g in I}, for nonzero g.
 
     Computed as (I intersect (g)) / g with one auxiliary elimination
@@ -275,7 +271,7 @@ def ideal_quotient(ideal, g, pair_budget=None):
         raise ValueError("quotient by the zero element")
     if g.vars != ideal.vars:
         raise VariableMismatchError("quotient element lives in a different ring")
-    inter = ideal_intersection(ideal, Ideal([g]), pair_budget=pair_budget)
+    inter = ideal_intersection(ideal, Ideal([g]))
     quots = []
     for h in inter.generators:
         if h.is_zero():
@@ -286,13 +282,13 @@ def ideal_quotient(ideal, g, pair_budget=None):
     return Ideal(quots, ideal.vars)
 
 
-def saturation(ideal, g, pair_budget=None):
+def saturation(ideal, g):
     """(I : g^infinity), by iterating the quotient until it stabilizes."""
     if g.is_zero():
         raise ValueError("saturation by the zero element")
     current = ideal
     while True:
-        nxt = ideal_quotient(current, g, pair_budget=pair_budget)
-        if ideal_equal(nxt, current, pair_budget=pair_budget):
+        nxt = ideal_quotient(current, g)
+        if ideal_equal(nxt, current):
             return current
         current = nxt

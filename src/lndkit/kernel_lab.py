@@ -8,22 +8,23 @@ is unconditional, and no claim is made beyond it.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from . import config
+from .config import budget, current_budget
 from ._linalg import RowSpace, nullspace, solve
 from .derivation_engine import apply, certify_nilpotent
 from .errors import DegenerateInputError, DimensionBudgetError
 from .poly_core import Polynomial, monomial_div
 
 
-def standard_monomials(ring, degree, dim_budget=None):
+def standard_monomials(ring, degree):
     """Monomials of total degree <= degree that are normal forms mod the
-    relations; ascending under (degree, ring order)."""
-    if dim_budget is None:
-        dim_budget = config.DEFAULT_DIM_BUDGET
+    relations; ascending under (degree, ring order).  Raises
+    DimensionBudgetError past the current budget's monomial limit."""
+    limit = current_budget().dims
     lts = [p.leading_monomial(ring.order) for p in ring.relations.elements] \
         if ring.has_relations() else []
     n = len(ring.vars)
@@ -32,9 +33,9 @@ def standard_monomials(ring, degree, dim_budget=None):
     def emit(mono):
         if all(monomial_div(mono, lt) is None for lt in lts):
             out.append(mono)
-            if len(out) > dim_budget:
+            if len(out) > limit:
                 raise DimensionBudgetError(
-                    f"more than {dim_budget} monomials at degree {degree}")
+                    f"dimension budget {limit} exceeded at degree {degree}")
 
     def rec(pos, remaining, prefix):
         if pos == n - 1:
@@ -88,8 +89,7 @@ def _vector_to_polynomial(vec, monomials, ring):
     return p.monic(ring.order)
 
 
-def kernel_basis(d, degree, dim_budget=None, certificate=None,
-                 assume_nilpotent=False):
+def kernel_basis(d, degree, certificate=None, assume_nilpotent=False):
     """Q-basis of Ker(D) intersected with normal forms of degree <= degree.
 
     Requires a nilpotency certificate (computed here when not supplied)
@@ -104,7 +104,7 @@ def kernel_basis(d, degree, dim_budget=None, certificate=None,
                 "derivation not certified locally nilpotent at the default "
                 "bound; pass assume_nilpotent=True to proceed")
     ring = d.ring
-    monomials = standard_monomials(ring, degree, dim_budget)
+    monomials = standard_monomials(ring, degree)
     rows, _ = _derivation_matrix(d, monomials)
     vectors = nullspace(rows, len(monomials))
     basis = [_vector_to_polynomial(v, monomials, ring) for v in vectors]
@@ -115,28 +115,27 @@ def kernel_basis(d, degree, dim_budget=None, certificate=None,
     return KernelReport(degree_bound=degree, basis=basis)
 
 
-def kernel_generators(d, degree, dim_budget=None, certificate=None,
-                      assume_nilpotent=False, pair_budget=None):
+def kernel_generators(d, degree, certificate=None, assume_nilpotent=False,
+                      pair_budget=None):
     """Kernel basis plus a greedy minimal generating sublist.
 
     Walks the basis by degree and keeps an element only when it is not a
-    member of the subalgebra generated by those already kept.
+    member of the subalgebra generated by those already kept.  A given
+    `pair_budget` opens a budget scope of its own around the call; the
+    parameter stays because the benchmark's known-defect job passes it.
     """
     from .presentation import present_subalgebra
 
-    report = kernel_basis(d, degree, dim_budget, certificate, assume_nilpotent)
-    kept = []
-    sub = None
-    for p in report.basis:
-        if p.is_constant():
-            continue
-        if sub is None:
-            kept.append(p)
-            sub = present_subalgebra(d.ring, kept, pair_budget=pair_budget)
-            continue
-        if not sub.member(p).member:
-            kept.append(p)
-            sub = present_subalgebra(d.ring, kept, pair_budget=pair_budget)
+    with budget(pairs=pair_budget) if pair_budget is not None else nullcontext():
+        report = kernel_basis(d, degree, certificate, assume_nilpotent)
+        kept = []
+        sub = None
+        for p in report.basis:
+            if p.is_constant():
+                continue
+            if sub is None or not sub.member(p).member:
+                kept.append(p)
+                sub = present_subalgebra(d.ring, kept)
     report.generators = kept
     return report
 
@@ -173,12 +172,12 @@ class SliceData:
         return self.cofactor is not None
 
 
-def slice_search(d, degree, dim_budget=None):
+def slice_search(d, degree):
     """Solve D(s) = 1 over degree-bounded normal forms; on failure look for
     a local slice D(s) = c, D(c) = 0 with c of least degree.  Returns None
     when neither exists within the bound."""
     ring = d.ring
-    monomials = standard_monomials(ring, degree, dim_budget)
+    monomials = standard_monomials(ring, degree)
     rows, row_index = _derivation_matrix(d, monomials)
     one_mono = (0,) * len(ring.vars)
     rhs = {}
@@ -305,7 +304,7 @@ class GeneratorComparison:
         return self.verdict
 
 
-def verify_generators_up_to_degree(subalgebra, claimed, degree, dim_budget=None):
+def verify_generators_up_to_degree(subalgebra, claimed, degree):
     """Compare Q-spans of degree-bounded monomial expressions in the
     subalgebra's generators against the claimed list.
 
@@ -317,8 +316,8 @@ def verify_generators_up_to_degree(subalgebra, claimed, degree, dim_budget=None)
     claimed = [ring.normal(p) for p in claimed]
     if any(p.is_zero() for p in claimed):
         raise DegenerateInputError("zero polynomial among claimed generators")
-    ours = _span(subalgebra.generators, degree, ring, dim_budget)
-    theirs = _span(claimed, degree, ring, dim_budget)
+    ours = _span(subalgebra.generators, degree, ring)
+    theirs = _span(claimed, degree, ring)
     ours_space, ours_polys = ours
     theirs_space, theirs_polys = theirs
     missing_theirs = _first_outside(theirs_polys, ours_space, ring)
@@ -332,9 +331,8 @@ def verify_generators_up_to_degree(subalgebra, claimed, degree, dim_budget=None)
     return GeneratorComparison("incomparable", missing_theirs)
 
 
-def _span(generators, degree, ring, dim_budget):
-    if dim_budget is None:
-        dim_budget = config.DEFAULT_DIM_BUDGET
+def _span(generators, degree, ring):
+    limit = current_budget().dims
     degs = [max(g.degree(), 0) for g in generators]
     if any(d == 0 for d in degs):
         raise DegenerateInputError("constant generator in span comparison")
@@ -342,11 +340,12 @@ def _span(generators, degree, ring, dim_budget):
     polys = []
     count = 0
 
-    def rec(i, budget, product):
+    def rec(i, room, product):
         nonlocal count
         count += 1
-        if count > dim_budget:
-            raise DimensionBudgetError("span enumeration exceeded the budget")
+        if count > limit:
+            raise DimensionBudgetError(
+                f"dimension budget {limit} exceeded by the span enumeration")
         value = ring.normal(product)
         if not value.is_zero():
             if space.insert(_poly_vector(value)):
@@ -354,13 +353,13 @@ def _span(generators, degree, ring, dim_budget):
         if i == len(generators):
             return
         g, dg = generators[i], degs[i]
-        rec(i + 1, budget, product)
+        rec(i + 1, room, product)
         power = product
         spent = 0
-        while spent + dg <= budget:
+        while spent + dg <= room:
             power = power * g
             spent += dg
-            rec(i + 1, budget - spent, power)
+            rec(i + 1, room - spent, power)
 
     rec(0, degree, Polynomial.one(ring.vars))
     return space, polys

@@ -52,10 +52,6 @@ def monomial_lcm(a, b):
     return tuple(map(max, a, b))
 
 
-def monomial_degree(a):
-    return sum(a)
-
-
 def _grevlex_key(m):
     return (sum(m), tuple(map(neg, reversed(m))))
 
@@ -201,10 +197,6 @@ class Polynomial:
 
     def is_constant(self):
         return all(not any(m) for m in self.terms)
-
-    def constant_value(self):
-        zero_mono = (0,) * len(self.vars)
-        return self.terms.get(zero_mono, Fraction(0))
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""

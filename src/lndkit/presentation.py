@@ -46,10 +46,9 @@ class PresentedRing:
         return cls(vars)
 
     @classmethod
-    def quotient(cls, vars, relation_gens, order=GREVLEX, pair_budget=None):
+    def quotient(cls, vars, relation_gens, order=GREVLEX):
         gens = [p for p in relation_gens if not p.is_zero()]
-        basis = buchberger(gens, order, pair_budget=pair_budget) if gens \
-            else GroebnerBasis([], order)
+        basis = buchberger(gens, order) if gens else GroebnerBasis([], order)
         if basis.is_trivial():
             raise DegenerateInputError("relations generate the unit ideal")
         return cls(vars, basis, order)
@@ -129,7 +128,7 @@ class Subalgebra:
     eagerly, so queries are read-only.
     """
 
-    def __init__(self, ambient, generators, pair_budget=None):
+    def __init__(self, ambient, generators):
         self.ambient = ambient
         gens = []
         for g in generators:
@@ -149,8 +148,7 @@ class Subalgebra:
                             - g.embed(self.combined_vars))
         for rel in ambient.relations.elements:
             tag_gens.append(rel.embed(self.combined_vars))
-        self.tag_basis = buchberger(tag_gens, self.tag_order,
-                                    pair_budget=pair_budget)
+        self.tag_basis = buchberger(tag_gens, self.tag_order)
         self._presented = None
 
     def member(self, f):
@@ -199,8 +197,8 @@ class Subalgebra:
         return f"Subalgebra({gens})"
 
 
-def present_subalgebra(ambient, generators, pair_budget=None):
-    return Subalgebra(ambient, generators, pair_budget=pair_budget)
+def present_subalgebra(ambient, generators):
+    return Subalgebra(ambient, generators)
 
 
 def subalgebra_member(f, subalgebra):
@@ -216,7 +214,7 @@ class NzdResult:
         return self.regular
 
 
-def nzd_test(g, mod_ideal, ring, pair_budget=None):
+def nzd_test(g, mod_ideal, ring):
     """Is g a nonzerodivisor modulo the ideal in the presented ring?
 
     True iff ((mod_ideal + relations) : g) equals mod_ideal + relations in
@@ -229,11 +227,11 @@ def nzd_test(g, mod_ideal, ring, pair_budget=None):
         mod_gens = list(mod_ideal)
     lifted = ring.lifted_ideal(mod_gens)
     g = ring.normal(g)
-    if g.is_zero() or ideal_member(g, lifted, pair_budget=pair_budget):
+    if g.is_zero() or ideal_member(g, lifted):
         raise DegenerateInputError(
             "element reduces to zero modulo relations and the ideal")
-    quotient = ideal_quotient(lifted, g, pair_budget=pair_budget)
-    basis = lifted.groebner(pair_budget=pair_budget)
+    quotient = ideal_quotient(lifted, g)
+    basis = lifted.groebner()
     for h in quotient.generators:
         if not normal_form(h, basis).is_zero():
             return NzdResult(False, ring.normal(h))

@@ -36,7 +36,7 @@ def ideal_power(ideal, n):
     return Ideal(products, vars)
 
 
-def symbolic_power(ideal, n, saturator, ring, pair_budget=None):
+def symbolic_power(ideal, n, saturator, ring):
     """The n-th symbolic power (I^n : s^infinity), computed in the ambient
     polynomial ring with the relations adjoined.
 
@@ -44,11 +44,11 @@ def symbolic_power(ideal, n, saturator, ring, pair_budget=None):
     """
     s = ring.normal(saturator)
     lifted_i = ring.lifted_ideal(ideal.generators)
-    if s.is_zero() or ideal_member(s, lifted_i, pair_budget=pair_budget):
+    if s.is_zero() or ideal_member(s, lifted_i):
         raise DegenerateInputError("saturating element lies in the ideal")
     power = ideal_power(ideal, n)
     lifted = ring.lifted_ideal(power.generators)
-    sat = saturation(lifted, s, pair_budget=pair_budget)
+    sat = saturation(lifted, s)
     gens = [ring.normal(g) for g in sat.generators]
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -68,7 +68,7 @@ class ReesData:
     notes: list = field(default_factory=list)
 
 
-def rees_truncation(ideal, n, saturator, ring, pair_budget=None):
+def rees_truncation(ideal, n, saturator, ring):
     """Graded pieces of the symbolic Rees algebra up to degree n, with all
     containment and multiplicativity checks executed.
 
@@ -79,20 +79,19 @@ def rees_truncation(ideal, n, saturator, ring, pair_budget=None):
         raise DegenerateInputError("truncation must be at least 1")
     pieces = [Ideal([Polynomial.one(ring.vars)], ring.vars)]
     for k in range(1, n + 1):
-        pieces.append(symbolic_power(ideal, k, saturator, ring,
-                                     pair_budget=pair_budget))
+        pieces.append(symbolic_power(ideal, k, saturator, ring))
     failures = []
     for k in range(1, n + 1):
         lifted = ring.lifted_ideal(pieces[k].generators)
         for g in ideal_power(ideal, k).generators:
-            if not ideal_member(g, lifted, pair_budget=pair_budget):
+            if not ideal_member(g, lifted):
                 failures.append(f"I^{k} not inside piece {k}")
                 break
     for a in range(1, n + 1):
         for b in range(a, n + 1 - a):
             target = ring.lifted_ideal(pieces[a + b].generators)
             ok = all(
-                ideal_member(ring.normal(ga * gb), target, pair_budget=pair_budget)
+                ideal_member(ring.normal(ga * gb), target)
                 for ga in pieces[a].generators
                 for gb in pieces[b].generators)
             if not ok:
@@ -118,8 +117,7 @@ class ReesKernelComparison:
     ok: bool
 
 
-def compare_kernel_to_rees(kernel_report, rees_data, grading_var,
-                           pair_budget=None):
+def compare_kernel_to_rees(kernel_report, rees_data, grading_var):
     """Check each kernel generator against the graded Rees pieces.
 
     A generator's grading degree is its top power of the grading variable;
@@ -145,7 +143,7 @@ def compare_kernel_to_rees(kernel_report, rees_data, grading_var,
             note = (note + "; " if note else "") + "grading degree beyond truncation"
         else:
             lifted = ring.lifted_ideal(rees_data.pieces[i].generators)
-            in_piece = ideal_member(cofactor, lifted, pair_budget=pair_budget)
+            in_piece = ideal_member(cofactor, lifted)
         entries.append(ReesKernelEntry(g, i, cofactor, in_piece, note))
     return ReesKernelComparison(entries, all(e.in_piece for e in entries))
 

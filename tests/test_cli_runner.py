@@ -249,6 +249,18 @@ class TestCommandLine:
         report = json.loads(out_file.read_text(encoding="utf-8"))
         assert report["seed"] == 42
 
+    def test_pair_budget_bounds_a_whole_command(self, tmp_path):
+        # `rees I upto 4` makes 99 S-pair reductions over 32 Buchberger
+        # runs, at most 13 in any one of them
+        out_file = tmp_path / "report.json"
+        argv = ["run", str(corpus_path("rees_cone.lnd")), "--json", str(out_file)]
+        assert main(argv + ["--pair-budget", "13"]) == 2
+        report = json.loads(out_file.read_text(encoding="utf-8"))
+        entry = next(c for c in report["commands"] if c["command"].startswith("rees"))
+        assert entry["status"] == "error"
+        assert "pair budget 13" in entry["error"]
+        assert main(argv + ["--pair-budget", "99"]) == 0
+
     def test_installed_entry_point(self, tmp_path):
         session_file = tmp_path / "s.lnd"
         session_file.write_text(SIMPLE, encoding="utf-8")
@@ -418,8 +430,17 @@ def test_fuzz_run_exit_code(tmp_path_factory, form, data):
     args = {}
     for slot, type_ in form.slots:
         args[slot] = data.draw(_RUN_VALUES[type_])
+    budgets = []
+    for flag in ("--pair-budget", "--dim-budget"):
+        value = data.draw(st.none() | st.integers(0, 30))
+        if value is not None:
+            budgets += [flag, str(value)]
     text = _RUN_PRELUDE + Statement(form.kind, args).pretty() + "\n"
     session_file = tmp_path_factory.mktemp("fuzz") / "s.lnd"
     session_file.write_text(text, encoding="utf-8")
     out_file = session_file.with_name("report.json")
-    assert main(["run", str(session_file), "--json", str(out_file)]) in (0, 1, 2)
+    code = main(["run", str(session_file), "--json", str(out_file)] + budgets)
+    assert code in (0, 1, 2)
+    if code != 1:   # exit 1 is a parse error, which writes no report
+        report = json.loads(out_file.read_text(encoding="utf-8"))
+        assert len(report["commands"]) == 1

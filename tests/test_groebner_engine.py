@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lndkit.config import budget
 from lndkit.errors import BudgetExceededError
 from lndkit.groebner_engine import (
     GroebnerBasis,
@@ -66,8 +67,23 @@ class TestBuchberger:
 
     def test_budget(self):
         gens = [P("x^4 + y^3 - z"), P("y^4 + z^3 - x"), P("z^4 + x^3 - y")]
-        with pytest.raises(BudgetExceededError):
-            buchberger(gens, LEX, pair_budget=1)
+        with pytest.raises(BudgetExceededError), budget(pairs=1):
+            buchberger(gens, LEX)
+
+    def test_budget_is_summed_over_runs_in_one_scope(self):
+        # each run makes 11 S-pair reductions, so 15 fits one run, not two
+        def run():
+            gens = [P("x^2 + y*z"), P("x*y - z^2"), P("y^3 - x")]
+            Ideal(gens).groebner(LEX)
+
+        for _ in range(2):
+            with budget(pairs=15) as scope:
+                run()
+            assert scope.used == 11
+        with pytest.raises(BudgetExceededError, match="pair budget 15"), \
+                budget(pairs=15):
+            run()
+            run()
 
     def test_closure_and_generation_on_random_ideals(self):
         rng = random.Random(321)

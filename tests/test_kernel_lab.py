@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lndkit.config import budget
 from lndkit.derivation_engine import (
     Derivation,
     apply,
@@ -77,8 +78,8 @@ class TestStandardMonomials:
         assert all(monomial_div(m, lt) is None for m in monos)
 
     def test_budget(self):
-        with pytest.raises(DimensionBudgetError):
-            standard_monomials(P3, 10, dim_budget=20)
+        with pytest.raises(DimensionBudgetError, match="budget 20"), budget(dims=20):
+            standard_monomials(P3, 10)
 
 
 class TestKernelBasis:
