@@ -27,9 +27,9 @@ template is both the form's grammar and its printed form:
 `<vars>` and `<polys>` are comma-separated, `<images>` is a `;`-separated
 list of `var -> poly`; spaces next to punctuation are optional.
 
-Exit codes: 0 all commands succeeded; 1 parse or I/O error, a malformed
-number included; 2 at least one command-level failure, an out-of-range
-count (`kernel D degree 0`) included.
+Exit codes: 0 all commands succeeded; 1 usage, parse or I/O error (a
+negative budget, a malformed number); 2 at least one command-level
+failure, an out-of-range count (`kernel D degree 0`) included.
 """
 
 from __future__ import annotations
@@ -717,6 +717,13 @@ def _build_config(args):
     return cfg
 
 
+def _non_negative(text):
+    """argparse type of a budget: an integer, 0 or more, in decimal digits."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer 0 or more, got {text!r}")
+    return int(text)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="lnd",
@@ -733,9 +740,13 @@ def main(argv=None):
                          help="regenerate the golden reports")
     for p in (runp, corpusp):
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--pair-budget", type=int, default=None)
-        p.add_argument("--dim-budget", type=int, default=None)
-    args = parser.parse_args(argv)
+        p.add_argument("--pair-budget", type=_non_negative, default=None)
+        p.add_argument("--dim-budget", type=_non_negative, default=None)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # -h exits 0; a usage error is exit 1, like a parse error
+        return 1 if exc.code else 0
     cfg = _build_config(args)
 
     if args.action == "corpus":

@@ -22,7 +22,7 @@ from .groebner_engine import (
     normal_form,
 )
 from .poly_core import Polynomial
-from .presentation import nzd_test
+from .presentation import NzdResult, nzd_test
 
 
 class GradeValue(Enum):
@@ -56,8 +56,6 @@ class GradeReport:
 def image_ideal(d):
     """The ideal generated by the variable images (relations not included)."""
     images = [p for _, p in d.nonzero_images()]
-    if not images:
-        return Ideal([Polynomial.zero(d.ring.vars)], d.ring.vars)
     # deduplicate for stable, lean generator lists
     seen, gens = set(), []
     for p in images:
@@ -76,11 +74,11 @@ def fpf_test(d):
 
 def _regular_mod(b, a, ring):
     """Is b a nonzerodivisor mod (a)?  Membership of b in (a) counts as no
-    (zero is a zerodivisor of a nonzero quotient)."""
+    (zero is a zerodivisor of a nonzero quotient), with no colon computed."""
     try:
-        return bool(nzd_test(b, Ideal([a], ring.vars), ring))
+        return nzd_test(b, Ideal([a], ring.vars), ring)
     except DegenerateInputError:
-        return False
+        return NzdResult(False)
 
 
 def grade_two_generated(a, b, ring):
@@ -131,10 +129,12 @@ def generic_combination_grade(ideal, ring, trials=None, seed=0):
     a = gens[0]
     quotients = []
     for b in gens[1:]:
-        if _regular_mod(b, a, ring):
+        result = _regular_mod(b, a, ring)
+        if result:
             return GradeReport(GradeValue.TWO, [a, b], "generic-combination",
                                seed=seed)
-        quotients.append(ideal_quotient(ring.lifted_ideal([a]), b))
+        # nzd_test built the colon ((a) : b) unless b lies in (a)
+        quotients.append(result.colon or ideal_quotient(ring.lifted_ideal([a]), b))
 
     rng = random.Random(seed)
     for _ in range(trials):

@@ -220,15 +220,6 @@ def ideal_equal(i, j, order=GREVLEX):
             and all(ideal_member(g, i, order) for g in j.generators))
 
 
-def _fresh_name(base, taken):
-    name = base
-    k = 0
-    while name in taken:
-        name = f"{base}{k}"
-        k += 1
-    return name
-
-
 def eliminate(ideal, first_k):
     """Generators of the intersection with Q[remaining variables].
 
@@ -245,20 +236,24 @@ def eliminate(ideal, first_k):
     return Ideal(kept, keep)
 
 
+def _tagged(vars):
+    """A tag variable named t, t0, t1, ..., the first name not in vars, put
+    in front of them: the new variables and the tag as a polynomial."""
+    name, k = "t", 0
+    while name in vars:
+        name, k = f"t{k}", k + 1
+    big_vars = (name,) + vars
+    return big_vars, Polynomial.variable(name, big_vars)
+
+
 def ideal_intersection(i, j):
     """Intersection via the single-tag trick: eliminate t from tI + (1-t)J."""
     if i.vars != j.vars:
         raise VariableMismatchError("intersection across different rings")
-    t = _fresh_name("t", set(i.vars))
-    big_vars = (t,) + i.vars
-    tp = Polynomial.variable(t, big_vars)
-    one_minus_t = Polynomial.one(big_vars) - tp
-    gens = [tp * g.embed(big_vars) for g in i.generators if not g.is_zero()]
-    gens += [one_minus_t * g.embed(big_vars) for g in j.generators if not g.is_zero()]
-    if not gens:
-        return Ideal([Polynomial.zero(i.vars)], i.vars)
-    inter = eliminate(Ideal(gens, big_vars), 1)
-    return Ideal(inter.generators, i.vars)
+    big_vars, t = _tagged(i.vars)
+    gens = [t * g.embed(big_vars) for g in i.generators]
+    gens += [(1 - t) * g.embed(big_vars) for g in j.generators]
+    return eliminate(Ideal(gens, big_vars), 1)
 
 
 def ideal_quotient(ideal, g):
@@ -272,23 +267,19 @@ def ideal_quotient(ideal, g):
     if g.vars != ideal.vars:
         raise VariableMismatchError("quotient element lives in a different ring")
     inter = ideal_intersection(ideal, Ideal([g]))
-    quots = []
-    for h in inter.generators:
-        if h.is_zero():
-            continue
-        quots.append(exact_div(h, g))
-    if not quots:
-        return Ideal([Polynomial.zero(ideal.vars)], ideal.vars)
-    return Ideal(quots, ideal.vars)
+    return Ideal([exact_div(h, g) for h in inter.generators if not h.is_zero()],
+                 ideal.vars)
 
 
 def saturation(ideal, g):
-    """(I : g^infinity), by iterating the quotient until it stabilizes."""
+    """(I : g^infinity) = (I + (1 - t*g)) intersected with Q[vars], for a
+    fresh tag t (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
+    section 4.4, Theorem 14)."""
     if g.is_zero():
         raise ValueError("saturation by the zero element")
-    current = ideal
-    while True:
-        nxt = ideal_quotient(current, g)
-        if ideal_equal(nxt, current):
-            return current
-        current = nxt
+    if g.vars != ideal.vars:
+        raise VariableMismatchError("saturating element lives in a different ring")
+    big_vars, t = _tagged(ideal.vars)
+    gens = [f.embed(big_vars) for f in ideal.generators]
+    gens.append(1 - t * g.embed(big_vars))
+    return eliminate(Ideal(gens, big_vars), 1)

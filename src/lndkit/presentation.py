@@ -72,15 +72,12 @@ class PresentedRing:
         return self.normal(f) == self.normal(g)
 
     def relation_ideal(self):
-        gens = [p for p in self.relations.elements] or [Polynomial.zero(self.vars)]
-        return Ideal(gens, self.vars)
+        return Ideal(self.relations.elements, self.vars)
 
     def lifted_ideal(self, gens):
         """Ideal of the ambient polynomial ring: (gens) + relations."""
         all_gens = [self.normal(g) for g in gens if not self.is_zero(g)]
         all_gens += list(self.relations.elements)
-        if not all_gens:
-            all_gens = [Polynomial.zero(self.vars)]
         return Ideal(all_gens, self.vars)
 
     def zero(self):
@@ -176,8 +173,6 @@ class Subalgebra:
         """Relations among the generators: tag basis intersected with Q[T]."""
         kept = [p.restrict(self.tag_vars) for p in self.tag_basis.elements
                 if p.uses_only(self.tag_vars)]
-        if not kept:
-            kept = [Polynomial.zero(self.tag_vars)]
         return Ideal(kept, self.tag_vars)
 
     def presented_ring(self):
@@ -209,6 +204,7 @@ def subalgebra_member(f, subalgebra):
 class NzdResult:
     regular: bool
     witness: object = None  # h with h*g in the ideal but h outside it
+    colon: Ideal = None  # ((ideal + relations) : g) in the ambient ring
 
     def __bool__(self):
         return self.regular
@@ -218,8 +214,9 @@ def nzd_test(g, mod_ideal, ring):
     """Is g a nonzerodivisor modulo the ideal in the presented ring?
 
     True iff ((mod_ideal + relations) : g) equals mod_ideal + relations in
-    the ambient polynomial ring.  When false, a witness h with h*g inside
-    but h outside is extracted from the quotient basis.
+    the ambient polynomial ring; the result carries that colon ideal.  When
+    false, a witness h with h*g inside but h outside is extracted from the
+    quotient basis.
     """
     if isinstance(mod_ideal, Ideal):
         mod_gens = mod_ideal.generators
@@ -234,5 +231,5 @@ def nzd_test(g, mod_ideal, ring):
     basis = lifted.groebner()
     for h in quotient.generators:
         if not normal_form(h, basis).is_zero():
-            return NzdResult(False, ring.normal(h))
-    return NzdResult(True)
+            return NzdResult(False, ring.normal(h), quotient)
+    return NzdResult(True, colon=quotient)

@@ -261,6 +261,31 @@ class TestCommandLine:
         assert "pair budget 13" in entry["error"]
         assert main(argv + ["--pair-budget", "99"]) == 0
 
+    @pytest.mark.parametrize("flags", [["--pair-budget", "-5"],
+                                       ["--dim-budget", "-1"],
+                                       ["--pair-budget", "abc"],
+                                       ["--seed", "abc"]])
+    def test_usage_error_exit_one(self, tmp_path, capsys, flags):
+        session_file = tmp_path / "s.lnd"
+        session_file.write_text(SIMPLE, encoding="utf-8")
+        assert main(["run", str(session_file)] + flags) == 1
+        assert "error: argument " + flags[0] in capsys.readouterr().err
+
+    def test_missing_arguments_exit_one(self, capsys):
+        assert main([]) == 1
+        assert main(["run"]) == 1
+
+    def test_zero_budget_is_accepted(self, tmp_path):
+        out_file = tmp_path / "report.json"
+        argv = ["run", str(corpus_path("rees_cone.lnd")), "--json", str(out_file)]
+        assert main(argv + ["--pair-budget", "0", "--dim-budget", "0"]) == 2
+        assert json.loads(out_file.read_text(encoding="utf-8"))["commands"]
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["-h"]) == 0
+        assert main(["run", "-h"]) == 0
+        assert "--pair-budget" in capsys.readouterr().out
+
     def test_installed_entry_point(self, tmp_path):
         session_file = tmp_path / "s.lnd"
         session_file.write_text(SIMPLE, encoding="utf-8")

@@ -1,7 +1,7 @@
 """Optional cross-validation against sympy, skipped when unavailable.
 
 The library itself never imports sympy; these checks compare reduced
-Groebner bases and colon ideals against an independent implementation on
+Groebner bases, colon ideals and saturations against an independent implementation on
 seeded random inputs.
 """
 
@@ -12,7 +12,13 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from lndkit.groebner_engine import Ideal, buchberger, ideal_member, ideal_quotient
+from lndkit.groebner_engine import (
+    Ideal,
+    buchberger,
+    ideal_member,
+    ideal_quotient,
+    saturation,
+)
 from lndkit.poly_core import GREVLEX, Polynomial
 
 VARS = ("x", "y", "z")
@@ -89,6 +95,39 @@ def test_colon_ideals_match(ring):
         ours = ideal_quotient(Ideal(gens, VARS), g)
         theirs = R.ideal(*[_to_sympy(p, syms) for p in gens]).quotient(
             R.ideal(_to_sympy(g, syms)))
+        for q in ours.generators:
+            assert theirs.contains(_to_sympy(q, syms))
+        for e in theirs.gens:
+            back = _from_dmp(e)
+            if not back.is_zero():
+                assert ideal_member(back, ours)
+        compared += 1
+
+
+def _sympy_saturation(ideal, g):
+    """(I : g^infinity) by sympy's quotient, repeated until it stops
+    growing; sympy's own `Ideal.saturate` raises NotImplementedError."""
+    while True:
+        bigger = ideal.quotient(g)
+        if bigger == ideal:
+            return ideal
+        ideal = bigger
+
+
+def test_saturations_match(ring):
+    syms, R = ring
+    rng = random.Random(7)
+    compared = 0
+    while compared < 10:
+        g = _random_poly(rng)
+        # a multiple of g^2 among the generators: one quotient by g is
+        # often not the saturation yet
+        gens = [g * g * _random_poly(rng), _random_poly(rng)]
+        if g.is_constant() or any(p.is_constant() for p in gens):
+            continue
+        ours = saturation(Ideal(gens, VARS), g)
+        theirs = _sympy_saturation(R.ideal(*[_to_sympy(p, syms) for p in gens]),
+                                   R.ideal(_to_sympy(g, syms)))
         for q in ours.generators:
             assert theirs.contains(_to_sympy(q, syms))
         for e in theirs.gens:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lndkit import grade_analyzer, presentation
 from lndkit.derivation_engine import Derivation, extend_with_variable, restrict_to_subalgebra
 from lndkit.errors import DegenerateInputError
 from lndkit.grade_analyzer import (
@@ -13,7 +14,7 @@ from lndkit.grade_analyzer import (
     grade_two_generated,
     image_ideal,
 )
-from lndkit.groebner_engine import Ideal, ideal_member
+from lndkit.groebner_engine import Ideal, ideal_member, ideal_quotient
 from lndkit.poly_core import Polynomial, parse_polynomial
 from lndkit.presentation import PresentedRing, nzd_test, present_subalgebra
 
@@ -239,6 +240,26 @@ class TestGenericCombination:
         ideal = Ideal([parse_polynomial(t, ring.vars) for t in ("x", "y", "z")])
         report = generic_combination_grade(ideal, ring, seed=5)
         assert report.value is GradeValue.TWO
+
+    def test_each_colon_computed_once(self, monkeypatch):
+        # nzd_test already builds ((a) : b) for each generator b; the grade-1
+        # certificate reuses that colon instead of computing it again
+        calls = []
+
+        def counting_quotient(ideal, g):
+            calls.append((tuple(str(p) for p in ideal.generators), str(g)))
+            return ideal_quotient(ideal, g)
+
+        for module in (grade_analyzer, presentation):
+            monkeypatch.setattr(module, "ideal_quotient", counting_quotient)
+        ring = PresentedRing.polynomial_ring(("x", "y", "z"))
+        ideal = Ideal([parse_polynomial(t, ring.vars)
+                       for t in ("x*y", "x*z", "x*y + x*z")])
+        report = generic_combination_grade(ideal, ring)
+        assert report.value is GradeValue.ONE
+        assert [str(w) for w in report.witness] == ["x*y"]
+        assert report.notes == ["zerodivisor certificate: y"]
+        assert len(calls) == len(set(calls)) == 33
 
     def test_deterministic_given_seed(self):
         ring = PresentedRing.polynomial_ring(("u", "v", "w"))

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lndkit.config import budget
-from lndkit.errors import BudgetExceededError
+from lndkit.errors import BudgetExceededError, VariableMismatchError
 from lndkit.groebner_engine import (
     GroebnerBasis,
     Ideal,
@@ -18,6 +20,7 @@ from lndkit.groebner_engine import (
     saturation,
 )
 from lndkit.poly_core import GREVLEX, LEX, Polynomial, parse_polynomial
+from lndkit.presentation import PresentedRing
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -149,8 +152,6 @@ class TestMembership:
 
 
 def _random_poly(rng, vars, max_degree=3, n_terms=3):
-    from fractions import Fraction
-
     terms = {}
     for _ in range(rng.randint(0, n_terms)):
         mono = [0] * len(vars)
@@ -218,6 +219,56 @@ class TestSaturation:
         s = saturation(ideal, P("y", XY))
         again = ideal_quotient(s, P("y", XY))
         assert ideal_equal(s, again)
+
+    def test_zero_ideal(self):
+        assert saturation(Ideal([], XY), P("x + y", XY)).is_zero()
+
+    def test_element_of_another_ring_rejected(self):
+        with pytest.raises(VariableMismatchError):
+            saturation(I("x", vars=XY), P("x", ("x",)))
+        with pytest.raises(VariableMismatchError):
+            saturation(I("x", vars=XY), P("x", ("y", "x")))
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_matches_quotient_loop(self, data):
+        vars = data.draw(st.sampled_from([XY, XYZ]))
+        g = data.draw(_small_poly(vars, 2).filter(lambda p: not p.is_zero()))
+        gens = data.draw(st.lists(_small_poly(vars, 3), max_size=3))
+        shape = data.draw(st.sampled_from(["plain", "multiple", "radical", "lifted"]))
+        if shape == "multiple":
+            # a multiple of g among the generators: the ideal may grow
+            gens.append(g * data.draw(_small_poly(vars, 2)))
+        if shape == "radical":
+            # g^2 in the ideal puts g in its radical: the saturation is (1)
+            gens.append(g * g)
+        ideal = Ideal(gens, vars)
+        if shape == "lifted":
+            relation = data.draw(_small_poly(vars, 2).filter(lambda p: not p.is_constant()))
+            ideal = PresentedRing(vars, [relation]).lifted_ideal(gens)
+        ours = saturation(ideal, g)
+        assert ideal_equal(ours, _saturation_by_quotients(ideal, g))
+        if shape == "radical":
+            assert ideal_member(Polynomial.one(vars), ours)
+
+
+def _small_poly(vars, size):
+    """Up to `size` terms, each exponent at most 2, small integer coefficients."""
+    monomials = st.tuples(*(st.integers(0, 2) for _ in vars))
+    coefficients = st.integers(-3, 3).map(Fraction)
+    return st.dictionaries(monomials, coefficients, max_size=size).map(
+        lambda terms: Polynomial(vars, terms))
+
+
+def _saturation_by_quotients(ideal, g):
+    """(I : g^infinity) by repeated quotients until the ideal stops growing:
+    the reference the single elimination must agree with."""
+    current = ideal
+    while True:
+        bigger = ideal_quotient(current, g)
+        if ideal_equal(bigger, current):
+            return current
+        current = bigger
 
 
 class TestEliminate:
