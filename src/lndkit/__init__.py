@@ -75,7 +75,6 @@ from .presentation import (
     Subalgebra,
     nzd_test,
     present_subalgebra,
-    subalgebra_member,
 )
 from .rees_builder import (
     ReesData,

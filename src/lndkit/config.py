@@ -21,13 +21,16 @@ SEED_ENV_VAR = "LND_SEED"
 
 
 def default_seed() -> int:
+    """The seed in LND_SEED, 0 when it is unset; ValueError when it is not
+    an integer."""
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
         return 0
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(
+            f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 @dataclass

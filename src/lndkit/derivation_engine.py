@@ -75,16 +75,14 @@ def iterate(d, f, m):
 
 
 def check_well_defined(d):
-    """True iff every relation generator maps into the relation ideal."""
-    if not d.ring.has_relations():
-        return True
-    rel_ideal = d.ring.relation_ideal()
+    """True iff every relation maps into the relation ideal: its image has
+    normal form zero modulo the ring's reduced basis of relations."""
     for rel in d.ring.relations.elements:
         img = Polynomial.zero(d.ring.vars)
         for name, image in d.images.items():
             if not image.is_zero():
                 img = img + image * rel.diff(name)
-        if not ideal_member(img, rel_ideal):
+        if not d.ring.is_zero(img):
             return False
     return True
 
@@ -212,7 +210,6 @@ def extend_with_variable(d, name):
         raise ValueError(f"{name!r} already a variable")
     new_vars = d.ring.vars + (name,)
     rels = [p.embed(new_vars) for p in d.ring.relations.elements]
-    ring = PresentedRing(new_vars, rels, d.ring.order) if rels \
-        else PresentedRing.polynomial_ring(new_vars)
+    ring = PresentedRing(new_vars, rels, d.ring.order)
     images = {v: p.embed(new_vars) for v, p in d.images.items()}
     return Derivation(ring, images)

@@ -183,7 +183,7 @@ def _random_combination(rng, gens, spread=1):
 def grade_of_ideal(ideal, ring, trials=None, seed=0):
     """Grade of an ideal of a presented domain: the two-generator test for
     at most two nonzero generators, the generic-combination search beyond."""
-    gens = [g for g in ideal.generators if not g.is_zero()]
+    gens = ideal.generators
     if not gens:
         raise DegenerateInputError("zero ideal has no grade")
     if len(gens) <= 2:

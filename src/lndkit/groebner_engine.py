@@ -40,14 +40,14 @@ class GroebnerBasis:
 
     def is_trivial(self):
         """True for the unit ideal."""
-        return any(p.is_constant() and not p.is_zero() for p in self.elements)
+        return any(p.is_constant() for p in self.elements)
 
 
 class Ideal:
-    """An ideal of a polynomial ring, given by generators.
+    """An ideal of a polynomial ring, given by its nonzero generators.
 
-    The zero ideal is represented by a single zero generator.  Groebner
-    bases are cached per monomial order.
+    Zero generators are dropped, so the zero ideal has no generators.
+    Groebner bases are cached per monomial order.
     """
 
     def __init__(self, generators, vars=None):
@@ -57,16 +57,13 @@ class Ideal:
                 raise ValueError("an ideal needs generators or a variable set")
             vars = generators[0].vars
         self.vars = tuple(vars)
-        gens = []
+        self.generators = []
         for g in generators:
             if g.vars != self.vars:
                 raise VariableMismatchError(
                     f"generator over {g.vars}, ideal over {self.vars}")
             if not g.is_zero():
-                gens.append(g)
-        if not gens:
-            gens = [Polynomial.zero(self.vars)]
-        self.generators = gens
+                self.generators.append(g)
         self._bases = {}
 
     def groebner(self, order=GREVLEX):
@@ -77,7 +74,7 @@ class Ideal:
         return basis
 
     def is_zero(self):
-        return all(g.is_zero() for g in self.generators)
+        return not self.generators
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators)
@@ -129,9 +126,6 @@ def buchberger(generators, order=GREVLEX):
     """
     budget = current_budget()
     basis = [g for g in generators if not g.is_zero()]
-    if not basis:
-        return GroebnerBasis([Polynomial.zero(generators[0].vars)], order)
-    vars = basis[0].vars
     # interreduce the input; repeat until stable so the starting set is lean
     while True:
         slimmed = []
@@ -143,8 +137,6 @@ def buchberger(generators, order=GREVLEX):
         if slimmed == basis:
             break
         basis = slimmed
-    if not basis:
-        return GroebnerBasis([Polynomial.zero(vars)], order)
 
     lms = [p.leading_monomial(order) for p in basis]
     key = order.key
@@ -191,19 +183,10 @@ def buchberger(generators, order=GREVLEX):
     return GroebnerBasis(_interreduce(basis, order), order)
 
 
-def normal_form(f, basis, order=None):
-    """The unique remainder of f modulo a (reduced) Groebner basis."""
-    if isinstance(basis, GroebnerBasis):
-        order = basis.order if order is None else order
-        elements = basis.elements
-    else:
-        elements = list(basis)
-        if order is None:
-            order = GREVLEX
-    elements = [p for p in elements if not p.is_zero()]
-    if not elements:
-        return f
-    return remainder(f, elements, order)
+def normal_form(f, basis):
+    """The unique remainder of f modulo a reduced GroebnerBasis; f itself
+    modulo the zero basis, which has no elements."""
+    return remainder(f, basis.elements, basis.order)
 
 
 def ideal_member(f, ideal, order=GREVLEX):
@@ -267,8 +250,7 @@ def ideal_quotient(ideal, g):
     if g.vars != ideal.vars:
         raise VariableMismatchError("quotient element lives in a different ring")
     inter = ideal_intersection(ideal, Ideal([g]))
-    return Ideal([exact_div(h, g) for h in inter.generators if not h.is_zero()],
-                 ideal.vars)
+    return Ideal([exact_div(h, g) for h in inter.generators], ideal.vars)
 
 
 def saturation(ideal, g):

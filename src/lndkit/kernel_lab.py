@@ -25,8 +25,7 @@ def standard_monomials(ring, degree):
     relations; ascending under (degree, ring order).  Raises
     DimensionBudgetError past the current budget's monomial limit."""
     limit = current_budget().dims
-    lts = [p.leading_monomial(ring.order) for p in ring.relations.elements] \
-        if ring.has_relations() else []
+    lts = [p.leading_monomial(ring.order) for p in ring.relations.elements]
     n = len(ring.vars)
     out = []
 

@@ -26,19 +26,15 @@ from .poly_core import GREVLEX, MonomialOrder, Polynomial
 class PresentedRing:
     """Q[vars] / (relations), with relations a reduced Groebner basis.
 
-    An empty relation list presents the polynomial ring itself.
+    No relations, or only zero ones, present the polynomial ring itself:
+    its basis has no elements.
     """
 
     def __init__(self, vars, relations=None, order=GREVLEX):
         self.vars = tuple(vars)
         self.order = order
-        if relations is None:
-            relations = GroebnerBasis([], order)
-        elif isinstance(relations, GroebnerBasis):
-            pass
-        else:
-            gens = [p for p in relations if not p.is_zero()]
-            relations = buchberger(gens, order) if gens else GroebnerBasis([], order)
+        if not isinstance(relations, GroebnerBasis):
+            relations = buchberger(relations or [], order)
         self.relations = relations
 
     @classmethod
@@ -47,15 +43,13 @@ class PresentedRing:
 
     @classmethod
     def quotient(cls, vars, relation_gens, order=GREVLEX):
-        gens = [p for p in relation_gens if not p.is_zero()]
-        basis = buchberger(gens, order) if gens else GroebnerBasis([], order)
+        basis = buchberger(relation_gens, order)
         if basis.is_trivial():
             raise DegenerateInputError("relations generate the unit ideal")
         return cls(vars, basis, order)
 
     def has_relations(self):
-        return bool(self.relations.elements) and not all(
-            p.is_zero() for p in self.relations.elements)
+        return bool(self.relations.elements)
 
     def normal(self, f):
         if f.vars != self.vars:
@@ -70,9 +64,6 @@ class PresentedRing:
 
     def equal(self, f, g):
         return self.normal(f) == self.normal(g)
-
-    def relation_ideal(self):
-        return Ideal(self.relations.elements, self.vars)
 
     def lifted_ideal(self, gens):
         """Ideal of the ambient polynomial ring: (gens) + relations."""
@@ -183,7 +174,7 @@ class Subalgebra:
         basis of the relations, in grevlex order.
         """
         if self._presented is None:
-            rels = [p for p in self.presentation_ideal().generators if not p.is_zero()]
+            rels = self.presentation_ideal().generators
             self._presented = PresentedRing(self.tag_vars, GroebnerBasis(rels, GREVLEX))
         return self._presented
 
@@ -194,10 +185,6 @@ class Subalgebra:
 
 def present_subalgebra(ambient, generators):
     return Subalgebra(ambient, generators)
-
-
-def subalgebra_member(f, subalgebra):
-    return subalgebra.member(f)
 
 
 @dataclass

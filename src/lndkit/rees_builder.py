@@ -24,11 +24,8 @@ def ideal_power(ideal, n):
     vars = ideal.vars
     if n == 0:
         return Ideal([Polynomial.one(vars)], vars)
-    gens = [g for g in ideal.generators if not g.is_zero()]
-    if not gens:
-        return Ideal([Polynomial.zero(vars)], vars)
     products = []
-    for combo in combinations_with_replacement(gens, n):
+    for combo in combinations_with_replacement(ideal.generators, n):
         p = Polynomial.one(vars)
         for g in combo:
             p = p * g
@@ -49,11 +46,7 @@ def symbolic_power(ideal, n, saturator, ring):
     power = ideal_power(ideal, n)
     lifted = ring.lifted_ideal(power.generators)
     sat = saturation(lifted, s)
-    gens = [ring.normal(g) for g in sat.generators]
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        gens = [Polynomial.zero(ring.vars)]
-    return Ideal(gens, ring.vars)
+    return Ideal([ring.normal(g) for g in sat.generators], ring.vars)
 
 
 @dataclass

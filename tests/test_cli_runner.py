@@ -14,7 +14,7 @@ from lndkit.cli_runner import (
     Session,
     Statement,
     corpus_path,
-    format_session,
+    load_environment,
     main,
     parse_session,
     report_to_json,
@@ -24,6 +24,7 @@ from lndkit.cli_runner import (
 )
 from lndkit.errors import ParseError
 from lndkit.poly_core import Polynomial, format_polynomial
+from lndkit.presentation import Subalgebra
 
 SIMPLE = """\
 ring B = poly(x, y)
@@ -89,12 +90,12 @@ subalgebra S in B = gens {
         for name in CORPUS_SESSIONS:
             text = corpus_path(name).read_text(encoding="utf-8")
             session = parse_session(text)
-            again = parse_session(format_session(session))
+            again = parse_session(session.pretty())
             assert again == session
 
     def test_round_trip_simple(self):
         session = parse_session(SIMPLE)
-        assert parse_session(format_session(session)) == session
+        assert parse_session(session.pretty()) == session
 
 
 class TestRun:
@@ -144,6 +145,51 @@ check fpf D
         report, code = run(parse_session(text), RunConfig())
         assert code == 2
         assert report["declaration_error"]
+
+    def test_escaping_generator_named(self):
+        text = """\
+ring B = poly(X)
+subalgebra R in B = gens { X^2, X^3 }
+derivation E on R { X -> 1 }
+check fpf E
+"""
+        report, code = run(parse_session(text), RunConfig())
+        assert code == 2
+        assert report["declaration_error"] == (
+            "declaration 'E' failed: derivation does not restrict: "
+            "image of X^2 escapes")
+
+    @pytest.mark.parametrize("name, calls", [("example_6_1.lnd", 12),
+                                             ("example_6_2.lnd", 7)])
+    def test_one_membership_pass_per_subalgebra_derivation(
+            self, monkeypatch, name, calls):
+        # each generator image is tested once, by restrict_to_subalgebra
+        seen = []
+        member = Subalgebra.member
+
+        def counted(sub, f):
+            seen.append(f)
+            return member(sub, f)
+
+        monkeypatch.setattr(Subalgebra, "member", counted)
+        text = corpus_path(name).read_text(encoding="utf-8")
+        load_environment(parse_session(text), RunConfig())
+        assert len(seen) == calls
+
+    def test_zero_ideal_lists_no_generators(self):
+        text = """\
+ring S = poly(u, v, w)
+ring Q = quotient(S, (u*w - v^2))
+ideal I in Q = ( 0 )
+symbolic I power 2 saturate w
+rees I upto 2 saturate w
+"""
+        report, code = run(parse_session(text), RunConfig())
+        assert code == 0
+        symbolic, rees = (c["value"] for c in report["commands"])
+        assert symbolic["generators"] == []
+        assert symbolic["equals_ordinary_power"] is True
+        assert rees["pieces"] == [["1"], [], []]
 
     def test_ill_defined_quotient_derivation_rejected(self):
         text = """\
@@ -249,6 +295,28 @@ class TestCommandLine:
         report = json.loads(out_file.read_text(encoding="utf-8"))
         assert report["seed"] == 42
 
+    @pytest.mark.parametrize("action", ["run", "corpus"])
+    def test_malformed_seed_env_exit_one(self, tmp_path, monkeypatch, capsys,
+                                         action):
+        monkeypatch.setenv("LND_SEED", "abc")
+        session_file = tmp_path / "s.lnd"
+        session_file.write_text(SIMPLE, encoding="utf-8")
+        argv = ["run", str(session_file)] if action == "run" else ["corpus"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "LND_SEED" in captured.err and "'abc'" in captured.err
+        assert captured.out == ""
+
+    def test_seed_flag_overrides_malformed_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LND_SEED", "abc")
+        session_file = tmp_path / "s.lnd"
+        session_file.write_text(SIMPLE, encoding="utf-8")
+        out_file = tmp_path / "report.json"
+        argv = ["run", str(session_file), "--json", str(out_file), "--seed", "3"]
+        assert main(argv) == 0
+        assert json.loads(out_file.read_text(encoding="utf-8"))["seed"] == 3
+        assert main(["corpus", "--seed", "0"]) == 0
+
     def test_pair_budget_bounds_a_whole_command(self, tmp_path):
         # `rees I upto 4` makes 99 S-pair reductions over 32 Buchberger
         # runs, at most 13 in any one of them
@@ -340,7 +408,7 @@ class TestNumericArguments:
 
     def test_bound_zero_printed(self):
         session = parse_session(PRELUDE + "check nilpotent D bound 0\n")
-        assert format_session(session).endswith("check nilpotent D bound 0\n")
+        assert session.pretty().endswith("check nilpotent D bound 0\n")
 
 
 def test_docs_list_every_form():
@@ -430,7 +498,7 @@ def test_fuzz_round_trip(filled):
     prelude, statement = filled
     session = parse_session(prelude + statement.pretty() + "\n")
     assert statement in session.declarations + session.commands
-    assert parse_session(format_session(session)) == session
+    assert parse_session(session.pretty()) == session
 
 
 _RUN_PRELUDE = PRELUDE + """\

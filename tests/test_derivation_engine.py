@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lndkit.derivation_engine import (
     Derivation,
@@ -16,7 +17,8 @@ from lndkit.derivation_engine import (
     restricts_to,
 )
 from lndkit.errors import DegenerateInputError
-from lndkit.poly_core import Polynomial, parse_polynomial
+from lndkit.groebner_engine import Ideal, ideal_member
+from lndkit.poly_core import GREVLEX, LEX, Polynomial, parse_polynomial
 from lndkit.presentation import PresentedRing, present_subalgebra
 
 XYZ = ("X", "Y", "Z")
@@ -118,6 +120,49 @@ class TestWellDefined:
     def test_tangent_derivation_accepted(self, cone_ring):
         d = derivation(cone_ring, u="2*v", v="w")
         assert check_well_defined(d)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_relation_ideal_membership(self, data):
+        vars = data.draw(st.sampled_from([("x", "y"), ("x", "y", "z")]))
+        order = data.draw(st.sampled_from([GREVLEX, LEX]))
+        relations = data.draw(st.lists(
+            _small_poly(vars, 3).filter(lambda p: not p.is_constant()),
+            min_size=1, max_size=2))
+        try:
+            ring = PresentedRing.quotient(vars, relations, order)
+        except DegenerateInputError:
+            assume(False)
+        f = relations[0]
+        if data.draw(st.booleans()):
+            # f_y d/dx - f_x d/dy kills f: well defined when f is the only relation
+            images = {"x": f.diff("y"), "y": -f.diff("x")}
+        else:
+            images = {v: data.draw(_small_poly(vars, 2)) for v in vars}
+        d = Derivation(ring, images)
+        assert check_well_defined(d) == _well_defined_by_membership(d)
+
+
+def _small_poly(vars, size):
+    """Up to `size` terms, each exponent at most 2, small integer coefficients."""
+    monomials = st.tuples(*(st.integers(0, 2) for _ in vars))
+    coefficients = st.integers(-3, 3).map(Fraction)
+    return st.dictionaries(monomials, coefficients, max_size=size).map(
+        lambda terms: Polynomial(vars, terms))
+
+
+def _well_defined_by_membership(d):
+    """Membership of each relation's image in a fresh Ideal of the relations,
+    with its own grevlex Groebner basis: the reference check_well_defined,
+    a normal form modulo the ring's basis, must agree with."""
+    relation_ideal = Ideal(d.ring.relations.elements, d.ring.vars)
+    for rel in d.ring.relations.elements:
+        img = Polynomial.zero(d.ring.vars)
+        for name, image in d.images.items():
+            img = img + image * rel.diff(name)
+        if not ideal_member(img, relation_ideal):
+            return False
+    return True
 
 
 class TestNilpotency:
@@ -235,3 +280,15 @@ class TestTrivialExtension:
         assert ext.images["W"].is_zero()
         w = Polynomial.variable("W", ext.ring.vars)
         assert apply(ext, w * w).is_zero()
+
+    def test_order_kept_without_relations(self):
+        ring = PresentedRing(("x", "y"), order=LEX)
+        ext = extend_with_variable(derivation(ring, y="x"), "z")
+        assert ext.ring.order == LEX
+        assert not ext.ring.has_relations()
+
+    def test_order_kept_with_relations(self, cone_ring):
+        ext = extend_with_variable(derivation(cone_ring, u="2*v", v="w"), "t")
+        assert ext.ring.order == cone_ring.order
+        assert ext.ring.relations.elements == [
+            p.embed(ext.ring.vars) for p in cone_ring.relations.elements]

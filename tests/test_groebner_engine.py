@@ -51,7 +51,13 @@ class TestBuchberger:
 
     def test_zero_ideal(self):
         basis = buchberger([Polynomial.zero(XY)], LEX)
-        assert basis.elements == [Polynomial.zero(XY)]
+        assert basis.elements == []
+        assert basis.order == LEX
+
+    def test_empty_input(self):
+        basis = buchberger([])
+        assert basis.elements == [] and basis.order == GREVLEX
+        assert not basis.is_trivial()
 
     def test_spolynomial_closure(self):
         gens = [P("x^2 + y*z"), P("x*y - z^2"), P("y^3 - x*z")]
@@ -102,6 +108,20 @@ class TestBuchberger:
                 for g in basis.elements[i + 1:]:
                     s = s_polynomial(f, g, GREVLEX)
                     assert normal_form(s, basis).is_zero()
+
+
+class TestZeroIdeal:
+    def test_zero_generators_dropped(self):
+        ideal = Ideal([Polynomial.zero(XY), Polynomial.zero(XY)], XY)
+        assert ideal.generators == []
+        assert ideal.is_zero()
+        assert ideal.groebner().elements == []
+
+    def test_normal_form_modulo_zero_basis(self):
+        f = P("x^2 - y", XY)
+        assert normal_form(f, GroebnerBasis([], LEX)) == f
+        assert not ideal_member(f, Ideal([], XY))
+        assert ideal_member(Polynomial.zero(XY), Ideal([], XY))
 
 
 class TestNormalForm:

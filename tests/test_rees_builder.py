@@ -46,6 +46,11 @@ class TestIdealPower:
         ideal = Ideal([pp("u", UV)], UV)
         assert ideal_member(Polynomial.one(UV), ideal_power(ideal, 0))
 
+    def test_zero_ideal_powers(self):
+        zero = Ideal([], UV)
+        assert ideal_power(zero, 2).is_zero()
+        assert ideal_member(Polynomial.one(UV), ideal_power(zero, 0))
+
     def test_cone_collapse_by_normal_forms(self, cone):
         # u * v^2 and u^2 * w agree in the cone ring
         assert cone.equal(pp("u*v^2"), pp("u^2*w"))
@@ -60,6 +65,12 @@ class TestSymbolicPower:
         for n in (1, 2, 3):
             sym = symbolic_power(ideal, n, s, PU)
             assert ideal_equal(sym, ideal_power(ideal, n))
+
+    def test_zero_ideal(self, cone):
+        assert symbolic_power(Ideal([], UV), 2, pp("u", UV), PU).is_zero()
+        # the relation saturates to itself, whose normal form is zero
+        sym = symbolic_power(Ideal([], UVW), 2, pp("w"), cone)
+        assert sym.generators == []
 
     def test_principal_ideal(self):
         ideal = Ideal([pp("u", UV)], UV)
