@@ -14,6 +14,7 @@ only on the matrix and the column order.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd
 
 
@@ -68,11 +69,35 @@ def _echelon(rows):
     return echelon
 
 
-def _back_substitute(echelon, vec, below):
-    """Fill in the pivot coordinates of an integer vector from the echelon
-    rows whose pivot is below the given column, highest pivot first.  The
-    vector is rescaled whenever a pivot does not divide its coordinate."""
-    for pc in sorted((pc for pc in echelon if pc < below), reverse=True):
+def _pivots_meeting(echelon):
+    """Column -> the pivot columns of the other echelon rows that have an
+    entry there (all of them below that column)."""
+    meeting = {}
+    for pc, row in echelon.items():
+        for j in row:
+            if j != pc:
+                meeting.setdefault(j, []).append(pc)
+    return meeting
+
+
+def _back_substitute(echelon, vec, meeting):
+    """Fill in the pivot coordinates of an integer vector from the echelon,
+    highest pivot first.  Only rows that meet a coordinate already set can
+    give a nonzero entry; a max-heap visits exactly those, in the order a
+    scan of every pivot below the vector's columns would.  The vector is
+    rescaled whenever a pivot does not divide its coordinate."""
+    heap, queued = [], set()
+
+    def enqueue(col):
+        for pc in meeting.get(col, ()):
+            if pc not in queued:
+                queued.add(pc)
+                heappush(heap, -pc)
+
+    for j in vec:
+        enqueue(j)
+    while heap:
+        pc = -heappop(heap)
         row = echelon[pc]
         s = sum(v * vec[j] for j, v in row.items() if j in vec)
         if s:
@@ -81,6 +106,7 @@ def _back_substitute(echelon, vec, below):
             if scale != 1:
                 vec = {j: x * scale for j, x in vec.items()}
             vec[pc] = -s // g
+            enqueue(pc)
     return vec
 
 
@@ -92,10 +118,11 @@ def nullspace(rows, ncols):
     primitive integers with positive leading entry.
     """
     echelon = _echelon(rows)
+    meeting = _pivots_meeting(echelon)
     basis = []
     for fc in range(ncols):
         if fc not in echelon:
-            vec = _back_substitute(echelon, {fc: 1}, fc)
+            vec = _back_substitute(echelon, {fc: 1}, meeting)
             basis.append({j: Fraction(v) for j, v in _primitive(vec).items()})
     return basis
 
@@ -114,7 +141,7 @@ def solve(rows, rhs, ncols):
                        for i, r in enumerate(rows))
     if ncols in echelon:
         return None
-    vec = _back_substitute(echelon, {ncols: 1}, ncols)
+    vec = _back_substitute(echelon, {ncols: 1}, _pivots_meeting(echelon))
     denom = vec.pop(ncols)
     return {j: Fraction(v, denom) for j, v in vec.items()}
 

@@ -2,8 +2,11 @@
 
 Grades are reported from the value set {0, 1, 2, inf}: the unit ideal gets
 inf, and anything of true depth beyond two is capped at 2, which is all
-the downstream classification distinguishes.  Nonzero proper ideals of a
-domain always have grade at least 1.
+the downstream classification distinguishes.  A witness is a regular
+sequence on the presented ring itself: unless the ring is known to be a
+domain (`PresentedRing.domain`: a polynomial ring or a subalgebra of one),
+its first element passes a nonzerodivisor test, and an ideal of
+zerodivisors gets grade 0, certified by a nonzero annihilator.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 from . import config
 from .errors import DegenerateInputError
@@ -26,6 +30,7 @@ from .presentation import NzdResult, nzd_test
 
 
 class GradeValue(Enum):
+    ZERO = "0"
     ONE = "1"
     TWO = "2"
     INFINITE = "inf"
@@ -39,9 +44,9 @@ class GradeReport:
     """Outcome of a grade computation.
 
     The witness is a regular sequence of the reported length (empty for
-    the unit ideal).  `exhaustive` marks a deterministic conclusion;
-    `probabilistic` flags a value-1 answer that rests on failed random
-    trials only (it is never set when the quotient certificate ran).
+    the unit ideal and for grade 0).  `exhaustive` marks a deterministic
+    conclusion; `probabilistic` flags a value-1 answer that rests on failed
+    random trials only (it is never set when the quotient certificate ran).
     """
 
     value: GradeValue
@@ -72,6 +77,12 @@ def fpf_test(d):
     return ideal_member(d.ring.one(), ideal)
 
 
+def _regular(g, ring):
+    """Is the nonzero element g a nonzerodivisor of the ring?  Always on a
+    ring known to be a domain, where no colon is computed."""
+    return ring.domain or nzd_test(g, [], ring).regular
+
+
 def _regular_mod(b, a, ring):
     """Is b a nonzerodivisor mod (a)?  Membership of b in (a) counts as no
     (zero is a zerodivisor of a nonzero quotient), with no colon computed."""
@@ -81,11 +92,37 @@ def _regular_mod(b, a, ring):
         return NzdResult(False)
 
 
-def grade_two_generated(a, b, ring):
-    """Grade of a two-generated ideal (a, b) of a presented domain.
+def _outside(colons, base):
+    """An element of the intersection of the colon ideals that lies outside
+    the base ideal, or None."""
+    colon = colons[0]
+    for q in colons[1:]:
+        colon = ideal_intersection(colon, q)
+    basis = base.groebner()
+    return next((h for h in colon.generators
+                 if not normal_form(h, basis).is_zero()), None)
+
+
+def _grade_zero(gens, ring, method, seed=None):
+    """Grade 0 for an ideal in which no element regular on the ring was
+    found: certified when (relations : I) is strictly larger than the
+    relations, i.e. a nonzero element of the ring kills the whole ideal."""
+    relations = ring.lifted_ideal([])
+    killer = _outside([ideal_quotient(relations, g) for g in gens], relations)
+    if killer is None:
+        raise DegenerateInputError(
+            "no element regular on the ring found among the generators and "
+            "their combinations, although (relations : I) = relations")
+    return GradeReport(GradeValue.ZERO, [], method, seed=seed,
+                       notes=[f"annihilator certificate: {killer}"])
+
+
+def grade_two_generated(a, b, ring, trials=None, seed=0):
+    """Grade of a two-generated ideal (a, b) of a presented ring.
 
     inf when the ideal is the unit ideal; 2 exactly when the pair forms a
-    regular sequence in some order; otherwise 1.
+    regular sequence in some order; 1 when a generator is regular on the
+    ring.  When neither is, the generic-combination search decides.
     """
     a, b = ring.normal(a), ring.normal(b)
     if a.is_zero() and b.is_zero():
@@ -94,25 +131,30 @@ def grade_two_generated(a, b, ring):
     if ideal_member(ring.one(), lifted):
         return GradeReport(GradeValue.INFINITE, [], "unit-ideal")
     nonzero = [p for p in (a, b) if not p.is_zero()]
-    if len(nonzero) <= 1:
-        return GradeReport(GradeValue.ONE, nonzero[:1], "two-generator")
-    a, b = nonzero
-    if _regular_mod(b, a, ring):
-        return GradeReport(GradeValue.TWO, [a, b], "two-generator")
-    if _regular_mod(a, b, ring):
-        return GradeReport(GradeValue.TWO, [b, a], "two-generator")
-    return GradeReport(GradeValue.ONE, [a], "two-generator")
+    regular = [p for p in nonzero if _regular(p, ring)]
+    for first in regular:
+        for second in nonzero:
+            if second is not first and _regular_mod(second, first, ring):
+                return GradeReport(GradeValue.TWO, [first, second], "two-generator")
+    if regular:
+        return GradeReport(GradeValue.ONE, regular[:1], "two-generator")
+    return generic_combination_grade(Ideal(nonzero, ring.vars), ring,
+                                     trials=trials, seed=seed)
 
 
 def generic_combination_grade(ideal, ring, trials=None, seed=0):
-    """Grade of an ideal with three or more generators, capped at 2.
+    """Grade of an ideal, capped at 2: grade_of_ideal's route beyond two
+    generators, and grade_two_generated's when neither generator is regular.
 
-    Searches for a length-2 regular sequence among generator pairs and
-    random small-integer combinations (prime avoidance over Q makes
-    generic choices succeed whenever the grade is at least 2).  When the
-    search fails, the answer 1 is certified deterministically: with a the
-    first nonzero generator, ((a) : I) = (a) holds iff some element of I
-    is regular mod a, so a strictly larger quotient proves grade 1.
+    The first witness element a is the first generator regular on the
+    ring, else the first regular random combination; with none, the
+    ideal has grade 0 (see _grade_zero).  Then it searches for a partner
+    regular mod a among the other generators and random small-integer
+    combinations (prime avoidance over Q makes generic choices succeed
+    whenever the grade is at least 2).  When the search fails, the answer
+    1 is certified deterministically: ((a) : I) = (a) holds iff some
+    element of I is regular mod a, so a strictly larger quotient proves
+    grade 1.
     """
     if trials is None:
         trials = config.DEFAULT_TRIALS
@@ -123,12 +165,21 @@ def generic_combination_grade(ideal, ring, trials=None, seed=0):
     lifted = ring.lifted_ideal(gens)
     if ideal_member(ring.one(), lifted):
         return GradeReport(GradeValue.INFINITE, [], "unit-ideal", seed=seed)
-    if len(gens) == 1:
-        return GradeReport(GradeValue.ONE, gens[:1], "generic-combination", seed=seed)
 
-    a = gens[0]
+    rng = random.Random(seed)
+    # combinations of one generator are its multiples: regular only if it is
+    combinations = (ring.normal(_random_combination(rng, gens))
+                    for _ in range(trials if len(gens) > 1 else 0))
+    a = next((g for g in chain(gens, combinations)
+              if not g.is_zero() and _regular(g, ring)), None)
+    if a is None:
+        return _grade_zero(gens, ring, "generic-combination", seed)
+    partners = [g for g in gens if g is not a]
+    if not partners:
+        return GradeReport(GradeValue.ONE, [a], "generic-combination", seed=seed)
+
     quotients = []
-    for b in gens[1:]:
+    for b in partners:
         result = _regular_mod(b, a, ring)
         if result:
             return GradeReport(GradeValue.TWO, [a, b], "generic-combination",
@@ -136,7 +187,6 @@ def generic_combination_grade(ideal, ring, trials=None, seed=0):
         # nzd_test built the colon ((a) : b) unless b lies in (a)
         quotients.append(result.colon or ideal_quotient(ring.lifted_ideal([a]), b))
 
-    rng = random.Random(seed)
     for _ in range(trials):
         b = ring.normal(_random_combination(rng, gens))
         if b.is_zero():
@@ -147,17 +197,11 @@ def generic_combination_grade(ideal, ring, trials=None, seed=0):
 
     # certificate: ((a) : I) strictly larger than (a) + relations forces
     # every element of I to be a zerodivisor mod a, hence grade 1
-    colon = quotients[0]
-    for q in quotients[1:]:
-        colon = ideal_intersection(colon, q)
-    lifted_a = ring.lifted_ideal([a])
-    basis = lifted_a.groebner()
-    excess = [h for h in colon.generators
-              if not normal_form(h, basis).is_zero()]
-    if excess:
+    excess = _outside(quotients, ring.lifted_ideal([a]))
+    if excess is not None:
         return GradeReport(GradeValue.ONE, [a], "generic-combination",
                            seed=seed,
-                           notes=[f"zerodivisor certificate: {excess[0]}"])
+                           notes=[f"zerodivisor certificate: {excess}"])
     # the certificate says a regular partner exists; widen the search
     for extra in range(trials, 16 * max(trials, 1)):
         b = ring.normal(_random_combination(rng, gens, spread=1 + extra // trials))
@@ -181,14 +225,14 @@ def _random_combination(rng, gens, spread=1):
 
 
 def grade_of_ideal(ideal, ring, trials=None, seed=0):
-    """Grade of an ideal of a presented domain: the two-generator test for
+    """Grade of an ideal of a presented ring: the two-generator test for
     at most two nonzero generators, the generic-combination search beyond."""
     gens = ideal.generators
     if not gens:
         raise DegenerateInputError("zero ideal has no grade")
     if len(gens) <= 2:
         b = gens[1] if len(gens) > 1 else Polynomial.zero(ring.vars)
-        return grade_two_generated(gens[0], b, ring)
+        return grade_two_generated(gens[0], b, ring, trials=trials, seed=seed)
     return generic_combination_grade(ideal, ring, trials=trials, seed=seed)
 
 

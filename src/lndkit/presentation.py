@@ -27,7 +27,9 @@ class PresentedRing:
     """Q[vars] / (relations), with relations a reduced Groebner basis.
 
     No relations, or only zero ones, present the polynomial ring itself:
-    its basis has no elements.
+    its basis has no elements.  `domain` is True when the ring is known to
+    be a domain: a polynomial ring, a subalgebra of a domain, or one
+    extended by a variable.  A quotient is not assumed to be one.
     """
 
     def __init__(self, vars, relations=None, order=GREVLEX):
@@ -36,6 +38,7 @@ class PresentedRing:
         if not isinstance(relations, GroebnerBasis):
             relations = buchberger(relations or [], order)
         self.relations = relations
+        self.domain = not self.has_relations()
 
     @classmethod
     def polynomial_ring(cls, vars):
@@ -176,6 +179,7 @@ class Subalgebra:
         if self._presented is None:
             rels = self.presentation_ideal().generators
             self._presented = PresentedRing(self.tag_vars, GroebnerBasis(rels, GREVLEX))
+            self._presented.domain = self.ambient.domain
         return self._presented
 
     def __repr__(self):

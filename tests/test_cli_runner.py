@@ -238,6 +238,25 @@ check nilpotent D
         assert code == 0
         assert report["commands"][0]["value"]["certified"] is True
 
+    def test_grade_on_a_ring_that_is_not_a_domain(self):
+        # x*y = 0: x is a zerodivisor, so (x, z) has grade 1 with witness z,
+        # and (x, x^2) is killed by y, so it has grade 0
+        text = """\
+ring P = poly(x, y, z)
+ring Q = quotient(P, (x*y))
+ideal J in Q = ( x, z )
+ideal K in Q = ( x, x^2 )
+grade ideal J
+grade ideal K
+"""
+        report, code = run(parse_session(text), RunConfig())
+        assert code == 0
+        j, k = report["commands"]
+        assert (j["value"]["grade"], j["witnesses"]) == ("1", ["z"])
+        assert (k["value"]["grade"], k["witnesses"]) == ("0", [])
+        assert k["value"]["exhaustive"] is True
+        assert k["notes"] == ["annihilator certificate: y"]
+
     def test_seed_echoed(self):
         report, _ = run(parse_session(SIMPLE), RunConfig(seed=13))
         assert report["seed"] == 13

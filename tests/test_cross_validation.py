@@ -135,3 +135,45 @@ def test_saturations_match(ring):
             if not back.is_zero():
                 assert ideal_member(back, ours)
         compared += 1
+
+
+def test_grades_on_a_ring_that_is_not_a_domain(ring):
+    """Grades on Q[x, y, z] / (x*y) checked by sympy's colon ideals: the
+    witness is a regular sequence (each colon equals its modulus), and a
+    grade 0 or 1 cannot be extended (the colon of the whole ideal is
+    strictly larger)."""
+    from lndkit.grade_analyzer import GradeValue, grade_of_ideal
+    from lndkit.poly_core import parse_polynomial
+    from lndkit.presentation import PresentedRing
+
+    syms, R = ring
+    relation = parse_polynomial("x*y", VARS)
+    quotient = PresentedRing.quotient(VARS, [relation])
+    rng = random.Random(11)
+    cases = [("x", "z"), ("x", "x^2"), ("x",), ("x", "y"), ("x", "y", "z"),
+             ("y*z", "x*z"), ("x + y", "z^2")]
+    while len(cases) < 15:
+        cases.append(tuple(str(_random_poly(rng)) for _ in range(rng.randint(1, 3))))
+    seen = set()
+    for texts in cases:
+        gens = [parse_polynomial(t, VARS) for t in texts]
+        gens = [g for g in gens if not quotient.is_zero(g)]
+        if not gens:
+            continue
+        report = grade_of_ideal(Ideal(gens, VARS), quotient)
+        seen.add(report.value)
+
+        def ideal(polys):
+            return R.ideal(*[_to_sympy(p, syms) for p in [relation, *polys]])
+
+        whole = ideal(gens)
+        if report.value is GradeValue.INFINITE:
+            assert whole.contains(1)
+            continue
+        for i, w in enumerate(report.witness):
+            modulus = ideal(report.witness[:i])
+            assert modulus.quotient(ideal([w])) == modulus
+        if report.value is not GradeValue.TWO:
+            modulus = ideal(report.witness)
+            assert modulus.quotient(whole) != modulus
+    assert {GradeValue.ZERO, GradeValue.ONE, GradeValue.TWO} <= seen

@@ -137,13 +137,15 @@ def _direct_two_gen_grade(a, b, ring):
 
 
 def _verify_witness(report, ring):
-    """Every reported regular sequence must pass the nzd chain in order."""
-    if report.value is GradeValue.INFINITE:
+    """Every reported regular sequence must pass the nzd chain in order,
+    starting with a nonzerodivisor of the ring itself."""
+    if report.value in (GradeValue.INFINITE, GradeValue.ZERO):
         assert report.witness == []
         return
     assert len(report.witness) >= 1
     first = report.witness[0]
     assert not ring.normal(first).is_zero()
+    assert nzd_test(first, [], ring).regular
     if len(report.witness) == 2:
         assert nzd_test(report.witness[1], Ideal([first], ring.vars), ring).regular
     lifted = ring.lifted_ideal(report.witness)
@@ -268,6 +270,65 @@ class TestGenericCombination:
         r1 = generic_combination_grade(ideal, ring, seed=9)
         r2 = generic_combination_grade(ideal, ring, seed=9)
         assert r1.value is r2.value and r1.witness == r2.witness
+
+
+@pytest.fixture(scope="module")
+def xy_zero():
+    """Q[x, y, z] / (x*y): not a domain, x and y are zerodivisors."""
+    vars = ("x", "y", "z")
+    return PresentedRing.quotient(vars, [parse_polynomial("x*y", vars)])
+
+
+class TestNotADomain:
+    def q(self, ring, *texts):
+        return [parse_polynomial(t, ring.vars) for t in texts]
+
+    def test_zerodivisor_never_starts_a_witness(self, xy_zero):
+        for a, b in (("x", "z"), ("z", "x")):
+            report = grade_two_generated(*self.q(xy_zero, a, b), xy_zero)
+            assert report.value is GradeValue.ONE
+            assert [str(w) for w in report.witness] == ["z"]
+            _verify_witness(report, xy_zero)
+
+    def test_ideal_of_zerodivisors_has_grade_zero(self, xy_zero):
+        for texts in (("x", "x^2"), ("x",), ("x*z", "x^2", "x + x*z")):
+            ideal = Ideal(self.q(xy_zero, *texts), xy_zero.vars)
+            report = grade_analyzer.grade_of_ideal(ideal, xy_zero)
+            assert report.value is GradeValue.ZERO
+            assert report.witness == []
+            assert report.notes == ["annihilator certificate: y"]
+
+    def test_one_zerodivisor_tries_no_multiples(self, xy_zero, monkeypatch):
+        # one test in grade_two_generated, one in the generic search it
+        # falls back to; the generator's multiples are not tried
+        calls = []
+        monkeypatch.setattr(grade_analyzer, "nzd_test",
+                            lambda *args: calls.append(args) or nzd_test(*args))
+        report = grade_analyzer.grade_of_ideal(
+            Ideal(self.q(xy_zero, "x"), xy_zero.vars), xy_zero)
+        assert report.value is GradeValue.ZERO
+        assert len(calls) == 2
+
+    def test_regular_combination_starts_the_witness(self, xy_zero):
+        # x + y is regular although neither generator is, and (x, y) has
+        # grade 1: modulo a regular combination the ideal is nilpotent
+        report = grade_two_generated(*self.q(xy_zero, "x", "y"), xy_zero)
+        assert report.value is GradeValue.ONE
+        assert report.method == "generic-combination"
+        _verify_witness(report, xy_zero)
+        report = generic_combination_grade(
+            Ideal(self.q(xy_zero, "x", "y", "z"), xy_zero.vars), xy_zero)
+        assert report.value is GradeValue.TWO
+        _verify_witness(report, xy_zero)
+
+    def test_domain_flags(self, xy_zero, corpus_c):
+        assert P3.domain and not xy_zero.domain
+        assert corpus_c.presented_ring().domain
+        cone = PresentedRing.quotient(XYZ, [pp("X*Z - Y^2")])
+        assert not cone.domain  # a domain, but not known to be one
+        d = derivation(xy_zero, z="x")
+        assert not extend_with_variable(d, "w").ring.domain
+        assert extend_with_variable(derivation(P3, Z="X"), "W").ring.domain
 
 
 class TestImageIdeal:

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from lndkit import kernel_lab
 
 from lndkit.config import budget
 from lndkit.derivation_engine import (
@@ -15,6 +18,7 @@ from lndkit.errors import DegenerateInputError, DimensionBudgetError
 from lndkit.grade_analyzer import GradeValue, fpf_test, grade_of_derivation
 from lndkit.kernel_lab import (
     SliceData,
+    _derivation_matrix,
     compare_kernel_to_subalgebra,
     dixmier,
     kernel_basis,
@@ -148,6 +152,128 @@ class TestKernelGenerators:
         report = kernel_generators(d, 3)
         sub = present_subalgebra(uv_ring, report.generators)
         assert sub.presentation_ideal().is_zero()
+
+
+def _greedy_by_membership(d, degree):
+    """The reference generator walk: a fresh tag-basis Subalgebra for every
+    kept element, and Subalgebra.member for every membership test."""
+    kept, sub = [], None
+    for p in kernel_basis(d, degree).basis:
+        if p.is_constant():
+            continue
+        if sub is None or not sub.member(p).member:
+            kept.append(p)
+            sub = present_subalgebra(d.ring, kept)
+    return kept
+
+
+def _coefficient(draw):
+    return Fraction(draw(st.integers(-2, 2)))
+
+
+def _triangular(draw, ring, graded):
+    """x -> c (0 when graded), y -> a polynomial in x, z -> one in x, y:
+    linear forms when graded, up to degree 2 with constants otherwise."""
+    vs = ring.vars
+    top = 1 if graded else 2
+    low = 1 if graded else 0
+
+    def poly(allowed):
+        terms = {}
+        for _ in range(draw(st.integers(0, 2))):
+            mono = [0] * len(vs)
+            for _ in range(draw(st.integers(low, top))):
+                mono[draw(st.sampled_from(allowed))] += 1
+            terms[tuple(mono)] = _coefficient(draw)
+        return Polynomial(vs, terms)
+
+    images = {vs[1]: poly([0]), vs[2]: poly([0, 1])}
+    if not graded:
+        images[vs[0]] = Polynomial.constant(vs, _coefficient(draw))
+    return Derivation(ring, images)
+
+
+class TestKernelGeneratorsAgainstMembership:
+    """kernel_generators keeps exactly what the membership walk keeps."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_triangular_derivations(self, data):
+        graded = data.draw(st.booleans())
+        d = _triangular(data.draw, P3, graded)
+        degree = data.draw(st.integers(1, 4))
+        assert kernel_generators(d, degree).generators == \
+            _greedy_by_membership(d, degree)
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_quotient_host(self, data):
+        # a relation in X alone, which D kills, keeps D well defined; X^2
+        # is homogeneous, X^2 - X is not and sends misses to the fallback
+        relation = data.draw(st.sampled_from(["X^2", "X^2 - X", "X^3 - 2"]))
+        ring = PresentedRing.quotient(XYZ, [pp(relation)])
+        d = _triangular(data.draw, ring, graded=True)
+        degree = data.draw(st.integers(1, 3))
+        assert kernel_generators(d, degree).generators == \
+            _greedy_by_membership(d, degree)
+
+    def test_cone_host(self):
+        ring = PresentedRing.quotient(("u", "v", "w"), [pp("u*w - v^2", ("u", "v", "w"))])
+        d = derivation(ring, u="2*v", v="w")
+        assert kernel_generators(d, 4).generators == _greedy_by_membership(d, 4)
+
+    def test_member_only_the_fallback_finds(self, monkeypatch):
+        # Y = X^3 in Q[X, Y, Z]/(X^3 - Y), but the products of X up to the
+        # degree bound 2 miss it: only Subalgebra.member proves membership
+        ring = PresentedRing.quotient(XYZ, [pp("X^3 - Y")])
+        d = derivation(ring, Z="1")
+        builds = []
+        monkeypatch.setattr(kernel_lab, "present_subalgebra",
+                            lambda *args: builds.append(args) or present_subalgebra(*args))
+        report = kernel_generators(d, 2)
+        assert report.generators == [pp("X")] == _greedy_by_membership(d, 2)
+        assert len(builds) == 1
+
+    def test_weitzenboeck_five_needs_no_subalgebra(self, monkeypatch):
+        vs = tuple(f"x{i}" for i in range(1, 6))
+        ring = PresentedRing.polynomial_ring(vs)
+        d = Derivation(ring, {vs[i]: Polynomial.variable(vs[i - 1], vs)
+                              for i in range(1, 5)})
+        builds = []
+        monkeypatch.setattr(kernel_lab, "present_subalgebra",
+                            lambda *args: builds.append(args) or present_subalgebra(*args))
+        report = kernel_generators(d, 3)
+        assert [g.degree() for g in report.generators] == [1, 2, 2, 3, 3]
+        assert builds == []
+
+
+def _matrix_by_apply(d, monomials, power):
+    """{(image monomial, column): coefficient} of D^power through apply."""
+    cells = {}
+    for ci, mono in enumerate(monomials):
+        image = Polynomial(d.ring.vars, {mono: Fraction(1)})
+        for _ in range(power):
+            image = apply(d, image)
+        for m, c in image.terms.items():
+            cells[m, ci] = c
+    return cells
+
+
+class TestDerivationMatrix:
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize("relation", [None, "X^2 - Y", "X*Y - 1"])
+    def test_matches_apply(self, power, relation):
+        ring = P3 if relation is None else PresentedRing.quotient(XYZ, [pp(relation)])
+        rng = random.Random(31)
+        for _ in range(10):
+            images = {v: ring.normal(_random_poly(rng, XYZ, 2)) for v in XYZ}
+            d = Derivation(ring, images)
+            monomials = standard_monomials(ring, 3)
+            rows, row_index = _derivation_matrix(d, monomials, power)
+            assert sorted(row_index.values()) == list(range(len(rows)))
+            cells = {(m, ci): c for m, ri in row_index.items()
+                     for ci, c in rows[ri].items()}
+            assert cells == _matrix_by_apply(d, monomials, power)
 
 
 class TestGradeKernelConcordance:

@@ -3,8 +3,17 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lndkit._linalg import RowSpace, nullspace, rank, solve
+from lndkit._linalg import (
+    RowSpace,
+    _back_substitute,
+    _echelon,
+    _pivots_meeting,
+    nullspace,
+    rank,
+    solve,
+)
 
 
 def _random_rows(rng, nrows, ncols, density=0.4):
@@ -95,6 +104,44 @@ class TestRowSpace:
         assert space.contains({(1, 1): Fraction(-2), (0, 2): Fraction(2)})
         assert not space.contains({(0, 2): Fraction(1)})
         assert space.dimension() == 2
+
+
+def _back_substitute_by_scan(echelon, vec, below):
+    """The reference back-substitution: every pivot row below the given
+    column, highest first, whether or not it meets the vector."""
+    for pc in sorted((pc for pc in echelon if pc < below), reverse=True):
+        row = echelon[pc]
+        s = sum(v * vec[j] for j, v in row.items() if j in vec)
+        if s:
+            g = gcd(s, row[pc])
+            scale = row[pc] // g
+            if scale != 1:
+                vec = {j: x * scale for j, x in vec.items()}
+            vec[pc] = -s // g
+    return vec
+
+
+@st.composite
+def _sparse_matrices(draw):
+    ncols = draw(st.integers(1, 10))
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
+    row = st.dictionaries(st.integers(0, ncols), entry, max_size=4)
+    return draw(st.lists(row, max_size=10)), ncols
+
+
+class TestBackSubstitution:
+    @given(_sparse_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_full_scan(self, matrix):
+        # column ncols plays the right-hand side of solve: every free
+        # column, that one included, gets the same vector from both
+        rows, ncols = matrix
+        echelon = _echelon(rows)
+        meeting = _pivots_meeting(echelon)
+        for fc in range(ncols + 1):
+            if fc not in echelon:
+                assert _back_substitute(echelon, {fc: 1}, meeting) == \
+                    _back_substitute_by_scan(echelon, {fc: 1}, fc)
 
 
 class TestSympyOracle:
