@@ -211,6 +211,5 @@ def extend_with_variable(d, name):
     new_vars = d.ring.vars + (name,)
     rels = [p.embed(new_vars) for p in d.ring.relations.elements]
     ring = PresentedRing(new_vars, rels, d.ring.order)
-    ring.domain = d.ring.domain
     images = {v: p.embed(new_vars) for v, p in d.images.items()}
     return Derivation(ring, images)

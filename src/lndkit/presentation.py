@@ -28,8 +28,8 @@ class PresentedRing:
 
     No relations, or only zero ones, present the polynomial ring itself:
     its basis has no elements.  `domain` is True when the ring is known to
-    be a domain: a polynomial ring, a subalgebra of a domain, or one
-    extended by a variable.  A quotient is not assumed to be one.
+    be a domain: a polynomial ring or a subalgebra of a domain.  A
+    quotient is not assumed to be one.
     """
 
     def __init__(self, vars, relations=None, order=GREVLEX):

@@ -326,9 +326,6 @@ class TestNotADomain:
         assert corpus_c.presented_ring().domain
         cone = PresentedRing.quotient(XYZ, [pp("X*Z - Y^2")])
         assert not cone.domain  # a domain, but not known to be one
-        d = derivation(xy_zero, z="x")
-        assert not extend_with_variable(d, "w").ring.domain
-        assert extend_with_variable(derivation(P3, Z="X"), "W").ring.domain
 
 
 class TestImageIdeal:
