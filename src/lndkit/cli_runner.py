@@ -53,7 +53,7 @@ from .derivation_engine import (
     irreducible_over_ufd,
     restrict_to_subalgebra,
 )
-from .errors import LndError, ParseError
+from .errors import BudgetExceededError, LndError, ParseError
 from .grade_analyzer import fpf_test, grade_of_derivation, grade_of_ideal
 from .groebner_engine import Ideal, ideal_equal
 from .kernel_lab import (
@@ -144,7 +144,13 @@ def _read_int(parser, text):
 
 
 def _read_poly(parser, text):
-    return format_polynomial(parse_polynomial(text, parser.vars))
+    """Canonical text of a polynomial.  One too large to expand within a
+    term budget is kept as written; it fails again, in its statement's
+    budget scope, when the statement runs, so the report records it."""
+    try:
+        return format_polynomial(parse_polynomial(text, parser.vars))
+    except BudgetExceededError:
+        return text.strip()
 
 
 def _read_polys(parser, text):

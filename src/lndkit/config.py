@@ -2,7 +2,11 @@
 
 A `budget(pairs, dims)` scope bounds the S-pair reductions of all the
 Buchberger runs inside it, summed, and the size of each monomial
-enumeration; outside any scope every Buchberger run gets a fresh default.
+enumeration.  It also counts the terms formed by the work that a user's
+numbers alone can make unbounded, polynomial products while parsing (a
+power; weighted by coefficient size) and the iterations of a nilpotency
+check, against the fixed TERM_BUDGET.  Outside any scope every Buchberger
+run and every parse gets a fresh default.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from .errors import BudgetExceededError
 
 DEFAULT_PAIR_BUDGET = 10**6
 DEFAULT_DIM_BUDGET = 5000
+TERM_BUDGET = 10**5
 DEFAULT_TRIALS = 32
 SEED_ENV_VAR = "LND_SEED"
 
@@ -49,17 +54,25 @@ class RunConfig:
 
 @dataclass
 class Budget:
-    """Pair limit and pairs used; `dims` bounds each monomial enumeration
-    (a matrix side, not work, so it does not accumulate)."""
+    """Pair limit and pairs used; terms used, against TERM_BUDGET; `dims`
+    bounds each monomial enumeration (a matrix side, not work, so it does
+    not accumulate)."""
 
     pairs: int = DEFAULT_PAIR_BUDGET
     dims: int = DEFAULT_DIM_BUDGET
     used: int = 0
+    terms_used: int = 0
 
     def charge_pair(self):
         self.used += 1
         if self.used > self.pairs:
             raise BudgetExceededError(f"pair budget {self.pairs} exceeded")
+
+    def charge_terms(self, n, what):
+        """Charge n terms about to be formed by `what`, before forming them."""
+        self.terms_used += n
+        if self.terms_used > TERM_BUDGET:
+            raise BudgetExceededError(f"term budget {TERM_BUDGET} exceeded by {what}")
 
 
 _BUDGET = ContextVar("lndkit_budget", default=None)
@@ -72,8 +85,8 @@ def current_budget():
 
 @contextmanager
 def budget(pairs=None, dims=None):
-    """Scope with a fresh pair counter; a limit left as None is inherited
-    from the enclosing scope (the default outside any)."""
+    """Scope with fresh pair and term counters; a limit left as None is
+    inherited from the enclosing scope (the default outside any)."""
     outer = current_budget()
     token = _BUDGET.set(Budget(outer.pairs if pairs is None else pairs,
                                outer.dims if dims is None else dims))

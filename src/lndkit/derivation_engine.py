@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .config import current_budget
 from .errors import DegenerateInputError, VariableMismatchError
 from .groebner_engine import ideal_member
-from .poly_core import Polynomial, gcd as poly_gcd
+from .poly_core import Polynomial, gcd as poly_gcd, product_cost
 from .presentation import PresentedRing
 
 
@@ -115,10 +116,18 @@ def default_nilpotency_bound(d):
 
 
 def certify_nilpotent(d, bound=None):
+    """Apply d to each variable until it dies or `bound` applications.
+
+    Each application of d to f is charged to the current budget scope as
+    the terms it forms: per nonzero image, len(f) for the derivative and
+    the `product_cost` of the image times f.
+    """
     if bound is None:
         bound = default_nilpotency_bound(d)
     if bound < 1:
         raise DegenerateInputError("bound must be at least 1")
+    budget = current_budget()
+    images = [p for _, p in d.nonzero_images()]
     orders = {}
     for name in d.ring.vars:
         current = d.ring.variable(name)
@@ -126,6 +135,9 @@ def certify_nilpotent(d, bound=None):
         while not current.is_zero():
             if m >= bound:
                 return NilpotencyCertificate(False, bound, stuck=name)
+            budget.charge_terms(
+                sum(len(current.terms) + product_cost(p, current) for p in images),
+                f"applying the derivation to {name} ({m} times so far)")
             current = apply(d, current)
             m += 1
         orders[name] = max(m, 1)

@@ -28,7 +28,8 @@ class ParseError(LndError):
 
 
 class BudgetExceededError(LndError):
-    """A Groebner computation exceeded its pair budget.
+    """A computation exceeded its pair budget (Groebner runs) or its term
+    budget (parser products, nilpotency iterations).
 
     Signals "computation too large", never a wrong answer.
     """

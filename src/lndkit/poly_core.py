@@ -5,23 +5,29 @@ Polynomials map monomials to nonzero Fractions; every ring element used
 anywhere in the toolkit is one of these.
 
 `remainder`, `divide` and `exact_div` share one division loop, `_reduce`.
-It keeps the work terms in a heap under `MonomialOrder.heap_key`, so each
-step takes the largest remaining term without rescanning, and it skips a
-divisor by a variable-support mask before trying to divide (a support-only
-form of Bachmann and Schoenemann's short exponent vectors).  Steps and divisor
-choices are those of textbook division (Cox, Little and O'Shea, 2.3);
-only the bookkeeping differs (Monagan and Pearce, sparse division with a
-heap).
+It runs fraction-free: the work terms are integers under one running
+scale, and each divisor enters as a record cached on the polynomial per
+monomial order, its coefficients a rational scalar times a primitive
+integer row (the idiom of `_linalg`; Becker and Weispfenning, ch. 5).  The
+work terms sit in a heap under `MonomialOrder.heap_key`, so each step takes
+the largest remaining term without rescanning, and a divisor is skipped by
+a variable-support mask before trying to divide (a support-only form of
+Bachmann and Schoenemann's short exponent vectors).  Steps and divisor
+choices are those of textbook division (Cox, Little and O'Shea, 2.3), and
+every quotient and remainder equals the rational one exactly; only the
+bookkeeping differs (Monagan and Pearce, sparse division with a heap).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd as int_gcd, lcm
 from operator import add, ge, neg, sub
 
-from .errors import ExponentOverflowError, ParseError, VariableMismatchError
+from .config import current_budget
+from .errors import ExponentOverflowError, LndError, ParseError, VariableMismatchError
 
 Rational = Fraction
 
@@ -71,12 +77,21 @@ class MonomialOrder:
     kind is one of "lex", "grlex", "grevlex", "block"; a block order
     compares the first `block` variables (graded reverse lex) before the
     rest, so it eliminates them.  An optional permutation reorders the
-    variables before comparison.
+    variables before comparison.  Orders key the per-order caches of every
+    polynomial, so the hash is computed once; equality stays by value.
     """
 
     kind: str
     block: int = 0
     permutation: tuple = None
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((self.kind, self.block, self.permutation)))
+
+    def __hash__(self):
+        return self._hash
 
     def key(self, m):
         if self.permutation is not None:
@@ -145,9 +160,10 @@ class Polynomial:
 
     `vars` is the ambient variable tuple; `terms` maps exponent tuples to
     nonzero Fractions.  The zero polynomial has an empty term map.
+    Sorted term lists and division records are cached per monomial order.
     """
 
-    __slots__ = ("vars", "terms", "_sorted")
+    __slots__ = ("vars", "terms", "_sorted", "_records")
 
     def __init__(self, vars, terms):
         self.vars = tuple(vars)
@@ -162,6 +178,7 @@ class Polynomial:
                 clean[tuple(mono)] = c
         self.terms = clean
         self._sorted = {}
+        self._records = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -218,6 +235,29 @@ class Polynomial:
                             reverse=True)
             self._sorted[order] = cached
         return cached
+
+    def division_record(self, order):
+        """How `_reduce` divides by this nonzero polynomial; cached per order.
+
+        The tuple (support mask of the leading monomial, leading monomial,
+        integer leading coefficient lc > 0, integer tail [(monomial, int)]
+        in descending order, scalar k, largest tail exponent), where self is
+        k times the primitive integer row lc*lead + tail.
+        """
+        record = self._records.get(order)
+        if record is None:
+            terms = self.sorted_terms(order)
+            denom = lcm(*(c.denominator for _, c in terms))
+            ints = [c.numerator * (denom // c.denominator) for _, c in terms]
+            g = int_gcd(*ints)
+            if ints[0] < 0:
+                g = -g
+            lead = terms[0][0]
+            tail = [(m, v // g) for (m, _), v in zip(terms[1:], ints[1:])]
+            record = (_support(lead), lead, ints[0] // g, tail, Fraction(g, denom),
+                      max((max(m) for m, _ in tail), default=0))
+            self._records[order] = record
+        return record
 
     def leading_term(self, order):
         if not self.terms:
@@ -426,22 +466,28 @@ def _reduce(f, divisors, order, quotients=None):
 
     Each step takes the largest remaining term of f and subtracts a
     multiple of the first divisor whose leading term divides it; a term no
-    leading term divides goes to the remainder.  The work terms sit in a
-    min-heap under `order.heap_key`, computed once when a monomial first
-    enters.  A cancelled term keeps its heap entry with coefficient 0 and is
-    dropped when popped: every term a step adds is smaller than the one it
-    reduces, so nothing re-enters once popped.  A divisor is tried only when
-    its support mask fits the term's, and a leading coefficient of 1 costs
-    no division.  When `quotients` (one dict per divisor) is given, the
-    quotient terms are collected into it.
+    leading term divides goes to the remainder.  The work terms are integers
+    under one running scale (a work entry c stands for c/scale); each
+    divisor is its cached `division_record`, a primitive integer row times a
+    scalar k.  When the row's leading coefficient lc does not divide the
+    term's c, the whole work dict and the scale are multiplied by
+    lc/gcd(c, lc), so every step stays in integers.  A remainder term leaves
+    as c/scale at the scale current when it is popped, a quotient term as
+    c/(scale*lc)/k, so both equal the rational division's exactly.  The
+    work terms sit in a min-heap under `order.heap_key`, computed once when
+    a monomial first enters.  A cancelled term keeps its heap entry with
+    coefficient 0 and is dropped when popped: every term a step adds is
+    smaller than the one it reduces, so nothing re-enters once popped.  A
+    divisor is tried only when its support mask fits the term's.  Exponent
+    overflow is tested once per step, against the step's monomial and the
+    divisor's largest tail exponent; only a step that could overflow builds
+    its products through `monomial_mul`.  When `quotients` (one dict per
+    divisor) is given, the quotient terms are collected into it.
     """
-    div_data = []
-    for d in divisors:
-        lt, lc = d.leading_term(order)
-        tail = d.sorted_terms(order)[1:]
-        div_data.append((_support(lt), lt, None if lc == 1 else lc, tail))
+    records = [d.division_record(order) for d in divisors]
     heap_key = order.heap_key
-    work = dict(f.terms)
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    work = {m: c.numerator * (scale // c.denominator) for m, c in f.terms.items()}
     heap = [(heap_key(m), m) for m in work]
     heapify(heap)
     rem = {}
@@ -451,26 +497,34 @@ def _reduce(f, divisors, order, quotients=None):
         if not c:
             continue
         mask = _support(m)
-        for i, (dmask, lt, lc, tail) in enumerate(div_data):
+        for i, (dmask, lt, lc, tail, k, dmax) in enumerate(records):
             if dmask & ~mask:
                 continue
             t = monomial_div(m, lt)
             if t is None:
                 continue
-            coeff = c if lc is None else c / lc
+            q = c
+            if lc != 1:
+                q, r = divmod(c, lc)
+                if r:
+                    g = int_gcd(c, lc)
+                    q, lift = c // g, lc // g
+                    work = {mm: v * lift for mm, v in work.items()}
+                    scale *= lift
             if quotients is not None:
-                quotients[i][t] = coeff
+                quotients[i][t] = Fraction(q, scale) / k
+            checked = max(t, default=0) + dmax > EXPONENT_LIMIT
             for tm, tc in tail:
-                mm = monomial_mul(t, tm)
+                mm = monomial_mul(t, tm) if checked else tuple(map(add, t, tm))
                 s = work.get(mm)
                 if s is None:
-                    work[mm] = -coeff * tc
+                    work[mm] = -q * tc
                     heappush(heap, (heap_key(mm), mm))
                 else:
-                    work[mm] = s - coeff * tc
+                    work[mm] = s - q * tc
             break
         else:
-            rem[m] = c
+            rem[m] = Fraction(c, scale)
     return Polynomial(f.vars, rem)
 
 
@@ -655,6 +709,19 @@ class _PolyParser:
         self.tokens = tokens
         self.pos = 0
         self.vars = tuple(vars)
+        self.budget = current_budget()
+
+    def mul(self, a, b):
+        """a*b, its `product_cost` charged to the budget first."""
+        self.budget.charge_terms(product_cost(a, b), "a polynomial product")
+        return a * b
+
+    def number(self, tok):
+        try:
+            return int(tok[1])
+        except ValueError:   # past the interpreter's limit on digits
+            raise ParseError(f"number of {len(tok[1])} digits is too long",
+                             column=tok[2]) from None
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, None)
@@ -696,28 +763,35 @@ class _PolyParser:
             kind = self.peek()[0]
             if kind == "*":
                 self.take()
-                p = p * self.factor()
+                p = self.mul(p, self.factor())
             elif kind in ("ident", "number", "("):
-                p = p * self.factor()
+                p = self.mul(p, self.factor())
             else:
                 return p
 
     def factor(self):
+        """A base, raised by repeated squaring when a power follows."""
         p = self.base()
-        if self.peek()[0] == "^":
-            self.take()
-            tok = self.take("number")
-            p = p ** int(tok[1])
-        return p
+        if self.peek()[0] != "^":
+            return p
+        self.take()
+        n = self.number(self.take("number"))
+        power = Polynomial.one(self.vars)
+        while n:
+            if n & 1:
+                power = self.mul(power, p)
+            n >>= 1
+            if n:
+                p = self.mul(p, p)
+        return power
 
     def base(self):
         kind, value, col = self.peek()
         if kind == "number":
-            self.take()
-            num = int(value)
+            num = self.number(self.take())
             if self.peek()[0] == "/":
                 self.take()
-                den = int(self.take("number")[1])
+                den = self.number(self.take("number"))
                 if den == 0:
                     raise ParseError("zero denominator", column=col)
                 return Polynomial.constant(self.vars, Fraction(num, den))
@@ -736,8 +810,26 @@ class _PolyParser:
                          column=col)
 
 
+def _words(p):
+    """64-bit words of p's longest numerator or denominator, at least 1."""
+    bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for c in p.terms.values()), default=0)
+    return bits // 64 + 1
+
+
+def product_cost(a, b):
+    """The term budget's price of a*b: its len(a)*len(b) term products, each
+    weighted by the 64-bit words of the two factors' longest coefficients."""
+    return len(a.terms) * len(b.terms) * _words(a) * _words(b)
+
+
 def parse_polynomial(text, vars):
-    """Parse the toolkit's polynomial syntax, e.g. ``x^2*y - 3/2*z``."""
+    """Parse the toolkit's polynomial syntax, e.g. ``x^2*y - 3/2*z``.
+
+    Every product formed, powers included, is charged to the current
+    budget scope's term counter, so an expansion too large for it raises
+    BudgetExceededError before it is formed.
+    """
     tokens = _tokenize_poly(text)
     if not tokens:
         raise ParseError("empty polynomial expression")
@@ -745,7 +837,11 @@ def parse_polynomial(text, vars):
 
 
 def _format_coeff(c):
-    return str(c) if c.denominator != 1 else str(c.numerator)
+    try:
+        return str(c) if c.denominator != 1 else str(c.numerator)
+    except ValueError:   # past the interpreter's limit on digits
+        raise LndError(f"a coefficient of {max(c.numerator.bit_length(), c.denominator.bit_length())} bits "
+                       "is too long to print") from None
 
 
 def format_polynomial(p, order=GRLEX):

@@ -425,6 +425,31 @@ class TestNumericArguments:
         assert entry["status"] == "error"
         assert entry["command"] == line
 
+    @pytest.mark.parametrize("power", ["(x + y + 1)^400", "7^9999999"])
+    def test_runaway_power_is_command_error(self, tmp_path, power):
+        # 80601 terms, or a coefficient of 28 million bits: the parse keeps
+        # it as written and the declaration fails at the term budget
+        text = f"ring R = poly(x, y)\nideal I in R = ( {power} )\ngrade ideal I\n"
+        assert parse_session(text).declarations[1].args["generators"] == (power,)
+        code, report = _run_file(tmp_path, text)
+        assert code == 2
+        assert "term budget" in report["declaration_error"]
+        assert report["commands"][0]["status"] == "error"
+
+    def test_runaway_nilpotency_bound_is_command_error(self, tmp_path):
+        text = ("ring R = poly(x)\nderivation D on R { x -> x }\n"
+                "check nilpotent D bound 1000000000\ncheck nilpotent D bound 5\n")
+        code, report = _run_file(tmp_path, text)
+        assert code == 2
+        runaway, bounded = report["commands"]
+        assert runaway["status"] == "error" and "term budget" in runaway["error"]
+        assert bounded["status"] == "ok"
+        assert bounded["value"] == {"bound": 5, "certified": False, "stuck": "x"}
+
+    def test_number_past_the_digit_limit_is_parse_error(self, tmp_path):
+        text = "ring R = poly(x)\nideal I in R = ( x^" + "1" * 5000 + " )\n"
+        assert _run_file(tmp_path, text) == (1, None)
+
     def test_bound_zero_printed(self):
         session = parse_session(PRELUDE + "check nilpotent D bound 0\n")
         assert session.pretty().endswith("check nilpotent D bound 0\n")

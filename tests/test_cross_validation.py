@@ -1,8 +1,8 @@
 """Optional cross-validation against sympy, skipped when unavailable.
 
 The library itself never imports sympy; these checks compare reduced
-Groebner bases, colon ideals and saturations against an independent implementation on
-seeded random inputs.
+Groebner bases, normal forms, colon ideals and saturations against an
+independent implementation on seeded random inputs.
 """
 
 import random
@@ -17,9 +17,10 @@ from lndkit.groebner_engine import (
     buchberger,
     ideal_member,
     ideal_quotient,
+    normal_form,
     saturation,
 )
-from lndkit.poly_core import GREVLEX, Polynomial
+from lndkit.poly_core import GREVLEX, LEX, Polynomial
 
 VARS = ("x", "y", "z")
 
@@ -49,13 +50,15 @@ def _from_dmp(e):
     return Polynomial(VARS, terms)
 
 
-def _random_poly(rng, deg=2, terms=2):
+def _random_poly(rng, deg=2, terms=2, den=1):
+    """Integer coefficients, or with den > 1 rational ones of denominators
+    up to den."""
     t = {}
     for _ in range(rng.randint(1, terms)):
         m = [0, 0, 0]
         for _ in range(rng.randint(0, deg)):
             m[rng.randrange(3)] += 1
-        t[tuple(m)] = Fraction(rng.randint(-5, 5))
+        t[tuple(m)] = Fraction(rng.randint(-5, 5), rng.randint(1, den) if den > 1 else 1)
     return Polynomial(VARS, t)
 
 
@@ -80,6 +83,37 @@ def test_reduced_bases_match(ring):
                      for mono, c in poly.terms()}
             theirs.add(frozenset(Polynomial(VARS, terms).monic(GREVLEX).terms.items()))
         assert ours == theirs
+        compared += 1
+
+
+def _from_expr(e, syms):
+    terms = {}
+    for mono, c in sympy.Poly(e, *syms).terms():
+        q = sympy.Rational(c)
+        terms[tuple(int(k) for k in mono)] = Fraction(int(q.p), int(q.q))
+    return Polynomial(VARS, terms)
+
+
+@pytest.mark.parametrize("order, name", [(GREVLEX, "grevlex"), (LEX, "lex")])
+def test_normal_forms_match(ring, order, name):
+    # the remainder modulo a Groebner basis is unique, so sympy's division
+    # by the same reduced basis must give exactly our normal form
+    syms, _ = ring
+    rng = random.Random(31)
+    compared = 0
+    while compared < 12:
+        gens = [p for p in (_random_poly(rng, 2, 3, den=4) for _ in range(2))
+                if not p.is_zero()]
+        if not gens:
+            continue
+        basis = buchberger(gens, order)
+        if basis.is_trivial():
+            continue
+        elements = [_to_sympy(g, syms) for g in basis]
+        for _ in range(3):
+            f = _random_poly(rng, 4, 6, den=4)
+            _, theirs = sympy.reduced(_to_sympy(f, syms), elements, *syms, order=name)
+            assert normal_form(f, basis).terms == _from_expr(theirs, syms).terms
         compared += 1
 
 

@@ -16,7 +16,8 @@ from lndkit.derivation_engine import (
     restrict_to_subalgebra,
     restricts_to,
 )
-from lndkit.errors import DegenerateInputError
+from lndkit.config import TERM_BUDGET, budget
+from lndkit.errors import BudgetExceededError, DegenerateInputError
 from lndkit.groebner_engine import Ideal, ideal_member
 from lndkit.poly_core import GREVLEX, LEX, Polynomial, parse_polynomial
 from lndkit.presentation import PresentedRing, present_subalgebra
@@ -183,6 +184,21 @@ class TestNilpotency:
         cert = certify_nilpotent(d, bound=25)
         assert not cert.certified
         assert cert.stuck == "x"
+
+    def test_iterations_are_charged_to_the_term_budget(self):
+        # x -> x: one derivative term and one product term per application
+        ring = PresentedRing.polynomial_ring(("x",))
+        d = derivation(ring, x="x")
+        with budget() as scope:
+            assert not certify_nilpotent(d, bound=25)
+            assert scope.terms_used == 50
+        # x -> 2^64 x: the coefficient grows a word per application, and so
+        # does the charge, which stops the check before the product it prices
+        d = derivation(ring, x="2^64*x")
+        with budget() as scope, pytest.raises(
+                BudgetExceededError, match="applying the derivation to x"):
+            certify_nilpotent(d, bound=10**9)
+        assert TERM_BUDGET < scope.terms_used < TERM_BUDGET + 2000
 
     def test_triangular_orders(self):
         ring = PresentedRing.polynomial_ring(("x", "y"))

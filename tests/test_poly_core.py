@@ -1,10 +1,19 @@
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd as int_gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lndkit.errors import ExponentOverflowError, ParseError, VariableMismatchError
+from lndkit.config import TERM_BUDGET, budget
+from lndkit.errors import (
+    BudgetExceededError,
+    ExponentOverflowError,
+    LndError,
+    ParseError,
+    VariableMismatchError,
+)
 from lndkit.poly_core import (
     EXPONENT_LIMIT,
     GREVLEX,
@@ -87,6 +96,18 @@ class TestOrders:
         for a, b in data.draw(st.lists(pairs, min_size=1, max_size=20)):
             assert (order.heap_key(a) < order.heap_key(b)) == (order.key(a) > order.key(b))
             assert (order.heap_key(a) == order.heap_key(b)) == (a == b)
+
+    def test_hash_is_cached_and_equality_by_value(self):
+        orders = [MonomialOrder.grevlex(), MonomialOrder.elimination(2, (2, 0, 1)),
+                  MonomialOrder("lex", permutation=(1, 0))]
+        for o in orders:
+            twin = MonomialOrder(o.kind, o.block, o.permutation)
+            assert twin == o and twin is not o and hash(twin) == hash(o)
+            assert twin._hash == hash((o.kind, o.block, o.permutation))
+        assert MonomialOrder.grevlex() == GREVLEX != GRLEX
+        assert repr(GREVLEX) == "MonomialOrder(kind='grevlex', block=0, permutation=None)"
+        f = P("x + y^2")
+        assert f.sorted_terms(MonomialOrder.grevlex()) is f.sorted_terms(GREVLEX)
 
     def test_unknown_kind_raises(self):
         order = MonomialOrder("bogus")
@@ -233,6 +254,104 @@ class TestDivision:
         assert [_exact_terms(q) for q in qs] == want_qs
         assert _exact_terms(remainder(f, divisors, order)) == want_r
 
+    @given(st.data())
+    @settings(max_examples=150)
+    def test_matches_fraction_division(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=4))
+        order = data.draw(_orders(n))
+        vars = ("a", "b", "c", "d")[:n]
+
+        def polys(size):
+            return st.dictionaries(_exponents(n, 3), _coefficients, max_size=size).map(
+                lambda terms: Polynomial(vars, terms))
+
+        def divisor():
+            # a random polynomial rescaled to a random rational leading
+            # coefficient under `order`, negative about half the time
+            tail = data.draw(polys(3))
+            lead = data.draw(_exponents(n, 3))
+            lc = data.draw(_coefficients)
+            d = tail + Polynomial(vars, {lead: lc})
+            if d.is_zero():
+                d = Polynomial(vars, {lead: lc})
+            return d * (data.draw(_coefficients) / d.leading_coefficient(order))
+
+        divisors = [divisor() for _ in range(data.draw(st.integers(1, 3)))]
+        f = data.draw(polys(4))
+        for d in divisors:
+            f = f + data.draw(polys(2)) * d
+        want_qs, want_r = _fraction_divide(f, divisors, order)
+        qs, r = divide(f, divisors, order)
+        assert _exact_terms(r) == want_r
+        assert [_exact_terms(q) for q in qs] == want_qs
+        assert _exact_terms(remainder(f, divisors, order)) == want_r
+        total = r
+        for q, d in zip(qs, divisors):
+            total = total + q * d
+        assert total == f
+
+    def test_division_record_is_cached_and_exact(self):
+        d = P("-3/2*x^2*y + 1/3*y - 5/4", XYZ)
+        first = d.division_record(GREVLEX)
+        remainder(P("x^3*y^2", XYZ), [d], GREVLEX)
+        assert d.division_record(GREVLEX) is first
+        assert d.division_record(MonomialOrder.grevlex()) is first
+        mask, lead, lc, tail, k, top = first
+        assert lead == (2, 1, 0) and lc > 0 and top == 1
+        row = Polynomial(XYZ, {lead: lc, **dict(tail)})
+        assert row * k == d
+        assert int_gcd(lc, *(v for _, v in tail)) == 1
+        assert d.division_record(LEX) is not first
+
+    def test_overflowing_product_raises(self):
+        # x*y^20 by x - 2*y^(L-10) under lex: the one product y^(L+10) overflows
+        top = EXPONENT_LIMIT - 10
+        d = Polynomial(XY, {(1, 0): Fraction(1), (0, top): Fraction(-2)})
+        with pytest.raises(ExponentOverflowError):
+            remainder(Polynomial(XY, {(1, 20): Fraction(1)}), [d], LEX)
+        with pytest.raises(ExponentOverflowError):
+            divide(Polynomial(XY, {(1, 20): Fraction(1)}), [d], LEX)
+        # y^L itself is allowed, as in monomial_mul
+        r = remainder(Polynomial(XY, {(1, 10): Fraction(1)}), [d], LEX)
+        assert r == Polynomial(XY, {(0, EXPONENT_LIMIT): Fraction(2)})
+
+
+def _fraction_divide(f, divisors, order):
+    """The Fraction heap division loop the integer one replaced: every work
+    coefficient a Fraction, every step divided by the leading coefficient."""
+    div_data = []
+    for d in divisors:
+        lt, lc = d.leading_term(order)
+        div_data.append((lt, lc, d.sorted_terms(order)[1:]))
+    quotients = [{} for _ in divisors]
+    work = dict(f.terms)
+    heap = [(order.heap_key(m), m) for m in work]
+    heapify(heap)
+    rem = {}
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m)
+        if not c:
+            continue
+        for q, (lt, lc, tail) in zip(quotients, div_data):
+            t = monomial_div(m, lt)
+            if t is None:
+                continue
+            coeff = c / lc
+            q[t] = coeff
+            for tm, tc in tail:
+                mm = monomial_mul(t, tm)
+                s = work.get(mm)
+                if s is None:
+                    work[mm] = -coeff * tc
+                    heappush(heap, (order.heap_key(mm), mm))
+                else:
+                    work[mm] = s - coeff * tc
+            break
+        else:
+            rem[m] = c
+    return [list(q.items()) for q in quotients], list(rem.items())
+
 
 def _exponents(n, top):
     return st.tuples(*(st.integers(min_value=0, max_value=top) for _ in range(n)))
@@ -344,6 +463,43 @@ class TestTextSyntax:
             P("x^-1")
         with pytest.raises(ParseError):
             P("")
+
+    def test_products_are_charged_to_the_term_budget(self):
+        # (x+y+1)^4 by squaring: 3*3 and 6*6 term products, then 1*15;
+        # the scope sums its parses
+        with budget() as scope:
+            assert P("(x + y + 1)^4") == (P("x + y + 1") ** 2) ** 2
+            assert scope.terms_used == 60
+            P("x*y")
+            assert scope.terms_used == 61
+        assert P("x^0 + y^1") == P("1 + y")
+
+    def test_runaway_power_stops_at_the_budget(self):
+        with budget() as scope, pytest.raises(BudgetExceededError, match="term budget"):
+            P("(x + y + 1)^400", XY)
+        # charged before the product that would pass the limit is formed
+        assert scope.terms_used > TERM_BUDGET > scope.terms_used - 561 ** 2
+        with pytest.raises(ExponentOverflowError):
+            P(f"x^{2 * EXPONENT_LIMIT}", XY)
+
+    def test_long_coefficients_are_charged_by_their_words(self):
+        # 7^9999999 is one term, but its squarings grow by machine words
+        with budget() as scope, pytest.raises(BudgetExceededError):
+            P("7^9999999", XY)
+        assert scope.terms_used < 2 * TERM_BUDGET
+        with budget() as scope:
+            P("(2^64 + x) * (2^64 + y)", XY)
+            # each 2^64: six one-word squarings, then 1 times the two-word
+            # 2^64; the product: 2*2 terms of two words each
+            assert scope.terms_used == 2 * (6 + 2) + 2 * 2 * 2 * 2
+
+    def test_numbers_past_the_digit_limit(self):
+        with pytest.raises(ParseError, match="5000 digits"):
+            P("1" * 5000 + "*x", XY)
+        with pytest.raises(ParseError, match="too long"):
+            P("x^" + "1" * 5000, XY)
+        with pytest.raises(LndError, match="too long to print"):
+            format_polynomial(Polynomial.constant(XY, 7 ** 6000))
 
     def test_round_trip(self):
         rng = random.Random(5)
