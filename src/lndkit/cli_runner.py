@@ -64,7 +64,7 @@ from .kernel_lab import (
     slice_search,
     verify_generators_up_to_degree,
 )
-from .poly_core import Polynomial, format_polynomial, parse_polynomial
+from .poly_core import Polynomial, check_polynomial, format_polynomial, parse_polynomial
 from .presentation import PresentedRing, present_subalgebra
 from .rees_builder import ideal_power, rees_truncation, symbolic_power
 
@@ -145,11 +145,13 @@ def _read_int(parser, text):
 
 def _read_poly(parser, text):
     """Canonical text of a polynomial.  One too large to expand within a
-    term budget is kept as written; it fails again, in its statement's
-    budget scope, when the statement runs, so the report records it."""
+    term budget is checked for syntax alone and kept as written; it fails
+    again, in its statement's budget scope, when the statement runs, so
+    the report records it."""
     try:
         return format_polynomial(parse_polynomial(text, parser.vars))
     except BudgetExceededError:
+        check_polynomial(text, parser.vars)
         return text.strip()
 
 

@@ -436,6 +436,26 @@ class TestNumericArguments:
         assert "term budget" in report["declaration_error"]
         assert report["commands"][0]["status"] == "error"
 
+    @pytest.mark.parametrize("generator", ["(x + y + 1)^400 + q", "7^9999999 +",
+                                           "7^9999999 + x)"])
+    def test_syntax_after_a_runaway_power_is_parse_error(self, tmp_path, generator):
+        # expansion stops at the term budget inside the power; the text
+        # after it is still checked
+        text = f"ring R = poly(x, y)\nideal I in R = ( {generator} )\n"
+        assert _run_file(tmp_path, text) == (1, None)
+
+    def test_large_sparse_image_is_certified_cheaply(self, tmp_path):
+        # D(p) = 0 for the 495-term image p: no product is formed along x6
+        text = ("ring R = poly(x1, x2, x3, x4, x5, x6)\n"
+                "derivation D on R { x6 -> (x1 + x2 + x3 + x4 + x5)^8 }\n"
+                "check nilpotent D\nkernel D degree 1\n")
+        code, report = _run_file(tmp_path, text)
+        assert code == 0
+        check, kernel = report["commands"]
+        assert check["value"]["certified"]
+        assert check["value"]["orders"]["x6"] == 2
+        assert kernel["value"]["generators"] == ["x1", "x2", "x3", "x4", "x5"]
+
     def test_runaway_nilpotency_bound_is_command_error(self, tmp_path):
         text = ("ring R = poly(x)\nderivation D on R { x -> x }\n"
                 "check nilpotent D bound 1000000000\ncheck nilpotent D bound 5\n")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lndkit.derivation_engine import (
+    APPLICATION_TERMS,
     Derivation,
     apply,
     certify_nilpotent,
@@ -186,19 +187,33 @@ class TestNilpotency:
         assert cert.stuck == "x"
 
     def test_iterations_are_charged_to_the_term_budget(self):
-        # x -> x: one derivative term and one product term per application
+        # x -> x: the application's bookkeeping, one derivative term and
+        # one product term per application
         ring = PresentedRing.polynomial_ring(("x",))
         d = derivation(ring, x="x")
         with budget() as scope:
             assert not certify_nilpotent(d, bound=25)
-            assert scope.terms_used == 50
-        # x -> 2^64 x: the coefficient grows a word per application, and so
-        # does the charge, which stops the check before the product it prices
+            assert scope.terms_used == 25 * (APPLICATION_TERMS + 2)
+        # x -> 2^64 x: the coefficient grows a block every eight
+        # applications, and so does the charge, which stops the check
+        # before the product it prices
         d = derivation(ring, x="2^64*x")
         with budget() as scope, pytest.raises(
-                BudgetExceededError, match="applying the derivation to x"):
+                BudgetExceededError, match="applying the derivation along x"):
             certify_nilpotent(d, bound=10**9)
         assert TERM_BUDGET < scope.terms_used < TERM_BUDGET + 2000
+
+    def test_only_products_formed_are_charged(self):
+        # D(p) = 0: p has no x6, so no product is formed on it
+        ring = PresentedRing.polynomial_ring(("x1", "x2", "x3", "x4", "x5", "x6"))
+        d = derivation(ring, x6="(x1 + x2 + x3 + x4 + x5)^8")
+        assert len(d.images["x6"].terms) == 495
+        with budget() as scope:
+            cert = certify_nilpotent(d)
+            # x6: 1 + 495 for x6 -> p, nothing for p -> 0; every application
+            # its bookkeeping: two on x6 and one on each other variable
+            assert scope.terms_used == 496 + 7 * APPLICATION_TERMS
+        assert cert.certified and cert.orders["x6"] == 2
 
     def test_triangular_orders(self):
         ring = PresentedRing.polynomial_ring(("x", "y"))

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
-from math import gcd as int_gcd
+from math import comb, gcd as int_gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +20,7 @@ from lndkit.poly_core import (
     LEX,
     MonomialOrder,
     Polynomial,
+    check_polynomial,
     divide,
     exact_div,
     format_polynomial,
@@ -232,7 +232,7 @@ class TestDivision:
         assert remainder(f, divisors) == r
 
     @given(st.data())
-    @settings(max_examples=100)
+    @settings(max_examples=150)
     def test_matches_max_scan_division(self, data):
         n = data.draw(st.integers(min_value=0, max_value=4))
         order = data.draw(_orders(n))
@@ -249,38 +249,6 @@ class TestDivision:
         for d in divisors:
             f = f + data.draw(polys(2)) * d
         want_qs, want_r = _max_scan_divide(f, divisors, order)
-        qs, r = divide(f, divisors, order)
-        assert _exact_terms(r) == want_r
-        assert [_exact_terms(q) for q in qs] == want_qs
-        assert _exact_terms(remainder(f, divisors, order)) == want_r
-
-    @given(st.data())
-    @settings(max_examples=150)
-    def test_matches_fraction_division(self, data):
-        n = data.draw(st.integers(min_value=1, max_value=4))
-        order = data.draw(_orders(n))
-        vars = ("a", "b", "c", "d")[:n]
-
-        def polys(size):
-            return st.dictionaries(_exponents(n, 3), _coefficients, max_size=size).map(
-                lambda terms: Polynomial(vars, terms))
-
-        def divisor():
-            # a random polynomial rescaled to a random rational leading
-            # coefficient under `order`, negative about half the time
-            tail = data.draw(polys(3))
-            lead = data.draw(_exponents(n, 3))
-            lc = data.draw(_coefficients)
-            d = tail + Polynomial(vars, {lead: lc})
-            if d.is_zero():
-                d = Polynomial(vars, {lead: lc})
-            return d * (data.draw(_coefficients) / d.leading_coefficient(order))
-
-        divisors = [divisor() for _ in range(data.draw(st.integers(1, 3)))]
-        f = data.draw(polys(4))
-        for d in divisors:
-            f = f + data.draw(polys(2)) * d
-        want_qs, want_r = _fraction_divide(f, divisors, order)
         qs, r = divide(f, divisors, order)
         assert _exact_terms(r) == want_r
         assert [_exact_terms(q) for q in qs] == want_qs
@@ -314,43 +282,6 @@ class TestDivision:
         # y^L itself is allowed, as in monomial_mul
         r = remainder(Polynomial(XY, {(1, 10): Fraction(1)}), [d], LEX)
         assert r == Polynomial(XY, {(0, EXPONENT_LIMIT): Fraction(2)})
-
-
-def _fraction_divide(f, divisors, order):
-    """The Fraction heap division loop the integer one replaced: every work
-    coefficient a Fraction, every step divided by the leading coefficient."""
-    div_data = []
-    for d in divisors:
-        lt, lc = d.leading_term(order)
-        div_data.append((lt, lc, d.sorted_terms(order)[1:]))
-    quotients = [{} for _ in divisors]
-    work = dict(f.terms)
-    heap = [(order.heap_key(m), m) for m in work]
-    heapify(heap)
-    rem = {}
-    while heap:
-        m = heappop(heap)[1]
-        c = work.pop(m)
-        if not c:
-            continue
-        for q, (lt, lc, tail) in zip(quotients, div_data):
-            t = monomial_div(m, lt)
-            if t is None:
-                continue
-            coeff = c / lc
-            q[t] = coeff
-            for tm, tc in tail:
-                mm = monomial_mul(t, tm)
-                s = work.get(mm)
-                if s is None:
-                    work[mm] = -coeff * tc
-                    heappush(heap, (order.heap_key(mm), mm))
-                else:
-                    work[mm] = s - coeff * tc
-            break
-        else:
-            rem[m] = c
-    return [list(q.items()) for q in quotients], list(rem.items())
 
 
 def _exponents(n, top):
@@ -477,21 +408,38 @@ class TestTextSyntax:
     def test_runaway_power_stops_at_the_budget(self):
         with budget() as scope, pytest.raises(BudgetExceededError, match="term budget"):
             P("(x + y + 1)^400", XY)
-        # charged before the product that would pass the limit is formed
-        assert scope.terms_used > TERM_BUDGET > scope.terms_used - 561 ** 2
+        # charged before the product that would pass the limit, the square
+        # of the 2145-term (x+y+1)^64, is formed
+        assert scope.terms_used > TERM_BUDGET > scope.terms_used - 2145 ** 2
         with pytest.raises(ExponentOverflowError):
             P(f"x^{2 * EXPONENT_LIMIT}", XY)
 
-    def test_long_coefficients_are_charged_by_their_words(self):
-        # 7^9999999 is one term, but its squarings grow by machine words
+    def test_large_power_within_the_budget(self):
+        with budget() as scope:
+            p = P("(x + y + 1)^64", XY)
+        assert scope.terms_used == 342570 < TERM_BUDGET
+        assert len(p.terms) == 2145
+        assert p.terms[(32, 32)] == comb(64, 32) * comb(32, 32)
+        assert p.terms[(20, 10)] == comb(64, 20) * comb(44, 10)
+
+    def test_long_coefficients_are_charged_by_their_blocks(self):
+        # 7^9999999 is one term, but its squarings grow by 512-bit blocks
         with budget() as scope, pytest.raises(BudgetExceededError):
             P("7^9999999", XY)
-        assert scope.terms_used < 2 * TERM_BUDGET
+        assert scope.terms_used < 4 * TERM_BUDGET
         with budget() as scope:
-            P("(2^64 + x) * (2^64 + y)", XY)
-            # each 2^64: six one-word squarings, then 1 times the two-word
-            # 2^64; the product: 2*2 terms of two words each
-            assert scope.terms_used == 2 * (6 + 2) + 2 * 2 * 2 * 2
+            P("(2^512 + x) * (2^512 + y)", XY)
+            # each 2^512: nine one-block squarings, then 1 times the
+            # two-block 2^512; the product: 2*2 terms of two blocks each
+            assert scope.terms_used == 2 * (9 + 2) + 2 * 2 * 2 * 2
+
+    def test_syntax_check_forms_no_product(self):
+        with budget() as scope:
+            check_polynomial("(x + y + 1)^400 * 7^9999999", XY)
+        assert scope.terms_used == 0
+        for text in ["(x + y + 1)^400 + q", "(x + y + 1)^400 +", "x^400)", ""]:
+            with pytest.raises(ParseError):
+                check_polynomial(text, XY)
 
     def test_numbers_past_the_digit_limit(self):
         with pytest.raises(ParseError, match="5000 digits"):
