@@ -8,7 +8,7 @@ row's pivot is its lowest column.  A new row is reduced at its lowest
 column until it vanishes or has a pivot of its own.  Scaling a row changes
 neither the nullspace nor solvability, and the pivots are exactly the
 columns independent of the columns before them, so every answer depends
-only on the matrix and the column order.
+only on the matrix and the column order, not on the order of the rows.
 """
 
 from __future__ import annotations
@@ -34,7 +34,11 @@ def _primitive(row):
 
 def _reduce(echelon, row):
     """Reduce a primitive row at its lowest column until it is zero (None)
-    or its lowest column is not yet a pivot; returns (row, lowest column)."""
+    or its lowest column is not yet a pivot; returns (row, lowest column).
+
+    The row is updated in place: every caller passes the fresh dict that
+    `_primitive` built.  It is rescaled only when the pivot entry does not
+    divide its entry at the pivot column."""
     while row:
         lead = min(row)
         pivot_row = echelon.get(lead)
@@ -43,7 +47,8 @@ def _reduce(echelon, row):
         p, f = pivot_row[lead], row[lead]
         g = gcd(p, f)
         p, f = p // g, f // g
-        row = {j: p * v for j, v in row.items()}
+        if p != 1:
+            row = {j: p * v for j, v in row.items()}
         for j, v in pivot_row.items():
             s = row.get(j, 0) - f * v
             if s:
@@ -63,8 +68,12 @@ def _insert(echelon, row):
 
 
 def _echelon(rows):
+    """The echelon of the rows, inserted shortest first.  The order changes
+    no answer, since the pivots and the normalised solutions belong to the
+    row space, but short rows give sparse pivot rows, so the longer rows
+    reduced by them later fill in less and their entries grow less."""
     echelon = {}
-    for row in rows:
+    for row in sorted(rows, key=len):
         _insert(echelon, row)
     return echelon
 

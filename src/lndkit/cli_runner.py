@@ -155,8 +155,25 @@ def _read_poly(parser, text):
         return text.strip()
 
 
+def _moved(exc, offset, line=None):
+    """The parse error `exc` on `line`, its column (if any) counted
+    `offset` characters further on."""
+    column = None if exc.column is None else exc.column + offset
+    return ParseError(exc.message, line=line, column=column)
+
+
+def _read_poly_at(parser, text, offset):
+    """`_read_poly` on a piece of a slot that starts `offset` characters
+    into the slot, so that its error columns count from the slot's start."""
+    try:
+        return _read_poly(parser, text)
+    except ParseError as exc:
+        raise _moved(exc, offset) from None
+
+
 def _read_polys(parser, text):
-    polys = tuple(_read_poly(parser, t) for t in text.split(",") if t.strip())
+    polys = tuple(_read_poly_at(parser, m[0], m.start())
+                  for m in re.finditer(r"[^,]+", text) if m[0].strip())
     if not polys:
         raise ParseError("empty polynomial list")
     return polys
@@ -164,16 +181,20 @@ def _read_polys(parser, text):
 
 def _read_images(parser, text):
     images = []
-    for piece in filter(str.strip, text.split(";")):
-        var, arrow, poly = (s.strip() for s in piece.partition("->"))
+    for m in re.finditer(r"[^;]+", text):
+        if not m[0].strip():
+            continue
+        head, arrow, poly = m[0].partition("->")
+        var = head.strip()
         if not arrow:
-            raise ParseError(f"expected 'var -> poly' in {piece.strip()!r}")
+            raise ParseError(f"expected 'var -> poly' in {m[0].strip()!r}")
         if var not in parser.vars:
             raise ParseError(f"{var!r} is not one of the variables "
                              f"({', '.join(parser.vars)})")
-        if not poly:
+        if not poly.strip():
             raise ParseError(f"empty image for {var!r}")
-        images.append((var, _read_poly(parser, poly)))
+        offset = m.start() + len(head) + len(arrow)
+        images.append((var, _read_poly_at(parser, poly, offset)))
     if len({v for v, _ in images}) != len(images):
         raise ParseError("repeated variable image")
     return tuple(images)
@@ -289,12 +310,15 @@ class _Parser:
                              line=line)
         form, match = found
         self.vars = None
-        try:
-            args = {slot: None if match[slot] is None
-                    else _TYPES[type_].read(self, match[slot])
-                    for slot, type_ in form.slots}
-        except LndError as exc:
-            raise ParseError(str(exc), line=line) from None
+        args = {}
+        for slot, type_ in form.slots:
+            try:
+                args[slot] = (None if match[slot] is None
+                              else _TYPES[type_].read(self, match[slot]))
+            except ParseError as exc:
+                raise _moved(exc, match.start(slot), line) from None
+            except LndError as exc:
+                raise ParseError(str(exc), line=line) from None
         statement = Statement(form.kind, args)
         if form.declares:
             self.names[args["name"]] = (form.keyword, self.vars)

@@ -17,6 +17,7 @@ class ParseError(LndError):
     """Syntax error in a polynomial or session file."""
 
     def __init__(self, message, line=None, column=None):
+        self.message = message
         self.line = line
         self.column = column
         where = ""

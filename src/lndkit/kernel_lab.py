@@ -78,12 +78,18 @@ def _derivation_matrix(d, monomials, power=1):
     """Sparse rows of D^power on the monomials (one column each), with the
     row index of every image monomial, numbered in order of appearance.
 
-    D(x^a) = sum_i a_i x^(a - e_i) D(x_i) is formed on exponent tuples and
-    reduced once; each monomial's image is memoised, so D^2 reuses the
-    images of the monomials D^1 produced."""
+    D(x^a) = sum_i a_i x^(a - e_i) D(x_i) is formed on exponent tuples;
+    each monomial's image is memoised, so D^2 reuses the images of the
+    monomials D^1 produced.  Entries stay Python ints while the images'
+    coefficients are integers (an integral Fraction is read as its
+    numerator), and only a non-integral coefficient makes them Fractions.
+    On a quotient ring each image is reduced once by `ring.normal`, whose
+    entries are Fractions; without relations an image is its own normal
+    form, and its zero entries drop out when the rows are assembled."""
     ring = d.ring
-    images = [(i, d.images[v].terms) for i, v in enumerate(ring.vars)
-              if not d.images[v].is_zero()]
+    images = [(i, [(m, _exact(c)) for m, c in d.images[v].terms.items()])
+              for i, v in enumerate(ring.vars) if not d.images[v].is_zero()]
+    quotient = ring.has_relations()
     memo = {}
 
     def image(mono):
@@ -94,10 +100,12 @@ def _derivation_matrix(d, monomials, power=1):
                 e = mono[i]
                 if e:
                     lowered = mono[:i] + (e - 1,) + mono[i + 1:]
-                    for m, c in img.items():
+                    for m, c in img:
                         t = monomial_mul(lowered, m)
                         terms[t] = terms.get(t, 0) + e * c
-            terms = memo[mono] = ring.normal(Polynomial(ring.vars, terms)).terms
+            if quotient:
+                terms = ring.normal(Polynomial(ring.vars, terms)).terms
+            memo[mono] = terms
         return terms
 
     row_index = {}
@@ -116,10 +124,20 @@ def _derivation_matrix(d, monomials, power=1):
     return [rows[i] for i in range(len(row_index))], row_index
 
 
+def _exact(c):
+    """A Fraction as an int when it is integral, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def _vector_to_polynomial(vec, monomials, ring):
-    terms = {monomials[j]: c for j, c in vec.items()}
-    p = Polynomial(ring.vars, terms)
-    return p.monic(ring.order)
+    """The monic polynomial with coefficient vector `vec` (Fractions) over
+    the monomials, and its leading monomial: one pass for the leading
+    entry, one exact division of every entry by it."""
+    key = ring.order.key
+    lead = max(vec, key=lambda j: key(monomials[j]))
+    lc = vec[lead]
+    return (Polynomial(ring.vars, {monomials[j]: c / lc for j, c in vec.items()}),
+            monomials[lead])
 
 
 def kernel_basis(d, degree, certificate=None, assume_nilpotent=False):
@@ -143,9 +161,8 @@ def kernel_basis(d, degree, certificate=None, assume_nilpotent=False):
     basis = [_vector_to_polynomial(v, monomials, ring) for v in vectors]
     # deterministic listing: degree first, then lexicographically biggest
     # leading monomial first (u before v, X before Y)
-    basis.sort(key=lambda p: (p.degree(),
-                              tuple(-e for e in p.leading_monomial(ring.order))))
-    return KernelReport(degree_bound=degree, basis=basis)
+    basis.sort(key=lambda pl: (pl[0].degree(), tuple(-e for e in pl[1])))
+    return KernelReport(degree_bound=degree, basis=[p for p, _ in basis])
 
 
 def kernel_generators(d, degree, certificate=None, assume_nilpotent=False,
@@ -174,7 +191,7 @@ def kernel_generators(d, degree, certificate=None, assume_nilpotent=False,
             if kept:
                 if space is None:
                     space, _ = _span(kept, degree, ring)
-                if space.contains(_poly_vector(p)):
+                if space.contains(p.terms):
                     continue
                 if not (graded_ring and _homogeneous(p)
                         and all(_homogeneous(g) for g in kept)):
@@ -243,7 +260,7 @@ def slice_search(d, degree):
     square_rows, _ = _derivation_matrix(d, monomials, power=2)
     best = None
     for vec in nullspace(square_rows, len(monomials)):
-        s = _vector_to_polynomial(vec, monomials, ring)
+        s, _ = _vector_to_polynomial(vec, monomials, ring)
         c = apply(d, s)
         if c.is_zero():
             continue
@@ -400,7 +417,7 @@ def _span(generators, degree, ring):
                 f"dimension budget {limit} exceeded by the span enumeration")
         value = ring.normal(product)
         if not value.is_zero():
-            if space.insert(_poly_vector(value)):
+            if space.insert(value.terms):
                 polys.append(value)
         if i == len(generators):
             return
@@ -417,13 +434,9 @@ def _span(generators, degree, ring):
     return space, polys
 
 
-def _poly_vector(p):
-    return {m: c for m, c in p.terms.items()}
-
-
 def _first_outside(polys, space, ring):
     for p in sorted(polys, key=lambda q: (q.degree(),
                                           ring.order.key(q.leading_monomial(ring.order)))):
-        if not space.contains(_poly_vector(p)):
+        if not space.contains(p.terms):
             return p
     return None

@@ -155,11 +155,20 @@ LEX = MonomialOrder.lex()
 # polynomials
 # ---------------------------------------------------------------------------
 
+def _rational(value):
+    """An exact coefficient as a Fraction.  A float is refused: it holds
+    only a binary approximation of the number that was meant."""
+    if isinstance(value, float):
+        raise TypeError(f"float coefficient {value!r}; use an int or a Fraction")
+    return Fraction(value)
+
+
 class Polynomial:
     """Immutable sparse polynomial over Q.
 
     `vars` is the ambient variable tuple; `terms` maps exponent tuples to
-    nonzero Fractions.  The zero polynomial has an empty term map.
+    nonzero Fractions (given as ints or Fractions; a float is refused).
+    The zero polynomial has an empty term map.
     Sorted term lists and division records are cached per monomial order.
     """
 
@@ -173,7 +182,7 @@ class Polynomial:
             if len(mono) != n:
                 raise VariableMismatchError(
                     f"monomial {mono} does not fit {n} variables")
-            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            c = coeff if type(coeff) is Fraction else _rational(coeff)
             if c:
                 clean[tuple(mono)] = c
         self.terms = clean
@@ -188,7 +197,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, vars, value):
-        value = Fraction(value)
+        value = _rational(value)
         if not value:
             return cls.zero(vars)
         return cls(vars, {(0,) * len(tuple(vars)): value})
@@ -334,7 +343,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        c = Fraction(scalar)
+        c = _rational(scalar)
         if not c:
             raise ZeroDivisionError("division of a polynomial by zero")
         return self * (1 / c)

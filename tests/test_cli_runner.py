@@ -62,6 +62,22 @@ class TestParse:
             parse_session(bad)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("statement", [
+        "ideal I in R = ( x, y, x + q )",                 # polys slot
+        "derivation E on R { x -> y ; y -> 1 + q }",      # images slot
+        "check contained D in (x + q)",                   # poly slot
+        "ideal J in R = ( (x + y + 1)^400 + q )",         # checked for syntax alone
+    ])
+    def test_parse_error_column_is_within_the_statement(self, statement):
+        # the column is the 0-based offset in the statement text, here
+        # the offset of q in the line
+        text = "ring R = poly(x, y)\nderivation D on R { x -> y }\n" + statement + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_session(text)
+        assert (err.value.line, err.value.column) == (3, statement.index("q"))
+        assert str(err.value) == (f"unknown variable 'q' "
+                                  f"(line 3, col {statement.index('q')})")
+
     def test_undefined_name(self):
         with pytest.raises(ParseError):
             parse_session("grade D\n")

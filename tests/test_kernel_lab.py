@@ -28,7 +28,8 @@ from lndkit.kernel_lab import (
     standard_monomials,
     verify_generators_up_to_degree,
 )
-from lndkit.poly_core import Polynomial, parse_polynomial
+from lndkit._linalg import nullspace
+from lndkit.poly_core import GREVLEX, LEX, Polynomial, parse_polynomial
 from lndkit.presentation import PresentedRing, present_subalgebra
 
 XY = ("X", "Y")
@@ -121,6 +122,30 @@ class TestKernelBasis:
             kernel_basis(d, 2)
         report = kernel_basis(d, 2, assume_nilpotent=True)
         assert report.basis == [Polynomial.one(("x",))]
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX])
+    @pytest.mark.parametrize("case", [
+        (None, {"X": "Y", "Y": "Z"}),
+        (None, {"Y": "1/2 X", "Z": "2/3 Y + X^2"}),
+        ("X^2 - Y", {"Z": "X"}),
+        ("X*Y - 1", {"Z": "1/3 X^2 + 2 Y"}),
+    ])
+    def test_basis_is_the_monic_nullspace(self, order, case):
+        # the basis equals the nullspace vectors made monic the long way,
+        # through Polynomial.monic, in the same listing, with Fraction
+        # coefficients throughout
+        relation, images = case
+        ring = PresentedRing(XYZ, [pp(relation)] if relation else None, order)
+        d = derivation(ring, **images)
+        monomials = standard_monomials(ring, 4)
+        rows, _ = _derivation_matrix(d, monomials)
+        old = [Polynomial(XYZ, {monomials[j]: c for j, c in vec.items()}).monic(order)
+               for vec in nullspace(rows, len(monomials))]
+        old.sort(key=lambda p: (p.degree(),
+                                tuple(-e for e in p.leading_monomial(order))))
+        basis = kernel_basis(d, 4, assume_nilpotent=True).basis
+        assert basis == old
+        assert all(type(c) is Fraction for p in basis for c in p.terms.values())
 
 
 class TestKernelGenerators:
@@ -263,10 +288,12 @@ class TestDerivationMatrix:
     @pytest.mark.parametrize("power", [1, 2])
     @pytest.mark.parametrize("relation", [None, "X^2 - Y", "X*Y - 1"])
     def test_matches_apply(self, power, relation):
+        # integer images first, then images with denominators 1, 2 and 3,
+        # so that integer and Fraction entries meet in one matrix
         ring = P3 if relation is None else PresentedRing.quotient(XYZ, [pp(relation)])
         rng = random.Random(31)
-        for _ in range(10):
-            images = {v: ring.normal(_random_poly(rng, XYZ, 2)) for v in XYZ}
+        for den in [1] * 10 + [3] * 10:
+            images = {v: ring.normal(_random_poly(rng, XYZ, 2, den=den)) for v in XYZ}
             d = Derivation(ring, images)
             monomials = standard_monomials(ring, 3)
             rows, row_index = _derivation_matrix(d, monomials, power)
@@ -381,13 +408,16 @@ class TestDixmier:
         assert apply(d, out.numerator).is_zero()
 
 
-def _random_poly(rng, vars, max_degree=4, n_terms=3):
+def _random_poly(rng, vars, max_degree=4, n_terms=3, den=1):
+    """Random coefficients in -6..6, divided by 1..den when den > 1 (den 1
+    draws exactly what it drew before den existed)."""
     terms = {}
     for _ in range(rng.randint(0, n_terms)):
         mono = [0] * len(vars)
         for _ in range(rng.randint(0, max_degree)):
             mono[rng.randrange(len(vars))] += 1
-        terms[tuple(mono)] = Fraction(rng.randint(-6, 6))
+        c = rng.randint(-6, 6)
+        terms[tuple(mono)] = Fraction(c, rng.randint(1, den)) if den > 1 else Fraction(c)
     return Polynomial(vars, terms)
 
 

@@ -121,10 +121,12 @@ def _back_substitute_by_scan(echelon, vec, below):
     return vec
 
 
+_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
+
+
 @st.composite
-def _sparse_matrices(draw):
+def _sparse_matrices(draw, entry=_FRACTIONS):
     ncols = draw(st.integers(1, 10))
-    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
     row = st.dictionaries(st.integers(0, ncols), entry, max_size=4)
     return draw(st.lists(row, max_size=10)), ncols
 
@@ -142,6 +144,47 @@ class TestBackSubstitution:
             if fc not in echelon:
                 assert _back_substitute(echelon, {fc: 1}, meeting) == \
                     _back_substitute_by_scan(echelon, {fc: 1}, fc)
+
+
+def _as_fractions(rows):
+    return [{j: Fraction(c) for j, c in row.items()} for row in rows]
+
+
+def _all_fractions(vectors):
+    return all(type(c) is Fraction for vec in vectors for c in vec.values())
+
+
+class TestIntegerRows:
+    """Rows of Python ints, alone or mixed with Fractions, as the
+    derivation matrix hands them over, give the answers of the same rows
+    as Fractions, as Fractions, in any row order, and leave their inputs
+    as they were."""
+
+    @given(_sparse_matrices(entry=st.integers(-9, 9)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_int_rows_match_fraction_rows(self, matrix, data):
+        rows, ncols = matrix
+        mixed = [{j: c if data.draw(st.booleans()) else Fraction(c, 2)
+                  for j, c in row.items()} for row in rows]
+        for given_rows in (rows, mixed):
+            copy = [dict(row) for row in given_rows]
+            exact = _as_fractions(given_rows)
+            basis = nullspace(given_rows, ncols)
+            assert basis == nullspace(exact, ncols)
+            assert _all_fractions(basis)
+            assert rank(given_rows, ncols) == rank(exact, ncols)
+            rhs = [1 + i % 3 for i in range(len(given_rows))]
+            vec = solve(given_rows, rhs, ncols)
+            assert vec == solve(exact, [Fraction(b) for b in rhs], ncols)
+            assert vec is None or _all_fractions([vec])
+            space = RowSpace()
+            for row in given_rows:
+                space.insert(row)
+                assert space.contains(row)
+            assert given_rows == copy
+            # the echelon takes rows shortest first; no order changes an answer
+            assert nullspace(given_rows[::-1], ncols) == basis
+            assert rank(given_rows[::-1], ncols) == rank(exact, ncols)
 
 
 class TestSympyOracle:

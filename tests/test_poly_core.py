@@ -155,6 +155,18 @@ class TestArithmetic:
         assert f / 2 == P("1/2 x + 1/2 y")
         assert f - 1 == P("x + y - 1")
 
+    def test_float_coefficients_are_refused(self):
+        # 1/3 as a float is a binary approximation, not the number meant
+        with pytest.raises(TypeError):
+            Polynomial(XY, {(1, 0): 1 / 3})
+        with pytest.raises(TypeError):
+            Polynomial.constant(XY, 0.5)
+        with pytest.raises(TypeError):
+            P("x + y") / 2.0
+        p = Polynomial(XY, {(1, 0): 3, (0, 1): Fraction(1, 3)})
+        assert p == P("3x + 1/3 y", XY)
+        assert all(type(c) is Fraction for c in p.terms.values())
+
 
 class TestRingAxioms:
     def test_random_triples(self):
