@@ -64,7 +64,7 @@ from .kernel_lab import (
     slice_search,
     verify_generators_up_to_degree,
 )
-from .poly_core import Polynomial, check_polynomial, format_polynomial, parse_polynomial
+from .poly_core import Polynomial, format_polynomial, parse_polynomial
 from .presentation import PresentedRing, present_subalgebra
 from .rees_builder import ideal_power, rees_truncation, symbolic_power
 
@@ -78,10 +78,12 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class Statement:
-    """One parsed statement: the kind of its form and its slot values."""
+    """One parsed statement: its form's kind, its slot values and the terms
+    its parse charged (not compared: a reprint may expand at another cost)."""
 
     kind: str
     args: dict = field(default_factory=dict)
+    terms: int = field(default=0, compare=False)
 
     def pretty(self):
         return _KINDS[self.kind].show(self.args)
@@ -143,18 +145,6 @@ def _read_int(parser, text):
         raise ParseError(f"expected an integer, found {text!r}") from None
 
 
-def _read_poly(parser, text):
-    """Canonical text of a polynomial.  One too large to expand within a
-    term budget is checked for syntax alone and kept as written; it fails
-    again, in its statement's budget scope, when the statement runs, so
-    the report records it."""
-    try:
-        return format_polynomial(parse_polynomial(text, parser.vars))
-    except BudgetExceededError:
-        check_polynomial(text, parser.vars)
-        return text.strip()
-
-
 def _moved(exc, offset, line=None):
     """The parse error `exc` on `line`, its column (if any) counted
     `offset` characters further on."""
@@ -162,17 +152,22 @@ def _moved(exc, offset, line=None):
     return ParseError(exc.message, line=line, column=column)
 
 
-def _read_poly_at(parser, text, offset):
-    """`_read_poly` on a piece of a slot that starts `offset` characters
-    into the slot, so that its error columns count from the slot's start."""
+def _read_poly(parser, text, offset=0):
+    """The polynomial over the statement's variables, from a piece of a
+    slot that starts `offset` characters into it (error columns count from
+    the slot's start).  One too large to expand within its statement's
+    term budget is checked for syntax alone and kept as its stripped text;
+    the terms its parse charged fail the statement when it runs."""
     try:
-        return _read_poly(parser, text)
+        return parse_polynomial(text, parser.vars)
+    except BudgetExceededError:
+        return text.strip()
     except ParseError as exc:
         raise _moved(exc, offset) from None
 
 
 def _read_polys(parser, text):
-    polys = tuple(_read_poly_at(parser, m[0], m.start())
+    polys = tuple(_read_poly(parser, m[0], m.start())
                   for m in re.finditer(r"[^,]+", text) if m[0].strip())
     if not polys:
         raise ParseError("empty polynomial list")
@@ -194,7 +189,7 @@ def _read_images(parser, text):
         if not poly.strip():
             raise ParseError(f"empty image for {var!r}")
         offset = m.start() + len(head) + len(arrow)
-        images.append((var, _read_poly_at(parser, poly, offset)))
+        images.append((var, _read_poly(parser, poly, offset)))
     if len({v for v, _ in images}) != len(images):
         raise ParseError("repeated variable image")
     return tuple(images)
@@ -212,7 +207,7 @@ _TYPES = {
     "vars": _SlotType(_TEXT, _read_vars, ", ".join),
     "int": _SlotType(r"\S+", _read_int, str),
     "poly": _SlotType(_TEXT, _read_poly, str),
-    "polys": _SlotType(_TEXT, _read_polys, ", ".join),
+    "polys": _SlotType(_TEXT, _read_polys, lambda polys: ", ".join(map(str, polys))),
     "images": _SlotType(_TEXT, _read_images,
                         lambda images: "; ".join(f"{v} -> {p}" for v, p in images)),
 }
@@ -311,15 +306,16 @@ class _Parser:
         form, match = found
         self.vars = None
         args = {}
-        for slot, type_ in form.slots:
-            try:
-                args[slot] = (None if match[slot] is None
-                              else _TYPES[type_].read(self, match[slot]))
-            except ParseError as exc:
-                raise _moved(exc, match.start(slot), line) from None
-            except LndError as exc:
-                raise ParseError(str(exc), line=line) from None
-        statement = Statement(form.kind, args)
+        with budget() as scope:
+            for slot, type_ in form.slots:
+                try:
+                    args[slot] = (None if match[slot] is None
+                                  else _TYPES[type_].read(self, match[slot]))
+                except ParseError as exc:
+                    raise _moved(exc, match.start(slot), line) from None
+                except LndError as exc:
+                    raise ParseError(str(exc), line=line) from None
+        statement = Statement(form.kind, args, scope.terms_used)
         if form.declares:
             self.names[args["name"]] = (form.keyword, self.vars)
             self.session.declarations.append(statement)
@@ -358,8 +354,10 @@ class _Environment:
                         "derivation": self.derivations, "ideal": self.ideals}
 
     def execute(self, statement):
-        """Run one statement in a budget scope of its own (config.budget)."""
-        with budget(self.cfg.pair_budget, self.cfg.dim_budget):
+        """Run one statement in a budget scope of its own (config.budget),
+        charged first with the terms its parse formed."""
+        with budget(self.cfg.pair_budget, self.cfg.dim_budget) as scope:
+            scope.charge_terms(statement.terms, "a polynomial product")
             return _KINDS[statement.kind].execute(self, **statement.args)
 
     def declare(self, decl):
@@ -367,12 +365,10 @@ class _Environment:
         self.of_kind[kind][decl.args["name"]] = self.execute(decl)
 
 
-def _element(text, ring, host=None):
-    """Parse in ambient coordinates, express on the tags of `host` when the
-    element lives inside a subalgebra, and normalise in `ring`."""
-    if host is None:
-        return ring.normal(parse_polynomial(text, ring.vars))
-    return ring.normal(host.express(parse_polynomial(text, host.ambient.vars)))
+def _element(poly, ring, host=None):
+    """`poly`, read in ambient coordinates, expressed on the tags of `host`
+    when the element lives inside a subalgebra, normalised in `ring`."""
+    return ring.normal(poly if host is None else host.express(poly))
 
 
 def _display(p, host):
@@ -388,34 +384,32 @@ def _ring(env, name, vars):
 
 def _quotient_ring(env, name, base, relations):
     base = env.rings[base]
-    rels = list(base.relations.elements)
-    rels += [parse_polynomial(t, base.vars) for t in relations]
-    return PresentedRing.quotient(base.vars, rels)
+    return PresentedRing.quotient(base.vars, [*base.relations.elements, *relations])
 
 
 def _subalgebra(env, name, ring, generators):
     ring = env.rings[ring]
-    return present_subalgebra(ring, [_element(t, ring) for t in generators])
+    return present_subalgebra(ring, [_element(p, ring) for p in generators])
 
 
 def _derivation(env, name, host, images):
     if host in env.rings:
         ring = env.rings[host]
-        d = Derivation(ring, {v: _element(t, ring) for v, t in images})
+        d = Derivation(ring, {v: _element(p, ring) for v, p in images})
         if ring.has_relations() and not check_well_defined(d):
             raise LndError(
                 f"derivation {name} is not well defined on the "
                 f"quotient {host}: a relation escapes the relation ideal")
         return d
     sub = env.subalgebras[host]
-    ambient = Derivation(sub.ambient, {v: _element(t, sub.ambient) for v, t in images})
+    ambient = Derivation(sub.ambient, {v: _element(p, sub.ambient) for v, p in images})
     return restrict_to_subalgebra(ambient, sub)
 
 
 def _ideal(env, name, host, generators):
     sub = env.subalgebras.get(host)
     ring = env.rings[host] if sub is None else sub.presented_ring()
-    gens = [_element(t, ring, sub) for t in generators]
+    gens = [_element(p, ring, sub) for p in generators]
     return _BoundIdeal(Ideal(gens, ring.vars), ring, sub)
 
 
@@ -448,7 +442,7 @@ def _check_contained(env, name, poly):
     ok = contained_in_principal(d, _element(poly, d.ring, d.host))
     notes = ["checks the named candidate divisor only; "
              "other localizations are unexamined"]
-    return {"contained": ok, "modulus": poly}, [], notes
+    return {"contained": ok, "modulus": str(poly)}, [], notes
 
 
 def _grade_value(report, host):
@@ -551,7 +545,7 @@ def _rees(env, name, upto, saturator):
 def _verify_generators(env, name, claimed, degree):
     sub = env.subalgebras[name]
     out = verify_generators_up_to_degree(
-        sub, [_element(t, sub.ambient) for t in claimed], degree)
+        sub, [_element(p, sub.ambient) for p in claimed], degree)
     witnesses = [] if out.witness is None else [format_polynomial(out.witness)]
     return {"verdict": out.verdict, "degree": degree}, witnesses, []
 

@@ -6,7 +6,9 @@ enumeration.  It also counts the terms formed by the work that a user's
 numbers alone can make unbounded, polynomial products while parsing (a
 power; weighted by coefficient size) and the iterations of a nilpotency
 check, against the fixed TERM_BUDGET.  Outside any scope every Buchberger
-run and every parse gets a fresh default.
+run and every `parse_polynomial` call gets a fresh default.  A session
+statement's parse has a scope of its own; the scope it runs in is charged
+first with the terms that parse formed, so one term budget bounds both.
 """
 
 from __future__ import annotations

@@ -27,7 +27,8 @@ from math import gcd as int_gcd, lcm
 from operator import add, ge, mul, neg, sub
 
 from .config import current_budget
-from .errors import ExponentOverflowError, LndError, ParseError, VariableMismatchError
+from .errors import (BudgetExceededError, ExponentOverflowError, LndError, ParseError,
+                     VariableMismatchError)
 
 Rational = Fraction
 
@@ -290,6 +291,8 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other):
+        if not isinstance(other, Polynomial):
+            raise TypeError(f"cannot combine a polynomial with a {type(other).__name__}")
         if self.vars != other.vars:
             raise VariableMismatchError(
                 f"variable sets differ: {self.vars} vs {other.vars}")
@@ -709,19 +712,24 @@ def _tokenize_poly(text):
 
 
 class _PolyParser:
-    def __init__(self, tokens, vars, expand=True):
+    def __init__(self, tokens, vars):
         self.tokens = tokens
         self.pos = 0
         self.vars = tuple(vars)
-        self.expand = expand
         self.budget = current_budget()
+        self.exceeded = None   # the budget error that stopped the expansion
 
     def mul(self, a, b):
-        """a*b, its `product_cost` charged to the budget first; just a when
-        only checking the syntax."""
-        if not self.expand:
+        """a*b, its `product_cost` charged to the budget first.  Once a
+        charge fails, no product is formed: a stands in for a*b while the
+        rest of the text is checked for syntax."""
+        if self.exceeded is not None:
             return a
-        self.budget.charge_terms(product_cost(a, b), "a polynomial product")
+        try:
+            self.budget.charge_terms(product_cost(a, b), "a polynomial product")
+        except BudgetExceededError as exc:
+            self.exceeded = exc
+            return a
         return a * b
 
     def number(self, tok):
@@ -748,34 +756,30 @@ class _PolyParser:
         tok = self.peek()
         if tok[0] is not None:
             raise ParseError(f"trailing input {tok[1]!r}", column=tok[2])
+        if self.exceeded is not None:
+            raise self.exceeded
         return p
 
     def expr(self):
-        sign = 1
-        while self.peek()[0] in ("+", "-"):
-            if self.take()[0] == "-":
-                sign = -sign
-        p = self.term() * sign
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            sign = 1 if op == "+" else -1
+        """Terms, each after a run of signs (none before the first)."""
+        p = Polynomial.zero(self.vars)
+        while True:
+            sign = 1
             while self.peek()[0] in ("+", "-"):
                 if self.take()[0] == "-":
                     sign = -sign
             p = p + self.term() * sign
-        return p
+            if self.peek()[0] not in ("+", "-"):
+                return p
 
     def term(self):
+        """Factors, `*` between them optional."""
         p = self.factor()
-        while True:
-            kind = self.peek()[0]
-            if kind == "*":
+        while self.peek()[0] in ("*", "ident", "number", "("):
+            if self.peek()[0] == "*":
                 self.take()
-                p = self.mul(p, self.factor())
-            elif kind in ("ident", "number", "("):
-                p = self.mul(p, self.factor())
-            else:
-                return p
+            p = self.mul(p, self.factor())
+        return p
 
     def factor(self):
         """A base, raised by repeated squaring when a power follows."""
@@ -845,16 +849,12 @@ def parse_polynomial(text, vars):
     """Parse the toolkit's polynomial syntax, e.g. ``x^2*y - 3/2*z``.
 
     Every product formed, powers included, is charged to the current
-    budget scope's term counter, so an expansion too large for it raises
-    BudgetExceededError before it is formed.
+    budget scope's term counter.  The product that would pass its limit is
+    not formed; the rest of the text is still checked for syntax in the
+    same pass, and only then is BudgetExceededError raised, so a ParseError
+    anywhere in the text comes first.
     """
     return _PolyParser(_tokenize_poly(text), vars).parse()
-
-
-def check_polynomial(text, vars):
-    """Raise ParseError unless `text` parses over `vars`, forming no
-    product: the syntax check for a polynomial too large to expand."""
-    _PolyParser(_tokenize_poly(text), vars, expand=False).parse()
 
 
 def _format_coeff(c):

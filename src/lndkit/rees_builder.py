@@ -73,18 +73,18 @@ def rees_truncation(ideal, n, saturator, ring):
     pieces = [Ideal([Polynomial.one(ring.vars)], ring.vars)]
     for k in range(1, n + 1):
         pieces.append(symbolic_power(ideal, k, saturator, ring))
+    # each piece lifted once: the Ideal caches its Groebner bases for both loops
+    lifted = [ring.lifted_ideal(piece.generators) for piece in pieces]
     failures = []
     for k in range(1, n + 1):
-        lifted = ring.lifted_ideal(pieces[k].generators)
         for g in ideal_power(ideal, k).generators:
-            if not ideal_member(g, lifted):
+            if not ideal_member(g, lifted[k]):
                 failures.append(f"I^{k} not inside piece {k}")
                 break
     for a in range(1, n + 1):
         for b in range(a, n + 1 - a):
-            target = ring.lifted_ideal(pieces[a + b].generators)
             ok = all(
-                ideal_member(ring.normal(ga * gb), target)
+                ideal_member(ring.normal(ga * gb), lifted[a + b])
                 for ga in pieces[a].generators
                 for gb in pieces[b].generators)
             if not ok:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lndkit import config, poly_core
 from lndkit.cli_runner import (
     _FORMS,
     CORPUS_SESSIONS,
@@ -14,6 +15,7 @@ from lndkit.cli_runner import (
     Session,
     Statement,
     corpus_path,
+    golden_path,
     load_environment,
     main,
     parse_session,
@@ -22,8 +24,10 @@ from lndkit.cli_runner import (
     run_corpus,
     strip_timing,
 )
+from lndkit.config import budget
+from lndkit.derivation_engine import certify_nilpotent
 from lndkit.errors import ParseError
-from lndkit.poly_core import Polynomial, format_polynomial
+from lndkit.poly_core import Polynomial
 from lndkit.presentation import Subalgebra
 
 SIMPLE = """\
@@ -100,7 +104,8 @@ subalgebra S in B = gens {
 }
 """
         session = parse_session(text)
-        assert session.declarations[1].args["generators"] == ("x^2", "x^3")
+        generators = session.declarations[1].args["generators"]
+        assert [str(p) for p in generators] == ["x^2", "x^3"]
 
     def test_round_trip(self):
         for name in CORPUS_SESSIONS:
@@ -293,6 +298,20 @@ class TestGolden:
             payloads.append(report_to_json(strip_timing(report)))
         assert payloads[0] == payloads[1]
 
+    def test_run_parses_nothing(self, monkeypatch):
+        # every polynomial is parsed once, by parse_session; run only uses it
+        sessions = {name: parse_session(corpus_path(name).read_text(encoding="utf-8"))
+                    for name in CORPUS_SESSIONS}
+
+        def refuse(text):
+            raise AssertionError(f"re-parsed {text!r}")
+        monkeypatch.setattr(poly_core, "_tokenize_poly", refuse)
+        for name, session in sessions.items():
+            report, code = run(session, RunConfig(seed=0), session_name=name)
+            assert code == 0
+            assert (report_to_json(strip_timing(report))
+                    == golden_path(name).read_text(encoding="utf-8"))
+
     def test_timing_present_but_stripped(self):
         report, _ = run(parse_session(SIMPLE), RunConfig())
         assert "timing" in report
@@ -482,6 +501,24 @@ class TestNumericArguments:
         assert bounded["status"] == "ok"
         assert bounded["value"] == {"bound": 5, "certified": False, "stuck": "x"}
 
+    def test_term_budget_spans_parse_and_run(self, monkeypatch):
+        # one budget bounds a command's parse and its nilpotency check together
+        text = ("ring R = poly(x, y)\nderivation D on R { y -> 1 }\n"
+                "dixmier D slice y of (x + y)^3\n")
+        session = parse_session(text)
+        parsed = session.commands[0].terms
+        with budget() as scope:
+            certify_nilpotent(load_environment(session).derivations["D"])
+        checked = scope.terms_used
+        assert parsed > 0 and checked > 0
+        for limit, status in [(parsed + checked - 1, "error"),
+                              (parsed + checked, "ok")]:
+            monkeypatch.setattr(config, "TERM_BUDGET", limit)
+            report, _ = run(parse_session(text), RunConfig())
+            entry = report["commands"][0]
+            assert entry["status"] == status
+            assert status == "ok" or "term budget" in entry["error"]
+
     def test_number_past_the_digit_limit_is_parse_error(self, tmp_path):
         text = "ring R = poly(x)\nideal I in R = ( x^" + "1" * 5000 + " )\n"
         assert _run_file(tmp_path, text) == (1, None)
@@ -536,14 +573,13 @@ _names = st.tuples(st.sampled_from(_LETTERS),
 @st.composite
 def _filled_form(draw, form):
     """A prelude declaring one object of each kind under random names, and
-    random canonical values for every slot of `form`."""
+    random values for every slot of `form`, polynomials as Polynomials."""
     labels = draw(st.lists(_names, min_size=7, max_size=7, unique=True))
     vars = tuple(labels[:2])
     ring, sub, der, ideal, new = labels[2:]
     x, y = (Polynomial.variable(v, vars) for v in vars)
     c = st.integers(-3, 3)
-    polys = st.tuples(c, c, c).map(
-        lambda k: format_polynomial(k[0] * x * y + k[1] * y + k[2]))
+    polys = st.tuples(c, c, c).map(lambda k: k[0] * x * y + k[1] * y + k[2])
     prelude = (f"ring {ring} = poly({', '.join(vars)})\n"
                f"subalgebra {sub} in {ring} = gens {{ {vars[0]} }}\n"
                f"derivation {der} on {ring} {{ {vars[1]} -> {vars[0]} }}\n"

@@ -20,7 +20,6 @@ from lndkit.poly_core import (
     LEX,
     MonomialOrder,
     Polynomial,
-    check_polynomial,
     divide,
     exact_div,
     format_polynomial,
@@ -166,6 +165,13 @@ class TestArithmetic:
         p = Polynomial(XY, {(1, 0): 3, (0, 1): Fraction(1, 3)})
         assert p == P("3x + 1/3 y", XY)
         assert all(type(c) is Fraction for c in p.terms.values())
+
+    @pytest.mark.parametrize("form", [lambda p: p * 0.5, lambda p: 0.5 * p,
+                                      lambda p: p + 0.5, lambda p: p - 0.5,
+                                      lambda p: p / 0.5])
+    def test_float_operands_raise_type_error(self, form):
+        with pytest.raises(TypeError):
+            form(P("x + y", XY))
 
 
 class TestRingAxioms:
@@ -446,12 +452,15 @@ class TestTextSyntax:
             assert scope.terms_used == 2 * (9 + 2) + 2 * 2 * 2 * 2
 
     def test_syntax_check_forms_no_product(self):
-        with budget() as scope:
-            check_polynomial("(x + y + 1)^400 * 7^9999999", XY)
-        assert scope.terms_used == 0
+        # past the budget, expansion stops and the syntax check goes on
         for text in ["(x + y + 1)^400 + q", "(x + y + 1)^400 +", "x^400)", ""]:
             with pytest.raises(ParseError):
-                check_polynomial(text, XY)
+                P(text, XY)
+        with budget() as scope, pytest.raises(BudgetExceededError):
+            P("(x + y + 1)^400 * 7^9999999", XY)
+        # the last charge is the square of (x+y+1)^64 that passed the limit:
+        # 7^9999999 after it forms, and is charged, no product
+        assert scope.terms_used > TERM_BUDGET > scope.terms_used - 2145 ** 2
 
     def test_numbers_past_the_digit_limit(self):
         with pytest.raises(ParseError, match="5000 digits"):

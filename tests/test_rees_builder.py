@@ -138,6 +138,16 @@ class TestReesTruncation:
             for g in ideal_power(cone_ideal, k).generators:
                 assert ideal_member(cone.normal(g), lifted)
 
+    def test_each_piece_is_lifted_once(self, cone, cone_ideal, monkeypatch):
+        # both check loops share one lifted Ideal, and its Groebner basis, per piece
+        lifted = []
+        lift = PresentedRing.lifted_ideal
+        monkeypatch.setattr(PresentedRing, "lifted_ideal",
+                            lambda ring, gens: lifted.append(gens) or lift(ring, gens))
+        data = rees_truncation(cone_ideal, 4, pp("w"), cone)
+        for piece in data.pieces:
+            assert sum(gens is piece.generators for gens in lifted) == 1
+
 
 def _random_poly(rng, vars, max_degree=3, n_terms=3):
     terms = {}
