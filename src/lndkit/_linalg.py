@@ -120,7 +120,7 @@ def _back_substitute(echelon, vec, meeting):
 
 
 def nullspace(rows, ncols):
-    """Basis of the right nullspace of the sparse matrix, as Fraction dicts.
+    """Basis of the right nullspace of the sparse matrix, as int dicts.
 
     One vector per free column, ordered by it: the unique nullspace vector
     with 1 on that free column and 0 on the other free columns, scaled to
@@ -128,12 +128,8 @@ def nullspace(rows, ncols):
     """
     echelon = _echelon(rows)
     meeting = _pivots_meeting(echelon)
-    basis = []
-    for fc in range(ncols):
-        if fc not in echelon:
-            vec = _back_substitute(echelon, {fc: 1}, meeting)
-            basis.append({j: Fraction(v) for j, v in _primitive(vec).items()})
-    return basis
+    return [_primitive(_back_substitute(echelon, {fc: 1}, meeting))
+            for fc in range(ncols) if fc not in echelon]
 
 
 def solve(rows, rhs, ncols):

@@ -120,9 +120,12 @@ def _interreduce(polys, order):
 def buchberger(generators, order=GREVLEX):
     """Reduced Groebner basis of the given generators.
 
-    Normal pair selection (minimal lcm) with Buchberger's coprimality and
-    chain criteria.  Each S-polynomial reduction is charged to the current
-    budget, which raises BudgetExceededError past its pair limit.
+    Pairs go by degree, deg(lcm) + max(ecart_i, ecart_j) with ecart =
+    degree - deg(leading monomial), then by smallest lcm; every ecart is 0
+    under a graded order, whose key starts with the degree, so that is
+    normal selection.  Buchberger's coprimality and chain criteria skip
+    pairs.  Each S-polynomial reduction is charged to the current budget,
+    which raises BudgetExceededError past its pair limit.
     """
     budget = current_budget()
     basis = [g for g in generators if not g.is_zero()]
@@ -139,15 +142,21 @@ def buchberger(generators, order=GREVLEX):
         basis = slimmed
 
     lms = [p.leading_monomial(order) for p in basis]
+    ecarts = [p.degree() - sum(lm) for p, lm in zip(basis, lms)]
     key = order.key
     heap = []
+
+    def push(i, j):
+        lcm = monomial_lcm(lms[i], lms[j])
+        heappush(heap, (sum(lcm) + max(ecarts[i], ecarts[j]), key(lcm), i, j))
+
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            heappush(heap, (key(monomial_lcm(lms[i], lms[j])), i, j))
+            push(i, j)
     done = set()
 
     while heap:
-        _, i, j = heappop(heap)
+        _, _, i, j = heappop(heap)
         done.add((i, j))
         lcm = monomial_lcm(lms[i], lms[j])
         # coprime leading terms: S-polynomial reduces to zero
@@ -175,10 +184,10 @@ def buchberger(generators, order=GREVLEX):
         r = r.monic(order)
         new = len(basis)
         basis.append(r)
-        lm_new = r.leading_monomial(order)
-        lms.append(lm_new)
+        lms.append(r.leading_monomial(order))
+        ecarts.append(r.degree() - sum(lms[new]))
         for t in range(new):
-            heappush(heap, (key(monomial_lcm(lms[t], lm_new)), t, new))
+            push(t, new)
 
     return GroebnerBasis(_interreduce(basis, order), order)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import factorial
 
 from .config import budget, current_budget
@@ -130,13 +131,13 @@ def _exact(c):
 
 
 def _vector_to_polynomial(vec, monomials, ring):
-    """The monic polynomial with coefficient vector `vec` (Fractions) over
-    the monomials, and its leading monomial: one pass for the leading
-    entry, one exact division of every entry by it."""
+    """The monic polynomial with integer coefficient vector `vec` over the
+    monomials, and its leading monomial: one pass for the leading entry,
+    one Fraction per entry."""
     key = ring.order.key
     lead = max(vec, key=lambda j: key(monomials[j]))
     lc = vec[lead]
-    return (Polynomial(ring.vars, {monomials[j]: c / lc for j, c in vec.items()}),
+    return (Polynomial(ring.vars, {monomials[j]: Fraction(c, lc) for j, c in vec.items()}),
             monomials[lead])
 
 

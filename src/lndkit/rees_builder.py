@@ -39,13 +39,20 @@ def symbolic_power(ideal, n, saturator, ring):
 
     The saturating element must stay outside I + relations.
     """
+    return _saturated_power(ideal, n, _checked_saturator(ideal, saturator, ring), ring)
+
+
+def _checked_saturator(ideal, saturator, ring):
+    """The saturator's normal form, which must stay outside I + relations."""
     s = ring.normal(saturator)
-    lifted_i = ring.lifted_ideal(ideal.generators)
-    if s.is_zero() or ideal_member(s, lifted_i):
+    if s.is_zero() or ideal_member(s, ring.lifted_ideal(ideal.generators)):
         raise DegenerateInputError("saturating element lies in the ideal")
-    power = ideal_power(ideal, n)
-    lifted = ring.lifted_ideal(power.generators)
-    sat = saturation(lifted, s)
+    return s
+
+
+def _saturated_power(ideal, n, s, ring):
+    """(I^n : s^infinity) for a saturator already checked."""
+    sat = saturation(ring.lifted_ideal(ideal_power(ideal, n).generators), s)
     return Ideal([ring.normal(g) for g in sat.generators], ring.vars)
 
 
@@ -70,9 +77,9 @@ def rees_truncation(ideal, n, saturator, ring):
     """
     if n < 1:
         raise DegenerateInputError("truncation must be at least 1")
+    s = _checked_saturator(ideal, saturator, ring)  # once, not once per piece
     pieces = [Ideal([Polynomial.one(ring.vars)], ring.vars)]
-    for k in range(1, n + 1):
-        pieces.append(symbolic_power(ideal, k, saturator, ring))
+    pieces += [_saturated_power(ideal, k, s, ring) for k in range(1, n + 1)]
     # each piece lifted once: the Ideal caches its Groebner bases for both loops
     lifted = [ring.lifted_ideal(piece.generators) for piece in pieces]
     failures = []
@@ -92,7 +99,7 @@ def rees_truncation(ideal, n, saturator, ring):
     if failures:
         raise SaturatorUnsoundError(
             "saturator unsound for this ideal: " + "; ".join(failures))
-    return ReesData(ring, ideal, n, pieces, ring.normal(saturator))
+    return ReesData(ring, ideal, n, pieces, s)
 
 
 @dataclass

@@ -62,7 +62,9 @@ def _random_poly(rng, deg=2, terms=2, den=1):
     return Polynomial(VARS, t)
 
 
-def test_reduced_bases_match(ring):
+@pytest.mark.parametrize("name, order", [("grevlex", GREVLEX), ("lex", LEX)],
+                         ids=["grevlex", "lex"])
+def test_reduced_bases_match(ring, name, order):
     syms, _ = ring
     rng = random.Random(2026)
     compared = 0
@@ -72,16 +74,16 @@ def test_reduced_bases_match(ring):
         if not gens:
             continue
         ours = {frozenset(p.terms.items())
-                for p in buchberger(gens, GREVLEX).elements}
+                for p in buchberger(gens, order).elements}
         basis = sympy.groebner([_to_sympy(g, syms) for g in gens], *syms,
-                               order="grevlex")
+                               order=name)
         theirs = set()
         for e in basis.exprs:
             poly = sympy.Poly(e, *syms)
             terms = {tuple(int(k) for k in mono):
                      Fraction(int(sympy.Rational(c).p), int(sympy.Rational(c).q))
                      for mono, c in poly.terms()}
-            theirs.add(frozenset(Polynomial(VARS, terms).monic(GREVLEX).terms.items()))
+            theirs.add(frozenset(Polynomial(VARS, terms).monic(order).terms.items()))
         assert ours == theirs
         compared += 1
 

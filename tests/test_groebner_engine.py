@@ -19,8 +19,8 @@ from lndkit.groebner_engine import (
     s_polynomial,
     saturation,
 )
-from lndkit.poly_core import GREVLEX, LEX, Polynomial, parse_polynomial
-from lndkit.presentation import PresentedRing
+from lndkit.poly_core import GREVLEX, LEX, MonomialOrder, Polynomial, parse_polynomial
+from lndkit.presentation import PresentedRing, present_subalgebra
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -80,7 +80,7 @@ class TestBuchberger:
             buchberger(gens, LEX)
 
     def test_budget_is_summed_over_runs_in_one_scope(self):
-        # each run makes 11 S-pair reductions, so 15 fits one run, not two
+        # each run makes 9 S-pair reductions, so 15 fits one run, not two
         def run():
             gens = [P("x^2 + y*z"), P("x*y - z^2"), P("y^3 - x")]
             Ideal(gens).groebner(LEX)
@@ -88,26 +88,71 @@ class TestBuchberger:
         for _ in range(2):
             with budget(pairs=15) as scope:
                 run()
-            assert scope.used == 11
+            assert scope.used == 9
         with pytest.raises(BudgetExceededError, match="pair budget 15"), \
                 budget(pairs=15):
             run()
             run()
 
-    def test_closure_and_generation_on_random_ideals(self):
+    # pairs are selected by degree plus ecart, which sequences the pairs
+    # differently under each kind of order
+    @pytest.mark.parametrize("order", [GREVLEX, LEX, MonomialOrder.elimination(1)],
+                             ids=["grevlex", "lex", "elimination"])
+    def test_closure_and_generation_on_random_ideals(self, order):
         rng = random.Random(321)
         for _ in range(20):
             gens = [p for p in (_random_poly(rng, XYZ, 3) for _ in range(3))
                     if not p.is_zero()]
             if not gens:
                 continue
-            basis = buchberger(gens, GREVLEX)
+            basis = buchberger(gens, order)
             for g in gens:
                 assert normal_form(g, basis).is_zero()
             for i, f in enumerate(basis.elements):
                 for g in basis.elements[i + 1:]:
-                    s = s_polynomial(f, g, GREVLEX)
+                    s = s_polynomial(f, g, order)
                     assert normal_form(s, basis).is_zero()
+
+
+def _cyclic(n):
+    """Cyclic-n: the cyclic sums of k consecutive variables for k < n, and
+    x0*...*x(n-1) - 1."""
+    vs = tuple(f"x{i}" for i in range(n))
+    x = [Polynomial.variable(v, vs) for v in vs]
+
+    def product(factors):
+        p = Polynomial.one(vs)
+        for f in factors:
+            p = p * f
+        return p
+
+    gens = []
+    for k in range(1, n):
+        s = Polynomial.zero(vs)
+        for i in range(n):
+            s = s + product(x[(i + j) % n] for j in range(k))
+        gens.append(s)
+    return gens + [product(x) - 1]
+
+
+class TestPairSelection:
+    """S-pair reduction counts: degree-first selection leaves every
+    grevlex run as normal selection had it and cuts the block-order runs."""
+
+    def test_grevlex_cyclic_5_count(self):
+        with budget() as scope:
+            basis = buchberger(_cyclic(5), GREVLEX)
+        assert scope.used == 103
+        assert len(basis) == 20
+
+    def test_tag_basis_count(self):
+        # the subalgebra C of example 6.1; normal selection made 217
+        ring = PresentedRing.polynomial_ring(XYZ)
+        gens = [P(t) for t in ("x^2", "x^3", "y + x*y^2", "x^2*y", "x^3*z")]
+        with budget() as scope:
+            sub = present_subalgebra(ring, gens)
+        assert scope.used <= 72
+        assert sub.member(P("x^5*z + y*x^2 + x^3*y^2")).member
 
 
 class TestZeroIdeal:

@@ -157,8 +157,8 @@ def _all_fractions(vectors):
 class TestIntegerRows:
     """Rows of Python ints, alone or mixed with Fractions, as the
     derivation matrix hands them over, give the answers of the same rows
-    as Fractions, as Fractions, in any row order, and leave their inputs
-    as they were."""
+    as Fractions, in any row order: primitive int nullspace vectors and
+    Fraction solutions.  They leave their inputs as they were."""
 
     @given(_sparse_matrices(entry=st.integers(-9, 9)), st.data())
     @settings(max_examples=200, deadline=None)
@@ -171,7 +171,9 @@ class TestIntegerRows:
             exact = _as_fractions(given_rows)
             basis = nullspace(given_rows, ncols)
             assert basis == nullspace(exact, ncols)
-            assert _all_fractions(basis)
+            for vec in basis:
+                assert all(type(c) is int for c in vec.values())
+                assert gcd(*vec.values()) == 1 and vec[min(vec)] > 0
             assert rank(given_rows, ncols) == rank(exact, ncols)
             rhs = [1 + i % 3 for i in range(len(given_rows))]
             vec = solve(given_rows, rhs, ncols)
@@ -206,14 +208,14 @@ class TestSympyOracle:
     @staticmethod
     def _primitive(column):
         """A sympy nullspace vector scaled to primitive integers with a
-        positive first nonzero entry, as a Fraction dict."""
+        positive first nonzero entry, as an int dict."""
         entries = {j: Fraction(int(c.p), int(c.q)) for j, c in enumerate(column) if c}
         denom = lcm(*[c.denominator for c in entries.values()])
         ints = {j: int(c * denom) for j, c in entries.items()}
         g = gcd(*ints.values())
         if ints[min(ints)] < 0:
             g = -g
-        return {j: Fraction(v // g) for j, v in ints.items()}
+        return {j: v // g for j, v in ints.items()}
 
     def test_nullspace_and_rank(self):
         sympy = pytest.importorskip("sympy")

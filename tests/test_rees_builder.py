@@ -139,7 +139,8 @@ class TestReesTruncation:
                 assert ideal_member(cone.normal(g), lifted)
 
     def test_each_piece_is_lifted_once(self, cone, cone_ideal, monkeypatch):
-        # both check loops share one lifted Ideal, and its Groebner basis, per piece
+        # both check loops share one lifted Ideal, and its Groebner basis, per
+        # piece; the input ideal is lifted once, for the saturator check
         lifted = []
         lift = PresentedRing.lifted_ideal
         monkeypatch.setattr(PresentedRing, "lifted_ideal",
@@ -147,6 +148,7 @@ class TestReesTruncation:
         data = rees_truncation(cone_ideal, 4, pp("w"), cone)
         for piece in data.pieces:
             assert sum(gens is piece.generators for gens in lifted) == 1
+        assert sum(gens is cone_ideal.generators for gens in lifted) == 1
 
 
 def _random_poly(rng, vars, max_degree=3, n_terms=3):
