@@ -194,7 +194,8 @@ class IrreducibilityReport:
 
 
 def irreducible_over_ufd(d):
-    """UFD test: the gcd of the variable images must be a unit.
+    """UFD test: the gcd of the variable images, whose Groebner runs count
+    against the pair budget, must be a unit.
 
     Refused on rings with relations, where no gcd is available; use
     contained_in_principal with a candidate divisor instead.
@@ -211,7 +212,7 @@ def irreducible_over_ufd(d):
         g = poly_gcd(g, p)
         if g.is_constant():
             break
-    g = g.monic(d.ring.order) if not g.is_zero() else g
+    g = g.monic(d.ring.order)
     if g.is_constant():
         return IrreducibilityReport(True)
     return IrreducibilityReport(False, g)

@@ -565,70 +565,12 @@ def exact_div(f, g, order=GREVLEX):
     return qs[0]
 
 
-def _coefficients_in(f, i):
-    """Coefficient polynomials of f seen as univariate in variable i."""
-    coeffs = {}
-    for m, c in f.terms.items():
-        e = m[i]
-        rest = m[:i] + (0,) + m[i + 1:]
-        bucket = coeffs.setdefault(e, {})
-        bucket[rest] = bucket.get(rest, 0) + c
-    return {e: Polynomial(f.vars, t) for e, t in coeffs.items()}
-
-
-def _deg_in(f, i):
-    if f.is_zero():
-        return -1
-    return max(m[i] for m in f.terms)
-
-
-def _lc_in(f, i):
-    d = _deg_in(f, i)
-    coeffs = _coefficients_in(f, i)
-    return coeffs[d]
-
-
-def _shift(f, i, k):
-    """Multiply by x_i^k."""
-    terms = {}
-    for m, c in f.terms.items():
-        terms[m[:i] + (m[i] + k,) + m[i + 1:]] = c
-    return Polynomial(f.vars, terms)
-
-
-def _pseudo_rem(f, g, i):
-    """Pseudo-remainder of f by g in variable i: lc(g)^(df-dg+1) f = qg + r."""
-    dg = _deg_in(g, i)
-    lcg = _lc_in(g, i)
-    r = f
-    e = _deg_in(f, i) - dg + 1
-    while not r.is_zero() and _deg_in(r, i) >= dg:
-        dr = _deg_in(r, i)
-        r = r * lcg - _shift(_lc_in(r, i) * g, i, dr - dg)
-        e -= 1
-        if not r.is_zero() and _deg_in(r, i) >= dr:
-            raise AssertionError("pseudo-division failed to reduce degree")
-    if e > 0:
-        r = r * lcg ** e
-    return r
-
-
-def _content(f, i):
-    """gcd of the coefficients of f with respect to variable i."""
-    coeffs = list(_coefficients_in(f, i).values())
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        g = gcd(g, c)
-        if g.is_constant():
-            break
-    return g
-
-
 def gcd(f, g):
-    """Greatest common divisor, leading coefficient normalized to 1.
+    """Greatest common divisor, made monic under grevlex.
 
-    Content/primitive-part recursion with a subresultant pseudo-remainder
-    sequence on the top remaining variable; no factorization needed.
+    f*g divided by lcm(f, g), the generator of (f) intersected with (g)
+    (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, section
+    4.3); the intersection's S-pairs are charged to the current budget.
     """
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
@@ -639,49 +581,18 @@ def gcd(f, g):
     if f.is_constant() or g.is_constant():
         return Polynomial.one(f.vars)
     f._check(g)
-    used = [i for i in range(len(f.vars))
-            if any(m[i] for m in f.terms) or any(m[i] for m in g.terms)]
-    i = used[-1]
-    if _deg_in(f, i) == 0 or _deg_in(g, i) == 0:
-        # one argument does not involve the chosen variable: its gcd with the
-        # other is the gcd of that argument with the other's content
-        if _deg_in(f, i) == 0:
-            return gcd(f, _content(g, i))
-        return gcd(_content(f, i), g)
-    cf, cg = _content(f, i), _content(g, i)
-    c = gcd(cf, cg)
-    a = exact_div(f, cf)
-    b = exact_div(g, cg)
-    if _deg_in(a, i) < _deg_in(b, i):
-        a, b = b, a
-    one = Polynomial.one(f.vars)
-    gg, hh = one, one
-    while True:
-        d = _deg_in(a, i) - _deg_in(b, i)
-        r = _pseudo_rem(a, b, i)
-        if r.is_zero():
-            break
-        if _deg_in(r, i) == 0:
-            b = one
-            break
-        denom = gg * hh ** d
-        a, b = b, exact_div(r, denom)
-        gg = _lc_in(a, i)
-        if d > 1:
-            hh = exact_div(gg ** d, hh ** (d - 1))
-        elif d == 1:
-            hh = gg
-    if _deg_in(b, i) == 0:
-        return c.monic(GREVLEX)
-    b = exact_div(b, _content(b, i))
-    return (c * b).monic(GREVLEX)
+    # groebner_engine imports this module
+    from .groebner_engine import Ideal, ideal_intersection
+    [lcm_fg] = ideal_intersection(Ideal([f]), Ideal([g])).generators
+    return exact_div(f, exact_div(lcm_fg, g)).monic(GREVLEX)
 
 
 # ---------------------------------------------------------------------------
 # text syntax: identifiers, ^ for powers, * optional, rationals as a/b
 # ---------------------------------------------------------------------------
 
-def _tokenize_poly(text):
+def _tokenize_poly(text, vars):
+    """Tokens (kind, text, column); an unknown variable is a lexical error."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -693,6 +604,8 @@ def _tokenize_poly(text):
             j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
+            if text[i:j] not in vars:
+                raise ParseError(f"unknown variable {text[i:j]!r}", column=i)
             tokens.append(("ident", text[i:j], i))
             i = j
         elif ch.isdecimal():
@@ -715,7 +628,7 @@ class _PolyParser:
     def __init__(self, tokens, vars):
         self.tokens = tokens
         self.pos = 0
-        self.vars = tuple(vars)
+        self.vars = vars
         self.budget = current_budget()
         self.exceeded = None   # the budget error that stopped the expansion
 
@@ -802,8 +715,6 @@ class _PolyParser:
             return Polynomial.constant(self.vars, num)
         if kind == "ident":
             self.take()
-            if value not in self.vars:
-                raise ParseError(f"unknown variable {value!r}", column=col)
             return Polynomial.variable(value, self.vars)
         if kind == "(":
             self.take()
@@ -854,7 +765,8 @@ def parse_polynomial(text, vars):
     same pass, and only then is BudgetExceededError raised, so a ParseError
     anywhere in the text comes first.
     """
-    return _PolyParser(_tokenize_poly(text), vars).parse()
+    vars = tuple(vars)
+    return _PolyParser(_tokenize_poly(text, vars), vars).parse()
 
 
 def _format_coeff(c):

@@ -303,7 +303,7 @@ class TestGolden:
         sessions = {name: parse_session(corpus_path(name).read_text(encoding="utf-8"))
                     for name in CORPUS_SESSIONS}
 
-        def refuse(text):
+        def refuse(text, vars):
             raise AssertionError(f"re-parsed {text!r}")
         monkeypatch.setattr(poly_core, "_tokenize_poly", refuse)
         for name, session in sessions.items():
@@ -383,6 +383,26 @@ class TestCommandLine:
         assert "pair budget 13" in entry["error"]
         assert main(argv + ["--pair-budget", "99"]) == 0
 
+    def test_irreducibility_gcds_are_charged_to_the_pair_budget(self, tmp_path):
+        # the images share (a+b+c+d+e)^2; each gcd is an intersection of
+        # principal ideals, whose S-pairs the pair budget bounds
+        text = ("ring R = poly(a, b, c, d, e)\n"
+                "derivation D on R { a -> (a+b+c+d+e)^3*(a*b - c*d + e); "
+                "b -> (a+b+c+d+e)^2*(a - b*c*d*e)^2 }\n"
+                "check irreducible D\n")
+        code, report = _run_file(tmp_path, text)
+        assert code == 0
+        [entry] = report["commands"]
+        assert entry["value"] == {"irreducible": False}
+        assert entry["witnesses"] == [
+            "a^2 + 2*a*b + 2*a*c + 2*a*d + 2*a*e + b^2 + 2*b*c + 2*b*d + 2*b*e"
+            " + c^2 + 2*c*d + 2*c*e + d^2 + 2*d*e + e^2"]
+        code, report = _run_file(tmp_path, text, "--pair-budget", "2")
+        assert code == 2
+        [entry] = report["commands"]
+        assert entry["status"] == "error"
+        assert entry["error"] == "pair budget 2 exceeded"
+
     @pytest.mark.parametrize("flags", [["--pair-budget", "-5"],
                                        ["--dim-budget", "-1"],
                                        ["--pair-budget", "abc"],
@@ -428,11 +448,12 @@ ideal Z in B = ( 0 )
 """
 
 
-def _run_file(tmp_path, text):
+def _run_file(tmp_path, text, *flags):
     session_file = tmp_path / "s.lnd"
     session_file.write_text(text, encoding="utf-8")
     out_file = tmp_path / "report.json"
-    code = main(["run", str(session_file), "--json", str(out_file)])
+    out_file.unlink(missing_ok=True)
+    code = main(["run", str(session_file), "--json", str(out_file), *flags])
     report = (json.loads(out_file.read_text(encoding="utf-8"))
               if out_file.exists() else None)
     return code, report

@@ -1,7 +1,7 @@
 """Optional cross-validation against sympy, skipped when unavailable.
 
 The library itself never imports sympy; these checks compare reduced
-Groebner bases, normal forms, colon ideals and saturations against an
+Groebner bases, normal forms, colon ideals, saturations and gcds against an
 independent implementation on seeded random inputs.
 """
 
@@ -20,7 +20,7 @@ from lndkit.groebner_engine import (
     normal_form,
     saturation,
 )
-from lndkit.poly_core import GREVLEX, LEX, Polynomial
+from lndkit.poly_core import GREVLEX, LEX, Polynomial, gcd
 
 VARS = ("x", "y", "z")
 
@@ -50,16 +50,16 @@ def _from_dmp(e):
     return Polynomial(VARS, terms)
 
 
-def _random_poly(rng, deg=2, terms=2, den=1):
+def _random_poly(rng, deg=2, terms=2, den=1, vars=VARS):
     """Integer coefficients, or with den > 1 rational ones of denominators
     up to den."""
     t = {}
     for _ in range(rng.randint(1, terms)):
-        m = [0, 0, 0]
+        m = [0] * len(vars)
         for _ in range(rng.randint(0, deg)):
-            m[rng.randrange(3)] += 1
+            m[rng.randrange(len(vars))] += 1
         t[tuple(m)] = Fraction(rng.randint(-5, 5), rng.randint(1, den) if den > 1 else 1)
-    return Polynomial(VARS, t)
+    return Polynomial(vars, t)
 
 
 @pytest.mark.parametrize("name, order", [("grevlex", GREVLEX), ("lex", LEX)],
@@ -170,6 +170,25 @@ def test_saturations_match(ring):
             back = _from_dmp(e)
             if not back.is_zero():
                 assert ideal_member(back, ours)
+        compared += 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gcds_match(n):
+    # gcd(f*h, g*h) is sympy's gcd up to a nonzero scalar; a gcd that
+    # always returned 1 fails here whenever h is not a constant
+    vars = ("x", "y", "z", "w")[:n]
+    syms = sympy.symbols(vars)
+    rng = random.Random(40 + n)
+    compared = 0
+    while compared < 20:
+        f, g, h = (_random_poly(rng, 3, 3, den=3, vars=vars) for _ in range(3))
+        if f.is_zero() or g.is_zero() or h.is_zero():
+            continue
+        ours = gcd(f * h, g * h)
+        theirs = sympy.gcd(_to_sympy(f * h, syms), _to_sympy(g * h, syms))
+        ratio = sympy.cancel(_to_sympy(ours, syms) / theirs)
+        assert ratio.is_Rational and ratio != 0
         compared += 1
 
 

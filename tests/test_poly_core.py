@@ -379,6 +379,18 @@ class TestGcd:
             if not g.is_zero():
                 exact_div(g, d)
 
+    def test_five_variables(self):
+        vars = ("a", "b", "c", "d", "e")
+        s = P("a + b + c + d + e", vars)
+        f = s ** 3 * P("a*b - c*d + e", vars)
+        g = s ** 2 * P("a - b*c*d*e", vars) ** 2
+        assert gcd(f, g) == s ** 2
+
+    def test_charged_to_the_pair_budget(self):
+        # the gcd is a Groebner run: an intersection of principal ideals
+        with budget(pairs=0), pytest.raises(BudgetExceededError):
+            gcd(P("x^2 - y^2", XY), P("x^2 + 2x*y + y^2", XY))
+
     def test_common_factor_scales(self):
         f = P("x^2 - y^2", XY)
         g = P("x + 2y", XY)
