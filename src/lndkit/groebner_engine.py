@@ -3,12 +3,16 @@
 Membership, quotient, saturation, elimination and equality all reduce to
 reduced Groebner bases.  Every S-pair reduction is charged to the current
 budget scope (`config.budget`, summed over all the runs in it), so runaway
-computations end in clean errors instead of wrong answers.
+computations end in clean errors instead of wrong answers.  Buchberger's
+pair loop works on the elements' division records (`poly_core`): each
+S-pair is formed and reduced on integer rows, and a basis keeps its
+elements' records for every normal form taken modulo it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 
 from .config import current_budget
@@ -22,6 +26,8 @@ from .poly_core import (
     monomial_lcm,
     monomial_mul,
     remainder,
+    remainder_by_records,
+    s_pair_remainder,
 )
 
 
@@ -41,6 +47,12 @@ class GroebnerBasis:
     def is_trivial(self):
         """True for the unit ideal."""
         return any(p.is_constant() for p in self.elements)
+
+    @cached_property
+    def records(self):
+        """The elements' division records under the basis order, kept for
+        every normal form taken modulo the basis."""
+        return [p.division_record(self.order) for p in self.elements]
 
 
 class Ideal:
@@ -81,21 +93,6 @@ class Ideal:
         return f"Ideal({gens})"
 
 
-def _shifted(p, t, lc):
-    """p * t / lc for a monomial t; no division when lc is 1."""
-    if lc == 1:
-        return Polynomial(p.vars, {monomial_mul(m, t): c for m, c in p.terms.items()})
-    return Polynomial(p.vars, {monomial_mul(m, t): c / lc for m, c in p.terms.items()})
-
-
-def s_polynomial(f, g, order):
-    mf, cf = f.leading_term(order)
-    mg, cg = g.leading_term(order)
-    lcm = monomial_lcm(mf, mg)
-    return (_shifted(f, monomial_div(lcm, mf), cf)
-            - _shifted(g, monomial_div(lcm, mg), cg))
-
-
 def _interreduce(polys, order):
     """Turn a generating set with the Groebner property into a reduced basis."""
     polys = [p for p in polys if not p.is_zero()]
@@ -125,7 +122,11 @@ def buchberger(generators, order=GREVLEX):
     under a graded order, whose key starts with the degree, so that is
     normal selection.  Buchberger's coprimality and chain criteria skip
     pairs.  Each S-polynomial reduction is charged to the current budget,
-    which raises BudgetExceededError past its pair limit.
+    which raises BudgetExceededError past its pair limit.  The loop keeps
+    every element's division record beside its leading monomial; an S-pair
+    is formed on two records and reduced by all of them
+    (`s_pair_remainder`), and a new element comes back monic with its
+    record already made.
     """
     budget = current_budget()
     basis = [g for g in generators if not g.is_zero()]
@@ -142,6 +143,7 @@ def buchberger(generators, order=GREVLEX):
         basis = slimmed
 
     lms = [p.leading_monomial(order) for p in basis]
+    records = [p.division_record(order) for p in basis]
     ecarts = [p.degree() - sum(lm) for p, lm in zip(basis, lms)]
     key = order.key
     heap = []
@@ -177,14 +179,13 @@ def buchberger(generators, order=GREVLEX):
         if skip:
             continue
         budget.charge_pair()
-        s = s_polynomial(basis[i], basis[j], order)
-        r = remainder(s, basis, order)
+        r = s_pair_remainder(basis[i].vars, records[i], records[j], records, order)
         if r.is_zero():
             continue
-        r = r.monic(order)
         new = len(basis)
         basis.append(r)
         lms.append(r.leading_monomial(order))
+        records.append(r.division_record(order))
         ecarts.append(r.degree() - sum(lms[new]))
         for t in range(new):
             push(t, new)
@@ -195,7 +196,7 @@ def buchberger(generators, order=GREVLEX):
 def normal_form(f, basis):
     """The unique remainder of f modulo a reduced GroebnerBasis; f itself
     modulo the zero basis, which has no elements."""
-    return remainder(f, basis.elements, basis.order)
+    return remainder_by_records(f, basis.records, basis.order)
 
 
 def ideal_member(f, ideal, order=GREVLEX):

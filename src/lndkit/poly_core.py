@@ -4,11 +4,14 @@ Monomials are plain exponent tuples, one slot per ambient variable.
 Polynomials map monomials to nonzero Fractions; every ring element used
 anywhere in the toolkit is one of these.
 
-`remainder`, `divide` and `exact_div` share one division loop, `_reduce`.
-It runs fraction-free: the work terms are integers under one running
-scale, and each divisor enters as a record cached on the polynomial per
-monomial order, its coefficients a rational scalar times a primitive
-integer row (the idiom of `_linalg`; Becker and Weispfenning, ch. 5).  The
+`remainder`, `divide`, `exact_div` and Buchberger's `s_pair_remainder`
+share one division loop, `_reduce`.  It runs fraction-free: the work terms
+are integers under one running scale, and each divisor enters as a record
+cached on the polynomial per monomial order, its coefficients a rational
+scalar times a primitive integer row (the idiom of `_linalg`; Becker and
+Weispfenning, ch. 5).  The loop returns the remainder as an integer row
+at one final scale, in descending order, so an S-pair's remainder becomes
+a monic polynomial, with its sorted terms and record, in one pass.  The
 work terms sit in a heap under `MonomialOrder.heap_key`, so each step takes
 the largest remaining term without rescanning, and a divisor is skipped by
 a variable-support mask before trying to divide (a support-only form of
@@ -258,14 +261,8 @@ class Polynomial:
         if record is None:
             terms = self.sorted_terms(order)
             denom = lcm(*(c.denominator for _, c in terms))
-            ints = [c.numerator * (denom // c.denominator) for _, c in terms]
-            g = int_gcd(*ints)
-            if ints[0] < 0:
-                g = -g
-            lead = terms[0][0]
-            tail = [(m, v // g) for (m, _), v in zip(terms[1:], ints[1:])]
-            record = (_support(lead), lead, ints[0] // g, tail, Fraction(g, denom),
-                      max((max(m) for m, _ in tail), default=0))
+            record = _record(
+                [(m, c.numerator * (denom // c.denominator)) for m, c in terms], denom)
             self._records[order] = record
         return record
 
@@ -466,36 +463,48 @@ class Polynomial:
 # division and gcd
 # ---------------------------------------------------------------------------
 
-def _reduce(f, divisors, order, quotients=None):
-    """The division loop behind `divide`, `remainder` and `exact_div`.
+def _record(row, denom):
+    """The division record of sum(c/denom * m) over a row of nonzero
+    integer terms (m, c) in descending order; see `division_record`."""
+    g = int_gcd(*(c for _, c in row))
+    lead, c0 = row[0]
+    if c0 < 0:
+        g = -g
+    tail = [(m, c // g) for m, c in row[1:]]
+    return (_support(lead), lead, c0 // g, tail, Fraction(g, denom),
+            max((max(m) for m, _ in tail), default=0))
 
-    Each step takes the largest remaining term of f and subtracts a
-    multiple of the first divisor whose leading term divides it; a term no
-    leading term divides goes to the remainder.  The work terms are integers
-    under one running scale (a work entry c stands for c/scale); each
-    divisor is its cached `division_record`, a primitive integer row times a
-    scalar k.  When the row's leading coefficient lc does not divide the
-    term's c, the whole work dict and the scale are multiplied by
-    lc/gcd(c, lc), so every step stays in integers.  A remainder term leaves
-    as c/scale at the scale current when it is popped, a quotient term as
-    c/(scale*lc)/k, so both equal the rational division's exactly.  The
-    work terms sit in a min-heap under `order.heap_key`, computed once when
-    a monomial first enters.  A cancelled term keeps its heap entry with
-    coefficient 0 and is dropped when popped: every term a step adds is
-    smaller than the one it reduces, so nothing re-enters once popped.  A
-    divisor is tried only when its support mask fits the term's.  Exponent
-    overflow is tested once per step, against the step's monomial and the
-    divisor's largest tail exponent; only a step that could overflow builds
-    its products through `monomial_mul`.  When `quotients` (one dict per
-    divisor) is given, the quotient terms are collected into it.
+
+def _reduce(work, scale, records, order, quotients=None):
+    """The one division loop, behind every remainder and quotient.
+
+    `work` maps monomials to integers under one scale (an entry c stands
+    for c/scale); each divisor is its `division_record`, a primitive
+    integer row times a scalar k.  Each step takes the largest remaining
+    term and subtracts a multiple of the first divisor whose leading term
+    divides it; a term no leading term divides goes to the remainder.
+    When the row's leading coefficient lc does not divide the term's c, the
+    work terms, the remainder terms collected so far and the scale are all
+    multiplied by lc/gcd(c, lc), so every step stays in integers.  The
+    result is the remainder row, its (monomial, integer) terms in
+    descending order, and the one final scale they stand under; a quotient
+    term is collected as c/(scale*lc)/k at the scale of its step.  Steps
+    and divisor choices are those of rational division, so both equal its
+    results exactly.  The work terms sit in a min-heap under
+    `order.heap_key`, computed once when a monomial first enters.  A
+    cancelled term keeps its heap entry with coefficient 0 and is dropped
+    when popped: every term a step adds is smaller than the one it
+    reduces, so nothing re-enters once popped.  A divisor is tried only
+    when its support mask fits the term's.  Exponent overflow is tested
+    once per step, against the step's monomial and the divisor's largest
+    tail exponent; only a step that could overflow builds its products
+    through `monomial_mul`.  When `quotients` (one dict per divisor) is
+    given, the quotient terms are collected into it.
     """
-    records = [d.division_record(order) for d in divisors]
     heap_key = order.heap_key
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    work = {m: c.numerator * (scale // c.denominator) for m, c in f.terms.items()}
     heap = [(heap_key(m), m) for m in work]
     heapify(heap)
-    rem = {}
+    rem = []
     while heap:
         m = heappop(heap)[1]
         c = work.pop(m)
@@ -515,6 +524,7 @@ def _reduce(f, divisors, order, quotients=None):
                     g = int_gcd(c, lc)
                     q, lift = c // g, lc // g
                     work = {mm: v * lift for mm, v in work.items()}
+                    rem = [(mm, v * lift) for mm, v in rem]
                     scale *= lift
             if quotients is not None:
                 quotients[i][t] = Fraction(q, scale) / k
@@ -529,8 +539,8 @@ def _reduce(f, divisors, order, quotients=None):
                     work[mm] = s - q * tc
             break
         else:
-            rem[m] = Fraction(c, scale)
-    return Polynomial(f.vars, rem)
+            rem.append((m, c))
+    return rem, scale
 
 
 def divide(f, divisors, order=GREVLEX):
@@ -546,15 +556,65 @@ def divide(f, divisors, order=GREVLEX):
         if d.is_zero():
             raise ValueError("zero divisor in division")
     quotients = [{} for _ in divisors]
-    r = _reduce(f, divisors, order, quotients)
+    records = [d.division_record(order) for d in divisors]
+    r = remainder_by_records(f, records, order, quotients)
     return [Polynomial(f.vars, q) for q in quotients], r
 
 
 def remainder(f, divisors, order=GREVLEX):
     """Remainder of multivariate division, without quotient bookkeeping."""
-    if not divisors:
+    return remainder_by_records(f, [d.division_record(order) for d in divisors], order)
+
+
+def remainder_by_records(f, records, order, quotients=None):
+    """`remainder` with the divisors given by their division records under
+    `order`, as a Groebner basis keeps them; `quotients` as in `_reduce`."""
+    if not records:
         return f
-    return _reduce(f, divisors, order)
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    work = {m: c.numerator * (scale // c.denominator) for m, c in f.terms.items()}
+    rem, scale = _reduce(work, scale, records, order, quotients)
+    return Polynomial(f.vars, {m: Fraction(c, scale) for m, c in rem})
+
+
+def s_pair_remainder(vars, f, g, records, order):
+    """The S-polynomial of the polynomials with division records f and g,
+    reduced by `records` and made monic; zero when it reduces to zero.
+
+    The S-polynomial is formed on the records' integer tails, times the
+    positive constant cf*cg/h with h = gcd(cf, cg), at scale 1:
+    (cg/h)*t_f*tail_f - (cf/h)*t_g*tail_g, where t_f and t_g shift the
+    leading monomials to their lcm, and the leading terms, which cancel,
+    are never formed.  Division is linear, so every step and divisor
+    choice is the rational S-polynomial's, and the monic remainder is its
+    monic remainder exactly.  That remainder is built in one pass from the
+    remainder row, with its sorted terms and division record under `order`
+    seeded from the row, which is already in descending order.
+    """
+    _, mf, cf, tail_f, _, dmax_f = f
+    _, mg, cg, tail_g, _, dmax_g = g
+    lcm_fg = monomial_lcm(mf, mg)
+    h = int_gcd(cf, cg)
+    work = {}
+    for lead, tail, dmax, a in ((mf, tail_f, dmax_f, cg // h),
+                                (mg, tail_g, dmax_g, -(cf // h))):
+        t = monomial_div(lcm_fg, lead)
+        checked = max(t, default=0) + dmax > EXPONENT_LIMIT
+        for tm, tc in tail:
+            mm = monomial_mul(t, tm) if checked else tuple(map(add, t, tm))
+            v = work.get(mm, 0) + a * tc
+            if v:
+                work[mm] = v
+            else:
+                del work[mm]
+    rem, _ = _reduce(work, 1, records, order)
+    if not rem:
+        return Polynomial.zero(vars)
+    c0 = rem[0][1]
+    p = Polynomial(vars, {m: Fraction(c, c0) for m, c in rem})
+    p._sorted[order] = list(p.terms.items())
+    p._records[order] = _record(rem, c0)
+    return p
 
 
 def exact_div(f, g, order=GREVLEX):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lndkit import groebner_engine
 from lndkit.config import budget
 from lndkit.errors import BudgetExceededError, VariableMismatchError
 from lndkit.groebner_engine import (
@@ -16,11 +17,20 @@ from lndkit.groebner_engine import (
     ideal_member,
     ideal_quotient,
     normal_form,
-    s_polynomial,
     saturation,
 )
-from lndkit.poly_core import GREVLEX, LEX, MonomialOrder, Polynomial, parse_polynomial
+from lndkit.poly_core import (
+    GREVLEX,
+    LEX,
+    MonomialOrder,
+    Polynomial,
+    parse_polynomial,
+    remainder,
+    s_pair_remainder,
+)
 from lndkit.presentation import PresentedRing, present_subalgebra
+
+from oracles import s_polynomial
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -135,6 +145,40 @@ def _cyclic(n):
     return gens + [product(x) - 1]
 
 
+def _katsura(n):
+    """Katsura-n in n variables u0..u(n-1): sum u_|k| u_|m-k| = u_m for
+    m < n - 1, and sum u_|k| = 1, with u_i = 0 for i >= n."""
+    vs = tuple(f"u{i}" for i in range(n))
+    u = [Polynomial.variable(v, vs) for v in vs]
+
+    def var(i):
+        return u[abs(i)] if abs(i) < n else Polynomial.zero(vs)
+
+    gens = []
+    for m in range(n - 1):
+        s = Polynomial.zero(vs)
+        for k in range(-(n - 1), n):
+            s = s + var(k) * var(m - k)
+        gens.append(s - u[m])
+    s = Polynomial.zero(vs)
+    for k in range(-(n - 1), n):
+        s = s + var(k)
+    return gens + [s - 1]
+
+
+def _rational_poly(rng, vars, max_degree=3, n_terms=4):
+    """A nonzero random polynomial whose every coefficient is a non-integral
+    rational other than +-1, so every leading coefficient is too."""
+    terms = {}
+    for _ in range(rng.randint(1, n_terms)):
+        mono = [0] * len(vars)
+        for _ in range(rng.randint(0, max_degree)):
+            mono[rng.randrange(len(vars))] += 1
+        terms[tuple(mono)] = Fraction(rng.choice((-7, -5, -3, 3, 5, 7)),
+                                      rng.choice((2, 4, 8)))
+    return Polynomial(vars, terms)
+
+
 class TestPairSelection:
     """S-pair reduction counts: degree-first selection leaves every
     grevlex run as normal selection had it and cuts the block-order runs."""
@@ -145,6 +189,11 @@ class TestPairSelection:
         assert scope.used == 103
         assert len(basis) == 20
 
+    def test_grevlex_katsura_5_count(self):
+        with budget() as scope:
+            buchberger(_katsura(5), GREVLEX)
+        assert scope.used == 26
+
     def test_tag_basis_count(self):
         # the subalgebra C of example 6.1; normal selection made 217
         ring = PresentedRing.polynomial_ring(XYZ)
@@ -153,6 +202,51 @@ class TestPairSelection:
             sub = present_subalgebra(ring, gens)
         assert scope.used <= 72
         assert sub.member(P("x^5*z + y*x^2 + x^3*y^2")).member
+
+
+class TestSPairRemainder:
+    """S-pairs formed on integer division records against the rational
+    S-polynomial, and the caches of the elements Buchberger adds."""
+
+    @pytest.mark.parametrize("order", [GREVLEX, LEX, MonomialOrder.elimination(1)],
+                             ids=["grevlex", "lex", "elimination"])
+    def test_matches_rational_s_polynomial(self, order):
+        rng = random.Random(14)
+        zero = nonzero = 0
+        for _ in range(25):
+            f, g, h = (_rational_poly(rng, XYZ) for _ in range(3))
+            # modulo a Groebner basis of (f, g) their S-polynomial reduces to 0
+            for divisors in ([f, g, h], buchberger([f, g], order).elements):
+                records = [d.division_record(order) for d in divisors]
+                got = s_pair_remainder(XYZ, f.division_record(order),
+                                       g.division_record(order), records, order)
+                want = remainder(s_polynomial(f, g, order), divisors, order)
+                assert got == want.monic(order)
+                zero += got.is_zero()
+                nonzero += not got.is_zero()
+        assert zero and nonzero
+
+    @pytest.mark.parametrize("ideal, order", [("cyclic-5", GREVLEX), ("random", LEX)])
+    def test_added_elements_carry_fresh_caches(self, monkeypatch, ideal, order):
+        rng = random.Random(11)
+        gens = (_cyclic(5) if ideal == "cyclic-5"
+                else [_rational_poly(rng, XYZ) for _ in range(3)])
+        added = []
+
+        def spy(*args):
+            r = s_pair_remainder(*args)
+            if not r.is_zero():
+                added.append(r)
+            return r
+
+        monkeypatch.setattr(groebner_engine, "s_pair_remainder", spy)
+        buchberger(gens, order)
+        assert added
+        for p in added:
+            fresh = Polynomial(p.vars, p.terms)
+            # read the caches directly: they were seeded, not computed
+            assert p._sorted[order] == fresh.sorted_terms(order)
+            assert p._records[order] == fresh.division_record(order)
 
 
 class TestZeroIdeal:

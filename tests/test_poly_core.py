@@ -29,6 +29,7 @@ from lndkit.poly_core import (
     monomial_mul,
     parse_polynomial,
     remainder,
+    s_pair_remainder,
 )
 
 XY = ("x", "y")
@@ -300,6 +301,20 @@ class TestDivision:
         # y^L itself is allowed, as in monomial_mul
         r = remainder(Polynomial(XY, {(1, 10): Fraction(1)}), [d], LEX)
         assert r == Polynomial(XY, {(0, EXPONENT_LIMIT): Fraction(2)})
+
+    def test_lift_rescales_the_remainder_collected_so_far(self):
+        # y^2 enters the remainder at scale 1; reducing x by 2*x - 1 then
+        # lifts the scale to 2, and y^2 must be lifted with it
+        assert remainder(P("y^2 + x"), [P("2*x - 1")]) == P("y^2 + 1/2")
+
+    def test_overflowing_s_pair_shift_raises(self):
+        # x + y^L and x*y - 1 under lex: the shift y of the first tail
+        # gives y^(L+1)
+        f = Polynomial(XY, {(1, 0): Fraction(1), (0, EXPONENT_LIMIT): Fraction(1)})
+        g = P("x*y - 1", XY)
+        records = [f.division_record(LEX), g.division_record(LEX)]
+        with pytest.raises(ExponentOverflowError):
+            s_pair_remainder(XY, *records, records, LEX)
 
 
 def _exponents(n, top):

@@ -166,7 +166,8 @@ class TestFullLineFibrationCandidate:
 
 class TestTagBasisClosure:
     def test_corpus_tag_bases_are_groebner(self):
-        from lndkit.groebner_engine import normal_form, s_polynomial
+        from lndkit.groebner_engine import normal_form
+        from oracles import s_polynomial
 
         ring3 = PresentedRing.polynomial_ring(("X", "Y", "Z"))
         for gens_text in (
