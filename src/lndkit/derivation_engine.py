@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .config import current_budget
 from .errors import DegenerateInputError, VariableMismatchError
 from .groebner_engine import ideal_member
-from .poly_core import Polynomial, gcd as poly_gcd, product_cost
+from .poly_core import Polynomial, gcd as poly_gcd, monomial_mul, product_cost
 from .presentation import PresentedRing
 
 
@@ -41,6 +41,11 @@ class Derivation:
             if name not in ring.vars:
                 raise VariableMismatchError(f"{name!r} is not a ring variable")
         self.host = host              # Subalgebra when induced on tags
+        # (index, image terms) per nonzero image for `leibniz`, ints where integral
+        self._image_terms = [
+            (i, [(m, c.numerator if c.denominator == 1 else c)
+                 for m, c in self.images[name].terms.items()])
+            for i, name in enumerate(ring.vars) if not self.images[name].is_zero()]
 
     def is_zero(self):
         return all(p.is_zero() for p in self.images.values())
@@ -52,26 +57,36 @@ class Derivation:
         parts = ", ".join(f"{v} -> {p}" for v, p in self.nonzero_images())
         return f"Derivation({parts or '0'})"
 
+    def leibniz(self, terms, budget=None):
+        """D(f) by the Leibniz rule on term maps: c x^a goes to
+        sum_i c a_i x^(a - e_i) D(x_i).  Zero coefficients may remain, and
+        integer ones stay ints.  With a `budget`, each nonzero D(x_i) * df/dx_i
+        is charged to it, in variable order and before any term is formed:
+        the derivative's terms and the `product_cost`."""
+        if budget is not None:
+            for i, image in self._image_terms:
+                partial = [c * m[i] for m, c in terms.items() if m[i]]
+                if partial:
+                    cost = len(partial) + product_cost([c for _, c in image], partial)
+                    budget.charge_terms(cost,
+                                        f"applying the derivation along {self.ring.vars[i]}")
+        out = {}
+        for mono, c in terms.items():
+            for i, image in self._image_terms:
+                e = mono[i]
+                if e:
+                    lowered = mono[:i] + (e - 1,) + mono[i + 1:]
+                    ec = e * c
+                    for m, ic in image:
+                        t = monomial_mul(lowered, m)
+                        out[t] = out.get(t, 0) + ec * ic
+        return out
+
 
 def apply(d, f, budget=None):
-    """Leibniz extension evaluated at f, reduced to normal form.
-
-    With a `budget`, each nonzero product image * df/d(name) is charged to
-    it before it is formed: the derivative's terms and the `product_cost`.
-    """
-    f = d.ring.normal(f)
-    total = Polynomial.zero(d.ring.vars)
-    for name, image in d.images.items():
-        if image.is_zero():
-            continue
-        partial = f.diff(name)
-        if partial.is_zero():
-            continue
-        if budget is not None:
-            budget.charge_terms(len(partial.terms) + product_cost(image, partial),
-                                f"applying the derivation along {name}")
-        total = total + image * partial
-    return d.ring.normal(total)
+    """D(f) reduced to normal form; a `budget` is charged as in `leibniz`."""
+    ring = d.ring
+    return ring.normal(Polynomial(ring.vars, d.leibniz(ring.normal(f).terms, budget)))
 
 
 def iterate(d, f, m):
@@ -88,14 +103,9 @@ def iterate(d, f, m):
 def check_well_defined(d):
     """True iff every relation maps into the relation ideal: its image has
     normal form zero modulo the ring's reduced basis of relations."""
-    for rel in d.ring.relations.elements:
-        img = Polynomial.zero(d.ring.vars)
-        for name, image in d.images.items():
-            if not image.is_zero():
-                img = img + image * rel.diff(name)
-        if not d.ring.is_zero(img):
-            return False
-    return True
+    ring = d.ring
+    return all(ring.is_zero(Polynomial(ring.vars, d.leibniz(rel.terms)))
+               for rel in ring.relations.elements)
 
 
 @dataclass

@@ -47,5 +47,6 @@ class DegenerateInputError(LndError):
 
 
 class SaturatorUnsoundError(LndError):
-    """A symbolic-power multiplicativity check failed, so the supplied
-    saturating element cannot be trusted for this ideal."""
+    """A Rees truncation's containment or multiplicativity check failed.
+    Both hold for every saturator, so this reports a wrong computation; a
+    saturator that misses the symbolic power passes them."""

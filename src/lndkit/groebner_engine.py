@@ -3,9 +3,9 @@
 Membership, quotient, saturation, elimination and equality all reduce to
 reduced Groebner bases.  Every S-pair reduction is charged to the current
 budget scope (`config.budget`, summed over all the runs in it), so runaway
-computations end in clean errors instead of wrong answers.  Buchberger's
-pair loop works on the elements' division records (`poly_core`): each
-S-pair is formed and reduced on integer rows, and a basis keeps its
+computations end in clean errors instead of wrong answers.  Buchberger
+divides by the elements' division records (`poly_core`) and builds each
+element monic from its integer remainder row; a basis keeps its
 elements' records for every normal form taken modulo it.
 """
 
@@ -25,7 +25,7 @@ from .poly_core import (
     monomial_div,
     monomial_lcm,
     monomial_mul,
-    remainder,
+    monic_remainder,
     remainder_by_records,
     s_pair_remainder,
 )
@@ -95,21 +95,17 @@ class Ideal:
 
 def _interreduce(polys, order):
     """Turn a generating set with the Groebner property into a reduced basis."""
-    polys = [p for p in polys if not p.is_zero()]
     # minimality: drop elements whose leading term another one divides
-    polys.sort(key=lambda p: order.key(p.leading_monomial(order)))
     minimal = []
-    for p in polys:
+    for p in sorted(polys, key=lambda p: order.key(p.leading_monomial(order))):
         lm = p.leading_monomial(order)
         if any(monomial_div(lm, q.leading_monomial(order)) is not None for q in minimal):
             continue
         minimal.append(p)
-    reduced = []
-    for i, p in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = remainder(p, others, order) if others else p
-        if not r.is_zero():
-            reduced.append(r.monic(order))
+    # no other leading term divides an element's own, so its remainder keeps it
+    records = [p.division_record(order) for p in minimal]
+    reduced = [monic_remainder(p, records[:i] + records[i + 1:], order)
+               for i, p in enumerate(minimal)]
     reduced.sort(key=lambda p: order.key(p.leading_monomial(order)), reverse=True)
     return reduced
 
@@ -134,10 +130,10 @@ def buchberger(generators, order=GREVLEX):
     while True:
         slimmed = []
         for i, p in enumerate(basis):
-            others = slimmed + basis[i + 1:]
-            r = remainder(p, others, order) if others else p
+            others = [q.division_record(order) for q in slimmed + basis[i + 1:]]
+            r = monic_remainder(p, others, order)
             if not r.is_zero():
-                slimmed.append(r.monic(order))
+                slimmed.append(r)
         if slimmed == basis:
             break
         basis = slimmed

@@ -25,7 +25,7 @@ from .config import budget, current_budget
 from ._linalg import RowSpace, nullspace, solve
 from .derivation_engine import apply, certify_nilpotent
 from .errors import DegenerateInputError, DimensionBudgetError
-from .poly_core import Polynomial, monomial_div, monomial_mul
+from .poly_core import Polynomial, monomial_div
 from .presentation import present_subalgebra
 
 
@@ -79,31 +79,19 @@ def _derivation_matrix(d, monomials, power=1):
     """Sparse rows of D^power on the monomials (one column each), with the
     row index of every image monomial, numbered in order of appearance.
 
-    D(x^a) = sum_i a_i x^(a - e_i) D(x_i) is formed on exponent tuples;
-    each monomial's image is memoised, so D^2 reuses the images of the
-    monomials D^1 produced.  Entries stay Python ints while the images'
-    coefficients are integers (an integral Fraction is read as its
-    numerator), and only a non-integral coefficient makes them Fractions.
-    On a quotient ring each image is reduced once by `ring.normal`, whose
-    entries are Fractions; without relations an image is its own normal
-    form, and its zero entries drop out when the rows are assembled."""
+    A monomial's image is `Derivation.leibniz` of it, memoised within the
+    call, so D^2 reuses the images D^1 produced.  Entries stay ints while
+    the images' coefficients are integers.  On a quotient ring each image
+    is reduced once by `ring.normal` (Fraction entries); otherwise its
+    zero entries drop out when the rows are assembled."""
     ring = d.ring
-    images = [(i, [(m, _exact(c)) for m, c in d.images[v].terms.items()])
-              for i, v in enumerate(ring.vars) if not d.images[v].is_zero()]
     quotient = ring.has_relations()
     memo = {}
 
     def image(mono):
         terms = memo.get(mono)
         if terms is None:
-            terms = {}
-            for i, img in images:
-                e = mono[i]
-                if e:
-                    lowered = mono[:i] + (e - 1,) + mono[i + 1:]
-                    for m, c in img:
-                        t = monomial_mul(lowered, m)
-                        terms[t] = terms.get(t, 0) + e * c
+            terms = d.leibniz({mono: 1})
             if quotient:
                 terms = ring.normal(Polynomial(ring.vars, terms)).terms
             memo[mono] = terms
@@ -123,11 +111,6 @@ def _derivation_matrix(d, monomials, power=1):
             ri = row_index.setdefault(m, len(row_index))
             rows.setdefault(ri, {})[ci] = c
     return [rows[i] for i in range(len(row_index))], row_index
-
-
-def _exact(c):
-    """A Fraction as an int when it is integral, else unchanged."""
-    return c.numerator if c.denominator == 1 else c
 
 
 def _vector_to_polynomial(vec, monomials, ring):
@@ -351,16 +334,16 @@ def reconstruct(d, slice_data, f, certificate=None):
         certificate = certify_nilpotent(d)
         if not certificate.certified:
             raise DegenerateInputError("derivation not certified nilpotent")
-    ring = d.ring
     coefficients = []
-    current = ring.normal(f)
+    current = d.ring.normal(f)
+    bound = _nilpotency_steps(d, current, certificate)
     i = 0
     while not current.is_zero():
         a = dixmier(d, slice_data, current, certificate).numerator / factorial(i)
         coefficients.append(a)
         current = apply(d, current)
         i += 1
-        if i > _nilpotency_steps(d, ring.normal(f), certificate):
+        if i > bound:
             raise DegenerateInputError("element not annihilated at the bound")
     return coefficients
 

@@ -4,20 +4,21 @@ Monomials are plain exponent tuples, one slot per ambient variable.
 Polynomials map monomials to nonzero Fractions; every ring element used
 anywhere in the toolkit is one of these.
 
-`remainder`, `divide`, `exact_div` and Buchberger's `s_pair_remainder`
-share one division loop, `_reduce`.  It runs fraction-free: the work terms
-are integers under one running scale, and each divisor enters as a record
-cached on the polynomial per monomial order, its coefficients a rational
-scalar times a primitive integer row (the idiom of `_linalg`; Becker and
-Weispfenning, ch. 5).  The loop returns the remainder as an integer row
-at one final scale, in descending order, so an S-pair's remainder becomes
-a monic polynomial, with its sorted terms and record, in one pass.  The
-work terms sit in a heap under `MonomialOrder.heap_key`, so each step takes
-the largest remaining term without rescanning, and a divisor is skipped by
-a variable-support mask before trying to divide (a support-only form of
-Bachmann and Schoenemann's short exponent vectors).  Steps and divisor
-choices are those of textbook division (Cox, Little and O'Shea, 2.3), and
-every quotient and remainder equals the rational one exactly; only the
+`remainder`, `divide`, `exact_div`, `monic_remainder` and Buchberger's
+`s_pair_remainder` share one division loop, `_reduce`.  It runs
+fraction-free: the work terms are integers under one running scale, and
+each divisor enters as a record cached on the polynomial per monomial
+order, its coefficients a rational scalar times a primitive integer row
+(the idiom of `_linalg`; Becker and Weispfenning, ch. 5).  The loop
+returns the remainder as an integer row at one final scale, in descending
+order, so a remainder Buchberger keeps becomes a monic polynomial, with
+its sorted terms and record, in one pass.  The work terms sit in a heap
+under `MonomialOrder.heap_key`, so each step takes the largest remaining
+term without rescanning, and a divisor is skipped by a variable-support
+mask before trying to divide (a support-only form of Bachmann and
+Schoenemann's short exponent vectors).  Steps and divisor choices are
+those of textbook division (Cox, Little and O'Shea, 2.3), and every
+quotient and remainder equals the rational one exactly; only the
 bookkeeping differs (Monagan and Pearce, sparse division with a heap).
 """
 
@@ -363,18 +364,7 @@ class Polynomial:
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
 
-    # -- calculus and substitution -------------------------------------------
-
-    def diff(self, name):
-        """Partial derivative with respect to the named variable."""
-        i = self.vars.index(name)
-        terms = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            if e:
-                dm = m[:i] + (e - 1,) + m[i + 1:]
-                terms[dm] = terms.get(dm, 0) + c * e
-        return Polynomial(self.vars, terms)
+    # -- substitution ---------------------------------------------------------
 
     def substitute(self, images, target_vars=None):
         """Evaluate with each variable replaced by `images[name]`.
@@ -566,15 +556,37 @@ def remainder(f, divisors, order=GREVLEX):
     return remainder_by_records(f, [d.division_record(order) for d in divisors], order)
 
 
+def _integer_work(f):
+    """f's terms as integers and the one scale they stand under, for `_reduce`."""
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    return {m: c.numerator * (scale // c.denominator) for m, c in f.terms.items()}, scale
+
+
 def remainder_by_records(f, records, order, quotients=None):
     """`remainder` with the divisors given by their division records under
     `order`, as a Groebner basis keeps them; `quotients` as in `_reduce`."""
     if not records:
         return f
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    work = {m: c.numerator * (scale // c.denominator) for m, c in f.terms.items()}
-    rem, scale = _reduce(work, scale, records, order, quotients)
+    rem, scale = _reduce(*_integer_work(f), records, order, quotients)
     return Polynomial(f.vars, {m: Fraction(c, scale) for m, c in rem})
+
+
+def monic_remainder(f, records, order):
+    """The remainder of f by `records` made monic, as `_monic_row` builds it
+    from the remainder row; zero when f reduces to zero."""
+    return _monic_row(f.vars, _reduce(*_integer_work(f), records, order)[0], order)
+
+
+def _monic_row(vars, row, order):
+    """The monic polynomial of a row of integer terms, descending under `order`,
+    with its sorted terms and record for the order seeded; zero if empty."""
+    if not row:
+        return Polynomial.zero(vars)
+    c0 = row[0][1]
+    p = Polynomial(vars, {m: Fraction(c, c0) for m, c in row})
+    p._sorted[order] = list(p.terms.items())
+    p._records[order] = _record(row, c0)
+    return p
 
 
 def s_pair_remainder(vars, f, g, records, order):
@@ -587,9 +599,7 @@ def s_pair_remainder(vars, f, g, records, order):
     leading monomials to their lcm, and the leading terms, which cancel,
     are never formed.  Division is linear, so every step and divisor
     choice is the rational S-polynomial's, and the monic remainder is its
-    monic remainder exactly.  That remainder is built in one pass from the
-    remainder row, with its sorted terms and division record under `order`
-    seeded from the row, which is already in descending order.
+    monic remainder exactly, built from the remainder row by `_monic_row`.
     """
     _, mf, cf, tail_f, _, dmax_f = f
     _, mg, cg, tail_g, _, dmax_g = g
@@ -607,14 +617,7 @@ def s_pair_remainder(vars, f, g, records, order):
                 work[mm] = v
             else:
                 del work[mm]
-    rem, _ = _reduce(work, 1, records, order)
-    if not rem:
-        return Polynomial.zero(vars)
-    c0 = rem[0][1]
-    p = Polynomial(vars, {m: Fraction(c, c0) for m, c in rem})
-    p._sorted[order] = list(p.terms.items())
-    p._records[order] = _record(rem, c0)
-    return p
+    return _monic_row(vars, _reduce(work, 1, records, order)[0], order)
 
 
 def exact_div(f, g, order=GREVLEX):
@@ -699,7 +702,8 @@ class _PolyParser:
         if self.exceeded is not None:
             return a
         try:
-            self.budget.charge_terms(product_cost(a, b), "a polynomial product")
+            self.budget.charge_terms(product_cost(a.terms.values(), b.terms.values()),
+                                    "a polynomial product")
         except BudgetExceededError as exc:
             self.exceeded = exc
             return a
@@ -797,23 +801,24 @@ def _power(p, n, mul=mul):
     return result
 
 
-def _blocks(p):
-    """512-bit blocks of p's longest numerator or denominator, at least 1."""
+def _blocks(coefficients):
+    """512-bit blocks of the longest numerator or denominator, at least 1."""
     bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
-                for c in p.terms.values()), default=0)
+                for c in coefficients), default=0)
     return bits // 512 + 1
 
 
 def product_cost(a, b):
-    """The term budget's price of a*b: its len(a)*len(b) term products, each
-    weighted by the 512-bit blocks of the two factors' longest coefficients.
+    """The term budget's price of a product of two polynomials with coefficients
+    a and b (collections of ints or Fractions): its len(a)*len(b) term
+    products, each weighted by the blocks of the factors' longest ones.
 
     One block is about the cost of a term product's own bookkeeping: a
     product and sum of rational coefficients of 1024, 4096 and 32768 bits
     takes about 7, 59 and 2550 times as long as of one-word ones, against
     weights of 9, 81 and 4225.
     """
-    return len(a.terms) * len(b.terms) * _blocks(a) * _blocks(b)
+    return len(a) * len(b) * _blocks(a) * _blocks(b)
 
 
 def parse_polynomial(text, vars):

@@ -3,8 +3,8 @@ algebras, plus the comparison of kernel generators against the graded
 pieces.
 
 Symbolic powers are computed by saturating at a user-supplied element
-rather than through primary decomposition; multiplicativity diagnostics
-catch an unsound saturator empirically.
+rather than through primary decomposition; that this gives the symbolic
+power is the user's claim, which no check here can refute.
 """
 
 from __future__ import annotations
@@ -69,11 +69,13 @@ class ReesData:
 
 
 def rees_truncation(ideal, n, saturator, ring):
-    """Graded pieces of the symbolic Rees algebra up to degree n, with all
-    containment and multiplicativity checks executed.
+    """Pieces (L_k : s^infinity), L_k = I^k + relations, up to k = n, with
+    I^k inside piece k and piece a * piece b inside piece a + b checked.
 
-    Failures mean the saturator cannot be trusted for this ideal and are
-    raised, never silently recorded.
+    Both hold for every saturator, since L_a * L_b lies in L_{a+b}: they
+    catch a wrong computation, not a saturator that misses an embedded
+    prime of I^k, whose pieces fall short of the symbolic powers.  A
+    failure is raised, never silently recorded.
     """
     if n < 1:
         raise DegenerateInputError("truncation must be at least 1")
@@ -132,12 +134,11 @@ def compare_kernel_to_rees(kernel_report, rees_data, grading_var):
         i = g.degree_in(grading_var)
         if i < 0:
             continue
-        cofactor = _coefficient_of_power(g, grading_var, max(i, 0))
-        pure = cofactor * Polynomial.variable(grading_var, ring.vars) ** max(i, 0)
+        cofactor = _coefficient_of_power(g, grading_var, i)
+        pure = cofactor * Polynomial.variable(grading_var, ring.vars) ** i
         note = "" if ring.equal(g, pure) else "mixed terms below the top grading degree"
-        if i <= 0:
+        if i == 0:
             in_piece = True  # piece 0 is the whole ring
-            i = 0
         elif i >= len(rees_data.pieces):
             in_piece = False
             note = (note + "; " if note else "") + "grading degree beyond truncation"

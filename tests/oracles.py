@@ -13,3 +13,47 @@ def s_polynomial(f, g, order):
     lcm = monomial_lcm(mf, mg)
     return (f * Polynomial(f.vars, {monomial_div(lcm, mf): 1 / cf})
             - g * Polynomial(g.vars, {monomial_div(lcm, mg): 1 / cg}))
+
+
+def diff(p, name):
+    """The partial derivative of p in the named variable, term by term."""
+    i = p.vars.index(name)
+    terms = {}
+    for m, c in p.terms.items():
+        if m[i]:
+            dm = m[:i] + (m[i] - 1,) + m[i + 1:]
+            terms[dm] = terms.get(dm, 0) + c * m[i]
+    return Polynomial(p.vars, terms)
+
+
+def _leibniz_products(d, f):
+    """(image, df/dx) of each variable whose product D(x) * df/dx is nonzero,
+    f taken in normal form."""
+    f = d.ring.normal(f)
+    pairs = [(image, diff(f, name)) for name, image in d.images.items()]
+    return [(image, partial) for image, partial in pairs
+            if not image.is_zero() and not partial.is_zero()]
+
+
+def apply(d, f):
+    """D(f) = sum D(x) * df/dx over the variables, in Fraction Polynomial
+    arithmetic, reduced to normal form."""
+    total = Polynomial.zero(d.ring.vars)
+    for image, partial in _leibniz_products(d, f):
+        total = total + image * partial
+    return d.ring.normal(total)
+
+
+def _blocks(p):
+    bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+               for c in p.terms.values())
+    return bits // 512 + 1
+
+
+def apply_charge(d, f):
+    """The term budget's charge for D(f): per nonzero product, the
+    derivative's terms plus len(image) * len(derivative) term products,
+    weighted by the 512-bit blocks of each factor's longest coefficient."""
+    return sum(len(partial.terms)
+               + len(image.terms) * len(partial.terms) * _blocks(image) * _blocks(partial)
+               for image, partial in _leibniz_products(d, f))

@@ -50,3 +50,25 @@ def test_no_dead_symbols():
             if name not in used
             and not re.search(rf"\b{re.escape(name)}\b", bench)]
     assert dead == []
+
+
+def _imported(tree):
+    """Names a module's import statements bind, `from __future__` aside."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+def test_no_unused_imports():
+    # __init__.py imports in order to re-export
+    unused = []
+    for module, tree in _trees().items():
+        if module == "__init__.py":
+            continue
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{module}:{name}" for name in _imported(tree) if name not in loaded]
+    assert unused == []

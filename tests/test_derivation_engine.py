@@ -22,6 +22,7 @@ from lndkit.errors import BudgetExceededError, DegenerateInputError
 from lndkit.groebner_engine import Ideal, ideal_member
 from lndkit.poly_core import GREVLEX, LEX, Polynomial, parse_polynomial
 from lndkit.presentation import PresentedRing, present_subalgebra
+from oracles import apply as oracle_apply, apply_charge, diff
 
 XYZ = ("X", "Y", "Z")
 P3 = PresentedRing.polynomial_ring(XYZ)
@@ -80,13 +81,32 @@ class TestApply:
             assert apply(d, c * f) == c * apply(d, f)
 
 
-def _random_poly(rng, vars, max_degree=4, n_terms=3):
+    @pytest.mark.parametrize("relation", [None, "X^2 - Y*Z"])
+    def test_matches_oracle_with_its_charge(self, relation):
+        # integer images, then rational ones and a coefficient past one
+        # 512-bit block, over P3 and over a quotient
+        ring = P3 if relation is None else PresentedRing.quotient(XYZ, [pp(relation)])
+        rng = random.Random(33)
+        for den in [1] * 15 + [7] * 15:
+            images = {v: _random_poly(rng, XYZ, 3, den=den) for v in XYZ}
+            images["X"] = images["X"] + Polynomial.constant(XYZ, Fraction(3**400, den))
+            d = Derivation(ring, images)
+            for _ in range(5):
+                f = _random_poly(rng, XYZ, den=den)
+                with budget() as scope:
+                    assert apply(d, f, scope) == oracle_apply(d, f)
+                    assert scope.terms_used == apply_charge(d, f)
+
+
+def _random_poly(rng, vars, max_degree=4, n_terms=3, den=1):
+    """Random coefficients in -5..5, divided by 1..den when den > 1."""
     terms = {}
     for _ in range(rng.randint(0, n_terms)):
         mono = [0] * len(vars)
         for _ in range(rng.randint(0, max_degree)):
             mono[rng.randrange(len(vars))] += 1
-        terms[tuple(mono)] = Fraction(rng.randint(-5, 5))
+        c = rng.randint(-5, 5)
+        terms[tuple(mono)] = Fraction(c, rng.randint(1, den)) if den > 1 else Fraction(c)
     return Polynomial(vars, terms)
 
 
@@ -138,7 +158,7 @@ class TestWellDefined:
         f = relations[0]
         if data.draw(st.booleans()):
             # f_y d/dx - f_x d/dy kills f: well defined when f is the only relation
-            images = {"x": f.diff("y"), "y": -f.diff("x")}
+            images = {"x": diff(f, "y"), "y": -diff(f, "x")}
         else:
             images = {v: data.draw(_small_poly(vars, 2)) for v in vars}
         d = Derivation(ring, images)
@@ -161,7 +181,7 @@ def _well_defined_by_membership(d):
     for rel in d.ring.relations.elements:
         img = Polynomial.zero(d.ring.vars)
         for name, image in d.images.items():
-            img = img + image * rel.diff(name)
+            img = img + image * diff(rel, name)
         if not ideal_member(img, relation_ideal):
             return False
     return True

@@ -31,6 +31,7 @@ from lndkit.kernel_lab import (
 from lndkit._linalg import nullspace
 from lndkit.poly_core import GREVLEX, LEX, Polynomial, parse_polynomial
 from lndkit.presentation import PresentedRing, present_subalgebra
+from oracles import apply as oracle_apply
 
 XY = ("X", "Y")
 XYZ = ("X", "Y", "Z")
@@ -273,12 +274,13 @@ class TestKernelGeneratorsAgainstMembership:
 
 
 def _matrix_by_apply(d, monomials, power):
-    """{(image monomial, column): coefficient} of D^power through apply."""
+    """{(image monomial, column): coefficient} of D^power through the
+    diff-and-multiply oracle."""
     cells = {}
     for ci, mono in enumerate(monomials):
         image = Polynomial(d.ring.vars, {mono: Fraction(1)})
         for _ in range(power):
-            image = apply(d, image)
+            image = oracle_apply(d, image)
         for m, c in image.terms.items():
             cells[m, ci] = c
     return cells

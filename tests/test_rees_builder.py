@@ -138,6 +138,22 @@ class TestReesTruncation:
             for g in ideal_power(cone_ideal, k).generators:
                 assert ideal_member(cone.normal(g), lifted)
 
+    def test_checks_pass_for_a_saturator_that_misses_the_symbolic_power(self):
+        # P, the prime of the monomial curve (t^3, t^4, t^5), has P^2 with
+        # associated primes P and (x, y, z).  1 + x lies in neither, so
+        # saturating at it gives back P^2 and both check loops still pass;
+        # x gives the strictly larger symbolic square.
+        xyz = ("x", "y", "z")
+        ring = PresentedRing.polynomial_ring(xyz)
+        prime = Ideal([pp(t, xyz) for t in ("x^3 - y*z", "y^2 - x*z", "z^2 - x^2*y")], xyz)
+        square = ideal_power(prime, 2)
+        shifted = rees_truncation(prime, 2, pp("1 + x", xyz), ring)
+        assert ideal_equal(shifted.pieces[2], square)
+        symbolic = rees_truncation(prime, 2, pp("x", xyz), ring)
+        extra = pp("x^5 - 3*x^2*y*z + x*y^3 + z^3", xyz)
+        assert ideal_member(extra, symbolic.pieces[2])
+        assert not ideal_member(extra, square)
+
     def test_each_piece_is_lifted_once(self, cone, cone_ideal, monkeypatch):
         # both check loops share one lifted Ideal, and its Groebner basis, per
         # piece; the input ideal is lifted once, for the saturator check
