@@ -124,6 +124,7 @@ def grade_two_generated(a, b, ring, trials=None, seed=0):
     regular sequence in some order; 1 when a generator is regular on the
     ring.  When neither is, the generic-combination search decides.
     """
+    trials = _trials(trials)
     a, b = ring.normal(a), ring.normal(b)
     if a.is_zero() and b.is_zero():
         raise DegenerateInputError("both generators reduce to zero")
@@ -156,8 +157,7 @@ def generic_combination_grade(ideal, ring, trials=None, seed=0):
     element of I is regular mod a, so a strictly larger quotient proves
     grade 1.
     """
-    if trials is None:
-        trials = config.DEFAULT_TRIALS
+    trials = _trials(trials)
     gens = [ring.normal(g) for g in ideal.generators]
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -203,7 +203,7 @@ def generic_combination_grade(ideal, ring, trials=None, seed=0):
                            seed=seed,
                            notes=[f"zerodivisor certificate: {excess}"])
     # the certificate says a regular partner exists; widen the search
-    for extra in range(trials, 16 * max(trials, 1)):
+    for extra in range(trials, 16 * trials):
         b = ring.normal(_random_combination(rng, gens, spread=1 + extra // trials))
         if b.is_zero():
             continue
@@ -214,6 +214,16 @@ def generic_combination_grade(ideal, ring, trials=None, seed=0):
     return GradeReport(GradeValue.ONE, [a], "generic-combination",
                        exhaustive=False, probabilistic=True, seed=seed,
                        notes=["trials exhausted; certificate inconclusive"])
+
+
+def _trials(trials):
+    """The number of random trials: the configured default for None; fewer
+    than one leaves the search nothing to try."""
+    if trials is None:
+        return config.DEFAULT_TRIALS
+    if trials < 1:
+        raise DegenerateInputError(f"trials must be at least 1, not {trials}")
+    return trials
 
 
 def _random_combination(rng, gens, spread=1):

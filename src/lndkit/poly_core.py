@@ -12,14 +12,19 @@ order, its coefficients a rational scalar times a primitive integer row
 (the idiom of `_linalg`; Becker and Weispfenning, ch. 5).  The loop
 returns the remainder as an integer row at one final scale, in descending
 order, so a remainder Buchberger keeps becomes a monic polynomial, with
-its sorted terms and record, in one pass.  The work terms sit in a heap
-under `MonomialOrder.heap_key`, so each step takes the largest remaining
-term without rescanning, and a divisor is skipped by a variable-support
-mask before trying to divide (a support-only form of Bachmann and
-Schoenemann's short exponent vectors).  Steps and divisor choices are
-those of textbook division (Cox, Little and O'Shea, 2.3), and every
-quotient and remainder equals the rational one exactly; only the
-bookkeeping differs (Monagan and Pearce, sparse division with a heap).
+its sorted terms and record, in one pass.  Inside the loop a monomial is
+one packed int (Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007, and "Sparse
+polynomial division using a heap", JSC 2011): its exponents sit in
+34-bit fields whose top bit is a guard, under a high part that carries
+whatever of the order's descending key the field order does not give
+(`_Layout`).  The packing is linear, so a product is one addition; it is
+order-reversing, so the work terms sit in a min-heap of plain ints and
+each step takes the largest remaining term without rescanning; and a
+leading monomial divides m exactly when their difference has no guard
+bit set.  Steps and divisor choices are those of textbook division (Cox,
+Little and O'Shea, 2.3), and every quotient and remainder equals the
+rational one exactly; only the bookkeeping differs.
 """
 
 from __future__ import annotations
@@ -27,12 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd as int_gcd, lcm
 from operator import add, ge, mul, neg, sub
 
 from .config import current_budget
-from .errors import (BudgetExceededError, ExponentOverflowError, LndError, ParseError,
-                     VariableMismatchError)
+from .errors import ExponentOverflowError, LndError, ParseError, VariableMismatchError
 
 Rational = Fraction
 
@@ -67,12 +72,9 @@ def _grevlex_key(m):
     return (sum(m), tuple(map(neg, reversed(m))))
 
 
-def _support(m):
-    """Bitmask of the variables occurring in m, one byte per variable.
-
-    A monomial divides m only if its support mask has no byte outside m's.
-    """
-    return int.from_bytes(bytes(map(bool, m)), "big")
+# (kind, block, permutation) -> {n: _Layout}, so that an order made again,
+# such as each elimination's block order, finds its layouts made
+_LAYOUTS = {}
 
 
 @dataclass(frozen=True)
@@ -84,16 +86,19 @@ class MonomialOrder:
     rest, so it eliminates them.  An optional permutation reorders the
     variables before comparison.  Orders key the per-order caches of every
     polynomial, so the hash is computed once; equality stays by value.
+    Equal orders share one `_Layout` per number of variables.
     """
 
     kind: str
     block: int = 0
     permutation: tuple = None
     _hash: int = field(init=False, repr=False, compare=False)
+    _layouts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash",
-                           hash((self.kind, self.block, self.permutation)))
+        value = (self.kind, self.block, self.permutation)
+        object.__setattr__(self, "_hash", hash(value))
+        object.__setattr__(self, "_layouts", _LAYOUTS.setdefault(value, {}))
 
     def __hash__(self):
         return self._hash
@@ -110,25 +115,6 @@ class MonomialOrder:
         if self.kind == "block":
             k = self.block
             return (_grevlex_key(m[:k]), _grevlex_key(m[k:]))
-        raise ValueError(f"unknown order kind {self.kind!r}")
-
-    def heap_key(self, m):
-        """Descending key: heap_key(a) < heap_key(b) exactly when key(a) > key(b).
-
-        It is `key` with every component negated and flattened into one
-        tuple, so a min-heap under it yields the largest monomial first.
-        """
-        if self.permutation is not None:
-            m = tuple(m[i] for i in self.permutation)
-        if self.kind == "lex":
-            return tuple(map(neg, m))
-        if self.kind == "grlex":
-            return (-sum(m), *map(neg, m))
-        if self.kind == "grevlex":
-            return (-sum(m), *reversed(m))
-        if self.kind == "block":
-            head, tail = m[:self.block], m[self.block:]
-            return (-sum(head), *reversed(head), -sum(tail), *reversed(tail))
         raise ValueError(f"unknown order kind {self.kind!r}")
 
     @classmethod
@@ -154,6 +140,113 @@ class MonomialOrder:
 GREVLEX = MonomialOrder.grevlex()
 GRLEX = MonomialOrder.grlex()
 LEX = MonomialOrder.lex()
+
+
+# ---------------------------------------------------------------------------
+# packed monomials: how the division loop sees them
+# ---------------------------------------------------------------------------
+
+_FIELD = 34   # bits per exponent field; the top one is the guard
+_FIELD_MASK = (1 << _FIELD) - 1
+
+
+class _Layout:
+    """How `_reduce` packs the monomials of one order on n variables into ints.
+
+    X(m) = H(m)*2^(34n) + E(m).  E holds the exponents in 34-bit fields,
+    with a guard bit at bit 33 of each that no exponent up to
+    EXPONENT_LIMIT reaches.  The order's descending key (the largest
+    monomial first) is a sequence of linear forms in the exponents.  E's
+    field order, from the top field down, gives its longest tail of forms
+    that are one exponent each, with sign +1; H holds the forms before
+    that tail, in digits wide enough for any degree: -deg for grevlex;
+    -deg head, the head reversed and -deg tail for a block order; the
+    whole key for lex and grlex.  So X is linear in m, X(a) < X(b) exactly
+    when key(a) > key(b), and b divides a exactly when X(a) - X(b) has no
+    guard bit set.
+    """
+
+    __slots__ = ("weights", "shifts", "ones", "guard", "over")
+
+    def __init__(self, order, n):
+        p = order.permutation or tuple(range(n))
+        # the descending key as forms (sign, variables): sign times the sum
+        # of those variables' exponents
+        if order.kind == "lex":
+            forms = [(-1, (i,)) for i in p]
+        elif order.kind == "grlex":
+            forms = [(-1, p)] + [(-1, (i,)) for i in p]
+        elif order.kind == "grevlex":
+            forms = [(-1, p)] + [(1, (i,)) for i in reversed(p)]
+        elif order.kind == "block":
+            head, tail = p[:order.block], p[order.block:]
+            forms = [(-1, head), *((1, (i,)) for i in reversed(head)),
+                     (-1, tail), *((1, (i,)) for i in reversed(tail))]
+        else:
+            raise ValueError(f"unknown order kind {order.kind!r}")
+        split = len(forms)
+        while split and forms[split - 1][0] == 1 and len(forms[split - 1][1]) == 1:
+            split -= 1
+        top = [i for _, (i,) in forms[split:]]
+        fields = [i for i in range(n) if i not in top] + top[::-1]
+        shifts = [0] * n
+        for f, i in enumerate(fields):
+            shifts[i] = _FIELD * f
+        digit = _FIELD + n.bit_length()
+        high = [0] * n
+        for d, (sign, vs) in enumerate(forms[:split]):
+            for i in vs:
+                high[i] += sign << (digit * (split - 1 - d))
+        self.shifts = tuple(shifts)
+        self.weights = tuple((h << (_FIELD * n)) + (1 << s) for h, s in zip(high, shifts))
+        self.ones = sum(1 << (_FIELD * f) for f in range(n))
+        self.guard = self.ones << (_FIELD - 1)
+        # added to a packed monomial, `over` carries a field into its guard
+        # bit exactly when its exponent exceeds EXPONENT_LIMIT
+        self.over = self.ones * ((1 << (_FIELD - 1)) - 1 - EXPONENT_LIMIT)
+
+    def pack(self, monos):
+        """The packed forms of a list of exponent tuples, none past
+        EXPONENT_LIMIT (`_top_exponent`)."""
+        weights = self.weights
+        return [sum(map(mul, m, weights)) for m in monos]
+
+    def unpack(self, x):
+        return tuple([(x >> s) & _FIELD_MASK for s in self.shifts])
+
+    def gate(self, top):
+        """`over` raised by `top`: for a packed monomial t, (t + gate) & guard
+        is nonzero exactly when some exponent of t exceeds EXPONENT_LIMIT -
+        top, so whenever t times a monomial with no exponent above top has
+        an exponent past EXPONENT_LIMIT."""
+        return self.over + top * self.ones
+
+    def check(self, t, tail):
+        """Raise ExponentOverflowError, as `monomial_mul` would, at the first
+        (packed monomial, coefficient) of `tail` whose monomial times the
+        packed t has an exponent past EXPONENT_LIMIT."""
+        for tm, _ in tail:
+            if (t + tm + self.over) & self.guard:
+                raise ExponentOverflowError(
+                    f"exponent {max(self.unpack(t + tm))} exceeds limit {EXPONENT_LIMIT}")
+
+
+def _top_exponent(monos):
+    """The largest exponent of some exponent tuples, 0 for none.  One past
+    EXPONENT_LIMIT raises ExponentOverflowError, since the packed overflow
+    tests hold only for exponents up to it."""
+    top = max(chain.from_iterable(monos), default=0)
+    if top > EXPONENT_LIMIT:
+        raise ExponentOverflowError(f"exponent {top} exceeds limit {EXPONENT_LIMIT}")
+    return top
+
+
+def _layout(order, n):
+    """The order's `_Layout` on n variables, made once."""
+    layout = order._layouts.get(n)
+    if layout is None:
+        layout = order._layouts[n] = _Layout(order, n)
+    return layout
 
 
 # ---------------------------------------------------------------------------
@@ -253,17 +346,22 @@ class Polynomial:
     def division_record(self, order):
         """How `_reduce` divides by this nonzero polynomial; cached per order.
 
-        The tuple (support mask of the leading monomial, leading monomial,
-        integer leading coefficient lc > 0, integer tail [(monomial, int)]
-        in descending order, scalar k, largest tail exponent), where self is
-        k times the primitive integer row lc*lead + tail.
+        The tuple (packed leading monomial, integer leading coefficient
+        lc > 0, integer tail [(packed monomial, int)] in descending order,
+        scalar k, the `_Layout.gate` of its largest exponent), where self is
+        k times the primitive integer row lc*lead + tail, packed by the
+        order's layout.
         """
         record = self._records.get(order)
         if record is None:
             terms = self.sorted_terms(order)
             denom = lcm(*(c.denominator for _, c in terms))
-            record = _record(
-                [(m, c.numerator * (denom // c.denominator)) for m, c in terms], denom)
+            monos = [m for m, _ in terms]
+            layout = _layout(order, len(self.vars))
+            top = _top_exponent(monos)
+            row = list(zip(layout.pack(monos),
+                           [c.numerator * (denom // c.denominator) for _, c in terms]))
+            record = _record(row, denom, layout.gate(top))
             self._records[order] = record
         return record
 
@@ -453,83 +551,88 @@ class Polynomial:
 # division and gcd
 # ---------------------------------------------------------------------------
 
-def _record(row, denom):
-    """The division record of sum(c/denom * m) over a row of nonzero
-    integer terms (m, c) in descending order; see `division_record`."""
+def _record(row, denom, gate):
+    """The division record of sum(c/denom * m) over a row of nonzero integer
+    terms (packed m, c) in descending order, with its `gate`; see
+    `division_record`."""
     g = int_gcd(*(c for _, c in row))
     lead, c0 = row[0]
     if c0 < 0:
         g = -g
-    tail = [(m, c // g) for m, c in row[1:]]
-    return (_support(lead), lead, c0 // g, tail, Fraction(g, denom),
-            max((max(m) for m, _ in tail), default=0))
+    tail = [(x, c // g) for x, c in row[1:]]
+    return lead, c0 // g, tail, Fraction(g, denom), gate
 
 
-def _reduce(work, scale, records, order, quotients=None):
+def _reduce(work, scale, records, layout, quotients=None):
     """The one division loop, behind every remainder and quotient.
 
-    `work` maps monomials to integers under one scale (an entry c stands
-    for c/scale); each divisor is its `division_record`, a primitive
-    integer row times a scalar k.  Each step takes the largest remaining
-    term and subtracts a multiple of the first divisor whose leading term
-    divides it; a term no leading term divides goes to the remainder.
-    When the row's leading coefficient lc does not divide the term's c, the
-    work terms, the remainder terms collected so far and the scale are all
-    multiplied by lc/gcd(c, lc), so every step stays in integers.  The
-    result is the remainder row, its (monomial, integer) terms in
-    descending order, and the one final scale they stand under; a quotient
-    term is collected as c/(scale*lc)/k at the scale of its step.  Steps
-    and divisor choices are those of rational division, so both equal its
-    results exactly.  The work terms sit in a min-heap under
-    `order.heap_key`, computed once when a monomial first enters.  A
-    cancelled term keeps its heap entry with coefficient 0 and is dropped
-    when popped: every term a step adds is smaller than the one it
-    reduces, so nothing re-enters once popped.  A divisor is tried only
-    when its support mask fits the term's.  Exponent overflow is tested
-    once per step, against the step's monomial and the divisor's largest
-    tail exponent; only a step that could overflow builds its products
-    through `monomial_mul`.  When `quotients` (one dict per divisor) is
-    given, the quotient terms are collected into it.
+    `work` maps packed monomials (`_Layout`) to integers under one scale
+    (an entry c stands for c/scale); each divisor is its `division_record`,
+    a primitive integer row times a scalar k.  Each step takes the largest
+    remaining term and subtracts a multiple of the first divisor whose
+    leading term divides it; a term no leading term divides goes to the
+    remainder.  When the row's leading coefficient lc does not divide the
+    term's c, the work terms, the remainder terms collected so far and the
+    scale are all multiplied by lc/gcd(c, lc), so every step stays in
+    integers.  The result is the remainder row, its (packed monomial,
+    integer) terms in descending order, and the one final scale they stand
+    under; a quotient term is collected as c/(scale*lc)/k at the scale of
+    its step.  Steps and divisor choices are those of rational division,
+    so both equal its results exactly.
+
+    The work terms sit in a min-heap of packed ints, which the packing
+    orders largest monomial first (Monagan and Pearce's heap division with
+    packed exponent vectors).  A cancelled term keeps its heap entry with
+    coefficient 0 and is dropped when popped: every term a step adds is
+    smaller than the one it reduces, so nothing re-enters once popped.  A
+    leading monomial divides m exactly when the difference t of their
+    packed forms sets no guard bit, and t is then the packed quotient
+    monomial, so each product is t plus a packed tail monomial.  Exponent
+    overflow is tested once per step, against the divisor's gate; only a
+    step that could overflow checks its products one by one, and raises
+    at the first that does, as `monomial_mul` would.  When `quotients`
+    (one dict per divisor) is given, the quotient terms are collected
+    into it.
     """
-    heap_key = order.heap_key
-    heap = [(heap_key(m), m) for m in work]
+    guard = layout.guard
+    leads = [record[0] for record in records]
+    heap = list(work)
     heapify(heap)
     rem = []
     while heap:
-        m = heappop(heap)[1]
-        c = work.pop(m)
+        x = heappop(heap)
+        c = work.pop(x)
         if not c:
             continue
-        mask = _support(m)
-        for i, (dmask, lt, lc, tail, k, dmax) in enumerate(records):
-            if dmask & ~mask:
-                continue
-            t = monomial_div(m, lt)
-            if t is None:
-                continue
-            q = c
-            if lc != 1:
-                q, r = divmod(c, lc)
-                if r:
-                    g = int_gcd(c, lc)
-                    q, lift = c // g, lc // g
-                    work = {mm: v * lift for mm, v in work.items()}
-                    rem = [(mm, v * lift) for mm, v in rem]
-                    scale *= lift
-            if quotients is not None:
-                quotients[i][t] = Fraction(q, scale) / k
-            checked = max(t, default=0) + dmax > EXPONENT_LIMIT
-            for tm, tc in tail:
-                mm = monomial_mul(t, tm) if checked else tuple(map(add, t, tm))
-                s = work.get(mm)
-                if s is None:
-                    work[mm] = -q * tc
-                    heappush(heap, (heap_key(mm), mm))
-                else:
-                    work[mm] = s - q * tc
-            break
+        for i, lead in enumerate(leads):
+            t = x - lead
+            if not t & guard:
+                break
         else:
-            rem.append((m, c))
+            rem.append((x, c))
+            continue
+        _, lc, tail, k, gate = records[i]
+        q = c
+        if lc != 1:
+            q, r = divmod(c, lc)
+            if r:
+                g = int_gcd(c, lc)
+                q, lift = c // g, lc // g
+                work = {mm: v * lift for mm, v in work.items()}
+                rem = [(mm, v * lift) for mm, v in rem]
+                scale *= lift
+        if quotients is not None:
+            quotients[i][layout.unpack(t)] = Fraction(q, scale) / k
+        if (t + gate) & guard:
+            layout.check(t, tail)
+        for tm, tc in tail:
+            mm = t + tm
+            s = work.get(mm)
+            if s is None:
+                work[mm] = -q * tc
+                heappush(heap, mm)
+            else:
+                work[mm] = s - q * tc
     return rem, scale
 
 
@@ -556,10 +659,18 @@ def remainder(f, divisors, order=GREVLEX):
     return remainder_by_records(f, [d.division_record(order) for d in divisors], order)
 
 
-def _integer_work(f):
-    """f's terms as integers and the one scale they stand under, for `_reduce`."""
+def _integer_work(f, layout):
+    """f's terms as `_reduce` takes them: packed monomials mapped to
+    integers, the one scale they stand under, and a map from each packed
+    monomial back to f's exponent tuple, so a term that survives division
+    is never unpacked."""
     scale = lcm(*(c.denominator for c in f.terms.values()))
-    return {m: c.numerator * (scale // c.denominator) for m, c in f.terms.items()}, scale
+    monos = list(f.terms)
+    _top_exponent(monos)
+    packed = layout.pack(monos)
+    work = {x: c.numerator * (scale // c.denominator)
+            for x, c in zip(packed, f.terms.values())}
+    return work, scale, dict(zip(packed, monos))
 
 
 def remainder_by_records(f, records, order, quotients=None):
@@ -567,25 +678,39 @@ def remainder_by_records(f, records, order, quotients=None):
     `order`, as a Groebner basis keeps them; `quotients` as in `_reduce`."""
     if not records:
         return f
-    rem, scale = _reduce(*_integer_work(f), records, order, quotients)
-    return Polynomial(f.vars, {m: Fraction(c, scale) for m, c in rem})
+    layout = _layout(order, len(f.vars))
+    work, scale, back = _integer_work(f, layout)
+    rem, scale = _reduce(work, scale, records, layout, quotients)
+    get, unpack = back.get, layout.unpack
+    return Polynomial(f.vars, {get(x) or unpack(x): Fraction(c, scale) for x, c in rem})
 
 
 def monic_remainder(f, records, order):
-    """The remainder of f by `records` made monic, as `_monic_row` builds it
-    from the remainder row; zero when f reduces to zero."""
-    return _monic_row(f.vars, _reduce(*_integer_work(f), records, order)[0], order)
+    """The remainder of nonzero f by `records` made monic, as `_monic_row`
+    builds it from the remainder row; zero when f reduces to zero.  The
+    work is f's own primitive integer row, from its division record, at
+    scale 1: a monic remainder does not depend on the scale."""
+    layout = _layout(order, len(f.vars))
+    lead, lc, tail, _, _ = f.division_record(order)
+    work = dict(tail)
+    work[lead] = lc
+    back = dict(zip([lead] + [x for x, _ in tail], [m for m, _ in f.sorted_terms(order)]))
+    return _monic_row(f.vars, _reduce(work, 1, records, layout)[0], order, layout, back)
 
 
-def _monic_row(vars, row, order):
-    """The monic polynomial of a row of integer terms, descending under `order`,
-    with its sorted terms and record for the order seeded; zero if empty."""
+def _monic_row(vars, row, order, layout, back):
+    """The monic polynomial of a row of integer terms on packed monomials,
+    descending under `order`, with its sorted terms and record for the
+    order seeded from the row; zero if empty.  `back` maps packed monomials
+    of the row to exponent tuples already made; the rest are unpacked."""
     if not row:
         return Polynomial.zero(vars)
+    get, unpack = back.get, layout.unpack
+    monos = [get(x) or unpack(x) for x, _ in row]
     c0 = row[0][1]
-    p = Polynomial(vars, {m: Fraction(c, c0) for m, c in row})
+    p = Polynomial(vars, {m: Fraction(c, c0) for m, (_, c) in zip(monos, row)})
     p._sorted[order] = list(p.terms.items())
-    p._records[order] = _record(row, c0)
+    p._records[order] = _record(row, c0, layout.gate(_top_exponent(monos)))
     return p
 
 
@@ -601,23 +726,25 @@ def s_pair_remainder(vars, f, g, records, order):
     choice is the rational S-polynomial's, and the monic remainder is its
     monic remainder exactly, built from the remainder row by `_monic_row`.
     """
-    _, mf, cf, tail_f, _, dmax_f = f
-    _, mg, cg, tail_g, _, dmax_g = g
-    lcm_fg = monomial_lcm(mf, mg)
+    layout = _layout(order, len(vars))
+    lead_f, cf, tail_f, _, gate_f = f
+    lead_g, cg, tail_g, _, gate_g = g
+    [lcm_fg] = layout.pack([monomial_lcm(layout.unpack(lead_f), layout.unpack(lead_g))])
     h = int_gcd(cf, cg)
     work = {}
-    for lead, tail, dmax, a in ((mf, tail_f, dmax_f, cg // h),
-                                (mg, tail_g, dmax_g, -(cf // h))):
-        t = monomial_div(lcm_fg, lead)
-        checked = max(t, default=0) + dmax > EXPONENT_LIMIT
+    for lead, tail, gate, a in ((lead_f, tail_f, gate_f, cg // h),
+                                (lead_g, tail_g, gate_g, -(cf // h))):
+        t = lcm_fg - lead
+        if (t + gate) & layout.guard:
+            layout.check(t, tail)
         for tm, tc in tail:
-            mm = monomial_mul(t, tm) if checked else tuple(map(add, t, tm))
+            mm = t + tm
             v = work.get(mm, 0) + a * tc
             if v:
                 work[mm] = v
             else:
                 del work[mm]
-    return _monic_row(vars, _reduce(work, 1, records, order)[0], order)
+    return _monic_row(vars, _reduce(work, 1, records, layout)[0], order, layout, {})
 
 
 def exact_div(f, g, order=GREVLEX):
@@ -688,25 +815,19 @@ def _tokenize_poly(text, vars):
 
 
 class _PolyParser:
-    def __init__(self, tokens, vars):
+    def __init__(self, tokens, vars, expand):
         self.tokens = tokens
         self.pos = 0
         self.vars = vars
-        self.budget = current_budget()
-        self.exceeded = None   # the budget error that stopped the expansion
+        self.expand = expand   # false: form no product or sum, only check the grammar
 
     def mul(self, a, b):
-        """a*b, its `product_cost` charged to the budget first.  Once a
-        charge fails, no product is formed: a stands in for a*b while the
-        rest of the text is checked for syntax."""
-        if self.exceeded is not None:
+        """a*b, its `product_cost` charged to the current budget first; when
+        not expanding, a stands in for a*b."""
+        if not self.expand:
             return a
-        try:
-            self.budget.charge_terms(product_cost(a.terms.values(), b.terms.values()),
-                                    "a polynomial product")
-        except BudgetExceededError as exc:
-            self.exceeded = exc
-            return a
+        current_budget().charge_terms(product_cost(a.terms.values(), b.terms.values()),
+                                      "a polynomial product")
         return a * b
 
     def number(self, tok):
@@ -733,8 +854,6 @@ class _PolyParser:
         tok = self.peek()
         if tok[0] is not None:
             raise ParseError(f"trailing input {tok[1]!r}", column=tok[2])
-        if self.exceeded is not None:
-            raise self.exceeded
         return p
 
     def expr(self):
@@ -745,7 +864,9 @@ class _PolyParser:
             while self.peek()[0] in ("+", "-"):
                 if self.take()[0] == "-":
                     sign = -sign
-            p = p + self.term() * sign
+            q = self.term()
+            if self.expand:
+                p = p + q * sign
             if self.peek()[0] not in ("+", "-"):
                 return p
 
@@ -824,14 +945,16 @@ def product_cost(a, b):
 def parse_polynomial(text, vars):
     """Parse the toolkit's polynomial syntax, e.g. ``x^2*y - 3/2*z``.
 
-    Every product formed, powers included, is charged to the current
-    budget scope's term counter.  The product that would pass its limit is
-    not formed; the rest of the text is still checked for syntax in the
-    same pass, and only then is BudgetExceededError raised, so a ParseError
-    anywhere in the text comes first.
+    A first pass of the same parser forms no product or sum and only
+    checks the grammar, so a ParseError anywhere in the text comes before
+    any expansion.  The second pass expands, charging every product formed,
+    powers included, to the current budget scope's term counter; the
+    product that would pass its limit raises BudgetExceededError unformed.
     """
     vars = tuple(vars)
-    return _PolyParser(_tokenize_poly(text, vars), vars).parse()
+    tokens = _tokenize_poly(text, vars)
+    _PolyParser(tokens, vars, expand=False).parse()
+    return _PolyParser(tokens, vars, expand=True).parse()
 
 
 def _format_coeff(c):

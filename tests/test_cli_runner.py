@@ -495,8 +495,7 @@ class TestNumericArguments:
     @pytest.mark.parametrize("generator", ["(x + y + 1)^400 + q", "7^9999999 +",
                                            "7^9999999 + x)"])
     def test_syntax_after_a_runaway_power_is_parse_error(self, tmp_path, generator):
-        # expansion stops at the term budget inside the power; the text
-        # after it is still checked
+        # the whole text is checked for syntax before the power is expanded
         text = f"ring R = poly(x, y)\nideal I in R = ( {generator} )\n"
         assert _run_file(tmp_path, text) == (1, None)
 

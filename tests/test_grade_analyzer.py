@@ -263,6 +263,17 @@ class TestGenericCombination:
         assert report.notes == ["zerodivisor certificate: y"]
         assert len(calls) == len(set(calls)) == 33
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_fewer_than_one_trial_is_rejected(self, trials):
+        # (y*z, y, z) in Q[x, y, z] reaches the widened search, which
+        # divided by trials
+        ring = PresentedRing.polynomial_ring(("x", "y", "z"))
+        ideal = Ideal([parse_polynomial(t, ring.vars) for t in ("y*z", "y", "z")])
+        with pytest.raises(DegenerateInputError, match="trials"):
+            grade_analyzer.grade_of_ideal(ideal, ring, trials=trials)
+        with pytest.raises(DegenerateInputError, match="trials"):
+            grade_two_generated(*ideal.generators[1:], ring, trials=trials)
+
     def test_deterministic_given_seed(self):
         ring = PresentedRing.polynomial_ring(("u", "v", "w"))
         ideal = Ideal([parse_polynomial(t, ring.vars)

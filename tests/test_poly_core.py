@@ -20,6 +20,7 @@ from lndkit.poly_core import (
     LEX,
     MonomialOrder,
     Polynomial,
+    _layout,
     divide,
     exact_div,
     format_polynomial,
@@ -89,13 +90,33 @@ class TestOrders:
 
     @given(st.data())
     @settings(max_examples=150)
-    def test_heap_key_reverses_key(self, data):
-        n = data.draw(st.integers(min_value=1, max_value=5))
+    def test_packing_agrees_with_exponent_tuples(self, data):
+        # the division loop's packed ints against the tuple operations
+        n = data.draw(st.integers(min_value=1, max_value=6))
         order = data.draw(_orders(n))
-        pairs = st.lists(_exponents(n, 4), min_size=2, max_size=2)
-        for a, b in data.draw(st.lists(pairs, min_size=1, max_size=20)):
-            assert (order.heap_key(a) < order.heap_key(b)) == (order.key(a) > order.key(b))
-            assert (order.heap_key(a) == order.heap_key(b)) == (a == b)
+        layout = _layout(order, n)
+        exponent = st.one_of(st.integers(min_value=0, max_value=4),
+                             st.sampled_from([EXPONENT_LIMIT - 1, EXPONENT_LIMIT]))
+        mono = st.tuples(*(exponent for _ in range(n)))
+        for a, b in data.draw(st.lists(st.tuples(mono, mono), min_size=1, max_size=20)):
+            xa, xb = layout.pack([a, b])
+            assert layout.unpack(xa) == a
+            assert (xa < xb) == (order.key(a) > order.key(b))
+            assert (xa == xb) == (a == b)
+            assert (not (xa - xb) & layout.guard) == (monomial_div(a, b) is not None)
+            # the per-step gate opens exactly when a's exponents leave too
+            # little room for b's largest, so before any overflowing product
+            gated = (xa + layout.gate(max(b))) & layout.guard
+            assert bool(gated) == (max(a) + max(b) > EXPONENT_LIMIT)
+            try:
+                product = monomial_mul(a, b)
+            except ExponentOverflowError as exc:
+                assert gated
+                with pytest.raises(ExponentOverflowError, match=str(exc)):
+                    layout.check(xa, [(xb, 1)])
+            else:
+                layout.check(xa, [(xb, 1)])
+                assert layout.pack([product]) == [xa + xb]
 
     def test_hash_is_cached_and_equality_by_value(self):
         orders = [MonomialOrder.grevlex(), MonomialOrder.elimination(2, (2, 0, 1)),
@@ -114,7 +135,7 @@ class TestOrders:
         with pytest.raises(ValueError):
             order.key((1, 0))
         with pytest.raises(ValueError):
-            order.heap_key((1, 0))
+            _layout(order, 2)
 
 
 class TestArithmetic:
@@ -283,12 +304,24 @@ class TestDivision:
         remainder(P("x^3*y^2", XYZ), [d], GREVLEX)
         assert d.division_record(GREVLEX) is first
         assert d.division_record(MonomialOrder.grevlex()) is first
-        mask, lead, lc, tail, k, top = first
-        assert lead == (2, 1, 0) and lc > 0 and top == 1
-        row = Polynomial(XYZ, {lead: lc, **dict(tail)})
+        lead, lc, tail, k, gate = first
+        layout = _layout(GREVLEX, 3)
+        assert layout.unpack(lead) == (2, 1, 0) and lc > 0
+        # the largest exponent is x's 2
+        assert gate == layout.gate(2)
+        row = Polynomial(XYZ, {layout.unpack(lead): lc,
+                               **{layout.unpack(x): v for x, v in tail}})
         assert row * k == d
         assert int_gcd(lc, *(v for _, v in tail)) == 1
         assert d.division_record(LEX) is not first
+
+    def test_exponent_past_the_limit_is_not_packed(self):
+        # the packed overflow tests hold only for fields up to the limit
+        f = Polynomial(XY, {(EXPONENT_LIMIT + 1, 0): Fraction(1)})
+        with pytest.raises(ExponentOverflowError):
+            remainder(f, [P("y", XY)])
+        with pytest.raises(ExponentOverflowError):
+            f.division_record(GREVLEX)
 
     def test_overflowing_product_raises(self):
         # x*y^20 by x - 2*y^(L-10) under lex: the one product y^(L+10) overflows
@@ -315,6 +348,15 @@ class TestDivision:
         records = [f.division_record(LEX), g.division_record(LEX)]
         with pytest.raises(ExponentOverflowError):
             s_pair_remainder(XY, *records, records, LEX)
+
+    def test_overflowing_s_pair_shift_raises_though_divided_away(self):
+        # as above, with y^L among the divisors: y^(L+1) would be divided
+        # away and leave no trace in the remainder
+        f = Polynomial(XY, {(1, 0): Fraction(1), (0, EXPONENT_LIMIT): Fraction(1)})
+        records = [p.division_record(LEX)
+                   for p in (f, P("x*y - 1", XY), Polynomial(XY, {(0, EXPONENT_LIMIT): 1}))]
+        with pytest.raises(ExponentOverflowError):
+            s_pair_remainder(XY, *records[:2], records, LEX)
 
 
 def _exponents(n, top):
@@ -479,14 +521,14 @@ class TestTextSyntax:
             assert scope.terms_used == 2 * (9 + 2) + 2 * 2 * 2 * 2
 
     def test_syntax_check_forms_no_product(self):
-        # past the budget, expansion stops and the syntax check goes on
+        # the grammar is checked before any product is formed
         for text in ["(x + y + 1)^400 + q", "(x + y + 1)^400 +", "x^400)", ""]:
-            with pytest.raises(ParseError):
+            with budget() as scope, pytest.raises(ParseError):
                 P(text, XY)
+            assert scope.terms_used == 0
         with budget() as scope, pytest.raises(BudgetExceededError):
             P("(x + y + 1)^400 * 7^9999999", XY)
-        # the last charge is the square of (x+y+1)^64 that passed the limit:
-        # 7^9999999 after it forms, and is charged, no product
+        # the last charge is the square of (x+y+1)^64 that passed the limit
         assert scope.terms_used > TERM_BUDGET > scope.terms_used - 2145 ** 2
 
     def test_numbers_past_the_digit_limit(self):
