@@ -44,9 +44,9 @@ class GradeReport:
     """Outcome of a grade computation.
 
     The witness is a regular sequence of the reported length (empty for
-    the unit ideal and for grade 0).  `exhaustive` marks a deterministic
-    conclusion; `probabilistic` flags a value-1 answer that rests on failed
-    random trials only (it is never set when the quotient certificate ran).
+    the unit ideal and for grade 0).  Every value is certified, so
+    `exhaustive` stays True and `probabilistic` False: a search that fails
+    where its colon certificate says a witness exists raises instead.
     """
 
     value: GradeValue
@@ -155,7 +155,9 @@ def generic_combination_grade(ideal, ring, trials=None, seed=0):
     whenever the grade is at least 2).  When the search fails, the answer
     1 is certified deterministically: ((a) : I) = (a) holds iff some
     element of I is regular mod a, so a strictly larger quotient proves
-    grade 1.
+    grade 1.  Equality proves grade at least 2: a widened search then
+    looks for the partner, and raises DegenerateInputError when it finds
+    none, rather than report a value the certificate contradicts.
     """
     trials = _trials(trials)
     gens = [ring.normal(g) for g in ideal.generators]
@@ -211,9 +213,11 @@ def generic_combination_grade(ideal, ring, trials=None, seed=0):
             return GradeReport(GradeValue.TWO, [a, b], "generic-combination",
                                seed=seed,
                                notes=["witness found after widened search"])
-    return GradeReport(GradeValue.ONE, [a], "generic-combination",
-                       exhaustive=False, probabilistic=True, seed=seed,
-                       notes=["trials exhausted; certificate inconclusive"])
+    # the colon certificate proves grade >= 2, so grade 1 would be false
+    raise DegenerateInputError(
+        f"colon certificate ((a) : I) = (a) + relations for a = {a} proves "
+        f"grade >= 2, but no element regular mod a was found among the "
+        f"generators and {16 * trials} random combinations")
 
 
 def _trials(trials):

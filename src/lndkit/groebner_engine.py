@@ -6,7 +6,9 @@ budget scope (`config.budget`, summed over all the runs in it), so runaway
 computations end in clean errors instead of wrong answers.  Buchberger
 divides by the elements' division records (`poly_core`) and builds each
 element monic from its integer remainder row; a basis keeps its
-elements' records for every normal form taken modulo it.
+elements' records for every normal form taken modulo it.  The pair queue,
+both criteria and inter-reduction read the records' packed leading
+monomials, so they test divisibility as the division loop does.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ from .poly_core import (
     GREVLEX,
     MonomialOrder,
     Polynomial,
+    _layout,
     exact_div,
-    monomial_div,
-    monomial_lcm,
-    monomial_mul,
     monic_remainder,
     remainder_by_records,
     s_pair_remainder,
@@ -93,20 +93,24 @@ class Ideal:
         return f"Ideal({gens})"
 
 
-def _interreduce(polys, order):
-    """Turn a generating set with the Groebner property into a reduced basis."""
+def _interreduce(basis, records, order, guard):
+    """Turn a generating set with the Groebner property, given with its
+    elements' division records, into a reduced basis.  Minimality and both
+    sorts read the records' packed leading monomials: -X ascends as
+    `order.key` does, and a lead divides another when their difference
+    sets no `guard` bit."""
     # minimality: drop elements whose leading term another one divides
-    minimal = []
-    for p in sorted(polys, key=lambda p: order.key(p.leading_monomial(order))):
-        lm = p.leading_monomial(order)
-        if any(monomial_div(lm, q.leading_monomial(order)) is not None for q in minimal):
+    minimal, kept = [], []
+    for i in sorted(range(len(basis)), key=lambda i: -records[i][0]):
+        lead = records[i][0]
+        if any(not (lead - q[0]) & guard for q in kept):
             continue
-        minimal.append(p)
+        minimal.append(basis[i])
+        kept.append(records[i])
     # no other leading term divides an element's own, so its remainder keeps it
-    records = [p.division_record(order) for p in minimal]
-    reduced = [monic_remainder(p, records[:i] + records[i + 1:], order)
+    reduced = [monic_remainder(p, kept[:i] + kept[i + 1:], order)
                for i, p in enumerate(minimal)]
-    reduced.sort(key=lambda p: order.key(p.leading_monomial(order)), reverse=True)
+    reduced.sort(key=lambda p: p.division_record(order)[0])
     return reduced
 
 
@@ -119,10 +123,17 @@ def buchberger(generators, order=GREVLEX):
     normal selection.  Buchberger's coprimality and chain criteria skip
     pairs.  Each S-polynomial reduction is charged to the current budget,
     which raises BudgetExceededError past its pair limit.  The loop keeps
-    every element's division record beside its leading monomial; an S-pair
-    is formed on two records and reduced by all of them
-    (`s_pair_remainder`), and a new element comes back monic with its
-    record already made.
+    every element's division record; an S-pair is formed on two records
+    and reduced by all of them (`s_pair_remainder`), and a new element
+    comes back monic with its record already made.
+
+    The pair queue and both criteria run on the records' packed leading
+    monomials (`poly_core._Layout`).  A pair's lcm is packed once, when it
+    is pushed, and queued as -X(lcm): the packing reverses the order, so
+    that is `order.key` ascending, and equal keys are equal monomials.
+    The leads are coprime exactly when X(lcm) = X(lead_i) + X(lead_j), and
+    lead_k divides the lcm exactly when X(lcm) - X(lead_k) sets no guard
+    bit, the test `_reduce` makes at every step.
     """
     budget = current_budget()
     basis = [g for g in generators if not g.is_zero()]
@@ -137,56 +148,52 @@ def buchberger(generators, order=GREVLEX):
         if slimmed == basis:
             break
         basis = slimmed
+    if not basis:
+        return GroebnerBasis([], order)
 
-    lms = [p.leading_monomial(order) for p in basis]
-    records = [p.division_record(order) for p in basis]
-    ecarts = [p.degree() - sum(lm) for p, lm in zip(basis, lms)]
-    key = order.key
-    heap = []
+    layout = _layout(order, len(basis[0].vars))
+    pack, guard = layout.pack, layout.guard
+    start, basis = basis, []
+    lms, ecarts, records, leads, heap = [], [], [], [], []
 
-    def push(i, j):
-        lcm = monomial_lcm(lms[i], lms[j])
-        heappush(heap, (sum(lcm) + max(ecarts[i], ecarts[j]), key(lcm), i, j))
+    def add(p):
+        """Keep p and queue its pairs with the elements kept before it."""
+        new = len(basis)
+        lm = p.leading_monomial(order)
+        ecart = p.degree() - sum(lm)
+        lcms = [[*map(max, m, lm)] for m in lms]
+        for t, (lcm, x) in enumerate(zip(lcms, pack(lcms))):
+            heappush(heap, (sum(lcm) + max(ecarts[t], ecart), -x, t, new))
+        record = p.division_record(order)
+        basis.append(p)
+        lms.append(lm)
+        ecarts.append(ecart)
+        records.append(record)
+        leads.append(record[0])
 
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            push(i, j)
+    for p in start:
+        add(p)
     done = set()
 
     while heap:
-        _, _, i, j = heappop(heap)
+        _, x, i, j = heappop(heap)
+        x = -x
         done.add((i, j))
-        lcm = monomial_lcm(lms[i], lms[j])
         # coprime leading terms: S-polynomial reduces to zero
-        if lcm == monomial_mul(lms[i], lms[j]):
+        if x == leads[i] + leads[j]:
             continue
         # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if monomial_div(lcm, lms[k]) is None:
-                continue
-            pik = (min(i, k), max(i, k))
-            pjk = (min(j, k), max(j, k))
-            if pik in done and pjk in done:
-                skip = True
-                break
-        if skip:
+        if any(k != i and k != j
+               and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+               for k, lead in enumerate(leads) if not (x - lead) & guard):
             continue
         budget.charge_pair()
         r = s_pair_remainder(basis[i].vars, records[i], records[j], records, order)
         if r.is_zero():
             continue
-        new = len(basis)
-        basis.append(r)
-        lms.append(r.leading_monomial(order))
-        records.append(r.division_record(order))
-        ecarts.append(r.degree() - sum(lms[new]))
-        for t in range(new):
-            push(t, new)
+        add(r)
 
-    return GroebnerBasis(_interreduce(basis, order), order)
+    return GroebnerBasis(_interreduce(basis, records, order, guard), order)
 
 
 def normal_form(f, basis):

@@ -263,6 +263,17 @@ class TestGenericCombination:
         assert report.notes == ["zerodivisor certificate: y"]
         assert len(calls) == len(set(calls)) == 33
 
+    def test_failed_search_under_a_grade_two_certificate_raises(self, monkeypatch):
+        # ((x*y) : (x*y, x, y)) = (x) ∩ (y) = (x*y) proves grade 2; a search
+        # that only ever tries x, a zerodivisor mod x*y, used to report 1
+        ring = PresentedRing.polynomial_ring(("x", "y"))
+        ideal = Ideal([parse_polynomial(t, ring.vars) for t in ("x*y", "x", "y")])
+        assert grade_analyzer.grade_of_ideal(ideal, ring).value is GradeValue.TWO
+        monkeypatch.setattr(grade_analyzer, "_random_combination",
+                            lambda rng, gens, spread=1: gens[1])
+        with pytest.raises(DegenerateInputError, match=r"colon certificate .*x\*y"):
+            grade_analyzer.grade_of_ideal(ideal, ring)
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_fewer_than_one_trial_is_rejected(self, trials):
         # (y*z, y, z) in Q[x, y, z] reaches the widened search, which

@@ -200,6 +200,26 @@ class TestPairSelection:
         assert scope.used == 64
         assert len(basis) == 22
 
+    # the pair queue keys on packed lcms, which must sort as order.key does
+    # for every kind of order and permutation
+    @pytest.mark.parametrize("ideal, order, pairs, size", [
+        ("katsura-4", MonomialOrder.lex(), 25, 4),
+        ("cyclic-4", MonomialOrder.grlex(), 8, 7),
+        ("katsura-5", MonomialOrder.grevlex((4, 2, 0, 1, 3)), 26, 13),
+        ("cyclic-5", MonomialOrder.grevlex((1, 3, 0, 4, 2)), 86, 20),
+        ("katsura-4", MonomialOrder.elimination(2), 13, 6),
+        ("cyclic-4", MonomialOrder.lex((3, 1, 2, 0)), 4, 5),
+    ], ids=["katsura-4-lex", "cyclic-4-grlex", "katsura-5-grevlex-permuted",
+            "cyclic-5-grevlex-permuted", "katsura-4-elimination",
+            "cyclic-4-lex-permuted"])
+    def test_counts_under_other_orders(self, ideal, order, pairs, size):
+        name, n = ideal.split("-")
+        gens = (_katsura if name == "katsura" else _cyclic)(int(n))
+        with budget() as scope:
+            basis = buchberger(gens, order)
+        assert scope.used == pairs
+        assert len(basis) == size
+
     def test_tag_basis_count(self):
         # the subalgebra C of example 6.1; normal selection made 217
         ring = PresentedRing.polynomial_ring(XYZ)

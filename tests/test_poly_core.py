@@ -98,8 +98,16 @@ class TestOrders:
         exponent = st.one_of(st.integers(min_value=0, max_value=4),
                              st.sampled_from([EXPONENT_LIMIT - 1, EXPONENT_LIMIT]))
         mono = st.tuples(*(exponent for _ in range(n)))
-        for a, b in data.draw(st.lists(st.tuples(mono, mono), min_size=1, max_size=20)):
+        pairs = data.draw(st.lists(st.tuples(mono, mono), min_size=1, max_size=20))
+        for a, b in pairs:
             xa, xb = layout.pack([a, b])
+            # Buchberger's pair queue: the lcm packed from exponent lists is
+            # a common multiple of the packed leads, and it is their sum
+            # exactly when they are coprime
+            [xl] = layout.pack([[*map(max, a, b)]])
+            assert [xl] == layout.pack([monomial_lcm(a, b)])
+            assert not (xl - xa) & layout.guard and not (xl - xb) & layout.guard
+            assert (xl == xa + xb) == (not any(map(min, a, b)))
             assert layout.unpack(xa) == a
             assert (xa < xb) == (order.key(a) > order.key(b))
             assert (xa == xb) == (a == b)
@@ -117,6 +125,12 @@ class TestOrders:
             else:
                 layout.check(xa, [(xb, 1)])
                 assert layout.pack([product]) == [xa + xb]
+        # -X sorts as order.key does, ties (repeated monomials) included
+        monos = [m for pair in pairs for m in pair]
+        monos += monos[:3]
+        packed = layout.pack(monos)
+        assert (sorted(range(len(monos)), key=lambda i: order.key(monos[i]))
+                == sorted(range(len(monos)), key=lambda i: -packed[i]))
 
     def test_hash_is_cached_and_equality_by_value(self):
         orders = [MonomialOrder.grevlex(), MonomialOrder.elimination(2, (2, 0, 1)),
