@@ -9,26 +9,35 @@ column until it vanishes or has a pivot of its own.  Scaling a row changes
 neither the nullspace nor solvability, and the pivots are exactly the
 columns independent of the columns before them, so every answer depends
 only on the matrix and the column order, not on the order of the rows.
+
+`nullspace` and `solve` share one back-substitution pass, `_solutions`:
+it solves for the pivots from the highest down, each value a coprime
+integer row over the free columns it tracks plus a denominator.  Setting
+one tracked free column to 1 and every other free column to 0 fixes a
+unique solution, so each answer is read off the one table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 
 def _primitive(row):
-    """Scale a row to coprime integers, positive at its lowest column."""
-    denom = 1
-    for c in row.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = {j: c.numerator * (denom // c.denominator) for j, c in row.items() if c}
+    """A fresh row scaled to coprime integers, positive at its lowest
+    column."""
+    denom = lcm(*[c.denominator for c in row.values()])
+    if denom == 1:
+        ints = {j: c.numerator for j, c in row.items() if c}
+    else:
+        ints = {j: c.numerator * (denom // c.denominator) for j, c in row.items() if c}
     if not ints:
         return ints
     g = gcd(*ints.values())
     if ints[min(ints)] < 0:
         g = -g
+    if g == 1:
+        return ints
     return {j: v // g for j, v in ints.items()}
 
 
@@ -78,45 +87,38 @@ def _echelon(rows):
     return echelon
 
 
-def _pivots_meeting(echelon):
-    """Column -> the pivot columns of the other echelon rows that have an
-    entry there (all of them below that column)."""
-    meeting = {}
-    for pc, row in echelon.items():
-        for j in row:
-            if j != pc:
-                meeting.setdefault(j, []).append(pc)
-    return meeting
+def _solutions(echelon, free):
+    """Each pivot's value in terms of the tracked free columns, the other
+    free columns set to zero: pivot column -> (integer row over `free`,
+    positive denominator), coprime, highest pivot first, nonzero values only.
 
-
-def _back_substitute(echelon, vec, meeting):
-    """Fill in the pivot coordinates of an integer vector from the echelon,
-    highest pivot first.  Only rows that meet a coordinate already set can
-    give a nonzero entry; a max-heap visits exactly those, in the order a
-    scan of every pivot below the vector's columns would.  The vector is
-    rescaled whenever a pivot does not divide its coordinate."""
-    heap, queued = [], set()
-
-    def enqueue(col):
-        for pc in meeting.get(col, ()):
-            if pc not in queued:
-                queued.add(pc)
-                heappush(heap, -pc)
-
-    for j in vec:
-        enqueue(j)
-    while heap:
-        pc = -heappop(heap)
+    A pivot row's lowest column is its pivot, so the pivots are visited
+    from the highest down and each is solved for from values already known.
+    """
+    table = {}
+    for pc in sorted(echelon, reverse=True):
         row = echelon[pc]
-        s = sum(v * vec[j] for j, v in row.items() if j in vec)
-        if s:
-            g = gcd(s, row[pc])
-            scale = row[pc] // g
-            if scale != 1:
-                vec = {j: x * scale for j, x in vec.items()}
-            vec[pc] = -s // g
-            enqueue(pc)
-    return vec
+        sums, known, denom = {}, [], 1
+        for j, v in row.items():
+            if j in free:
+                sums[j] = v
+            else:
+                value = table.get(j)
+                if value is not None:
+                    known.append((v, value))
+                    denom = lcm(denom, value[1])
+        if denom != 1:
+            sums = {j: v * denom for j, v in sums.items()}
+        for v, (num, den) in known:
+            f = v * (denom // den)
+            for k, a in num.items():
+                sums[k] = sums.get(k, 0) + f * a
+        sums = {k: a for k, a in sums.items() if a}
+        if sums:
+            denom *= row[pc]
+            g = gcd(denom, *sums.values())
+            table[pc] = ({k: -a // g for k, a in sums.items()}, denom // g)
+    return table
 
 
 def nullspace(rows, ncols):
@@ -127,9 +129,18 @@ def nullspace(rows, ncols):
     primitive integers with positive leading entry.
     """
     echelon = _echelon(rows)
-    meeting = _pivots_meeting(echelon)
-    return [_primitive(_back_substitute(echelon, {fc: 1}, meeting))
-            for fc in range(ncols) if fc not in echelon]
+    columns = {fc: [] for fc in range(ncols) if fc not in echelon}
+    for pc, (num, den) in _solutions(echelon, columns).items():
+        for fc, a in num.items():
+            columns[fc].append((pc, a, den))
+    basis = []
+    for fc, entries in columns.items():
+        denom = lcm(*[den for _, _, den in entries])
+        vec = {fc: denom}
+        for pc, a, den in entries:
+            vec[pc] = a * (denom // den)
+        basis.append(_primitive(vec))
+    return basis
 
 
 def solve(rows, rhs, ncols):
@@ -137,8 +148,8 @@ def solve(rows, rhs, ncols):
 
     Free coordinates are set to zero, so the solution is supported on the
     earliest independent columns.  The negated right-hand side is the extra
-    column ncols, set to 1 in back-substitution; the system is inconsistent
-    exactly when that column is a pivot.
+    column ncols, the one free column tracked by `_solutions`, set to 1;
+    the system is inconsistent exactly when that column is a pivot.
     """
     if not isinstance(rhs, dict):
         rhs = dict(enumerate(rhs))
@@ -146,9 +157,8 @@ def solve(rows, rhs, ncols):
                        for i, r in enumerate(rows))
     if ncols in echelon:
         return None
-    vec = _back_substitute(echelon, {ncols: 1}, _pivots_meeting(echelon))
-    denom = vec.pop(ncols)
-    return {j: Fraction(v, denom) for j, v in vec.items()}
+    return {pc: Fraction(num[ncols], den)
+            for pc, (num, den) in _solutions(echelon, {ncols}).items()}
 
 
 def rank(rows, ncols):

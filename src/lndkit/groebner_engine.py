@@ -130,7 +130,8 @@ def buchberger(generators, order=GREVLEX):
     The pair queue and both criteria run on the records' packed leading
     monomials (`poly_core._Layout`).  A pair's lcm is packed once, when it
     is pushed, and queued as -X(lcm): the packing reverses the order, so
-    that is `order.key` ascending, and equal keys are equal monomials.
+    that is `order.key` ascending, and equal keys are equal monomials;
+    the popped X(lcm) goes to `s_pair_remainder` as it is.
     The leads are coprime exactly when X(lcm) = X(lead_i) + X(lead_j), and
     lead_k divides the lcm exactly when X(lcm) - X(lead_k) sets no guard
     bit, the test `_reduce` makes at every step.
@@ -188,7 +189,7 @@ def buchberger(generators, order=GREVLEX):
                for k, lead in enumerate(leads) if not (x - lead) & guard):
             continue
         budget.charge_pair()
-        r = s_pair_remainder(basis[i].vars, records[i], records[j], records, order)
+        r = s_pair_remainder(basis[i].vars, records[i], records[j], x, records, order)
         if r.is_zero():
             continue
         add(r)

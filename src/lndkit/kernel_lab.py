@@ -76,8 +76,9 @@ class KernelReport:
 
 
 def _derivation_matrix(d, monomials, power=1):
-    """Sparse rows of D^power on the monomials (one column each), with the
-    row index of every image monomial, numbered in order of appearance.
+    """Sparse rows of D^power on the monomials (one column each), the row
+    index of every image monomial, numbered in order of appearance, and
+    `image`, the memoised D of one monomial as a term map.
 
     A monomial's image is `Derivation.leibniz` of it, memoised within the
     call, so D^2 reuses the images D^1 produced.  Entries stay ints while
@@ -110,15 +111,21 @@ def _derivation_matrix(d, monomials, power=1):
         for m, c in image_terms.items():
             ri = row_index.setdefault(m, len(row_index))
             rows.setdefault(ri, {})[ci] = c
-    return [rows[i] for i in range(len(row_index))], row_index
+    return [rows[i] for i in range(len(row_index))], row_index, image
 
 
-def _vector_to_polynomial(vec, monomials, ring):
+def _order_positions(monomials, order):
+    """Each column's position among the monomials in ascending `order`."""
+    key = order.key
+    ranked = sorted(range(len(monomials)), key=lambda j: key(monomials[j]))
+    return {j: r for r, j in enumerate(ranked)}
+
+
+def _vector_to_polynomial(vec, monomials, positions, ring):
     """The monic polynomial with integer coefficient vector `vec` over the
-    monomials, and its leading monomial: one pass for the leading entry,
-    one Fraction per entry."""
-    key = ring.order.key
-    lead = max(vec, key=lambda j: key(monomials[j]))
+    monomials, and its leading monomial: the leading entry is the one at
+    the highest position (`_order_positions`), then one Fraction per entry."""
+    lead = max(vec, key=positions.__getitem__)
     lc = vec[lead]
     return (Polynomial(ring.vars, {monomials[j]: Fraction(c, lc) for j, c in vec.items()}),
             monomials[lead])
@@ -140,9 +147,10 @@ def kernel_basis(d, degree, certificate=None, assume_nilpotent=False):
                 "bound; pass assume_nilpotent=True to proceed")
     ring = d.ring
     monomials = standard_monomials(ring, degree)
-    rows, _ = _derivation_matrix(d, monomials)
-    vectors = nullspace(rows, len(monomials))
-    basis = [_vector_to_polynomial(v, monomials, ring) for v in vectors]
+    rows, _, _ = _derivation_matrix(d, monomials)
+    positions = _order_positions(monomials, ring.order)
+    basis = [_vector_to_polynomial(v, monomials, positions, ring)
+             for v in nullspace(rows, len(monomials))]
     # deterministic listing: degree first, then lexicographically biggest
     # leading monomial first (u before v, X before Y)
     basis.sort(key=lambda pl: (pl[0].degree(), tuple(-e for e in pl[1])))
@@ -228,10 +236,14 @@ class SliceData:
 def slice_search(d, degree):
     """Solve D(s) = 1 over degree-bounded normal forms; on failure look for
     a local slice D(s) = c, D(c) = 0 with c of least degree.  Returns None
-    when neither exists within the bound."""
+    when neither exists within the bound.
+
+    Each candidate s = sum vec[j] m_j of Ker(D^2) is ranked on
+    sum vec[j] D(m_j), a multiple of D(s): s is a normal form and both D
+    and the normal form are linear.  Only the winner becomes polynomials."""
     ring = d.ring
     monomials = standard_monomials(ring, degree)
-    rows, row_index = _derivation_matrix(d, monomials)
+    rows, row_index, _ = _derivation_matrix(d, monomials)
     one_mono = (0,) * len(ring.vars)
     rhs = {}
     if one_mono in row_index:
@@ -241,22 +253,28 @@ def slice_search(d, degree):
             s = Polynomial(ring.vars, {monomials[j]: c for j, c in vec.items()})
             return SliceData(ring.normal(s))
     # local slices: s in Ker(D^2) \ Ker(D), minimizing the cofactor degree
-    square_rows, _ = _derivation_matrix(d, monomials, power=2)
+    square_rows, _, image = _derivation_matrix(d, monomials, power=2)
+    key = ring.order.key
     best = None
     for vec in nullspace(square_rows, len(monomials)):
-        s, _ = _vector_to_polynomial(vec, monomials, ring)
-        c = apply(d, s)
-        if c.is_zero():
+        ds = {}
+        for j, a in vec.items():
+            for t, v in image(monomials[j]).items():
+                ds[t] = ds.get(t, 0) + a * v
+        ds = {t: v for t, v in ds.items() if v}
+        if not ds:
             continue
-        c = c.monic(ring.order)
-        key = (c.degree(), ring.order.key(c.leading_monomial(ring.order)),
-               s.degree())
-        if best is None or key < best[0]:
-            best = (key, s, c)
+        lead = max(ds, key=key)
+        rank = (max(map(sum, ds)), key(lead), max(sum(monomials[j]) for j in vec))
+        if best is None or rank < best[0]:
+            best = (rank, vec, ds, lead)
     if best is None:
         return None
-    _, s, c = best
-    return SliceData(s, c)
+    _, vec, ds, lead = best
+    s, _ = _vector_to_polynomial(vec, monomials, _order_positions(monomials, ring.order),
+                                 ring)
+    lc = ds[lead]
+    return SliceData(s, Polynomial(ring.vars, {t: Fraction(v, lc) for t, v in ds.items()}))
 
 
 @dataclass

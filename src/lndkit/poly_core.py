@@ -64,10 +64,6 @@ def monomial_div(a, b):
     return None
 
 
-def monomial_lcm(a, b):
-    return tuple(map(max, a, b))
-
-
 def _grevlex_key(m):
     return (sum(m), tuple(map(neg, reversed(m))))
 
@@ -714,9 +710,11 @@ def _monic_row(vars, row, order, layout, back):
     return p
 
 
-def s_pair_remainder(vars, f, g, records, order):
+def s_pair_remainder(vars, f, g, lcm_fg, records, order):
     """The S-polynomial of the polynomials with division records f and g,
     reduced by `records` and made monic; zero when it reduces to zero.
+    `lcm_fg` is the lcm of their leading monomials, packed by the order's
+    layout, as Buchberger's pair queue holds it.
 
     The S-polynomial is formed on the records' integer tails, times the
     positive constant cf*cg/h with h = gcd(cf, cg), at scale 1:
@@ -729,7 +727,6 @@ def s_pair_remainder(vars, f, g, records, order):
     layout = _layout(order, len(vars))
     lead_f, cf, tail_f, _, gate_f = f
     lead_g, cg, tail_g, _, gate_g = g
-    [lcm_fg] = layout.pack([monomial_lcm(layout.unpack(lead_f), layout.unpack(lead_g))])
     h = int_gcd(cf, cg)
     work = {}
     for lead, tail, gate, a in ((lead_f, tail_f, gate_f, cg // h),

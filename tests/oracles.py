@@ -1,7 +1,20 @@
 """Plain rational reference routines the library no longer carries, for
 checking its integer-row routes against."""
 
-from lndkit.poly_core import Polynomial, monomial_div, monomial_lcm
+from lndkit.poly_core import Polynomial, _layout, monomial_div
+
+
+def monomial_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def packed_lcm(f, g, order, n):
+    """The lcm of the leading monomials of two division records, packed by
+    the order's layout for n variables, as Buchberger's pair queue holds
+    it: unpacked, taken on exponent tuples and packed again."""
+    layout = _layout(order, n)
+    [x] = layout.pack([monomial_lcm(layout.unpack(f[0]), layout.unpack(g[0]))])
+    return x
 
 
 def s_polynomial(f, g, order):
@@ -57,3 +70,21 @@ def apply_charge(d, f):
     return sum(len(partial.terms)
                + len(image.terms) * len(partial.terms) * _blocks(image) * _blocks(partial)
                for image, partial in _leibniz_products(d, f))
+
+
+def local_slice(d, candidates):
+    """The local slice chosen candidate by candidate: among candidates s
+    with D(s) != 0, in the given order, the first of least
+    (deg c, key of c's leading monomial, deg s) for c = D(s) made monic,
+    with D computed by `apply`; (s, c), or None when D kills them all."""
+    order = d.ring.order
+    best = None
+    for s in candidates:
+        c = apply(d, s)
+        if c.is_zero():
+            continue
+        c = c.monic(order)
+        key = (c.degree(), order.key(c.leading_monomial(order)), s.degree())
+        if best is None or key < best[0]:
+            best = (key, s, c)
+    return None if best is None else best[1:]

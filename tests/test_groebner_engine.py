@@ -30,7 +30,7 @@ from lndkit.poly_core import (
 )
 from lndkit.presentation import PresentedRing, present_subalgebra
 
-from oracles import s_polynomial
+from oracles import packed_lcm, s_polynomial
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -244,8 +244,9 @@ class TestSPairRemainder:
             # modulo a Groebner basis of (f, g) their S-polynomial reduces to 0
             for divisors in ([f, g, h], buchberger([f, g], order).elements):
                 records = [d.division_record(order) for d in divisors]
-                got = s_pair_remainder(XYZ, f.division_record(order),
-                                       g.division_record(order), records, order)
+                rf, rg = f.division_record(order), g.division_record(order)
+                got = s_pair_remainder(XYZ, rf, rg, packed_lcm(rf, rg, order, 3),
+                                       records, order)
                 want = remainder(s_polynomial(f, g, order), divisors, order)
                 assert got == want.monic(order)
                 zero += got.is_zero()
@@ -260,6 +261,9 @@ class TestSPairRemainder:
         added = []
 
         def spy(*args):
+            # the pair queue hands over the lcm it packed when it queued the pair
+            vars, f, g, lcm_fg, _, order_ = args
+            assert lcm_fg == packed_lcm(f, g, order_, len(vars))
             r = s_pair_remainder(*args)
             if not r.is_zero():
                 added.append(r)

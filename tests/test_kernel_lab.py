@@ -31,7 +31,7 @@ from lndkit.kernel_lab import (
 from lndkit._linalg import nullspace
 from lndkit.poly_core import GREVLEX, LEX, Polynomial, parse_polynomial
 from lndkit.presentation import PresentedRing, present_subalgebra
-from oracles import apply as oracle_apply
+from oracles import apply as oracle_apply, local_slice
 
 XY = ("X", "Y")
 XYZ = ("X", "Y", "Z")
@@ -139,7 +139,7 @@ class TestKernelBasis:
         ring = PresentedRing(XYZ, [pp(relation)] if relation else None, order)
         d = derivation(ring, **images)
         monomials = standard_monomials(ring, 4)
-        rows, _ = _derivation_matrix(d, monomials)
+        rows, _, _ = _derivation_matrix(d, monomials)
         old = [Polynomial(XYZ, {monomials[j]: c for j, c in vec.items()}).monic(order)
                for vec in nullspace(rows, len(monomials))]
         old.sort(key=lambda p: (p.degree(),
@@ -298,11 +298,15 @@ class TestDerivationMatrix:
             images = {v: ring.normal(_random_poly(rng, XYZ, 2, den=den)) for v in XYZ}
             d = Derivation(ring, images)
             monomials = standard_monomials(ring, 3)
-            rows, row_index = _derivation_matrix(d, monomials, power)
+            rows, row_index, image = _derivation_matrix(d, monomials, power)
             assert sorted(row_index.values()) == list(range(len(rows)))
             cells = {(m, ci): c for m, ri in row_index.items()
                      for ci, c in rows[ri].items()}
             assert cells == _matrix_by_apply(d, monomials, power)
+            # the returned image is D of one monomial, in normal form
+            for m in monomials:
+                assert Polynomial(XYZ, image(m)) == oracle_apply(
+                    d, Polynomial(XYZ, {m: 1}))
 
 
 class TestGradeKernelConcordance:
@@ -353,6 +357,75 @@ class TestSliceSearch:
         ring = PresentedRing.polynomial_ring(("x",))
         d = Derivation(ring, {})
         assert slice_search(d, 3) is None
+
+    @staticmethod
+    def _per_candidate(d, degree):
+        """The local slice of the Ker(D^2) candidates, each made monic the
+        long way and ranked on its cofactor `apply` computes."""
+        monomials = standard_monomials(d.ring, degree)
+        rows, _, _ = _derivation_matrix(d, monomials, power=2)
+        return local_slice(d, [
+            Polynomial(d.ring.vars, {monomials[j]: c for j, c in vec.items()})
+            .monic(d.ring.order) for vec in nullspace(rows, len(monomials))])
+
+    def _check_against_per_candidate(self, d, degree):
+        """True when slice_search found a local slice or none, and then
+        the one the per-candidate route finds."""
+        data = slice_search(d, degree)
+        if data is not None and not data.is_local():
+            return False
+        want = self._per_candidate(d, degree)
+        if data is None:
+            assert want is None
+        else:
+            assert (data.slice, data.cofactor) == want
+            assert all(type(c) is Fraction for p in want
+                       for c in p.terms.values())
+        return True
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+    def test_local_slice_matches_the_per_candidate_route(self, n, order):
+        # triangular: x1 -> 0 and x_i -> a polynomial in x_1 .. x_(i-1)
+        # with half-integer coefficients, constant only now and then, so
+        # that most have no true slice
+        rng = random.Random(40 + n)
+        vs = ("a", "b", "c", "d")[:n]
+        ring = PresentedRing(vs, None, order)
+        local = 0
+        for _ in range(12):
+            images = {}
+            for i in range(1, n):
+                terms = {}
+                for _ in range(rng.randint(1, 3)):
+                    mono = [0] * n
+                    for _ in range(rng.randint(0 if rng.random() < 0.1 else 1, 2)):
+                        mono[rng.randrange(i)] += 1
+                    terms[tuple(mono)] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                images[vs[i]] = Polynomial(vs, terms)
+            local += self._check_against_per_candidate(Derivation(ring, images),
+                                                       5 - n // 2)
+        assert local >= 8
+
+    def test_tied_candidates_keep_the_first(self):
+        # Y and Z both give the cofactor X: the earlier free column wins
+        d = derivation(P3, Y="X", Z="X")
+        assert self._check_against_per_candidate(d, 2)
+        assert slice_search(d, 2).slice == pp("Z")
+
+    @pytest.mark.parametrize("images", [
+        {"u": "v", "v": "1/2 w"},
+        {"v": "1/2 u", "w": "v"},
+        {"v": "2/3 u^2", "w": "4/3 u*v"},
+        {"v": "u + 1/3 u^2", "w": "2 v + 2/3 u*v"},
+    ])
+    def test_cone_local_slice_matches_the_per_candidate_route(self, images):
+        # the quadric cone, whose monomial images have Fraction normal forms
+        uvw = ("u", "v", "w")
+        ring = PresentedRing.quotient(uvw, [pp("u*w - v^2", uvw)])
+        d = derivation(ring, **images)
+        assert all(self._check_against_per_candidate(d, degree)
+                   for degree in (2, 3, 4))
 
 
 class TestDixmier:

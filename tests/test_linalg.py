@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from lndkit._linalg import (
     RowSpace,
-    _back_substitute,
     _echelon,
-    _pivots_meeting,
+    _primitive,
+    _solutions,
     nullspace,
     rank,
     solve,
@@ -131,19 +131,75 @@ def _sparse_matrices(draw, entry=_FRACTIONS):
     return draw(st.lists(row, max_size=10)), ncols
 
 
+def _vector_of(table, fc):
+    """The rational solution vector of free column fc in a `_solutions`
+    table: 1 there, each pivot's value, nothing elsewhere."""
+    vec = {fc: Fraction(1)}
+    for pc, (num, den) in table.items():
+        if fc in num:
+            vec[pc] = Fraction(num[fc], den)
+    return vec
+
+
 class TestBackSubstitution:
     @given(_sparse_matrices())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_full_scan(self, matrix):
         # column ncols plays the right-hand side of solve: every free
-        # column, that one included, gets the same vector from both
+        # column, that one included, gets the scan's vector, whether the
+        # table tracks all free columns, as nullspace does, or one, as
+        # solve does
         rows, ncols = matrix
         echelon = _echelon(rows)
-        meeting = _pivots_meeting(echelon)
-        for fc in range(ncols + 1):
-            if fc not in echelon:
-                assert _back_substitute(echelon, {fc: 1}, meeting) == \
-                    _back_substitute_by_scan(echelon, {fc: 1}, fc)
+        free = [fc for fc in range(ncols + 1) if fc not in echelon]
+        table = _solutions(echelon, set(free))
+        for num, den in table.values():
+            assert num and all(num.values()) and den > 0
+            assert gcd(den, *num.values()) == 1
+        scans = {}
+        for fc in free:
+            scans[fc] = _back_substitute_by_scan(echelon, {fc: 1}, fc)
+            want = {j: Fraction(v, scans[fc][fc]) for j, v in scans[fc].items()}
+            assert _vector_of(table, fc) == want
+            assert _vector_of(_solutions(echelon, {fc}), fc) == want
+        assert nullspace(rows, ncols) == [_primitive(scans[fc]) for fc in free
+                                          if fc < ncols]
+
+
+def _primitive_by_hand(row):
+    """Nonzero int entries over their gcd, positive at the lowest column."""
+    row = {j: c for j, c in row.items() if c}
+    if not row:
+        return row
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return {j: c // g for j, c in row.items()}
+
+
+class TestCallerRowsUnchanged:
+    """The echelon reduces fresh rows in place; the caller's dicts are
+    never among them, also when they are int rows already in primitive
+    form, which `_primitive` takes without rescaling."""
+
+    @given(_sparse_matrices(entry=st.integers(-9, 9)))
+    @settings(max_examples=200, deadline=None)
+    def test_primitive_int_rows(self, matrix):
+        rows, ncols = matrix
+        rows = [_primitive_by_hand(row) for row in rows]
+        assert all(_primitive(row) == row for row in rows)
+        copy = [dict(row) for row in rows]
+        nullspace(rows, ncols)
+        solve(rows, [1 + i % 2 for i in range(len(rows))], ncols + 1)
+        rank(rows, ncols)
+        space = RowSpace()
+        for row in rows:
+            space.insert(row)
+        for row in rows:
+            assert space.contains(row)
+            assert not space.insert(row)
+        assert all(r is not row for r in space.rows.values() for row in rows)
+        assert rows == copy
 
 
 def _as_fractions(rows):

@@ -26,12 +26,12 @@ from lndkit.poly_core import (
     format_polynomial,
     gcd,
     monomial_div,
-    monomial_lcm,
     monomial_mul,
     parse_polynomial,
     remainder,
     s_pair_remainder,
 )
+from oracles import monomial_lcm, packed_lcm
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -361,7 +361,7 @@ class TestDivision:
         g = P("x*y - 1", XY)
         records = [f.division_record(LEX), g.division_record(LEX)]
         with pytest.raises(ExponentOverflowError):
-            s_pair_remainder(XY, *records, records, LEX)
+            s_pair_remainder(XY, *records, packed_lcm(*records, LEX, 2), records, LEX)
 
     def test_overflowing_s_pair_shift_raises_though_divided_away(self):
         # as above, with y^L among the divisors: y^(L+1) would be divided
@@ -370,7 +370,8 @@ class TestDivision:
         records = [p.division_record(LEX)
                    for p in (f, P("x*y - 1", XY), Polynomial(XY, {(0, EXPONENT_LIMIT): 1}))]
         with pytest.raises(ExponentOverflowError):
-            s_pair_remainder(XY, *records[:2], records, LEX)
+            s_pair_remainder(XY, *records[:2], packed_lcm(*records[:2], LEX, 2),
+                             records, LEX)
 
 
 def _exponents(n, top):

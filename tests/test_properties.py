@@ -10,10 +10,10 @@ from lndkit.poly_core import (
     divide,
     format_polynomial,
     monomial_div,
-    monomial_lcm,
     monomial_mul,
     parse_polynomial,
 )
+from oracles import monomial_lcm
 
 VARS = ("x", "y", "z")
 
