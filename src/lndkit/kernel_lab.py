@@ -75,29 +75,19 @@ class KernelReport:
         return [host.to_ambient(p) for p in self.basis]
 
 
-def _derivation_matrix(d, monomials, power=1):
+def _derivation_matrix(d, monomials, power=1, image=None):
     """Sparse rows of D^power on the monomials (one column each), the row
     index of every image monomial, numbered in order of appearance, and
     `image`, the memoised D of one monomial as a term map.
 
-    A monomial's image is `Derivation.leibniz` of it, memoised within the
-    call, so D^2 reuses the images D^1 produced.  Entries stay ints while
-    the images' coefficients are integers.  On a quotient ring each image
-    is reduced once by `ring.normal` (Fraction entries); otherwise its
-    zero entries drop out when the rows are assembled."""
-    ring = d.ring
-    quotient = ring.has_relations()
-    memo = {}
-
-    def image(mono):
-        terms = memo.get(mono)
-        if terms is None:
-            terms = d.leibniz({mono: 1})
-            if quotient:
-                terms = ring.normal(Polynomial(ring.vars, terms)).terms
-            memo[mono] = terms
-        return terms
-
+    A monomial's image is `Derivation.leibniz` of it, memoised, so D^2
+    reuses the images D^1 produced; passing the `image` an earlier call
+    returned extends its memo instead of starting a new one.  Entries stay
+    ints while the images' coefficients are integers.  On a quotient ring
+    each image is reduced once by `ring.normal` (Fraction entries);
+    otherwise its zero entries drop out when the rows are assembled."""
+    if image is None:
+        image = _image_memo(d)
     row_index = {}
     rows = {}
     for ci, mono in enumerate(monomials):
@@ -112,6 +102,24 @@ def _derivation_matrix(d, monomials, power=1):
             ri = row_index.setdefault(m, len(row_index))
             rows.setdefault(ri, {})[ci] = c
     return [rows[i] for i in range(len(row_index))], row_index, image
+
+
+def _image_memo(d):
+    """D of one monomial as a term map, memoised per monomial."""
+    ring = d.ring
+    quotient = ring.has_relations()
+    memo = {}
+
+    def image(mono):
+        terms = memo.get(mono)
+        if terms is None:
+            terms = d.leibniz({mono: 1})
+            if quotient:
+                terms = ring.normal(Polynomial(ring.vars, terms)).terms
+            memo[mono] = terms
+        return terms
+
+    return image
 
 
 def _order_positions(monomials, order):
@@ -243,7 +251,7 @@ def slice_search(d, degree):
     and the normal form are linear.  Only the winner becomes polynomials."""
     ring = d.ring
     monomials = standard_monomials(ring, degree)
-    rows, row_index, _ = _derivation_matrix(d, monomials)
+    rows, row_index, image = _derivation_matrix(d, monomials)
     one_mono = (0,) * len(ring.vars)
     rhs = {}
     if one_mono in row_index:
@@ -253,7 +261,7 @@ def slice_search(d, degree):
             s = Polynomial(ring.vars, {monomials[j]: c for j, c in vec.items()})
             return SliceData(ring.normal(s))
     # local slices: s in Ker(D^2) \ Ker(D), minimizing the cofactor degree
-    square_rows, _, image = _derivation_matrix(d, monomials, power=2)
+    square_rows, _, _ = _derivation_matrix(d, monomials, power=2, image=image)
     key = ring.order.key
     best = None
     for vec in nullspace(square_rows, len(monomials)):

@@ -1,6 +1,9 @@
 """Plain rational reference routines the library no longer carries, for
 checking its integer-row routes against."""
 
+from itertools import combinations_with_replacement
+
+from lndkit.groebner_engine import Ideal, saturation
 from lndkit.poly_core import Polynomial, _layout, monomial_div
 
 
@@ -88,3 +91,22 @@ def local_slice(d, candidates):
         if best is None or key < best[0]:
             best = (key, s, c)
     return None if best is None else best[1:]
+
+
+def power_products(ideal, k):
+    """The generators of I^k, k >= 1: each k-fold product of the generators
+    multiplied out on its own, in `combinations_with_replacement` order."""
+    products = []
+    for combo in combinations_with_replacement(ideal.generators, k):
+        p = Polynomial.one(ideal.vars)
+        for g in combo:
+            p = p * g
+        products.append(p)
+    return products
+
+
+def symbolic_piece(ideal, k, s, ring):
+    """Piece k of a Rees truncation the direct way, (I^k + relations :
+    s^infinity) saturated from the full power I^k, as normal forms."""
+    sat = saturation(ring.lifted_ideal(power_products(ideal, k)), s)
+    return Ideal([ring.normal(g) for g in sat.generators], ring.vars)

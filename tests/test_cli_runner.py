@@ -372,16 +372,16 @@ class TestCommandLine:
         assert main(["corpus", "--seed", "0"]) == 0
 
     def test_pair_budget_bounds_a_whole_command(self, tmp_path):
-        # `rees I upto 4` makes 99 S-pair reductions over 32 Buchberger
-        # runs, at most 13 in any one of them
+        # `rees I upto 4` makes 12 S-pair reductions over 9 Buchberger
+        # runs, at most 8 in any one of them
         out_file = tmp_path / "report.json"
         argv = ["run", str(corpus_path("rees_cone.lnd")), "--json", str(out_file)]
-        assert main(argv + ["--pair-budget", "13"]) == 2
+        assert main(argv + ["--pair-budget", "8"]) == 2
         report = json.loads(out_file.read_text(encoding="utf-8"))
         entry = next(c for c in report["commands"] if c["command"].startswith("rees"))
         assert entry["status"] == "error"
-        assert "pair budget 13" in entry["error"]
-        assert main(argv + ["--pair-budget", "99"]) == 0
+        assert "pair budget 8" in entry["error"]
+        assert main(argv + ["--pair-budget", "12"]) == 0
 
     def test_irreducibility_gcds_are_charged_to_the_pair_budget(self, tmp_path):
         # the images share (a+b+c+d+e)^2; each gcd is an intersection of

@@ -358,6 +358,20 @@ class TestSliceSearch:
         d = Derivation(ring, {})
         assert slice_search(d, 3) is None
 
+    def test_each_monomial_image_computed_once(self, monkeypatch):
+        # the basic Weitzenboeck derivation x_i -> x_(i-1) has no slice, so
+        # the D^2 matrix is built too; it reuses the D^1 matrix's images
+        vs = ("x1", "x2", "x3", "x4", "x5")
+        ring = PresentedRing.polynomial_ring(vs)
+        d = Derivation(ring, {b: Polynomial.variable(a, vs) for a, b in zip(vs, vs[1:])})
+        calls = []
+        leibniz = Derivation.leibniz
+        monkeypatch.setattr(Derivation, "leibniz",
+                            lambda self, terms, *args: calls.append(terms)
+                            or leibniz(self, terms, *args))
+        assert slice_search(d, 5).is_local()
+        assert len(calls) == len(standard_monomials(ring, 5)) == 252
+
     @staticmethod
     def _per_candidate(d, degree):
         """The local slice of the Ker(D^2) candidates, each made monic the

@@ -2,19 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lndkit.derivation_engine import Derivation
+from lndkit.config import budget
 from lndkit.errors import DegenerateInputError
 from lndkit.groebner_engine import Ideal, ideal_equal, ideal_member
 from lndkit.kernel_lab import kernel_generators
 from lndkit.poly_core import Polynomial, parse_polynomial
 from lndkit.presentation import PresentedRing
 from lndkit.rees_builder import (
+    _piece_builder,
     compare_kernel_to_rees,
     ideal_power,
     rees_truncation,
     symbolic_power,
 )
+from oracles import power_products, symbolic_piece
 
 UV = ("u", "v")
 UVW = ("u", "v", "w")
@@ -50,6 +54,13 @@ class TestIdealPower:
         zero = Ideal([], UV)
         assert ideal_power(zero, 2).is_zero()
         assert ideal_member(Polynomial.one(UV), ideal_power(zero, 0))
+
+    def test_products_in_combination_order(self):
+        # each product built from an I^(k-1) product, listed as when every
+        # k-fold product is multiplied out on its own
+        ideal = Ideal([pp(t) for t in ("u*w - v^2", "u + 2*v", "w^2 - 3")], UVW)
+        for k in range(1, 5):
+            assert ideal_power(ideal, k).generators == power_products(ideal, k)
 
     def test_cone_collapse_by_normal_forms(self, cone):
         # u * v^2 and u^2 * w agree in the cone ring
@@ -225,3 +236,66 @@ class TestKernelAgainstRees:
         out = compare_kernel_to_rees(report, data, "X")
         w_entry = [e for e in out.entries if str(e.generator) == "W"][0]
         assert w_entry.grading_degree == 0 and w_entry.in_piece
+
+
+XYZ = ("x", "y", "z")
+RINGS = {
+    "polynomial": PresentedRing.polynomial_ring(XYZ),
+    "cone": PresentedRing.quotient(XYZ, [pp("x*z - y^2", XYZ)]),
+    "non-domain": PresentedRing.quotient(XYZ, [pp("x*y", XYZ)]),
+}
+small_monomials = st.tuples(*(st.integers(min_value=0, max_value=1) for _ in XYZ))
+small_coefficients = st.integers(min_value=-3, max_value=3).filter(bool)
+# no constant term, so that few ideals are the unit ideal
+generators = st.dictionaries(small_monomials.filter(any), small_coefficients,
+                             min_size=1, max_size=3).map(
+    lambda terms: Polynomial(XYZ, terms))
+# at least two terms, so never a variable
+saturators = st.dictionaries(small_monomials, small_coefficients,
+                             min_size=2, max_size=3).map(
+    lambda terms: Polynomial(XYZ, terms))
+
+
+class TestPiecesFromLowerPieces:
+    """Piece k from pieces floor(k/2) and k - floor(k/2) against the direct
+    saturation of I^k + relations, and the S-pairs the halving saves."""
+
+    @pytest.mark.parametrize("ring", list(RINGS), ids=list(RINGS))
+    @given(data=st.data())
+    @settings(max_examples=25)
+    def test_pieces_match_the_direct_saturation(self, ring, data):
+        ring = RINGS[ring]
+        ideal = Ideal(data.draw(st.lists(generators, min_size=1, max_size=2)), XYZ)
+        s = ring.normal(data.draw(saturators))
+        assume(not s.is_zero())
+        piece = _piece_builder(ideal, s, ring)
+        for k in range(1, 5):
+            assert piece(k).generators == symbolic_piece(ideal, k, s, ring).generators
+
+    def test_piece_one_bigger_than_the_ideal(self):
+        # (x*z, y*z) saturated at z is (x, y), and so is every later factor
+        ring = RINGS["polynomial"]
+        ideal = Ideal([pp(t, XYZ) for t in ("x*z", "y*z")], XYZ)
+        s = pp("z", XYZ)
+        piece = _piece_builder(ideal, s, ring)
+        plane = Ideal([pp("x", XYZ), pp("y", XYZ)], XYZ)
+        assert piece(1).generators == plane.generators
+        for k in range(1, 5):
+            assert piece(k).generators == symbolic_piece(ideal, k, s, ring).generators
+            assert ideal_equal(piece(k), ideal_power(plane, k))
+
+    @pytest.mark.parametrize("build, host, n, pairs", [
+        # the direct saturations of I^k made 441, 612 and 40
+        (symbolic_power, "curve", 8, 105),
+        (rees_truncation, "curve", 6, 203),
+        (rees_truncation, "cone", 4, 12),
+    ], ids=["curve-symbolic-8", "curve-rees-6", "cone-rees-4"])
+    def test_counts(self, build, host, n, pairs, cone):
+        if host == "curve":
+            gens = [pp(t, XYZ) for t in ("x^3 - y*z", "y^2 - x*z", "z^2 - x^2*y")]
+            ring, ideal, s = RINGS["polynomial"], Ideal(gens), pp("x", XYZ)
+        else:
+            ring, ideal, s = cone, Ideal([pp("u"), pp("v")]), pp("w")
+        with budget() as scope:
+            build(ideal, n, s, ring)
+        assert scope.used == pairs
