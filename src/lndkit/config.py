@@ -1,4 +1,4 @@
-"""Run-wide tunables: budgets, random seed, trial counts.
+"""Run-wide tunables: budgets and the seed a report echoes.
 
 A `budget(pairs, dims)` scope bounds the S-pair reductions of all the
 Buchberger runs inside it, summed, and the size of each monomial
@@ -9,6 +9,9 @@ check, against the fixed TERM_BUDGET.  Outside any scope every Buchberger
 run and every `parse_polynomial` call gets a fresh default.  A session
 statement's parse has a scope of its own; the scope it runs in is charged
 first with the terms that parse formed, so one term budget bounds both.
+
+The seed (`--seed`, else LND_SEED, else 0) is echoed in each report and
+decides no computed value: every computation is deterministic.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ DEFAULT_DIM_BUDGET = 5000
 # budget's default allows, because the terms formed may all be held at
 # once: at most 10^6 of them, some 760 MB.  (x+y+z+w)^32 is charged 974072.
 TERM_BUDGET = 10**6
-DEFAULT_TRIALS = 32
 SEED_ENV_VAR = "LND_SEED"
 
 
@@ -47,12 +49,12 @@ def default_seed() -> int:
 
 @dataclass
 class RunConfig:
-    """Configuration threaded through a session run; reports echo the seed."""
+    """Configuration threaded through a session run; reports echo the seed,
+    which no computation reads."""
 
     seed: int = 0
     pair_budget: int = DEFAULT_PAIR_BUDGET
     dim_budget: int = DEFAULT_DIM_BUDGET
-    trials: int = DEFAULT_TRIALS
 
     @classmethod
     def from_environment(cls) -> "RunConfig":

@@ -5,18 +5,28 @@ inf, and anything of true depth beyond two is capped at 2, which is all
 the downstream classification distinguishes.  A witness is a regular
 sequence on the presented ring itself: unless the ring is known to be a
 domain (`PresentedRing.domain`: a polynomial ring or a subalgebra of one),
-its first element passes a nonzerodivisor test, and an ideal of
-zerodivisors gets grade 0, certified by a nonzero annihilator.
+its first element passes a nonzerodivisor test.
+
+Every value is decided by a colon certificate, with no search budget,
+and the same input always gets the same witness.  An ideal I contains an
+element regular on R exactly when (relations : I) = relations, and, for
+a regular a in I, an element regular mod a exactly when ((a) : I) = (a) +
+relations (prime avoidance: I then lies in no associated prime; Bruns and
+Herzog, Cohen-Macaulay Rings, 1.2).  A certificate that says such an
+element exists is backed by a witness from the moment curve
+g_1 + t*g_2 + ... + t^(n-1)*g_n, t = 1, 2, ...: for each of the finitely
+many associated primes Q not containing I, the curve is a nonzero
+polynomial in t of degree at most n - 1 over the domain R/Q, so at most
+n - 1 values of t put it in Q.  Each test the search runs is a Groebner
+computation, charged to the pair budget.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import count
 
-from . import config
 from .errors import DegenerateInputError
 from .groebner_engine import (
     Ideal,
@@ -41,20 +51,13 @@ class GradeValue(Enum):
 
 @dataclass
 class GradeReport:
-    """Outcome of a grade computation.
-
-    The witness is a regular sequence of the reported length (empty for
-    the unit ideal and for grade 0).  Every value is certified, so
-    `exhaustive` stays True and `probabilistic` False: a search that fails
-    where its colon certificate says a witness exists raises instead.
-    """
+    """Outcome of a grade computation: a regular sequence of the reported
+    length as witness (empty for the unit ideal and for grade 0), and the
+    colon certificate behind a value the witness alone does not prove."""
 
     value: GradeValue
     witness: list = field(default_factory=list)
     method: str = "two-generator"
-    exhaustive: bool = True
-    probabilistic: bool = False
-    seed: int = None
     notes: list = field(default_factory=list)
 
 
@@ -103,28 +106,26 @@ def _outside(colons, base):
                  if not normal_form(h, basis).is_zero()), None)
 
 
-def _grade_zero(gens, ring, method, seed=None):
-    """Grade 0 for an ideal in which no element regular on the ring was
-    found: certified when (relations : I) is strictly larger than the
-    relations, i.e. a nonzero element of the ring kills the whole ideal."""
-    relations = ring.lifted_ideal([])
-    killer = _outside([ideal_quotient(relations, g) for g in gens], relations)
-    if killer is None:
-        raise DegenerateInputError(
-            "no element regular on the ring found among the generators and "
-            "their combinations, although (relations : I) = relations")
-    return GradeReport(GradeValue.ZERO, [], method, seed=seed,
-                       notes=[f"annihilator certificate: {killer}"])
+def _moment_point(gens, ring, accept):
+    """The first nonzero g_1 + t*g_2 + ... + t^(n-1)*g_n, t = 1, 2, ...,
+    that `accept` takes.  Called only where a colon certificate proves
+    that the search ends (see the module docstring)."""
+    for t in count(1):
+        point = Polynomial.zero(ring.vars)
+        for i, g in enumerate(gens):
+            point = point + g * t**i
+        point = ring.normal(point)
+        if not point.is_zero() and accept(point):
+            return point
 
 
-def grade_two_generated(a, b, ring, trials=None, seed=0):
+def grade_two_generated(a, b, ring):
     """Grade of a two-generated ideal (a, b) of a presented ring.
 
     inf when the ideal is the unit ideal; 2 exactly when the pair forms a
     regular sequence in some order; 1 when a generator is regular on the
-    ring.  When neither is, the generic-combination search decides.
+    ring.  When neither is, generic_combination_grade decides.
     """
-    trials = _trials(trials)
     a, b = ring.normal(a), ring.normal(b)
     if a.is_zero() and b.is_zero():
         raise DegenerateInputError("both generators reduce to zero")
@@ -139,121 +140,73 @@ def grade_two_generated(a, b, ring, trials=None, seed=0):
                 return GradeReport(GradeValue.TWO, [first, second], "two-generator")
     if regular:
         return GradeReport(GradeValue.ONE, regular[:1], "two-generator")
-    return generic_combination_grade(Ideal(nonzero, ring.vars), ring,
-                                     trials=trials, seed=seed)
+    return generic_combination_grade(Ideal(nonzero, ring.vars), ring)
 
 
-def generic_combination_grade(ideal, ring, trials=None, seed=0):
+def generic_combination_grade(ideal, ring):
     """Grade of an ideal, capped at 2: grade_of_ideal's route beyond two
     generators, and grade_two_generated's when neither generator is regular.
 
     The first witness element a is the first generator regular on the
-    ring, else the first regular random combination; with none, the
-    ideal has grade 0 (see _grade_zero).  Then it searches for a partner
-    regular mod a among the other generators and random small-integer
-    combinations (prime avoidance over Q makes generic choices succeed
-    whenever the grade is at least 2).  When the search fails, the answer
-    1 is certified deterministically: ((a) : I) = (a) holds iff some
-    element of I is regular mod a, so a strictly larger quotient proves
-    grade 1.  Equality proves grade at least 2: a widened search then
-    looks for the partner, and raises DegenerateInputError when it finds
-    none, rather than report a value the certificate contradicts.
+    ring.  With none, (relations : I) decides: strictly larger than the
+    relations, a nonzero element kills I and the grade is 0; equal, a is
+    taken from the moment curve.  The partner is the first other generator
+    regular mod a.  With none, ((a) : I), the intersection of the colons
+    the nonzerodivisor tests built, decides: strictly larger than (a) +
+    relations, every element of I is a zerodivisor mod a and the grade is
+    1; equal, the grade is 2 and the partner comes from the moment curve.
     """
-    trials = _trials(trials)
     gens = [ring.normal(g) for g in ideal.generators]
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise DegenerateInputError("ideal reduces to zero")
     lifted = ring.lifted_ideal(gens)
     if ideal_member(ring.one(), lifted):
-        return GradeReport(GradeValue.INFINITE, [], "unit-ideal", seed=seed)
+        return GradeReport(GradeValue.INFINITE, [], "unit-ideal")
 
-    rng = random.Random(seed)
-    # combinations of one generator are its multiples: regular only if it is
-    combinations = (ring.normal(_random_combination(rng, gens))
-                    for _ in range(trials if len(gens) > 1 else 0))
-    a = next((g for g in chain(gens, combinations)
-              if not g.is_zero() and _regular(g, ring)), None)
+    a = next((g for g in gens if _regular(g, ring)), None)
     if a is None:
-        return _grade_zero(gens, ring, "generic-combination", seed)
+        relations = ring.lifted_ideal([])
+        killer = _outside([ideal_quotient(relations, g) for g in gens], relations)
+        if killer is not None:
+            return GradeReport(GradeValue.ZERO, [], "generic-combination",
+                               notes=[f"annihilator certificate: {killer}"])
+        a = _moment_point(gens, ring, lambda c: _regular(c, ring))
     partners = [g for g in gens if g is not a]
     if not partners:
-        return GradeReport(GradeValue.ONE, [a], "generic-combination", seed=seed)
+        return GradeReport(GradeValue.ONE, [a], "generic-combination")
 
-    quotients = []
+    colons = []
     for b in partners:
         result = _regular_mod(b, a, ring)
         if result:
-            return GradeReport(GradeValue.TWO, [a, b], "generic-combination",
-                               seed=seed)
+            return GradeReport(GradeValue.TWO, [a, b], "generic-combination")
         # nzd_test built the colon ((a) : b) unless b lies in (a)
-        quotients.append(result.colon or ideal_quotient(ring.lifted_ideal([a]), b))
-
-    for _ in range(trials):
-        b = ring.normal(_random_combination(rng, gens))
-        if b.is_zero():
-            continue
-        if _regular_mod(b, a, ring):
-            return GradeReport(GradeValue.TWO, [a, b], "generic-combination",
-                               seed=seed)
-
-    # certificate: ((a) : I) strictly larger than (a) + relations forces
-    # every element of I to be a zerodivisor mod a, hence grade 1
-    excess = _outside(quotients, ring.lifted_ideal([a]))
+        colons.append(result.colon or ideal_quotient(ring.lifted_ideal([a]), b))
+    excess = _outside(colons, ring.lifted_ideal([a]))
     if excess is not None:
         return GradeReport(GradeValue.ONE, [a], "generic-combination",
-                           seed=seed,
                            notes=[f"zerodivisor certificate: {excess}"])
-    # the certificate says a regular partner exists; widen the search
-    for extra in range(trials, 16 * trials):
-        b = ring.normal(_random_combination(rng, gens, spread=1 + extra // trials))
-        if b.is_zero():
-            continue
-        if _regular_mod(b, a, ring):
-            return GradeReport(GradeValue.TWO, [a, b], "generic-combination",
-                               seed=seed,
-                               notes=["witness found after widened search"])
-    # the colon certificate proves grade >= 2, so grade 1 would be false
-    raise DegenerateInputError(
-        f"colon certificate ((a) : I) = (a) + relations for a = {a} proves "
-        f"grade >= 2, but no element regular mod a was found among the "
-        f"generators and {16 * trials} random combinations")
+    b = _moment_point(gens, ring, lambda c: _regular_mod(c, a, ring))
+    return GradeReport(GradeValue.TWO, [a, b], "generic-combination")
 
 
-def _trials(trials):
-    """The number of random trials: the configured default for None; fewer
-    than one leaves the search nothing to try."""
-    if trials is None:
-        return config.DEFAULT_TRIALS
-    if trials < 1:
-        raise DegenerateInputError(f"trials must be at least 1, not {trials}")
-    return trials
-
-
-def _random_combination(rng, gens, spread=1):
-    bound = 9 * spread
-    combo = Polynomial.zero(gens[0].vars)
-    for g in gens:
-        combo = combo + g * rng.randint(-bound, bound)
-    return combo
-
-
-def grade_of_ideal(ideal, ring, trials=None, seed=0):
+def grade_of_ideal(ideal, ring):
     """Grade of an ideal of a presented ring: the two-generator test for
-    at most two nonzero generators, the generic-combination search beyond."""
+    at most two nonzero generators, generic_combination_grade beyond."""
     gens = ideal.generators
     if not gens:
         raise DegenerateInputError("zero ideal has no grade")
     if len(gens) <= 2:
         b = gens[1] if len(gens) > 1 else Polynomial.zero(ring.vars)
-        return grade_two_generated(gens[0], b, ring, trials=trials, seed=seed)
-    return generic_combination_grade(ideal, ring, trials=trials, seed=seed)
+        return grade_two_generated(gens[0], b, ring)
+    return generic_combination_grade(ideal, ring)
 
 
-def grade_of_derivation(d, trials=None, seed=0):
+def grade_of_derivation(d):
     """Grade of the ideal generated by all variable images of d."""
     if d.is_zero():
         raise DegenerateInputError("zero derivation has no image ideal")
     if fpf_test(d):
-        return GradeReport(GradeValue.INFINITE, [], "unit-ideal", seed=seed)
-    return grade_of_ideal(image_ideal(d), d.ring, trials=trials, seed=seed)
+        return GradeReport(GradeValue.INFINITE, [], "unit-ideal")
+    return grade_of_ideal(image_ideal(d), d.ring)

@@ -298,6 +298,17 @@ class TestGolden:
             payloads.append(report_to_json(strip_timing(report)))
         assert payloads[0] == payloads[1]
 
+    def test_reports_do_not_depend_on_the_seed(self):
+        # the seed is echoed and nothing else: grade has no random search
+        for name in CORPUS_SESSIONS:
+            session = parse_session(corpus_path(name).read_text(encoding="utf-8"))
+            payloads = []
+            for seed in (0, 12345):
+                report, code = run(session, RunConfig(seed=seed), name)
+                assert code == 0 and report.pop("seed") == seed
+                payloads.append(report_to_json(strip_timing(report)))
+            assert payloads[0] == payloads[1], name
+
     def test_run_parses_nothing(self, monkeypatch):
         # every polynomial is parsed once, by parse_session; run only uses it
         sessions = {name: parse_session(corpus_path(name).read_text(encoding="utf-8"))
@@ -402,6 +413,22 @@ class TestCommandLine:
         [entry] = report["commands"]
         assert entry["status"] == "error"
         assert entry["error"] == "pair budget 2 exceeded"
+
+    def test_grade_witness_search_is_charged_to_the_pair_budget(self, tmp_path):
+        # (y*z, y, z) takes its partner from the moment curve; the colons
+        # its nonzerodivisor tests compute count against the pair budget
+        text = ("ring P = poly(x, y, z)\n"
+                "ideal J in P = ( y*z, y, z )\n"
+                "grade ideal J\n")
+        code, report = _run_file(tmp_path, text)
+        assert code == 0
+        [entry] = report["commands"]
+        assert entry["witnesses"] == ["y*z", "y*z + y + z"]
+        code, report = _run_file(tmp_path, text, "--pair-budget", "1")
+        assert code == 2
+        [entry] = report["commands"]
+        assert entry["status"] == "error"
+        assert entry["error"] == "pair budget 1 exceeded"
 
     @pytest.mark.parametrize("flags", [["--pair-budget", "-5"],
                                        ["--dim-budget", "-1"],

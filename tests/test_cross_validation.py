@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
@@ -192,43 +193,95 @@ def test_gcds_match(n):
         compared += 1
 
 
-def test_grades_on_a_ring_that_is_not_a_domain(ring):
-    """Grades on Q[x, y, z] / (x*y) checked by sympy's colon ideals: the
-    witness is a regular sequence (each colon equals its modulus), and a
-    grade 0 or 1 cannot be extended (the colon of the whole ideal is
-    strictly larger)."""
+def _check_grades(ring, relations, cases):
+    """Grades on Q[x, y, z] / (relations) checked by sympy's colon ideals:
+    the witness lies in the ideal and is a regular sequence (each colon
+    equals its modulus), and a grade 0 or 1 cannot be extended (the colon
+    of the whole ideal is strictly larger).  Returns the values seen and
+    the witness positions taken from outside the generators, that is,
+    from the moment curve."""
     from lndkit.grade_analyzer import GradeValue, grade_of_ideal
     from lndkit.poly_core import parse_polynomial
     from lndkit.presentation import PresentedRing
 
     syms, R = ring
-    relation = parse_polynomial("x*y", VARS)
-    quotient = PresentedRing.quotient(VARS, [relation])
-    rng = random.Random(11)
-    cases = [("x", "z"), ("x", "x^2"), ("x",), ("x", "y"), ("x", "y", "z"),
-             ("y*z", "x*z"), ("x + y", "z^2")]
-    while len(cases) < 15:
-        cases.append(tuple(str(_random_poly(rng)) for _ in range(rng.randint(1, 3))))
-    seen = set()
+    relations = [parse_polynomial(t, VARS) for t in relations]
+    host = (PresentedRing.quotient(VARS, relations) if relations
+            else PresentedRing.polynomial_ring(VARS))
+    seen, moment = set(), set()
     for texts in cases:
         gens = [parse_polynomial(t, VARS) for t in texts]
-        gens = [g for g in gens if not quotient.is_zero(g)]
+        gens = [g for g in gens if not host.is_zero(g)]
         if not gens:
             continue
-        report = grade_of_ideal(Ideal(gens, VARS), quotient)
+        report = grade_of_ideal(Ideal(gens, VARS), host)
         seen.add(report.value)
 
         def ideal(polys):
-            return R.ideal(*[_to_sympy(p, syms) for p in [relation, *polys]])
+            return R.ideal(*[_to_sympy(p, syms) for p in [*relations, *polys]])
 
         whole = ideal(gens)
         if report.value is GradeValue.INFINITE:
             assert whole.contains(1)
             continue
+        normal_gens = [host.normal(g) for g in gens]
         for i, w in enumerate(report.witness):
+            assert whole.contains(_to_sympy(w, syms)), (texts, str(w))
             modulus = ideal(report.witness[:i])
             assert modulus.quotient(ideal([w])) == modulus
+            if w not in normal_gens:
+                moment.add(i)
         if report.value is not GradeValue.TWO:
             modulus = ideal(report.witness)
             assert modulus.quotient(whole) != modulus
+    return seen, moment
+
+
+def test_grades_on_a_ring_that_is_not_a_domain(ring):
+    """Q[x, y, z] / (x*y), where (x, y) takes its first witness element
+    from the moment curve, and the non-reduced Q[x, y, z] / (x^2), where
+    (y*z, y, z) takes its second."""
+    from lndkit.grade_analyzer import GradeValue
+
+    rng = random.Random(11)
+    cases = [("x", "z"), ("x", "x^2"), ("x",), ("x", "y"), ("x", "y", "z"),
+             ("y*z", "x*z"), ("x + y", "z^2")]
+    while len(cases) < 15:
+        cases.append(tuple(str(_random_poly(rng)) for _ in range(rng.randint(1, 3))))
+    seen, moment = _check_grades(ring, ["x*y"], cases)
     assert {GradeValue.ZERO, GradeValue.ONE, GradeValue.TWO} <= seen
+    assert 0 in moment
+    cases = [("y*z", "y", "z"), ("x", "x*y"), ("x", "y"), ("x*z", "y", "z"),
+             ("x + y", "x*z")]
+    seen, moment = _check_grades(ring, ["x^2"], cases)
+    assert {GradeValue.ZERO, GradeValue.ONE, GradeValue.TWO} <= seen
+    assert 1 in moment
+
+
+def test_grades_on_the_polynomial_ring(ring):
+    """Q[x, y, z] itself, where (x*y, x, y) and (y*z, y, z) take their
+    second witness element from the moment curve."""
+    from lndkit.grade_analyzer import GradeValue
+
+    cases = [("x*y", "x", "y"), ("y*z", "y", "z"), ("x", "y", "z"),
+             ("x*y", "x*z", "x*y + x*z"), ("x^2", "x*y", "y^2")]
+    seen, moment = _check_grades(ring, [], cases)
+    assert {GradeValue.ONE, GradeValue.TWO} <= seen
+    assert moment == {1}
+
+
+# products and sums of variables: ideals of zerodivisors turn up among few
+# examples, and on Q[x, y, z] (p*q, p, q) takes its second witness element
+# from the moment curve whenever p and q are coprime
+_GENERATORS = ["x", "y", "z", "x*y", "x*z", "y*z", "x^2", "x + y", "y + z",
+               "x*y + z", "x*z + y*z", "x + 1"]
+_IDEALS = st.one_of(
+    st.lists(st.sampled_from(_GENERATORS), min_size=1, max_size=3, unique=True),
+    st.tuples(st.sampled_from(_GENERATORS), st.sampled_from(_GENERATORS))
+    .map(lambda pq: [f"({pq[0]})*({pq[1]})", *pq]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(relations=st.sampled_from([[], ["x*y"], ["x^2"]]), texts=_IDEALS)
+def test_grades_match_sympy_colons_on_random_ideals(ring, relations, texts):
+    _check_grades(ring, relations, [texts])

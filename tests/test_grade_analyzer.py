@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -213,9 +214,9 @@ class TestGradeOfDerivation:
                  ("u*v^2", "u^2*v"), ("v", "v"), ("u + v^2", "u"), ("X*u", "X*v")]
         for dx_text, dy_text in seeds:
             d = derivation(ring, X=dx_text, Y=dy_text)
-            base = grade_of_derivation(d, seed=1)
+            base = grade_of_derivation(d)
             ext = extend_with_variable(d, "W")
-            extended = grade_of_derivation(ext, seed=1)
+            extended = grade_of_derivation(ext)
             assert base.value is extended.value
             checked += 1
         assert checked == 20
@@ -225,27 +226,26 @@ class TestGenericCombination:
     def test_redundant_generator(self):
         ring = PresentedRing.polynomial_ring(("u", "v"))
         ideal = Ideal([parse_polynomial(t, ring.vars) for t in ("u", "v", "u + v")])
-        report = generic_combination_grade(ideal, ring, seed=5)
+        report = generic_combination_grade(ideal, ring)
         assert report.value is GradeValue.TWO
         _verify_witness(report, ring)
 
     def test_principal_multiple(self):
         ring = PresentedRing.polynomial_ring(("u", "v", "w"))
         ideal = Ideal([parse_polynomial(t, ring.vars) for t in ("u^2", "u*v", "u*w")])
-        report = generic_combination_grade(ideal, ring, seed=5)
+        report = generic_combination_grade(ideal, ring)
         assert report.value is GradeValue.ONE
-        assert report.exhaustive
         assert any("certificate" in n for n in report.notes)
 
     def test_grade_capped_at_two(self):
         ring = PresentedRing.polynomial_ring(("x", "y", "z"))
         ideal = Ideal([parse_polynomial(t, ring.vars) for t in ("x", "y", "z")])
-        report = generic_combination_grade(ideal, ring, seed=5)
+        report = generic_combination_grade(ideal, ring)
         assert report.value is GradeValue.TWO
 
     def test_each_colon_computed_once(self, monkeypatch):
-        # nzd_test already builds ((a) : b) for each generator b; the grade-1
-        # certificate reuses that colon instead of computing it again
+        # nzd_test builds ((a) : b) for each partner b; the grade-1
+        # certificate intersects those colons instead of computing them again
         calls = []
 
         def counting_quotient(ideal, g):
@@ -261,37 +261,50 @@ class TestGenericCombination:
         assert report.value is GradeValue.ONE
         assert [str(w) for w in report.witness] == ["x*y"]
         assert report.notes == ["zerodivisor certificate: y"]
-        assert len(calls) == len(set(calls)) == 33
+        assert len(calls) == len(set(calls)) == 2
 
-    def test_failed_search_under_a_grade_two_certificate_raises(self, monkeypatch):
-        # ((x*y) : (x*y, x, y)) = (x) ∩ (y) = (x*y) proves grade 2; a search
-        # that only ever tries x, a zerodivisor mod x*y, used to report 1
-        ring = PresentedRing.polynomial_ring(("x", "y"))
-        ideal = Ideal([parse_polynomial(t, ring.vars) for t in ("x*y", "x", "y")])
-        assert grade_analyzer.grade_of_ideal(ideal, ring).value is GradeValue.TWO
-        monkeypatch.setattr(grade_analyzer, "_random_combination",
-                            lambda rng, gens, spread=1: gens[1])
-        with pytest.raises(DegenerateInputError, match=r"colon certificate .*x\*y"):
-            grade_analyzer.grade_of_ideal(ideal, ring)
-
-    @pytest.mark.parametrize("trials", [0, -1])
-    def test_fewer_than_one_trial_is_rejected(self, trials):
-        # (y*z, y, z) in Q[x, y, z] reaches the widened search, which
-        # divided by trials
+    @pytest.mark.parametrize("texts, witness", [
+        (("x*y", "x", "y"), ["x*y", "x*y + x + y"]),
+        (("y*z", "y", "z"), ["y*z", "y*z + y + z"]),
+    ], ids=["xy-x-y", "yz-y-z"])
+    def test_moment_curve_finds_the_partner(self, texts, witness):
+        # no generator is regular mod the first, but ((a) : I) = (a)
+        # proves grade 2: the partner is g_1 + t*g_2 + t^2*g_3 at t = 1
         ring = PresentedRing.polynomial_ring(("x", "y", "z"))
-        ideal = Ideal([parse_polynomial(t, ring.vars) for t in ("y*z", "y", "z")])
-        with pytest.raises(DegenerateInputError, match="trials"):
-            grade_analyzer.grade_of_ideal(ideal, ring, trials=trials)
-        with pytest.raises(DegenerateInputError, match="trials"):
-            grade_two_generated(*ideal.generators[1:], ring, trials=trials)
+        ideal = Ideal([parse_polynomial(t, ring.vars) for t in texts])
+        report = grade_analyzer.grade_of_ideal(ideal, ring)
+        assert report.value is GradeValue.TWO
+        assert [str(w) for w in report.witness] == witness
+        _verify_witness(report, ring)
 
-    def test_deterministic_given_seed(self):
+    def test_moment_curve_finds_the_first_element(self, xy_zero):
+        # neither x nor y is regular on Q[x, y, z] / (x*y), but
+        # (relations : (x, y)) = relations proves some element is
+        report = grade_two_generated(*(parse_polynomial(t, xy_zero.vars)
+                                       for t in ("x", "y")), xy_zero)
+        assert report.value is GradeValue.ONE
+        assert [str(w) for w in report.witness] == ["x + y"]
+        assert report.notes == ["zerodivisor certificate: x"]
+        _verify_witness(report, xy_zero)
+
+    def test_grade_functions_take_no_search_options(self):
+        # every value is decided by a certificate: nothing to tune or seed
+        for function in (grade_of_derivation, grade_analyzer.grade_of_ideal,
+                         grade_two_generated, generic_combination_grade):
+            parameters = inspect.signature(function).parameters
+            assert not {"trials", "seed"} & set(parameters), function.__name__
+        report = grade_analyzer.GradeReport(GradeValue.ONE)
+        assert not any(hasattr(report, key)
+                       for key in ("seed", "exhaustive", "probabilistic"))
+
+    def test_same_answer_on_every_call(self):
         ring = PresentedRing.polynomial_ring(("u", "v", "w"))
         ideal = Ideal([parse_polynomial(t, ring.vars)
                        for t in ("u*v", "u^2", "v^2")])
-        r1 = generic_combination_grade(ideal, ring, seed=9)
-        r2 = generic_combination_grade(ideal, ring, seed=9)
+        r1 = generic_combination_grade(ideal, ring)
+        r2 = generic_combination_grade(ideal, ring)
         assert r1.value is r2.value and r1.witness == r2.witness
+        assert r1.notes == r2.notes
 
 
 @pytest.fixture(scope="module")
