@@ -297,6 +297,20 @@ class TestGenericCombination:
         assert not any(hasattr(report, key)
                        for key in ("seed", "exhaustive", "probabilistic"))
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_fewer_than_one_trial_is_rejected(self, trials):
+        # (y*z, y, z) in Q[x, y, z] once reached a search that divided by
+        # trials; no trial count is accepted now, and the certificate
+        # decides the grade without one
+        ring = PresentedRing.polynomial_ring(("x", "y", "z"))
+        ideal = Ideal([parse_polynomial(t, ring.vars) for t in ("y*z", "y", "z")])
+        with pytest.raises(TypeError, match="trials"):
+            grade_analyzer.grade_of_ideal(ideal, ring, trials=trials)
+        with pytest.raises(TypeError, match="trials"):
+            grade_two_generated(*ideal.generators[1:], ring, trials=trials)
+        assert grade_analyzer.grade_of_ideal(ideal, ring).value is GradeValue.TWO
+        assert grade_two_generated(*ideal.generators[1:], ring).value is GradeValue.TWO
+
     def test_same_answer_on_every_call(self):
         ring = PresentedRing.polynomial_ring(("u", "v", "w"))
         ideal = Ideal([parse_polynomial(t, ring.vars)
