@@ -23,7 +23,6 @@ from .errors import (
     ExponentOverflowError,
     LndError,
     ParseError,
-    SaturatorUnsoundError,
     VariableMismatchError,
 )
 from .grade_analyzer import (
@@ -40,7 +39,6 @@ from .groebner_engine import (
     Ideal,
     buchberger,
     eliminate,
-    ideal_equal,
     ideal_intersection,
     ideal_member,
     ideal_quotient,
@@ -81,6 +79,7 @@ from .rees_builder import (
     compare_kernel_to_rees,
     ideal_power,
     rees_truncation,
+    saturator_certified,
     symbolic_power,
 )
 

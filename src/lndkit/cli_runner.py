@@ -66,10 +66,12 @@ from .kernel_lab import (
 )
 from .poly_core import Polynomial, format_polynomial, parse_polynomial
 from .presentation import PresentedRing, present_subalgebra
-from .rees_builder import ideal_power, rees_truncation, symbolic_power
+from .rees_builder import ideal_power, rees_truncation, saturator_certified, symbolic_power
 
 TOOL_NAME = "lndkit"
 SCHEMA_VERSION = 1
+# the Jacobian certificate's verdict on a saturator, as reported
+_SATURATOR = {True: "certified", False: "uncertified"}
 
 
 # ---------------------------------------------------------------------------
@@ -520,24 +522,25 @@ def _dixmier(env, name, slice, target):
 
 def _symbolic(env, name, power, saturator):
     bound = env.ideals[name]
-    sym = symbolic_power(bound.ideal, power,
-                         _element(saturator, bound.ring, bound.host), bound.ring)
+    s = _element(saturator, bound.ring, bound.host)
+    sym = symbolic_power(bound.ideal, power, s, bound.ring)
     # I^n + relations lies in its saturation, so one inclusion decides
     ordinary = bound.ring.lifted_ideal(ideal_power(bound.ideal, power).generators)
     same = all(ideal_member(g, ordinary) for g in sym.generators)
     return {"power": power,
             "generators": sorted(_display(g, bound.host) for g in sym.generators),
-            "equals_ordinary_power": same}, [], []
+            "equals_ordinary_power": same,
+            "saturator": _SATURATOR[saturator_certified(bound.ideal, s, bound.ring)]}, [], []
 
 
 def _rees(env, name, upto, saturator):
     bound = env.ideals[name]
-    data = rees_truncation(bound.ideal, upto,
-                           _element(saturator, bound.ring, bound.host), bound.ring)
+    s = _element(saturator, bound.ring, bound.host)
+    data = rees_truncation(bound.ideal, upto, s, bound.ring)
     return {"truncation": upto,
             "pieces": [sorted(_display(g, bound.host) for g in piece.generators)
                        for piece in data.pieces],
-            "checks": "all containment and multiplicativity checks passed"}, [], []
+            "saturator": _SATURATOR[saturator_certified(bound.ideal, s, bound.ring)]}, [], []
 
 
 def _verify_generators(env, name, claimed, degree):

@@ -45,8 +45,3 @@ class DegenerateInputError(LndError):
     nonzero element was required; reported distinctly from a plain
     negative answer."""
 
-
-class SaturatorUnsoundError(LndError):
-    """A Rees truncation's containment or multiplicativity check failed.
-    Both hold for every saturator, so this reports a wrong computation; a
-    saturator that misses the symbolic power passes them."""

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 from itertools import count
 
 from .errors import DegenerateInputError
@@ -63,15 +64,8 @@ class GradeReport:
 
 def image_ideal(d):
     """The ideal generated by the variable images (relations not included)."""
-    images = [p for _, p in d.nonzero_images()]
-    # deduplicate for stable, lean generator lists
-    seen, gens = set(), []
-    for p in images:
-        key = frozenset(p.terms.items())
-        if key not in seen:
-            seen.add(key)
-            gens.append(p)
-    return Ideal(gens, d.ring.vars)
+    # equal images once each, in variable order, for stable, lean generator lists
+    return Ideal(dict.fromkeys(p for _, p in d.nonzero_images()), d.ring.vars)
 
 
 def fpf_test(d):
@@ -86,11 +80,13 @@ def _regular(g, ring):
     return ring.domain or nzd_test(g, [], ring).regular
 
 
-def _regular_mod(b, a, ring):
-    """Is b a nonzerodivisor mod (a)?  Membership of b in (a) counts as no
-    (zero is a zerodivisor of a nonzero quotient), with no colon computed."""
+def _regular_mod(b, a, modulus, ring):
+    """Is b a nonzerodivisor mod (a)?  `modulus` is (a) + relations, lifted
+    once per a, so that one Groebner basis serves every test mod a.
+    Membership of b in (a) counts as no (zero is a zerodivisor of a nonzero
+    quotient), with no colon computed."""
     try:
-        return nzd_test(b, Ideal([a], ring.vars), ring)
+        return nzd_test(b, [a], ring, lifted=modulus)
     except DegenerateInputError:
         return NzdResult(False)
 
@@ -98,9 +94,7 @@ def _regular_mod(b, a, ring):
 def _outside(colons, base):
     """An element of the intersection of the colon ideals that lies outside
     the base ideal, or None."""
-    colon = colons[0]
-    for q in colons[1:]:
-        colon = ideal_intersection(colon, q)
+    colon = reduce(ideal_intersection, colons)
     basis = base.groebner()
     return next((h for h in colon.generators
                  if not normal_form(h, basis).is_zero()), None)
@@ -136,7 +130,8 @@ def grade_two_generated(a, b, ring):
     regular = [p for p in nonzero if _regular(p, ring)]
     for first in regular:
         for second in nonzero:
-            if second is not first and _regular_mod(second, first, ring):
+            if second is not first and _regular_mod(second, first,
+                                                    ring.lifted_ideal([first]), ring):
                 return GradeReport(GradeValue.TWO, [first, second], "two-generator")
     if regular:
         return GradeReport(GradeValue.ONE, regular[:1], "two-generator")
@@ -176,18 +171,18 @@ def generic_combination_grade(ideal, ring):
     if not partners:
         return GradeReport(GradeValue.ONE, [a], "generic-combination")
 
-    colons = []
+    modulus, colons = ring.lifted_ideal([a]), []
     for b in partners:
-        result = _regular_mod(b, a, ring)
+        result = _regular_mod(b, a, modulus, ring)
         if result:
             return GradeReport(GradeValue.TWO, [a, b], "generic-combination")
         # nzd_test built the colon ((a) : b) unless b lies in (a)
-        colons.append(result.colon or ideal_quotient(ring.lifted_ideal([a]), b))
-    excess = _outside(colons, ring.lifted_ideal([a]))
+        colons.append(result.colon or ideal_quotient(modulus, b))
+    excess = _outside(colons, modulus)
     if excess is not None:
         return GradeReport(GradeValue.ONE, [a], "generic-combination",
                            notes=[f"zerodivisor certificate: {excess}"])
-    b = _moment_point(gens, ring, lambda c: _regular_mod(c, a, ring))
+    b = _moment_point(gens, ring, lambda c: _regular_mod(c, a, modulus, ring))
     return GradeReport(GradeValue.TWO, [a, b], "generic-combination")
 
 

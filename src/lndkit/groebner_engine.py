@@ -211,12 +211,6 @@ def ideal_member(f, ideal, order=GREVLEX):
     return normal_form(f, basis).is_zero()
 
 
-def ideal_equal(i, j, order=GREVLEX):
-    """Mutual membership of generators."""
-    return (all(ideal_member(g, j, order) for g in i.generators)
-            and all(ideal_member(g, i, order) for g in j.generators))
-
-
 def eliminate(ideal, first_k):
     """Generators of the intersection with Q[remaining variables].
 

@@ -460,29 +460,12 @@ class Polynomial:
 
     # -- substitution ---------------------------------------------------------
 
-    def substitute(self, images, target_vars=None):
-        """Evaluate with each variable replaced by `images[name]`.
-
-        Unmapped variables pass through by name into the target ring,
-        which defaults to the variable set of the image polynomials.
-        """
-        if target_vars is None:
-            for img in images.values():
-                if isinstance(img, Polynomial):
-                    target_vars = img.vars
-                    break
-            else:
-                target_vars = self.vars
+    def substitute(self, images, target_vars):
+        """Evaluate over `target_vars` with each variable replaced by the
+        polynomial `images[name]`; unmapped variables pass through by name."""
         target_vars = tuple(target_vars)
-        full = {}
-        for name in self.vars:
-            if name in images:
-                img = images[name]
-                if not isinstance(img, Polynomial):
-                    img = Polynomial.constant(target_vars, img)
-                full[name] = img
-            else:
-                full[name] = Polynomial.variable(name, target_vars)
+        full = {name: images[name] if name in images
+                else Polynomial.variable(name, target_vars) for name in self.vars}
         result = Polynomial.zero(target_vars)
         for m, c in self.terms.items():
             part = Polynomial.constant(target_vars, c)

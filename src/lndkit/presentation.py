@@ -201,19 +201,19 @@ class NzdResult:
         return self.regular
 
 
-def nzd_test(g, mod_ideal, ring):
+def nzd_test(g, mod_ideal, ring, lifted=None):
     """Is g a nonzerodivisor modulo the ideal in the presented ring?
 
     True iff ((mod_ideal + relations) : g) equals mod_ideal + relations in
     the ambient polynomial ring; the result carries that colon ideal.  When
     false, a witness h with h*g inside but h outside is extracted from the
-    quotient basis.
+    quotient basis.  A caller that already holds mod_ideal + relations, as
+    `ring.lifted_ideal` made it, passes it as `lifted`, so that its cached
+    Groebner basis serves this test too.
     """
-    if isinstance(mod_ideal, Ideal):
-        mod_gens = mod_ideal.generators
-    else:
-        mod_gens = list(mod_ideal)
-    lifted = ring.lifted_ideal(mod_gens)
+    if lifted is None:
+        lifted = ring.lifted_ideal(
+            mod_ideal.generators if isinstance(mod_ideal, Ideal) else mod_ideal)
     g = ring.normal(g)
     if g.is_zero() or ideal_member(g, lifted):
         raise DegenerateInputError(

@@ -3,8 +3,8 @@ checking its integer-row routes against."""
 
 from itertools import combinations_with_replacement
 
-from lndkit.groebner_engine import Ideal, saturation
-from lndkit.poly_core import Polynomial, _layout, monomial_div
+from lndkit.groebner_engine import Ideal, ideal_member, saturation
+from lndkit.poly_core import GREVLEX, Polynomial, _layout, monomial_div
 
 
 def monomial_lcm(a, b):
@@ -110,3 +110,28 @@ def symbolic_piece(ideal, k, s, ring):
     s^infinity) saturated from the full power I^k, as normal forms."""
     sat = saturation(ring.lifted_ideal(power_products(ideal, k)), s)
     return Ideal([ring.normal(g) for g in sat.generators], ring.vars)
+
+
+def ideal_equal(i, j, order=GREVLEX):
+    """Mutual membership of generators."""
+    return (all(ideal_member(g, j, order) for g in i.generators)
+            and all(ideal_member(g, i, order) for g in j.generators))
+
+
+def rees_failures(data):
+    """The containment and multiplicativity checks of a Rees truncation:
+    I^k inside piece k, and piece a * piece b inside piece a + b.  Both
+    hold for every saturator, so a failure is a wrong computation.  The
+    failed checks, in order."""
+    ring, pieces = data.ring, data.pieces
+    lifted = [ring.lifted_ideal(p.generators) for p in pieces]
+    failures = []
+    for k in range(1, len(pieces)):
+        if not all(ideal_member(g, lifted[k]) for g in power_products(data.ideal, k)):
+            failures.append(f"I^{k} not inside piece {k}")
+    for a in range(1, len(pieces)):
+        for b in range(a, len(pieces) - a):
+            if not all(ideal_member(ring.normal(ga * gb), lifted[a + b])
+                       for ga in pieces[a].generators for gb in pieces[b].generators):
+                failures.append(f"piece {a} * piece {b} escapes piece {a + b}")
+    return failures

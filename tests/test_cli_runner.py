@@ -278,6 +278,24 @@ grade ideal K
         assert k["value"]["exhaustive"] is True
         assert k["notes"] == ["annihilator certificate: y"]
 
+    def test_saturator_certificate_in_the_report(self):
+        # the monomial curve's prime: x lies in the singular point (x, y, z),
+        # 1 + x does not, so only x is certified; the pieces are built
+        # either way
+        text = """\
+ring P = poly(x, y, z)
+ideal C in P = ( x^3 - y*z, y^2 - x*z, z^2 - x^2*y )
+symbolic C power 2 saturate x
+symbolic C power 2 saturate 1 + x
+rees C upto 2 saturate 1 + x
+"""
+        report, code = run(parse_session(text), RunConfig())
+        assert code == 0
+        values = [c["value"] for c in report["commands"]]
+        assert [v["saturator"] for v in values] == ["certified", "uncertified", "uncertified"]
+        assert [v["equals_ordinary_power"] for v in values[:2]] == [False, True]
+        assert "checks" not in values[2]
+
     def test_seed_echoed(self):
         report, _ = run(parse_session(SIMPLE), RunConfig(seed=13))
         assert report["seed"] == 13
@@ -383,15 +401,21 @@ class TestCommandLine:
         assert main(["corpus", "--seed", "0"]) == 0
 
     def test_pair_budget_bounds_a_whole_command(self, tmp_path):
-        # `rees I upto 4` makes 12 S-pair reductions over 9 Buchberger
-        # runs, at most 8 in any one of them
+        # `rees I upto 4` makes 10 S-pair reductions over 8 Buchberger
+        # runs, its saturator certificate included, at most 8 in any one
+        # of them; `symbolic I power 2` needs 12
         out_file = tmp_path / "report.json"
         argv = ["run", str(corpus_path("rees_cone.lnd")), "--json", str(out_file)]
+
+        def rees_entry():
+            report = json.loads(out_file.read_text(encoding="utf-8"))
+            return next(c for c in report["commands"] if c["command"].startswith("rees"))
+
         assert main(argv + ["--pair-budget", "8"]) == 2
-        report = json.loads(out_file.read_text(encoding="utf-8"))
-        entry = next(c for c in report["commands"] if c["command"].startswith("rees"))
-        assert entry["status"] == "error"
-        assert "pair budget 8" in entry["error"]
+        assert rees_entry()["status"] == "error"
+        assert "pair budget 8" in rees_entry()["error"]
+        assert main(argv + ["--pair-budget", "10"]) == 2
+        assert rees_entry()["status"] == "ok"
         assert main(argv + ["--pair-budget", "12"]) == 0
 
     def test_irreducibility_gcds_are_charged_to_the_pair_budget(self, tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lndkit import grade_analyzer, presentation
+from lndkit import grade_analyzer, groebner_engine, presentation
 from lndkit.derivation_engine import Derivation, extend_with_variable, restrict_to_subalgebra
 from lndkit.errors import DegenerateInputError
 from lndkit.grade_analyzer import (
@@ -16,7 +16,7 @@ from lndkit.grade_analyzer import (
     image_ideal,
 )
 from lndkit.groebner_engine import Ideal, ideal_member, ideal_quotient
-from lndkit.poly_core import Polynomial, parse_polynomial
+from lndkit.poly_core import GREVLEX, Polynomial, parse_polynomial
 from lndkit.presentation import PresentedRing, nzd_test, present_subalgebra
 
 XYZ = ("X", "Y", "Z")
@@ -77,7 +77,7 @@ class TestGradeTwoGenerated:
 
     def test_corpus_c_collapsed_pair_misses_its_root(self, corpus_c):
         # (X^6, X^4 + 2 X^5 Z) does not recover X^4 inside C
-        from lndkit.groebner_engine import ideal_equal
+        from oracles import ideal_equal
         ring = corpus_c.presented_ring()
         pair = ring.lifted_ideal([corpus_c.express(pp("X^6")),
                                   corpus_c.express(pp("X^4 + 2*X^5*Z"))])
@@ -369,6 +369,39 @@ class TestNotADomain:
             Ideal(self.q(xy_zero, "x", "y", "z"), xy_zero.vars), xy_zero)
         assert report.value is GradeValue.TWO
         _verify_witness(report, xy_zero)
+
+    @pytest.mark.parametrize("texts, witness", [
+        (("x", "-x", "y"), "-x + 4*y"),
+        (("x*z", "-x*z", "y"), "-x*z + 4*y"),
+    ], ids=["x", "xz"])
+    def test_moment_curve_beyond_its_first_point(self, xy_zero, texts, witness):
+        # the first generator is a zerodivisor, and at t = 1 the curve is
+        # y, another one: only t = 2 gives a regular element.  The ideal
+        # has height 1 in a Cohen-Macaulay ring, so its grade is 1
+        ideal = Ideal(self.q(xy_zero, *texts), xy_zero.vars)
+        report = grade_analyzer.grade_of_ideal(ideal, xy_zero)
+        assert report.value is GradeValue.ONE
+        assert [str(w) for w in report.witness] == [witness]
+        assert report.notes == ["zerodivisor certificate: x"]
+        _verify_witness(report, xy_zero)
+
+    def test_each_modulus_lifted_once(self, monkeypatch):
+        # (y*z, y, z) over Q[x, y, z] / (x^2): the tests mod a = y*z, the
+        # colons' certificate and the moment-curve partner share one lifted
+        # (y*z) + relations, so its Groebner basis is built once
+        ring = PresentedRing.quotient(("x", "y", "z"),
+                                      [parse_polynomial("x^2", ("x", "y", "z"))])
+        runs = []
+        build = groebner_engine.buchberger
+        monkeypatch.setattr(groebner_engine, "buchberger",
+                            lambda gens, order=GREVLEX: runs.append(
+                                [str(g) for g in gens]) or build(gens, order))
+        ideal = Ideal(self.q(ring, "y*z", "y", "z"), ring.vars)
+        report = grade_analyzer.grade_of_ideal(ideal, ring)
+        assert report.value is GradeValue.TWO
+        assert [str(w) for w in report.witness] == ["y*z", "y*z + y + z"]
+        assert runs.count(["y*z", "x^2"]) == 1
+        assert len(runs) == 8
 
     def test_domain_flags(self, xy_zero, corpus_c):
         assert P3.domain and not xy_zero.domain

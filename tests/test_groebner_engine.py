@@ -12,7 +12,6 @@ from lndkit.groebner_engine import (
     Ideal,
     buchberger,
     eliminate,
-    ideal_equal,
     ideal_intersection,
     ideal_member,
     ideal_quotient,
@@ -30,7 +29,7 @@ from lndkit.poly_core import (
 )
 from lndkit.presentation import PresentedRing, present_subalgebra
 
-from oracles import packed_lcm, s_polynomial
+from oracles import ideal_equal, packed_lcm, s_polynomial
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")

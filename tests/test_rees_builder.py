@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lndkit.derivation_engine import Derivation
+from lndkit import rees_builder
 from lndkit.config import budget
+from lndkit.derivation_engine import Derivation
 from lndkit.errors import DegenerateInputError
-from lndkit.groebner_engine import Ideal, ideal_equal, ideal_member
+from lndkit.groebner_engine import Ideal, ideal_member
 from lndkit.kernel_lab import kernel_generators
 from lndkit.poly_core import Polynomial, parse_polynomial
 from lndkit.presentation import PresentedRing
@@ -16,9 +17,10 @@ from lndkit.rees_builder import (
     compare_kernel_to_rees,
     ideal_power,
     rees_truncation,
+    saturator_certified,
     symbolic_power,
 )
-from oracles import power_products, symbolic_piece
+from oracles import ideal_equal, power_products, rees_failures, symbolic_piece
 
 UV = ("u", "v")
 UVW = ("u", "v", "w")
@@ -27,6 +29,14 @@ PU = PresentedRing.polynomial_ring(UV)
 
 def pp(text, vars=UVW):
     return parse_polynomial(text, vars)
+
+
+XYZ = ("x", "y", "z")
+
+
+def curve_prime():
+    """The prime of the monomial curve (t^3, t^4, t^5) in Q[x, y, z]."""
+    return [pp(t, XYZ) for t in ("x^3 - y*z", "y^2 - x*z", "z^2 - x^2*y")]
 
 
 @pytest.fixture(scope="module")
@@ -143,39 +153,91 @@ class TestReesTruncation:
     def test_cone_multiplicativity_through_four(self, cone, cone_ideal):
         data = rees_truncation(cone_ideal, 4, pp("w"), cone)
         assert len(data.pieces) == 5
-        # containment I^k inside piece k re-checked here as the oracle
-        for k in range(1, 5):
-            lifted = cone.lifted_ideal(data.pieces[k].generators)
-            for g in ideal_power(cone_ideal, k).generators:
-                assert ideal_member(cone.normal(g), lifted)
+        assert rees_failures(data) == []
+
+    def test_curve_multiplicativity_through_four(self):
+        ring = PresentedRing.polynomial_ring(XYZ)
+        data = rees_truncation(Ideal(curve_prime()), 4, pp("x", XYZ), ring)
+        assert len(data.pieces) == 5
+        assert rees_failures(data) == []
 
     def test_checks_pass_for_a_saturator_that_misses_the_symbolic_power(self):
         # P, the prime of the monomial curve (t^3, t^4, t^5), has P^2 with
         # associated primes P and (x, y, z).  1 + x lies in neither, so
-        # saturating at it gives back P^2 and both check loops still pass;
-        # x gives the strictly larger symbolic square.
-        xyz = ("x", "y", "z")
-        ring = PresentedRing.polynomial_ring(xyz)
-        prime = Ideal([pp(t, xyz) for t in ("x^3 - y*z", "y^2 - x*z", "z^2 - x^2*y")], xyz)
+        # saturating at it gives back P^2 and both checks still pass;
+        # x gives the strictly larger symbolic square.  Only the Jacobian
+        # certificate tells the two saturators apart.
+        ring = PresentedRing.polynomial_ring(XYZ)
+        prime = Ideal(curve_prime())
         square = ideal_power(prime, 2)
-        shifted = rees_truncation(prime, 2, pp("1 + x", xyz), ring)
+        shifted = rees_truncation(prime, 2, pp("1 + x", XYZ), ring)
         assert ideal_equal(shifted.pieces[2], square)
-        symbolic = rees_truncation(prime, 2, pp("x", xyz), ring)
-        extra = pp("x^5 - 3*x^2*y*z + x*y^3 + z^3", xyz)
+        assert rees_failures(shifted) == []
+        assert not saturator_certified(prime, pp("1 + x", XYZ), ring)
+        symbolic = rees_truncation(prime, 2, pp("x", XYZ), ring)
+        extra = pp("x^5 - 3*x^2*y*z + x*y^3 + z^3", XYZ)
         assert ideal_member(extra, symbolic.pieces[2])
         assert not ideal_member(extra, square)
+        assert saturator_certified(prime, pp("x", XYZ), ring)
 
-    def test_each_piece_is_lifted_once(self, cone, cone_ideal, monkeypatch):
-        # both check loops share one lifted Ideal, and its Groebner basis, per
-        # piece; the input ideal is lifted once, for the saturator check
+    def test_only_the_input_ideal_is_lifted(self, cone, cone_ideal, monkeypatch):
+        # the input ideal is lifted once, for the saturator check; no piece
+        # is lifted, since nothing is checked against the pieces
         lifted = []
         lift = PresentedRing.lifted_ideal
         monkeypatch.setattr(PresentedRing, "lifted_ideal",
                             lambda ring, gens: lifted.append(gens) or lift(ring, gens))
         data = rees_truncation(cone_ideal, 4, pp("w"), cone)
         for piece in data.pieces:
-            assert sum(gens is piece.generators for gens in lifted) == 1
+            assert not any(gens is piece.generators for gens in lifted)
         assert sum(gens is cone_ideal.generators for gens in lifted) == 1
+
+
+class TestSaturatorCertificate:
+    def test_cone_ruling_at_w(self, cone, cone_ideal):
+        # J_P = (1); the relation's minors w, -2v, u leave w modulo P.  The
+        # vertex (u, v, w) is an embedded prime of P^2, which 1 + w misses
+        assert saturator_certified(cone_ideal, pp("w"), cone)
+        assert not saturator_certified(cone_ideal, pp("1 + w"), cone)
+        square = symbolic_power(cone_ideal, 2, pp("1 + w"), cone)
+        assert not ideal_member(pp("u"), cone.lifted_ideal(square.generators))
+
+    @pytest.mark.parametrize("saturator", ["z", "1 + z", "x + z"])
+    def test_smooth_complete_intersection_at_any_saturator(self, saturator):
+        # (x, y) has Jacobian minor 1 and no relations: P^k has no
+        # embedded prime, so every saturator outside P is certified
+        ring = PresentedRing.polynomial_ring(XYZ)
+        plane = Ideal([pp("x", XYZ), pp("y", XYZ)])
+        assert saturator_certified(plane, pp(saturator, XYZ), ring)
+
+    def test_saturator_inside_the_ideal_rejected(self, cone, cone_ideal):
+        with pytest.raises(DegenerateInputError):
+            saturator_certified(cone_ideal, pp("u*w"), cone)
+
+    def test_no_minors_certify_nothing(self, cone, cone_ideal, monkeypatch):
+        # a cap below the minors needed leaves the answer "not proven"
+        monkeypatch.setattr(rees_builder, "CERTIFICATE_MINORS", 0)
+        assert not saturator_certified(cone_ideal, pp("w"), cone)
+        ring = PresentedRing.polynomial_ring(XYZ)
+        assert not saturator_certified(Ideal(curve_prime()), pp("x", XYZ), ring)
+
+    def test_heights_from_leading_monomials(self, cone):
+        ring = PresentedRing.polynomial_ring(XYZ)
+        assert rees_builder._height(cone.relations, 3) == 1
+        assert rees_builder._height(ring.relations, 3) == 0
+        assert rees_builder._height(Ideal(curve_prime()).groebner(), 3) == 2
+        assert rees_builder._height(Ideal([pp(v, XYZ) for v in XYZ]).groebner(), 3) == 3
+
+    def test_minors_of_the_curve_prime(self):
+        # 2 x 2 minors of the Jacobian of the curve's reduced basis: their
+        # zeros on the curve are the origin alone
+        ring = PresentedRing.polynomial_ring(XYZ)
+        basis = Ideal(curve_prime()).groebner()
+        minors = rees_builder._jacobian_minors(basis, ring)
+        assert len(minors) == 9
+        singular = Ideal(minors + basis.elements)
+        for v in XYZ:
+            assert ideal_member(pp(v, XYZ) ** 4, singular)
 
 
 def _random_poly(rng, vars, max_degree=3, n_terms=3):
@@ -238,7 +300,6 @@ class TestKernelAgainstRees:
         assert w_entry.grading_degree == 0 and w_entry.in_piece
 
 
-XYZ = ("x", "y", "z")
 RINGS = {
     "polynomial": PresentedRing.polynomial_ring(XYZ),
     "cone": PresentedRing.quotient(XYZ, [pp("x*z - y^2", XYZ)]),
@@ -287,13 +348,12 @@ class TestPiecesFromLowerPieces:
     @pytest.mark.parametrize("build, host, n, pairs", [
         # the direct saturations of I^k made 441, 612 and 40
         (symbolic_power, "curve", 8, 105),
-        (rees_truncation, "curve", 6, 203),
-        (rees_truncation, "cone", 4, 12),
+        (rees_truncation, "curve", 6, 170),
+        (rees_truncation, "cone", 4, 10),
     ], ids=["curve-symbolic-8", "curve-rees-6", "cone-rees-4"])
     def test_counts(self, build, host, n, pairs, cone):
         if host == "curve":
-            gens = [pp(t, XYZ) for t in ("x^3 - y*z", "y^2 - x*z", "z^2 - x^2*y")]
-            ring, ideal, s = RINGS["polynomial"], Ideal(gens), pp("x", XYZ)
+            ring, ideal, s = RINGS["polynomial"], Ideal(curve_prime()), pp("x", XYZ)
         else:
             ring, ideal, s = cone, Ideal([pp("u"), pp("v")]), pp("w")
         with budget() as scope:
