@@ -7,18 +7,20 @@ sequence on the presented ring itself: unless the ring is known to be a
 domain (`PresentedRing.domain`: a polynomial ring or a subalgebra of one),
 its first element passes a nonzerodivisor test.
 
-Every value is decided by a colon certificate, with no search budget,
-and the same input always gets the same witness.  An ideal I contains an
-element regular on R exactly when (relations : I) = relations, and, for
-a regular a in I, an element regular mod a exactly when ((a) : I) = (a) +
-relations (prime avoidance: I then lies in no associated prime; Bruns and
-Herzog, Cohen-Macaulay Rings, 1.2).  A certificate that says such an
-element exists is backed by a witness from the moment curve
-g_1 + t*g_2 + ... + t^(n-1)*g_n, t = 1, 2, ...: for each of the finitely
-many associated primes Q not containing I, the curve is a nonzero
-polynomial in t of degree at most n - 1 over the domain R/Q, so at most
-n - 1 values of t put it in Q.  Each test the search runs is a Groebner
-computation, charged to the pair budget.
+One search, generic_combination_grade, computes every grade; the
+two-generator, ideal and derivation entries only check their input and
+call it.  Every value is decided by a colon certificate, with no search
+budget, and the same input always gets the same witness.  An ideal I
+contains an element regular on R exactly when (relations : I) =
+relations, and, for a regular a in I, an element regular mod a exactly
+when ((a) : I) = (a) + relations (prime avoidance: I then lies in no
+associated prime; Bruns and Herzog, Cohen-Macaulay Rings, 1.2).  A
+certificate that says such an element exists is backed by a witness from
+the moment curve g_1 + t*g_2 + ... + t^(n-1)*g_n, t = 1, 2, ...: for
+each of the finitely many associated primes Q not containing I, the
+curve is a nonzero polynomial in t of degree at most n - 1 over the
+domain R/Q, so at most n - 1 values of t put it in Q.  Each test the
+search runs is a Groebner computation, charged to the pair budget.
 """
 
 from __future__ import annotations
@@ -74,10 +76,12 @@ def fpf_test(d):
     return ideal_member(d.ring.one(), ideal)
 
 
-def _regular(g, ring):
+def _regular(g, ring, relations):
     """Is the nonzero element g a nonzerodivisor of the ring?  Always on a
-    ring known to be a domain, where no colon is computed."""
-    return ring.domain or nzd_test(g, [], ring).regular
+    ring known to be a domain, where no colon is computed; otherwise the
+    NzdResult, tested modulo `relations`, the lifted zero ideal, so that
+    one Groebner basis serves every test on the ring."""
+    return ring.domain or nzd_test(g, [], ring, lifted=relations)
 
 
 def _regular_mod(b, a, modulus, ring):
@@ -114,42 +118,27 @@ def _moment_point(gens, ring, accept):
 
 
 def grade_two_generated(a, b, ring):
-    """Grade of a two-generated ideal (a, b) of a presented ring.
-
-    inf when the ideal is the unit ideal; 2 exactly when the pair forms a
-    regular sequence in some order; 1 when a generator is regular on the
-    ring.  When neither is, generic_combination_grade decides.
-    """
-    a, b = ring.normal(a), ring.normal(b)
-    if a.is_zero() and b.is_zero():
-        raise DegenerateInputError("both generators reduce to zero")
-    lifted = ring.lifted_ideal([a, b])
-    if ideal_member(ring.one(), lifted):
-        return GradeReport(GradeValue.INFINITE, [], "unit-ideal")
-    nonzero = [p for p in (a, b) if not p.is_zero()]
-    regular = [p for p in nonzero if _regular(p, ring)]
-    for first in regular:
-        for second in nonzero:
-            if second is not first and _regular_mod(second, first,
-                                                    ring.lifted_ideal([first]), ring):
-                return GradeReport(GradeValue.TWO, [first, second], "two-generator")
-    if regular:
-        return GradeReport(GradeValue.ONE, regular[:1], "two-generator")
-    return generic_combination_grade(Ideal(nonzero, ring.vars), ring)
+    """Grade of a two-generated ideal (a, b) of a presented ring, by
+    generic_combination_grade, which normalises the generators itself."""
+    return generic_combination_grade(Ideal([a, b], ring.vars), ring)
 
 
 def generic_combination_grade(ideal, ring):
-    """Grade of an ideal, capped at 2: grade_of_ideal's route beyond two
-    generators, and grade_two_generated's when neither generator is regular.
+    """Grade of an ideal, capped at 2: the one grade search.
 
     The first witness element a is the first generator regular on the
-    ring.  With none, (relations : I) decides: strictly larger than the
-    relations, a nonzero element kills I and the grade is 0; equal, a is
-    taken from the moment curve.  The partner is the first other generator
-    regular mod a.  With none, ((a) : I), the intersection of the colons
-    the nonzerodivisor tests built, decides: strictly larger than (a) +
-    relations, every element of I is a zerodivisor mod a and the grade is
-    1; equal, the grade is 2 and the partner comes from the moment curve.
+    ring.  With none, (relations : I), the intersection of the colons
+    those tests built, decides: strictly larger than the relations, a
+    nonzero element kills I and the grade is 0; equal, a is taken from the
+    moment curve.  The partner is the first other generator regular mod a.
+    With one partner b, b's failed test puts I = (a, b) in an associated
+    prime of (a), so the grade is 1 (by Rees's theorem, Bruns and Herzog
+    1.2.5, no other order can give 2).  With more, ((a) : I), intersected
+    from the colons of the tests mod a, decides: strictly larger than
+    (a) + relations, every element of I is a zerodivisor mod a and the
+    grade is 1; equal, the grade is 2 and the partner comes from the
+    moment curve.  The method is "two-generator" with at most one partner,
+    "generic-combination" otherwise.
     """
     gens = [ring.normal(g) for g in ideal.generators]
     gens = [g for g in gens if not g.is_zero()]
@@ -159,49 +148,49 @@ def generic_combination_grade(ideal, ring):
     if ideal_member(ring.one(), lifted):
         return GradeReport(GradeValue.INFINITE, [], "unit-ideal")
 
-    a = next((g for g in gens if _regular(g, ring)), None)
-    if a is None:
-        relations = ring.lifted_ideal([])
-        killer = _outside([ideal_quotient(relations, g) for g in gens], relations)
+    relations, colons = ring.lifted_ideal([]), []
+    for a in gens:
+        result = _regular(a, ring, relations)
+        if result:
+            break
+        colons.append(result.colon)  # (relations : a), built by nzd_test
+    else:
+        killer = _outside(colons, relations)
         if killer is not None:
             return GradeReport(GradeValue.ZERO, [], "generic-combination",
                                notes=[f"annihilator certificate: {killer}"])
-        a = _moment_point(gens, ring, lambda c: _regular(c, ring))
+        a = _moment_point(gens, ring, lambda c: _regular(c, ring, relations))
     partners = [g for g in gens if g is not a]
-    if not partners:
-        return GradeReport(GradeValue.ONE, [a], "generic-combination")
+    method = "two-generator" if len(partners) <= 1 else "generic-combination"
 
-    modulus, colons = ring.lifted_ideal([a]), []
+    modulus, failed = ring.lifted_ideal([a]), []
     for b in partners:
         result = _regular_mod(b, a, modulus, ring)
         if result:
-            return GradeReport(GradeValue.TWO, [a, b], "generic-combination")
-        # nzd_test built the colon ((a) : b) unless b lies in (a)
-        colons.append(result.colon or ideal_quotient(modulus, b))
-    excess = _outside(colons, modulus)
+            return GradeReport(GradeValue.TWO, [a, b], method)
+        failed.append((b, result.colon))
+    if len(partners) <= 1:
+        return GradeReport(GradeValue.ONE, [a], method)
+    # nzd_test built the colon ((a) : b) unless b lies in (a)
+    excess = _outside([colon or ideal_quotient(modulus, b) for b, colon in failed],
+                      modulus)
     if excess is not None:
-        return GradeReport(GradeValue.ONE, [a], "generic-combination",
+        return GradeReport(GradeValue.ONE, [a], method,
                            notes=[f"zerodivisor certificate: {excess}"])
     b = _moment_point(gens, ring, lambda c: _regular_mod(c, a, modulus, ring))
-    return GradeReport(GradeValue.TWO, [a, b], "generic-combination")
+    return GradeReport(GradeValue.TWO, [a, b], method)
 
 
 def grade_of_ideal(ideal, ring):
-    """Grade of an ideal of a presented ring: the two-generator test for
-    at most two nonzero generators, generic_combination_grade beyond."""
-    gens = ideal.generators
-    if not gens:
+    """Grade of a nonzero ideal of a presented ring (generic_combination_grade)."""
+    if not ideal.generators:
         raise DegenerateInputError("zero ideal has no grade")
-    if len(gens) <= 2:
-        b = gens[1] if len(gens) > 1 else Polynomial.zero(ring.vars)
-        return grade_two_generated(gens[0], b, ring)
     return generic_combination_grade(ideal, ring)
 
 
 def grade_of_derivation(d):
-    """Grade of the ideal generated by all variable images of d."""
+    """Grade of the ideal generated by all variable images of d; inf,
+    with method "unit-ideal", exactly when d is fixed point free."""
     if d.is_zero():
         raise DegenerateInputError("zero derivation has no image ideal")
-    if fpf_test(d):
-        return GradeReport(GradeValue.INFINITE, [], "unit-ideal")
     return grade_of_ideal(image_ideal(d), d.ring)

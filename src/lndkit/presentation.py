@@ -70,8 +70,8 @@ class PresentedRing:
 
     def lifted_ideal(self, gens):
         """Ideal of the ambient polynomial ring: (gens) + relations."""
-        all_gens = [self.normal(g) for g in gens if not self.is_zero(g)]
-        all_gens += list(self.relations.elements)
+        # Ideal drops the generators whose normal form is zero
+        all_gens = [self.normal(g) for g in gens] + list(self.relations.elements)
         return Ideal(all_gens, self.vars)
 
     def zero(self):

@@ -95,7 +95,9 @@ def _piece_builder(ideal, s, ring):
             # equal products, common when the pieces are monomial, add nothing
             products = list(dict.fromkeys(f * g for f, g in pairs))
             sat = saturation(ring.lifted_ideal(products), s)
-            memo[k] = Ideal([ring.normal(g) for g in sat.generators], ring.vars)
+            # two basis elements can share a normal form: list it once
+            normals = dict.fromkeys(ring.normal(g) for g in sat.generators)
+            memo[k] = Ideal(normals, ring.vars)
         return memo[k]
 
     return piece

@@ -109,7 +109,7 @@ def symbolic_piece(ideal, k, s, ring):
     """Piece k of a Rees truncation the direct way, (I^k + relations :
     s^infinity) saturated from the full power I^k, as normal forms."""
     sat = saturation(ring.lifted_ideal(power_products(ideal, k)), s)
-    return Ideal([ring.normal(g) for g in sat.generators], ring.vars)
+    return Ideal(dict.fromkeys(ring.normal(g) for g in sat.generators), ring.vars)
 
 
 def ideal_equal(i, j, order=GREVLEX):

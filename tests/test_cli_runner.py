@@ -296,6 +296,22 @@ rees C upto 2 saturate 1 + x
         assert [v["equals_ordinary_power"] for v in values[:2]] == [False, True]
         assert "checks" not in values[2]
 
+    def test_symbolic_piece_lists_each_normal_form_once(self):
+        # on the cone, two basis elements of (I^2 + relations : (1 + w)^inf)
+        # have the normal form u*w
+        text = """\
+ring S = poly(u, v, w)
+ring Q = quotient(S, (u*w - v^2))
+ideal I in Q = ( u, v )
+symbolic I power 2 saturate 1 + w
+rees I upto 2 saturate 1 + w
+"""
+        report, code = run(parse_session(text), RunConfig())
+        assert code == 0
+        symbolic, rees = (c["value"] for c in report["commands"])
+        assert symbolic["generators"] == ["u*v", "u*w", "u^2"]
+        assert rees["pieces"] == [["1"], ["u", "v"], ["u*v", "u*w", "u^2"]]
+
     def test_seed_echoed(self):
         report, _ = run(parse_session(SIMPLE), RunConfig(seed=13))
         assert report["seed"] == 13

@@ -32,6 +32,37 @@ def derivation(ring, **images):
                              for k, v in images.items()})
 
 
+def counted_nzd_tests(monkeypatch):
+    """The argument tuples of every nzd_test the grade search runs."""
+    calls = []
+    monkeypatch.setattr(grade_analyzer, "nzd_test", lambda *args, **kwargs:
+                        calls.append(args) or nzd_test(*args, **kwargs))
+    return calls
+
+
+def counted_quotients(monkeypatch):
+    """(generators, element) of every colon ideal the grade search builds."""
+    calls = []
+
+    def counting_quotient(ideal, g):
+        calls.append((tuple(str(p) for p in ideal.generators), str(g)))
+        return ideal_quotient(ideal, g)
+
+    for module in (grade_analyzer, presentation):
+        monkeypatch.setattr(module, "ideal_quotient", counting_quotient)
+    return calls
+
+
+def counted_groebner_runs(monkeypatch):
+    """The input generators of every Buchberger run."""
+    runs = []
+    build = groebner_engine.buchberger
+    monkeypatch.setattr(groebner_engine, "buchberger",
+                        lambda gens, order=GREVLEX: runs.append(
+                            [str(g) for g in gens]) or build(gens, order))
+    return runs
+
+
 @pytest.fixture(scope="module")
 def corpus_c():
     gens = [pp(t) for t in ("X^2", "X^3", "Y + X*Y^2", "X^2*Y", "X^3*Z")]
@@ -91,6 +122,19 @@ class TestGradeTwoGenerated:
                                      parse_polynomial("1 - x", ring.vars), ring)
         assert report.value is GradeValue.INFINITE
         assert report.witness == []
+
+    def test_grade_one_pair_runs_one_test(self, monkeypatch):
+        # x*z is a zerodivisor mod x*y, so (x*y) is a maximal regular
+        # sequence in the ideal; by Rees's theorem all of them have one
+        # length, and the order (x*z, x*y) is not tested
+        calls = counted_nzd_tests(monkeypatch)
+        ring = PresentedRing.polynomial_ring(("x", "y", "z"))
+        report = grade_two_generated(*(parse_polynomial(t, ring.vars)
+                                       for t in ("x*y", "x*z")), ring)
+        assert report.value is GradeValue.ONE
+        assert [str(w) for w in report.witness] == ["x*y"]
+        assert (report.method, report.notes) == ("two-generator", [])
+        assert len(calls) == 1
 
     def test_zero_pair_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -186,6 +230,22 @@ class TestGradeOfDerivation:
         with pytest.raises(DegenerateInputError):
             grade_of_derivation(Derivation(P3, {}))
 
+    @pytest.mark.parametrize("host, image, value", [
+        ("corpus_b", "1", GradeValue.INFINITE),
+        ("corpus_c", "X^2", GradeValue.ONE),
+    ], ids=["fpf", "not-fpf"])
+    def test_image_ideal_basis_built_once(self, request, monkeypatch,
+                                          host, image, value):
+        # the search's unit-ideal test is the fixed-point-free test, so the
+        # basis of the images plus the relations is built once
+        d = restrict_to_subalgebra(derivation(P3, Z=image),
+                                   request.getfixturevalue(host))
+        runs = counted_groebner_runs(monkeypatch)
+        report = grade_of_derivation(d)
+        lifted = d.ring.lifted_ideal(image_ideal(d).generators)
+        assert report.value is value
+        assert runs.count([str(g) for g in lifted.generators]) == 1
+
     def test_value_law_on_random_triangular(self):
         # triangular derivations over Q[u,v][X,Y] stay inside {1, 2, inf}
         rng = random.Random(77)
@@ -246,14 +306,7 @@ class TestGenericCombination:
     def test_each_colon_computed_once(self, monkeypatch):
         # nzd_test builds ((a) : b) for each partner b; the grade-1
         # certificate intersects those colons instead of computing them again
-        calls = []
-
-        def counting_quotient(ideal, g):
-            calls.append((tuple(str(p) for p in ideal.generators), str(g)))
-            return ideal_quotient(ideal, g)
-
-        for module in (grade_analyzer, presentation):
-            monkeypatch.setattr(module, "ideal_quotient", counting_quotient)
+        calls = counted_quotients(monkeypatch)
         ring = PresentedRing.polynomial_ring(("x", "y", "z"))
         ideal = Ideal([parse_polynomial(t, ring.vars)
                        for t in ("x*y", "x*z", "x*y + x*z")])
@@ -348,15 +401,23 @@ class TestNotADomain:
             assert report.notes == ["annihilator certificate: y"]
 
     def test_one_zerodivisor_tries_no_multiples(self, xy_zero, monkeypatch):
-        # one test in grade_two_generated, one in the generic search it
-        # falls back to; the generator's multiples are not tried
-        calls = []
-        monkeypatch.setattr(grade_analyzer, "nzd_test",
-                            lambda *args: calls.append(args) or nzd_test(*args))
+        # one test, in the one grade search; the generator's multiples are
+        # not tried
+        calls = counted_nzd_tests(monkeypatch)
         report = grade_analyzer.grade_of_ideal(
             Ideal(self.q(xy_zero, "x"), xy_zero.vars), xy_zero)
         assert report.value is GradeValue.ZERO
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_each_colon_of_the_relations_computed_once(self, xy_zero, monkeypatch):
+        # the tests of x, y and x + y on the ring share one basis of the
+        # relations, and the annihilator certificate intersects the colons
+        # (relations : x) and (relations : y) those tests built
+        calls, runs = counted_quotients(monkeypatch), counted_groebner_runs(monkeypatch)
+        report = grade_two_generated(*self.q(xy_zero, "x", "y"), xy_zero)
+        assert [str(w) for w in report.witness] == ["x + y"]
+        assert len(calls) == len(set(calls)) == 5
+        assert runs.count(["x*y"]) == 1
 
     def test_regular_combination_starts_the_witness(self, xy_zero):
         # x + y is regular although neither generator is, and (x, y) has
@@ -391,11 +452,7 @@ class TestNotADomain:
         # (y*z) + relations, so its Groebner basis is built once
         ring = PresentedRing.quotient(("x", "y", "z"),
                                       [parse_polynomial("x^2", ("x", "y", "z"))])
-        runs = []
-        build = groebner_engine.buchberger
-        monkeypatch.setattr(groebner_engine, "buchberger",
-                            lambda gens, order=GREVLEX: runs.append(
-                                [str(g) for g in gens]) or build(gens, order))
+        runs = counted_groebner_runs(monkeypatch)
         ideal = Ideal(self.q(ring, "y*z", "y", "z"), ring.vars)
         report = grade_analyzer.grade_of_ideal(ideal, ring)
         assert report.value is GradeValue.TWO
