@@ -37,6 +37,7 @@ from .grade_analyzer import (
 from .groebner_engine import (
     GroebnerBasis,
     Ideal,
+    basis_memo,
     buchberger,
     eliminate,
     ideal_intersection,

@@ -55,7 +55,7 @@ from .derivation_engine import (
 )
 from .errors import BudgetExceededError, LndError, ParseError
 from .grade_analyzer import fpf_test, grade_of_derivation, grade_of_ideal
-from .groebner_engine import Ideal, ideal_member
+from .groebner_engine import Ideal, basis_memo, ideal_member
 from .kernel_lab import (
     SliceData,
     compare_kernel_to_subalgebra,
@@ -614,33 +614,35 @@ def load_environment(session, cfg=None):
 
 def run(session, cfg=None, session_name=None):
     """Execute the commands in order; failures are recorded per command and
-    do not abort the rest.  Returns (report dict, exit code)."""
+    do not abort the rest; one `basis_memo` scope spans the session.
+    Returns (report dict, exit code)."""
     if cfg is None:
         cfg = RunConfig.from_environment()
     t_start = time.monotonic()
-    try:
-        env, decl_error = load_environment(session, cfg), None
-    except LndError as exc:
-        env, decl_error = None, str(exc)
-    failed = decl_error is not None
-    entries = []
-    timings = []
-    for index, command in enumerate(session.commands):
-        entry = {"index": index, "command": command.pretty()}
-        t0 = time.monotonic()
-        error = decl_error
-        if error is None:
-            try:
-                value, witnesses, notes = env.execute(command)
-                entry.update(status="ok", value=value, witnesses=witnesses,
-                             notes=notes)
-            except LndError as exc:
-                error = str(exc)
-        if error is not None:
-            entry.update(status="error", error=error)
-            failed = True
-        timings.append(int((time.monotonic() - t0) * 1000))
-        entries.append(entry)
+    with basis_memo():
+        try:
+            env, decl_error = load_environment(session, cfg), None
+        except LndError as exc:
+            env, decl_error = None, str(exc)
+        failed = decl_error is not None
+        entries = []
+        timings = []
+        for index, command in enumerate(session.commands):
+            entry = {"index": index, "command": command.pretty()}
+            t0 = time.monotonic()
+            error = decl_error
+            if error is None:
+                try:
+                    value, witnesses, notes = env.execute(command)
+                    entry.update(status="ok", value=value, witnesses=witnesses,
+                                 notes=notes)
+                except LndError as exc:
+                    error = str(exc)
+            if error is not None:
+                entry.update(status="error", error=error)
+                failed = True
+            timings.append(int((time.monotonic() - t0) * 1000))
+            entries.append(entry)
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": TOOL_NAME, "version": __version__},

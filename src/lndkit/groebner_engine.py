@@ -9,10 +9,14 @@ element monic from its integer remainder row; a basis keeps its
 elements' records for every normal form taken modulo it.  The pair queue,
 both criteria and inter-reduction read the records' packed leading
 monomials, so they test divisibility as the division loop does.
+Inside a `basis_memo()` scope, which `lnd run` opens once per session,
+each distinct input's reduced basis is computed once.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
@@ -114,8 +118,39 @@ def _interreduce(basis, records, order, guard):
     return reduced
 
 
+_MEMO = ContextVar("lndkit_basis_memo", default=None)
+
+
+@contextmanager
+def basis_memo():
+    """Scope in which `buchberger` keeps each basis it computes under the
+    order with its input, and with its own elements (a reduced basis is
+    unique, so a hit changes no result).  A hit charges no pairs; a run
+    that raises keeps nothing.  Outside any scope each call computes."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def buchberger(generators, order=GREVLEX):
-    """Reduced Groebner basis of the given generators.
+    """Reduced Groebner basis of the given generators, from the current
+    `basis_memo` scope when it already holds one for them."""
+    generators = tuple(generators)
+    memo = _MEMO.get()
+    if memo is None:
+        return _buchberger(generators, order)
+    key = (order, generators)
+    basis = memo.get(key)
+    if basis is None:
+        basis = _buchberger(generators, order)
+        memo[key] = memo[(order, tuple(basis.elements))] = basis
+    return basis
+
+
+def _buchberger(generators, order):
+    """Reduced Groebner basis of the given generators, computed.
 
     Pairs go by degree, deg(lcm) + max(ecart_i, ecart_j) with ecart =
     degree - deg(leading monomial), then by smallest lcm; every ecart is 0

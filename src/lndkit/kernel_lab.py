@@ -419,20 +419,20 @@ def _span(generators, degree, ring):
     polys = []
     count = 0
 
-    def rec(i, room, product):
+    def rec(i, room, product, new=True):  # normalised only where formed
         nonlocal count
         count += 1
         if count > limit:
             raise DimensionBudgetError(
                 f"dimension budget {limit} exceeded by the span enumeration")
-        value = ring.normal(product)
-        if not value.is_zero():
-            if space.insert(value.terms):
+        if new:
+            value = ring.normal(product)
+            if not value.is_zero() and space.insert(value.terms):
                 polys.append(value)
         if i == len(generators):
             return
         g, dg = generators[i], degs[i]
-        rec(i + 1, room, product)
+        rec(i + 1, room, product, False)
         power = product
         spent = 0
         while spent + dg <= room:

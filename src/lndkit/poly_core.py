@@ -456,7 +456,8 @@ class Polynomial:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        # a sum of the term hashes does not depend on the terms' order
+        return hash((self.vars, sum(map(hash, self.terms.items()))))
 
     # -- substitution ---------------------------------------------------------
 

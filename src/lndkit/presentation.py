@@ -141,6 +141,7 @@ class Subalgebra:
             tag_gens.append(rel.embed(self.combined_vars))
         self.tag_basis = buchberger(tag_gens, self.tag_order)
         self._presented = None
+        self._images = {(0,) * len(gens): Polynomial.one(ambient.vars)}
 
     def member(self, f):
         """Membership with a witness expression in the generators."""
@@ -158,10 +159,27 @@ class Subalgebra:
         return res.witness
 
     def to_ambient(self, tag_poly):
-        """Substitute the generators back into a tag polynomial."""
-        images = {name: g for name, g in zip(self.tag_vars, self.generators)}
-        value = tag_poly.substitute(images, self.ambient.vars)
-        return self.ambient.normal(value)
+        """Substitute the generators into a tag polynomial; one normal form."""
+        if tag_poly.vars != self.tag_vars:
+            raise VariableMismatchError(f"element over {tag_poly.vars}, not the tags")
+        total = {}
+        for mono, c in tag_poly.terms.items():
+            for m, a in self._image(mono).terms.items():
+                total[m] = total.get(m, 0) + c * a
+        return self.ambient.normal(Polynomial(self.ambient.vars, total))
+
+    def _image(self, mono):
+        """A tag monomial's product of generator powers, not normalised, made
+        once from the product with its first nonzero exponent lowered by one."""
+        pending = []
+        while mono not in self._images:
+            i = next(k for k, e in enumerate(mono) if e)
+            pending.append((mono, i))
+            mono = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+        image = self._images[mono]
+        for mono, i in reversed(pending):
+            image = self._images[mono] = image * self.generators[i]
+        return image
 
     def presentation_ideal(self):
         """Relations among the generators: tag basis intersected with Q[T]."""

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lndkit import config, poly_core
+from lndkit import config, groebner_engine, poly_core
 from lndkit.cli_runner import (
     _FORMS,
     CORPUS_SESSIONS,
@@ -316,6 +316,27 @@ rees I upto 2 saturate 1 + w
         report, _ = run(parse_session(SIMPLE), RunConfig(seed=13))
         assert report["seed"] == 13
 
+    def test_a_session_computes_each_basis_once(self, monkeypatch):
+        # the symbolic powers' pieces, the saturator certificate and the
+        # relations' basis are each computed once, not once per command:
+        # 10 Buchberger runs where computing afresh took 22
+        inputs = []
+        inner = groebner_engine._buchberger
+
+        def counting(generators, order):
+            inputs.append((order, generators))
+            return inner(generators, order)
+
+        monkeypatch.setattr(groebner_engine, "_buchberger", counting)
+        text = corpus_path("rees_cone.lnd").read_text(encoding="utf-8")
+        report, code = run(parse_session(text), RunConfig())
+        assert code == 0
+        assert len(inputs) == 10
+        assert len(set(inputs)) == len(inputs)
+        # no basis outlives its session
+        run(parse_session(text), RunConfig())
+        assert len(inputs) == 20
+
 
 class TestGolden:
     def test_corpus_matches_golden(self, capsys):
@@ -417,9 +438,24 @@ class TestCommandLine:
         assert main(["corpus", "--seed", "0"]) == 0
 
     def test_pair_budget_bounds_a_whole_command(self, tmp_path):
-        # `rees I upto 4` makes 10 S-pair reductions over 8 Buchberger
-        # runs, its saturator certificate included, at most 8 in any one
-        # of them; `symbolic I power 2` needs 12
+        # in a session of its own, `rees I upto 4` makes 10 S-pair
+        # reductions over 9 Buchberger runs, its saturator certificate
+        # included, at most 8 in any one of them
+        text = corpus_path("rees_cone.lnd").read_text(encoding="utf-8")
+        rees_only = "".join(line for line in text.splitlines(keepends=True)
+                            if not line.startswith("symbolic"))
+        code, report = _run_file(tmp_path, rees_only, "--pair-budget", "9")
+        assert code == 2
+        [entry] = report["commands"]
+        assert entry["status"] == "error"
+        assert "pair budget 9" in entry["error"]
+        code, report = _run_file(tmp_path, rees_only, "--pair-budget", "10")
+        assert code == 0
+
+    def test_a_basis_from_an_earlier_command_charges_no_pairs(self, tmp_path):
+        # after the `symbolic` commands, `rees I upto 4` finds their pieces
+        # and saturator certificate in the session's bases and stops
+        # needing 10 pairs; `symbolic I power 2` needs 12
         out_file = tmp_path / "report.json"
         argv = ["run", str(corpus_path("rees_cone.lnd")), "--json", str(out_file)]
 
@@ -427,10 +463,9 @@ class TestCommandLine:
             report = json.loads(out_file.read_text(encoding="utf-8"))
             return next(c for c in report["commands"] if c["command"].startswith("rees"))
 
+        assert main(argv + ["--pair-budget", "7"]) == 2
+        assert "pair budget 7" in rees_entry()["error"]
         assert main(argv + ["--pair-budget", "8"]) == 2
-        assert rees_entry()["status"] == "error"
-        assert "pair budget 8" in rees_entry()["error"]
-        assert main(argv + ["--pair-budget", "10"]) == 2
         assert rees_entry()["status"] == "ok"
         assert main(argv + ["--pair-budget", "12"]) == 0
 

@@ -10,6 +10,7 @@ from lndkit.errors import BudgetExceededError, VariableMismatchError
 from lndkit.groebner_engine import (
     GroebnerBasis,
     Ideal,
+    basis_memo,
     buchberger,
     eliminate,
     ideal_intersection,
@@ -227,6 +228,62 @@ class TestPairSelection:
             sub = present_subalgebra(ring, gens)
         assert scope.used == 72
         assert sub.member(P("x^5*z + y*x^2 + x^3*y^2")).member
+
+
+def _counted(monkeypatch):
+    """Count the Buchberger runs that compute a basis, memo hits aside."""
+    runs = []
+    inner = groebner_engine._buchberger
+
+    def counting(generators, order):
+        runs.append((order, generators))
+        return inner(generators, order)
+
+    monkeypatch.setattr(groebner_engine, "_buchberger", counting)
+    return runs
+
+
+class TestBasisMemo:
+    def test_outside_a_memo_equal_inputs_run_twice(self, monkeypatch):
+        runs = _counted(monkeypatch)
+        first = Ideal(_katsura(4)).groebner()
+        second = Ideal(_katsura(4)).groebner()
+        assert len(runs) == 2
+        assert first is not second and first.elements == second.elements
+
+    def test_in_a_memo_each_input_runs_once(self, monkeypatch):
+        runs = _counted(monkeypatch)
+        with basis_memo():
+            basis = Ideal(_katsura(4)).groebner()
+            assert Ideal(_katsura(4)).groebner() is basis
+            # a reduced basis is its own reduced basis
+            assert buchberger(basis.elements) is basis
+            assert buchberger(_katsura(4), LEX) is not basis
+        assert len(runs) == 2
+        # the memo closes with its scope
+        assert Ideal(_katsura(4)).groebner() is not basis
+        assert len(runs) == 3
+
+    def test_a_hit_charges_no_pairs(self):
+        with basis_memo():
+            with budget() as first:
+                basis = buchberger(_katsura(4))
+            assert first.used > 0
+            with budget(pairs=0) as second:
+                assert buchberger(_katsura(4)) is basis
+            assert second.used == 0
+
+    def test_a_run_that_raises_keeps_nothing(self, monkeypatch):
+        runs = _counted(monkeypatch)
+        with basis_memo():
+            with budget(pairs=1), pytest.raises(BudgetExceededError):
+                buchberger(_katsura(4))
+            with budget() as scope:
+                basis = buchberger(_katsura(4))
+            # the second run computes the basis afresh, at its full charge
+            assert scope.used == 8
+        assert len(runs) == 2
+        assert basis.elements == buchberger(_katsura(4)).elements
 
 
 class TestSPairRemainder:

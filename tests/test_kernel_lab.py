@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from fractions import Fraction
 
 import pytest
@@ -576,6 +577,22 @@ class TestVerifyGenerators:
                    ("X^2", "X^3", "Y + X*Y^2", "X^2*Y", "X^4", "X^3*Y + X^4*Y^2")]
         out = verify_generators_up_to_degree(corpus_a, claimed, 6)
         assert out.verdict == "equal"
+
+    def test_span_normalises_each_product_once(self, corpus_a, monkeypatch):
+        ring = corpus_a.ambient
+        seen = []  # X^6 is two products, (X^2)^3 and (X^3)^2
+        normal = ring.normal
+
+        def counting(f):
+            seen.append(f)
+            return normal(f)
+
+        monkeypatch.setattr(ring, "normal", counting)
+        kernel_lab._span(corpus_a.generators, 6, ring)
+        # exponent vectors e with sum e_i * deg g_i <= 6, degrees (2, 3, 3, 3)
+        products = sum(1 for e in product(range(4), range(3), range(3), range(3))
+                       if 2 * e[0] + 3 * (e[1] + e[2] + e[3]) <= 6)
+        assert len(seen) == products == 16
 
     def test_corpus_a_gap_documented(self, corpus_a):
         # the full candidate set reaches degree-6 elements the slim corpus

@@ -15,6 +15,8 @@ from oracles import ideal_equal
 
 XY = ("X", "Y")
 UVXY = ("u", "v", "X", "Y")
+XYZ = ("X", "Y", "Z")
+UVW = ("u", "v", "w")
 
 
 def pp(text, vars):
@@ -70,6 +72,26 @@ class TestPresentSubalgebra:
         ring = PresentedRing.polynomial_ring(XY)
         with pytest.raises(DegenerateInputError):
             present_subalgebra(ring, [Polynomial.zero(XY)])
+
+    # the corpus subalgebras B and C of example 6.1, and the ruling
+    # generators of the quadric cone, whose ambient has a relation
+    @pytest.mark.parametrize("vars, relations, gens", [
+        (XYZ, [], ["X^2", "X^3", "Y + X*Y^2", "X^2*Y", "Z"]),
+        (XYZ, [], ["X^2", "X^3", "Y + X*Y^2", "X^2*Y", "X^3*Z"]),
+        (UVW, ["u*w - v^2"], ["u", "v", "w + v"]),
+    ], ids=["B", "C", "cone"])
+    def test_to_ambient_is_substitution(self, vars, relations, gens):
+        ring = (PresentedRing.quotient(vars, [pp(r, vars) for r in relations])
+                if relations else PresentedRing.polynomial_ring(vars))
+        sub = present_subalgebra(ring, [pp(g, vars) for g in gens])
+        images = dict(zip(sub.tag_vars, sub.generators))
+        rng = random.Random(7)
+        tag_polys = [_random_poly(rng, sub.tag_vars, 9, 6) for _ in range(20)]
+        # the same monomials again, and one high-degree monomial
+        t = [Polynomial.variable(name, sub.tag_vars) for name in sub.tag_vars]
+        tag_polys += tag_polys[:5] + [t[0] ** 12 * t[-1] ** 3 - t[1]]
+        for p in tag_polys:
+            assert sub.to_ambient(p) == ring.normal(p.substitute(images, vars))
 
 
 @pytest.fixture(scope="module")
