@@ -29,33 +29,50 @@ from .poly_core import Polynomial, monomial_div
 from .presentation import present_subalgebra
 
 
+def _walk(weights, bound, start, step):
+    """Yield one value for each exponent tuple e with sum(e_i * w_i) <=
+    bound (positive weights), in ascending lexicographic order, the first
+    exponent most significant.  The zero tuple's value is `start`; any
+    other tuple's is step(v, i), where e_i is its last nonzero exponent and
+    v the value of the tuple with e_i lowered by one.  A step that returns
+    None closes its tuple and every tuple the walk reaches from it.  Raises
+    DimensionBudgetError past the current budget's limit of values."""
+    limit = current_budget().dims
+    count = 0
+    # (parent value, position raised, room left); the zero tuple raises none
+    stack = [(start, -1, bound)] if bound >= 0 else []
+    while stack:
+        value, i, room = stack.pop()
+        if i >= 0 and (value := step(value, i)) is None:
+            continue
+        count += 1
+        if count > limit:
+            raise DimensionBudgetError(
+                f"dimension budget {limit} exceeded at degree {bound}")
+        yield value
+        # pushed in ascending position, so the last position pops first
+        for k in range(max(i, 0), len(weights)):
+            if weights[k] <= room:
+                stack.append((value, k, room - weights[k]))
+
+
 def standard_monomials(ring, degree):
     """Monomials of total degree <= degree that are normal forms mod the
     relations; ascending under (degree, ring order).  Raises
-    DimensionBudgetError past the current budget's monomial limit."""
-    limit = current_budget().dims
+    DimensionBudgetError past the current budget's monomial limit.  A
+    multiple of a relation's leading monomial is never a normal form, so
+    the walk closes it together with everything it reaches from it."""
     lts = [p.leading_monomial(ring.order) for p in ring.relations.elements]
+
+    def grow(mono, i):
+        mono = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+        for lt in lts:
+            if monomial_div(mono, lt) is not None:
+                return None
+        return mono
+
     n = len(ring.vars)
-    out = []
-
-    def emit(mono):
-        if all(monomial_div(mono, lt) is None for lt in lts):
-            out.append(mono)
-            if len(out) > limit:
-                raise DimensionBudgetError(
-                    f"dimension budget {limit} exceeded at degree {degree}")
-
-    def rec(pos, remaining, prefix):
-        if pos == n - 1:
-            for e in range(remaining + 1):
-                emit(prefix + (e,))
-            return
-        for e in range(remaining + 1):
-            rec(pos + 1, remaining - e, prefix + (e,))
-
-    if n == 0:
-        return [()]
-    rec(0, degree, ())
+    out = list(_walk((1,) * n, degree, (0,) * n, grow))
     out.sort(key=lambda m: (sum(m), ring.order.key(m)))
     return out
 
@@ -139,6 +156,17 @@ def _vector_to_polynomial(vec, monomials, positions, ring):
             monomials[lead])
 
 
+def _certified(d, certificate, refusal="derivation not certified nilpotent"):
+    """The nilpotency certificate supplied, else one computed at the
+    default bound; DegenerateInputError(refusal) when that one is
+    inconclusive."""
+    if certificate is None:
+        certificate = certify_nilpotent(d)
+        if not certificate.certified:
+            raise DegenerateInputError(refusal)
+    return certificate
+
+
 def kernel_basis(d, degree, certificate=None, assume_nilpotent=False):
     """Q-basis of Ker(D) intersected with normal forms of degree <= degree.
 
@@ -147,12 +175,10 @@ def kernel_basis(d, degree, certificate=None, assume_nilpotent=False):
     """
     if degree < 1:
         raise DegenerateInputError("degree bound must be at least 1")
-    if not assume_nilpotent and certificate is None:
-        certificate = certify_nilpotent(d)
-        if not certificate.certified:
-            raise DegenerateInputError(
-                "derivation not certified locally nilpotent at the default "
-                "bound; pass assume_nilpotent=True to proceed")
+    if not assume_nilpotent:
+        _certified(d, certificate,
+                   "derivation not certified locally nilpotent at the default "
+                   "bound; pass assume_nilpotent=True to proceed")
     ring = d.ring
     monomials = standard_monomials(ring, degree)
     rows, _, _ = _derivation_matrix(d, monomials)
@@ -299,14 +325,35 @@ class DixmierResult:
         return self.numerator
 
 
-def _nilpotency_steps(d, f, certificate):
-    total = 1
-    for v in d.ring.vars:
-        order = certificate.orders.get(v, 1)
-        deg = f.degree_in(v)
-        if deg > 0:
-            total += deg * (order - 1)
-    return total
+def _orbit(d, f, certificate):
+    """f, D(f), D^2(f), ... up to the last nonzero element, for a normal
+    form f.  By the Leibniz rule D^k kills a monomial once k exceeds
+    sum(deg_v * (ord_v - 1)), ord_v the certified order of the variable v,
+    so the orbit has at most 1 + sum(deg_v(f) * (ord_v - 1)) elements; a
+    longer one refutes the certificate."""
+    bound = 1 + sum(f.degree_in(v) * (certificate.orders.get(v, 1) - 1)
+                    for v in d.ring.vars)
+    orbit = []
+    while not f.is_zero():
+        if len(orbit) == bound:
+            raise DegenerateInputError(
+                f"element not annihilated within {bound} iterations")
+        orbit.append(f)
+        f = apply(d, f)
+    return orbit
+
+
+def _project(orbit, s, c, ring):
+    """sum(D^i(f) * (-s)^i / i! * c^(k - i)) over the orbit of f, k its
+    last index (c = 1 for a true slice), by Horner's rule in -s from the
+    last element down, with a running power of c."""
+    minus_s = -s
+    total = Polynomial.zero(ring.vars)
+    weight = ring.one()  # c^(k - i)
+    for i in reversed(range(len(orbit))):
+        total = total * minus_s + orbit[i] * weight / factorial(i)
+        weight = weight * c
+    return ring.normal(total)
 
 
 def dixmier(d, slice_data, f, certificate=None):
@@ -317,61 +364,27 @@ def dixmier(d, slice_data, f, certificate=None):
     """
     if isinstance(slice_data, Polynomial):
         slice_data = SliceData(slice_data)
-    if certificate is None:
-        certificate = certify_nilpotent(d)
-        if not certificate.certified:
-            raise DegenerateInputError("derivation not certified nilpotent")
     ring = d.ring
-    f = ring.normal(f)
-    bound = _nilpotency_steps(d, f, certificate)
+    orbit = _orbit(d, ring.normal(f), _certified(d, certificate))
     s = ring.normal(slice_data.slice)
-    c = ring.normal(slice_data.cofactor) if slice_data.is_local() else None
-    powers = []
-    current = f
-    i = 0
-    while not current.is_zero():
-        if i > bound:
-            raise DegenerateInputError(
-                f"element not annihilated within {bound} iterations")
-        powers.append(current)
-        current = apply(d, current)
-        i += 1
-    k = max(len(powers) - 1, 0)
-    total = Polynomial.zero(ring.vars)
-    minus_s = -s
-    for i, dif in enumerate(powers):
-        term = dif * (minus_s ** i) / factorial(i)
-        if c is not None:
-            term = term * c ** (k - i)
-        total = total + term
-    total = ring.normal(total)
-    if c is not None:
-        return DixmierResult(total, k, c)
-    return DixmierResult(total)
+    if not slice_data.is_local():
+        return DixmierResult(_project(orbit, s, ring.one(), ring))
+    c = ring.normal(slice_data.cofactor)
+    return DixmierResult(_project(orbit, s, c, ring), max(len(orbit) - 1, 0), c)
 
 
 def reconstruct(d, slice_data, f, certificate=None):
-    """Coefficients a_i in Ker(D) with f = sum(a_i s^i); true slices only."""
+    """Coefficients a_i in Ker(D) with f = sum(a_i s^i); true slices only:
+    a_i is the projection of D^i(f), the orbit's suffix from i, over i!."""
     if isinstance(slice_data, Polynomial):
         slice_data = SliceData(slice_data)
     if slice_data.is_local():
         raise DegenerateInputError("reconstruction needs a true slice")
-    if certificate is None:
-        certificate = certify_nilpotent(d)
-        if not certificate.certified:
-            raise DegenerateInputError("derivation not certified nilpotent")
-    coefficients = []
-    current = d.ring.normal(f)
-    bound = _nilpotency_steps(d, current, certificate)
-    i = 0
-    while not current.is_zero():
-        a = dixmier(d, slice_data, current, certificate).numerator / factorial(i)
-        coefficients.append(a)
-        current = apply(d, current)
-        i += 1
-        if i > bound:
-            raise DegenerateInputError("element not annihilated at the bound")
-    return coefficients
+    ring = d.ring
+    orbit = _orbit(d, ring.normal(f), _certified(d, certificate))
+    s, one = ring.normal(slice_data.slice), ring.one()
+    return [_project(orbit[i:], s, one, ring) / factorial(i)
+            for i in range(len(orbit))]
 
 
 @dataclass
@@ -411,36 +424,18 @@ def verify_generators_up_to_degree(subalgebra, claimed, degree):
 
 
 def _span(generators, degree, ring):
-    limit = current_budget().dims
+    """The span of the normal forms of the generators' products
+    prod(g_i^e_i) with sum(e_i * deg g_i) <= degree, and the products that
+    extended it, in the walk's order.  Each product is normalised once:
+    it is formed from its parent's normal form."""
     degs = [max(g.degree(), 0) for g in generators]
     if any(d == 0 for d in degs):
         raise DegenerateInputError("constant generator in span comparison")
-    space = RowSpace()
-    polys = []
-    count = 0
-
-    def rec(i, room, product, new=True):  # normalised only where formed
-        nonlocal count
-        count += 1
-        if count > limit:
-            raise DimensionBudgetError(
-                f"dimension budget {limit} exceeded by the span enumeration")
-        if new:
-            value = ring.normal(product)
-            if not value.is_zero() and space.insert(value.terms):
-                polys.append(value)
-        if i == len(generators):
-            return
-        g, dg = generators[i], degs[i]
-        rec(i + 1, room, product, False)
-        power = product
-        spent = 0
-        while spent + dg <= room:
-            power = power * g
-            spent += dg
-            rec(i + 1, room - spent, power)
-
-    rec(0, degree, Polynomial.one(ring.vars))
+    space, polys = RowSpace(), []
+    for value in _walk(degs, degree, ring.normal(Polynomial.one(ring.vars)),
+                       lambda p, i: ring.normal(p * generators[i])):
+        if not value.is_zero() and space.insert(value.terms):
+            polys.append(value)
     return space, polys
 
 

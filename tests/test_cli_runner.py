@@ -505,6 +505,17 @@ class TestCommandLine:
         assert entry["status"] == "error"
         assert entry["error"] == "pair budget 1 exceeded"
 
+    def test_dimension_budget_bounds_a_kernel_on_a_quotient(self, tmp_path):
+        # Q[x, y] / (y) has one standard monomial per degree; the enumeration
+        # stops at the default budget of 5000 monomials, not at degree 200000
+        text = ("ring P = poly(x, y)\nring R = quotient(P, (y))\n"
+                "derivation D on R { x -> 1 }\nkernel D degree 200000\n")
+        code, report = _run_file(tmp_path, text)
+        assert code == 2
+        [entry] = report["commands"]
+        assert entry["status"] == "error"
+        assert "dimension budget 5000 exceeded" in entry["error"]
+
     @pytest.mark.parametrize("flags", [["--pair-budget", "-5"],
                                        ["--dim-budget", "-1"],
                                        ["--pair-budget", "abc"],

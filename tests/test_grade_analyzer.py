@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lndkit import grade_analyzer, groebner_engine, presentation
 from lndkit.derivation_engine import Derivation, extend_with_variable, restrict_to_subalgebra
@@ -381,6 +382,24 @@ def xy_zero():
     return PresentedRing.quotient(vars, [parse_polynomial("x*y", vars)])
 
 
+@st.composite
+def _planted_pairs(draw):
+    """(g, -g, h_1, ...) over x, y, z with g = x*p and each h_i = y*q_i.
+    On Q[x, y, z] / (x*y) every generator is a zerodivisor, and so is the
+    moment curve's point at t = 1, h_1 + h_2 + ..., a multiple of y: a
+    regular first witness element can only come from t >= 2."""
+    factors = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
+                              st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+
+    def times(i, terms):
+        return Polynomial(("x", "y", "z"), {
+            tuple(e + (j == i) for j, e in enumerate(m)): Fraction(c)
+            for m, c in terms.items()})
+
+    g = times(0, draw(factors))
+    return [g, -g] + [times(1, q) for q in draw(st.lists(factors, min_size=1, max_size=2))]
+
+
 class TestNotADomain:
     def q(self, ring, *texts):
         return [parse_polynomial(t, ring.vars) for t in texts]
@@ -444,6 +463,13 @@ class TestNotADomain:
         assert report.value is GradeValue.ONE
         assert [str(w) for w in report.witness] == [witness]
         assert report.notes == ["zerodivisor certificate: x"]
+        _verify_witness(report, xy_zero)
+
+    @given(_planted_pairs())
+    @settings(max_examples=30, deadline=None)
+    def test_moment_curve_witness_past_a_cancelling_pair(self, xy_zero, gens):
+        assume(any(not xy_zero.normal(g).is_zero() for g in gens))
+        report = grade_analyzer.grade_of_ideal(Ideal(gens, xy_zero.vars), xy_zero)
         _verify_witness(report, xy_zero)
 
     def test_each_modulus_lifted_once(self, monkeypatch):

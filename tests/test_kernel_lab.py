@@ -10,6 +10,7 @@ from lndkit import kernel_lab
 from lndkit.config import budget
 from lndkit.derivation_engine import (
     Derivation,
+    NilpotencyCertificate,
     apply,
     certify_nilpotent,
     irreducible_over_ufd,
@@ -30,7 +31,7 @@ from lndkit.kernel_lab import (
     verify_generators_up_to_degree,
 )
 from lndkit._linalg import nullspace
-from lndkit.poly_core import GREVLEX, LEX, Polynomial, parse_polynomial
+from lndkit.poly_core import GREVLEX, LEX, Polynomial, monomial_div, parse_polynomial
 from lndkit.presentation import PresentedRing, present_subalgebra
 from oracles import apply as oracle_apply, local_slice
 
@@ -81,12 +82,51 @@ class TestStandardMonomials:
         ring = PresentedRing.quotient(XY, [pp("X^2 - Y", XY)])
         monos = standard_monomials(ring, 4)
         lt = ring.relations.elements[0].leading_monomial(ring.order)
-        from lndkit.poly_core import monomial_div
         assert all(monomial_div(m, lt) is None for m in monos)
 
     def test_budget(self):
         with pytest.raises(DimensionBudgetError, match="budget 20"), budget(dims=20):
             standard_monomials(P3, 10)
+
+    def test_budget_bounds_the_walk_on_a_quotient(self, monkeypatch):
+        # Q[x, y] / (y) has one standard monomial per degree: the walk
+        # closes every multiple of y where it forms it, so the divisibility
+        # tests stay within (n + 1) * (limit + 1) per relation lead, however
+        # large the degree
+        ring = PresentedRing.quotient(("x", "y"), [pp("y", ("x", "y"))])
+        calls = []
+        monkeypatch.setattr(kernel_lab, "monomial_div",
+                            lambda a, b: calls.append(a) or monomial_div(a, b))
+        limit = 5000
+        with pytest.raises(DimensionBudgetError, match=f"budget {limit} exceeded"), \
+                budget(dims=limit):
+            standard_monomials(ring, 8000)
+        assert len(calls) <= (2 + 1) * (limit + 1) * 1
+        assert standard_monomials(ring, 3) == [(0, 0), (1, 0), (2, 0), (3, 0)]
+
+
+class TestWalk:
+    def test_ascending_lexicographic_within_the_weighted_bound(self):
+        weights, bound = (2, 3, 1), 5
+        walked = list(kernel_lab._walk(
+            weights, bound, (0, 0, 0),
+            lambda e, i: e[:i] + (e[i] + 1,) + e[i + 1:]))
+        expected = [e for e in product(range(6), repeat=3)
+                    if sum(a * w for a, w in zip(e, weights)) <= bound]
+        assert walked == expected
+
+    def test_a_refused_step_closes_what_it_reaches(self):
+        # refusing (1, 0) also drops (1, 1), (2, 0), ... : every tuple the
+        # walk reaches from it; (0, 1) and its own successors stay
+        def step(e, i):
+            e = e[:i] + (e[i] + 1,) + e[i + 1:]
+            return None if e == (1, 0) else e
+
+        walked = list(kernel_lab._walk((1, 1), 2, (0, 0), step))
+        assert walked == [(0, 0), (0, 1), (0, 2)]
+
+    def test_no_tuple_below_a_negative_bound(self):
+        assert list(kernel_lab._walk((1,), -1, (0,), None)) == []
 
 
 class TestKernelBasis:
@@ -488,6 +528,22 @@ class TestDixmier:
             assert dixmier(d, s, f * g, cert).value == pf * pg
             assert dixmier(d, s, f + g, cert).value == pf + pg
 
+    @pytest.mark.parametrize("order, projection", [(2, "0"), (1, None)])
+    def test_orbit_bound_is_tight(self, order, projection):
+        # the orbit of y under y -> 1 is y, 1: exactly the bound
+        # 1 + deg_y(y) * (order - 1) at the true order 2, and one element
+        # past it when a certificate claims order 1
+        ring = PresentedRing.polynomial_ring(("x", "y"))
+        d = derivation(ring, y="1")
+        y = parse_polynomial("y", ring.vars)
+        certificate = NilpotencyCertificate(True, 2, orders={"y": order})
+        if projection is None:
+            with pytest.raises(DegenerateInputError, match="within 1 iterations"):
+                dixmier(d, SliceData(y), y, certificate)
+        else:
+            assert dixmier(d, SliceData(y), y, certificate).value == \
+                parse_polynomial(projection, ring.vars)
+
     def test_local_slice_denominator(self):
         d = derivation(P3, Z="X^2")
         data = SliceData(pp("Z"), pp("X^2"))
@@ -546,6 +602,20 @@ class TestReconstruct:
                 total = total + a * s.slice ** i
             assert ring.normal(total) == f
 
+    def test_one_application_per_orbit_element(self, monkeypatch):
+        # y^3 + x*y, 3*y^2 + x, 6*y, 6: every coefficient projects a suffix
+        # of that one orbit, so D runs 4 times (once per element)
+        ring = PresentedRing.polynomial_ring(("x", "y"))
+        d = derivation(ring, y="1")
+        certificate = certify_nilpotent(d)
+        calls = []
+        monkeypatch.setattr(kernel_lab, "apply",
+                            lambda d, f: calls.append(f) or apply(d, f))
+        coeffs = reconstruct(d, SliceData(parse_polynomial("y", ring.vars)),
+                             parse_polynomial("y^3 + x*y", ring.vars), certificate)
+        assert [str(a) for a in coeffs] == ["0", "x", "0", "1"]
+        assert len(calls) == 4
+
     def test_local_slice_refused(self):
         d = derivation(P3, Z="X^2")
         data = SliceData(pp("Z"), pp("X^2"))
@@ -593,6 +663,15 @@ class TestVerifyGenerators:
         products = sum(1 for e in product(range(4), range(3), range(3), range(3))
                        if 2 * e[0] + 3 * (e[1] + e[2] + e[3]) <= 6)
         assert len(seen) == products == 16
+
+    def test_span_budget_counts_its_products(self, corpus_a):
+        # the 16 products of test_span_normalises_each_product_once, each
+        # counted once against the dimension budget
+        ring = corpus_a.ambient
+        with budget(dims=16):
+            kernel_lab._span(corpus_a.generators, 6, ring)
+        with pytest.raises(DimensionBudgetError, match="budget 15"), budget(dims=15):
+            kernel_lab._span(corpus_a.generators, 6, ring)
 
     def test_corpus_a_gap_documented(self, corpus_a):
         # the full candidate set reaches degree-6 elements the slim corpus
