@@ -2,13 +2,16 @@
 
 A row is a dict mapping a column to its entry, integer or Fraction.
 Columns are 0..ncols-1 for matrices, and any comparable keys (such as
-exponent tuples) for a RowSpace.  Every routine runs on the same
-incremental echelon: one primitive integer row per pivot column, where a
-row's pivot is its lowest column.  A new row is reduced at its lowest
-column until it vanishes or has a pivot of its own.  Scaling a row changes
-neither the nullspace nor solvability, and the pivots are exactly the
-columns independent of the columns before them, so every answer depends
-only on the matrix and the column order, not on the order of the rows.
+exponent tuples) for a RowSpace.  Every routine runs on the same kind of
+echelon: one primitive integer row per pivot column, where a row's pivot
+is its lowest column, and one reduction step, `_step`, which clears a
+row's lowest column with that column's pivot row.  A matrix is eliminated
+column by column from the lowest (`_echelon`); a RowSpace reduces each new
+row at its lowest column until it vanishes or has a pivot of its own.
+Scaling a row changes neither the nullspace nor solvability, and the
+pivots are exactly the columns independent of the columns before them,
+so every answer depends only on the matrix and the column order, not on
+the order of the rows or on which row becomes a pivot row.
 
 `nullspace` and `solve` share one back-substitution pass, `_solutions`:
 it solves for the pivots from the highest down, each value a coprime
@@ -20,6 +23,7 @@ unique solution, so each answer is read off the one table.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
@@ -41,49 +45,66 @@ def _primitive(row):
     return {j: v // g for j, v in ints.items()}
 
 
-def _reduce(echelon, row):
-    """Reduce a primitive row at its lowest column until it is zero (None)
-    or its lowest column is not yet a pivot; returns (row, lowest column).
+def _step(row, pivot_row, lead):
+    """A row the caller owns, with its entry at `lead` cleared by that
+    column's primitive pivot row: updated in place, or rescaled into a
+    fresh dict when the pivot entry does not divide the row's entry."""
+    p, f = pivot_row[lead], row[lead]
+    g = gcd(p, f)
+    p, f = p // g, f // g
+    if p != 1:
+        row = {j: p * v for j, v in row.items()}
+    for j, v in pivot_row.items():
+        s = row.get(j, 0) - f * v
+        if s:
+            row[j] = s
+        else:
+            del row[j]
+    return row
 
-    The row is updated in place: every caller passes the fresh dict that
-    `_primitive` built.  It is rescaled only when the pivot entry does not
-    divide its entry at the pivot column."""
+
+def _reduce(echelon, row):
+    """Reduce a fresh row at its lowest column until it is zero (None) or
+    its lowest column is not yet a pivot; returns (row, lowest column)."""
     while row:
         lead = min(row)
         pivot_row = echelon.get(lead)
         if pivot_row is None:
             return row, lead
-        p, f = pivot_row[lead], row[lead]
-        g = gcd(p, f)
-        p, f = p // g, f // g
-        if p != 1:
-            row = {j: p * v for j, v in row.items()}
-        for j, v in pivot_row.items():
-            s = row.get(j, 0) - f * v
-            if s:
-                row[j] = s
-            else:
-                del row[j]
+        row = _step(row, pivot_row, lead)
     return None, None
 
 
-def _insert(echelon, row):
-    """Add a row to the echelon; True when it has a new pivot."""
-    row, lead = _reduce(echelon, _primitive(row))
-    if row is None:
-        return False
-    echelon[lead] = _primitive(row)
-    return True
-
-
 def _echelon(rows):
-    """The echelon of the rows, inserted shortest first.  The order changes
-    no answer, since the pivots and the normalised solutions belong to the
-    row space, but short rows give sparse pivot rows, so the longer rows
-    reduced by them later fill in less and their entries grow less."""
+    """The echelon of the rows, built column by column from the lowest.
+
+    Each row waits at its lowest column.  At column c the shortest waiting
+    row, made primitive, becomes c's pivot row and clears c from the other
+    rows waiting there, which then wait at their new lowest columns.  Short
+    pivot rows fill in little (Markowitz's rule, one column at a time), and
+    which row is chosen changes no answer: the pivots and the normalised
+    solutions belong to the row space."""
+    waiting = {}
+    for row in rows:
+        row = _primitive(row)
+        if row:
+            waiting.setdefault(min(row), []).append(row)
+    columns = list(waiting)
+    heapify(columns)
     echelon = {}
-    for row in sorted(rows, key=len):
-        _insert(echelon, row)
+    while columns:
+        c = heappop(columns)
+        bucket = waiting.pop(c)
+        shortest = min(bucket, key=len)
+        pivot_row = echelon[c] = _primitive(shortest)
+        for row in bucket:
+            if row is not shortest:
+                row = _step(row, pivot_row, c)
+                if row:
+                    lead = min(row)
+                    if lead not in waiting:
+                        heappush(columns, lead)
+                    waiting.setdefault(lead, []).append(row)
     return echelon
 
 
@@ -180,7 +201,10 @@ class RowSpace:
         return _reduce(self.rows, _primitive(vec))[0] is None
 
     def insert(self, vec):
-        return _insert(self.rows, vec)
+        row, lead = _reduce(self.rows, _primitive(vec))
+        if row is not None:
+            self.rows[lead] = _primitive(row)
+        return row is not None
 
     def dimension(self):
         return len(self.rows)

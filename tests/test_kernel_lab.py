@@ -190,6 +190,40 @@ class TestKernelBasis:
         assert all(type(c) is Fraction for p in basis for c in p.terms.values())
 
 
+def _weitzenboeck(n, change=None):
+    """The basic Weitzenboeck derivation x_i -> x_(i-1) on n variables,
+    conjugated by the unitriangular change x_i -> x_i + change[x_i] (lower
+    variables only) when one is given: phi D phi^-1."""
+    vs = tuple(f"x{i}" for i in range(1, n + 1))
+    ring = PresentedRing.polynomial_ring(vs)
+    x = {v: Polynomial.variable(v, vs) for v in vs}
+    base = Derivation(ring, {vs[i]: x[vs[i - 1]] for i in range(1, n)})
+    if change is None:
+        return base
+    phi = {v: x[v] + parse_polynomial(change.get(v, "0"), vs) for v in vs}
+    inverse = {}
+    for v in vs:  # phi^-1(x_i) = x_i - change[x_i] at phi^-1 of the lower x_j
+        inverse[v] = x[v] - (phi[v] - x[v]).substitute(inverse, vs)
+    return Derivation(ring, {v: apply(base, inverse[v]).substitute(phi, vs)
+                             for v in vs})
+
+
+class TestWeitzenboeckKernel:
+    """The n = 5 kernel to degree 8, the largest matrix of the benchmark's
+    kernel workload: its dimension in each degree, also after a change of
+    coordinates, which moves every matrix entry but keeps the dimensions."""
+
+    @pytest.mark.parametrize("change", [
+        None, {"x2": "x1", "x4": "-2*x3 + x1", "x5": "x2"}])
+    def test_dimensions_to_degree_eight(self, change):
+        d = _weitzenboeck(5, change)
+        basis = kernel_basis(d, 8).basis
+        dims = [sum(p.degree() == k for p in basis) for k in range(9)]
+        assert dims == [1, 1, 3, 5, 8, 12, 18, 24, 33]
+        assert len(basis) == 105
+        assert all(apply(d, p).is_zero() for p in basis)
+
+
 class TestKernelGenerators:
     def test_partial_derivative(self):
         d = derivation(P2, Y="1")

@@ -166,6 +166,39 @@ class TestBackSubstitution:
                                           if fc < ncols]
 
 
+class TestEchelon:
+    """The column-by-column echelon against a RowSpace fed the same rows
+    one at a time.  Duplicates, scaled copies and sums of two rows wait at
+    the column of a row like them, so they reach a pivot, if at all, only
+    after a reduction, and the pivot row chosen there may be one of them."""
+
+    @given(_sparse_matrices(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_primitive_pivot_rows_and_pivots_of_the_row_space(self, matrix, data):
+        rows, _ = matrix
+        scale = _FRACTIONS.filter(bool)
+        for _ in range(data.draw(st.integers(0, 6)) if rows else 0):
+            a, b = (data.draw(st.sampled_from(rows)) for _ in range(2))
+            s = data.draw(st.just(1) | scale)  # 1 with t = 0: a duplicate
+            t = data.draw(st.sampled_from([0, 1]) | scale)  # 0: a copy of a
+            row = {j: s * a.get(j, 0) + t * b.get(j, 0) for j in a.keys() | b.keys()}
+            rows.append({j: c for j, c in row.items() if c})
+        rows = data.draw(st.permutations(rows))
+        echelon = _echelon(rows)
+        inserted = RowSpace()
+        for row in rows:
+            inserted.insert(row)
+        assert set(echelon) == set(inserted.rows)
+        spanned = RowSpace()
+        for pc, row in echelon.items():
+            assert min(row) == pc and row[pc] > 0
+            assert all(type(v) is int and v for v in row.values())
+            assert gcd(*row.values()) == 1
+            assert inserted.contains(row)
+            assert spanned.insert(row)
+        assert all(spanned.contains(row) for row in rows)
+
+
 def _primitive_by_hand(row):
     """Nonzero int entries over their gcd, positive at the lowest column."""
     row = {j: c for j, c in row.items() if c}
@@ -240,7 +273,8 @@ class TestIntegerRows:
                 space.insert(row)
                 assert space.contains(row)
             assert given_rows == copy
-            # the echelon takes rows shortest first; no order changes an answer
+            # the echelon picks the shortest row waiting at each column as
+            # its pivot row; no row order changes an answer
             assert nullspace(given_rows[::-1], ncols) == basis
             assert rank(given_rows[::-1], ncols) == rank(exact, ncols)
 

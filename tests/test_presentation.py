@@ -93,6 +93,15 @@ class TestPresentSubalgebra:
         for p in tag_polys:
             assert sub.to_ambient(p) == ring.normal(p.substitute(images, vars))
 
+    def test_to_ambient_maps_each_tag_polynomial_once(self, monkeypatch):
+        sub = present_subalgebra(PresentedRing.polynomial_ring(XY),
+                                 [pp("X^2", XY), pp("X*Y + 1", XY)])
+        text = f"{sub.tag_vars[0]}^2 - 3*{sub.tag_vars[1]}"
+        first = sub.to_ambient(pp(text, sub.tag_vars))
+        monkeypatch.setattr(sub, "_image", None)  # a second mapping fails
+        assert sub.to_ambient(pp(text, sub.tag_vars)) is first
+        assert first == pp("X^4 - 3*X*Y - 3", XY)
+
 
 @pytest.fixture(scope="module")
 def cusp():
