@@ -175,7 +175,7 @@ class TestEchelon:
     @given(_sparse_matrices(), st.data())
     @settings(max_examples=300, deadline=None)
     def test_primitive_pivot_rows_and_pivots_of_the_row_space(self, matrix, data):
-        rows, _ = matrix
+        rows = list(matrix[0])
         scale = _FRACTIONS.filter(bool)
         for _ in range(data.draw(st.integers(0, 6)) if rows else 0):
             a, b = (data.draw(st.sampled_from(rows)) for _ in range(2))
