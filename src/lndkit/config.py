@@ -1,8 +1,8 @@
 """Run-wide tunables: budgets and the seed a report echoes.
 
 A `budget(pairs, dims)` scope bounds the S-pair reductions of all the
-Buchberger runs inside it, summed, and the size of each exponent walk:
-the monomials of one enumeration, or the products of one span.  It also counts the terms formed by the work that a user's
+Buchberger runs inside it, summed, and the size of one enumeration: the
+monomials up to a degree, or the products of one span.  It also counts the terms formed by the work that a user's
 numbers alone can make unbounded, polynomial products while parsing (a
 power; weighted by coefficient size) and the iterations of a nilpotency
 check, against the fixed TERM_BUDGET.  Outside any scope every Buchberger
@@ -64,8 +64,8 @@ class RunConfig:
 @dataclass
 class Budget:
     """Pair limit and pairs used; terms used, against TERM_BUDGET; `dims`
-    bounds each exponent walk's values (a matrix side, not work, so it does
-    not accumulate)."""
+    bounds the values of one enumeration or one span (a matrix side, not
+    work, so it does not accumulate over a statement)."""
 
     pairs: int = DEFAULT_PAIR_BUDGET
     dims: int = DEFAULT_DIM_BUDGET

@@ -7,8 +7,9 @@ is unconditional, and no claim is made beyond it.
 
 Generators are extracted by span tests: an element lies in the subalgebra
 of the kept generators when it lies in the span of their products up to
-the degree bound.  A miss is exact when the ring's relations, the element
-and every kept generator are homogeneous in the standard grading, because
+the degree bound, one span per call, extended by each kept generator's
+products.  A miss is exact when the ring's relations, the element and
+every kept generator are homogeneous in the standard grading, because
 the degree-k part of a polynomial in homogeneous generators is a
 combination of their products of weighted degree k.  Any other miss is
 decided by a tag-basis `Subalgebra`, built only then.
@@ -29,16 +30,17 @@ from .poly_core import Polynomial, monomial_div
 from .presentation import present_subalgebra
 
 
-def _walk(weights, bound, start, step):
+def _walk(weights, bound, start, step, spent, degree):
     """Yield one value for each exponent tuple e with sum(e_i * w_i) <=
     bound (positive weights), in ascending lexicographic order, the first
     exponent most significant.  The zero tuple's value is `start`; any
     other tuple's is step(v, i), where e_i is its last nonzero exponent and
     v the value of the tuple with e_i lowered by one.  A step that returns
     None closes its tuple and every tuple the walk reaches from it.  Raises
-    DimensionBudgetError past the current budget's limit of values."""
+    DimensionBudgetError at the command's `degree` once `spent` values
+    before the walk plus its own pass the current budget's limit."""
     limit = current_budget().dims
-    count = 0
+    count = spent
     # (parent value, position raised, room left); the zero tuple raises none
     stack = [(start, -1, bound)] if bound >= 0 else []
     while stack:
@@ -48,7 +50,7 @@ def _walk(weights, bound, start, step):
         count += 1
         if count > limit:
             raise DimensionBudgetError(
-                f"dimension budget {limit} exceeded at degree {bound}")
+                f"dimension budget {limit} exceeded at degree {degree}")
         yield value
         # pushed in ascending position, so the last position pops first
         for k in range(max(i, 0), len(weights)):
@@ -72,7 +74,7 @@ def standard_monomials(ring, degree):
         return mono
 
     n = len(ring.vars)
-    out = list(_walk((1,) * n, degree, (0,) * n, grow))
+    out = list(_walk((1,) * n, degree, (0,) * n, grow, 0, degree))
     out.sort(key=lambda m: (sum(m), ring.order.key(m)))
     return out
 
@@ -198,10 +200,11 @@ def kernel_generators(d, degree, certificate=None, assume_nilpotent=False,
     Walks the basis by degree and keeps an element only when it is not a
     member of the subalgebra generated by those already kept.  Membership
     is first tested in the span of the kept generators' products up to the
-    degree bound, rebuilt only when an element is kept: a hit proves
-    membership, and a miss proves non-membership when the relations, the
-    element and every kept generator are homogeneous.  Any other miss is
-    decided by `Subalgebra.member`, on a subalgebra built only then.
+    degree bound, one span extended by each kept element before the next
+    test: a hit proves membership, and a miss proves non-membership when
+    the relations, the element and every kept generator are homogeneous.
+    Any other miss is decided by `Subalgebra.member`, on a subalgebra built
+    only then.
     `pair_budget` only opens a budget scope of its own around the call; it
     stays because the benchmark's kernel_generators job still passes it.
     """
@@ -210,14 +213,14 @@ def kernel_generators(d, degree, certificate=None, assume_nilpotent=False,
     with budget(pairs=pair_budget) if pair_budget is not None else nullcontext():
         report = kernel_basis(d, degree, certificate, assume_nilpotent)
         kept = []
-        space = sub = None
+        span, sub = _Span(ring, degree, []), None
         for p in report.basis:
             if p.is_constant():
                 continue
             if kept:
-                if space is None:
-                    space, _ = _span(kept, degree, ring)
-                if space.contains(p.terms):
+                if len(span.generators) < len(kept):
+                    span.add(kept[-1])
+                if span.space.contains(p.terms):
                     continue
                 if not (graded_ring and _homogeneous(p)
                         and all(_homogeneous(g) for g in kept)):
@@ -226,7 +229,7 @@ def kernel_generators(d, degree, certificate=None, assume_nilpotent=False,
                     if sub.member(p).member:
                         continue
             kept.append(p)
-            space = sub = None
+            sub = None
     report.generators = kept
     return report
 
@@ -275,6 +278,8 @@ def slice_search(d, degree):
     Each candidate s = sum vec[j] m_j of Ker(D^2) is ranked on
     sum vec[j] D(m_j), a multiple of D(s): s is a normal form and both D
     and the normal form are linear.  Only the winner becomes polynomials."""
+    if degree < 1:
+        raise DegenerateInputError("degree bound must be at least 1")
     ring = d.ring
     monomials = standard_monomials(ring, degree)
     rows, row_index, image = _derivation_matrix(d, monomials)
@@ -404,16 +409,16 @@ def verify_generators_up_to_degree(subalgebra, claimed, degree):
     bounded by the degree), so the comparison is exact linear algebra over
     the ambient monomials.
     """
+    if degree < 1:
+        raise DegenerateInputError("degree bound must be at least 1")
     ring = subalgebra.ambient
     claimed = [ring.normal(p) for p in claimed]
     if any(p.is_zero() for p in claimed):
         raise DegenerateInputError("zero polynomial among claimed generators")
-    ours = _span(subalgebra.generators, degree, ring)
-    theirs = _span(claimed, degree, ring)
-    ours_space, ours_polys = ours
-    theirs_space, theirs_polys = theirs
-    missing_theirs = _first_outside(theirs_polys, ours_space, ring)
-    missing_ours = _first_outside(ours_polys, theirs_space, ring)
+    ours = _Span(ring, degree, subalgebra.generators)
+    theirs = _Span(ring, degree, claimed)
+    missing_theirs = _first_outside(theirs.polys, ours.space, ring)
+    missing_ours = _first_outside(ours.polys, theirs.space, ring)
     if missing_theirs is None and missing_ours is None:
         return GeneratorComparison("equal")
     if missing_theirs is None:
@@ -423,20 +428,35 @@ def verify_generators_up_to_degree(subalgebra, claimed, degree):
     return GeneratorComparison("incomparable", missing_theirs)
 
 
-def _span(generators, degree, ring):
-    """The span of the normal forms of the generators' products
-    prod(g_i^e_i) with sum(e_i * deg g_i) <= degree, and the products that
-    extended it, in the walk's order.  Each product is normalised once:
-    it is formed from its parent's normal form."""
-    degs = [max(g.degree(), 0) for g in generators]
-    if any(d == 0 for d in degs):
-        raise DegenerateInputError("constant generator in span comparison")
-    space, polys = RowSpace(), []
-    for value in _walk(degs, degree, ring.normal(Polynomial.one(ring.vars)),
-                       lambda p, i: ring.normal(p * generators[i])):
-        if not value.is_zero() and space.insert(value.terms):
-            polys.append(value)
-    return space, polys
+class _Span:
+    """The span of the normal forms of generators' products prod(g_i^e_i)
+    with sum(e_i * deg g_i) <= degree, and the products that extended it,
+    in the order formed: one lexicographic walk, the first exponent most
+    significant, as the generators are added last to first.  Each product
+    is formed once, from its parent's normal form, and counted once
+    against the dimension budget of the whole span."""
+
+    def __init__(self, ring, degree, generators):
+        if any(g.degree() <= 0 for g in generators):
+            raise DegenerateInputError("constant generator in span comparison")
+        self.ring, self.degree, self.formed = ring, degree, 0
+        self.generators, self.polys, self.space = [], [], RowSpace()
+        self._extend(degree, ring.normal(Polynomial.one(ring.vars)))
+        for g in reversed(generators):
+            self.add(g)
+
+    def add(self, g):
+        """Extend by the products that contain g, g first in the walk."""
+        self.generators.insert(0, g)
+        self._extend(self.degree - g.degree(), self.ring.normal(g))
+
+    def _extend(self, bound, start):
+        gens, normal = self.generators, self.ring.normal
+        for value in _walk([g.degree() for g in gens], bound, start,
+                           lambda p, i: normal(p * gens[i]), self.formed, self.degree):
+            self.formed += 1
+            if not value.is_zero() and self.space.insert(value.terms):
+                self.polys.append(value)
 
 
 def _first_outside(polys, space, ring):

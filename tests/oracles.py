@@ -1,8 +1,9 @@
 """Plain rational reference routines the library no longer carries, for
 checking its integer-row routes against."""
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
+from lndkit._linalg import RowSpace
 from lndkit.groebner_engine import Ideal, ideal_member, saturation
 from lndkit.poly_core import GREVLEX, Polynomial, _layout, monomial_div
 
@@ -135,3 +136,51 @@ def rees_failures(data):
                        for ga in pieces[a].generators for gb in pieces[b].generators):
                 failures.append(f"piece {a} * piece {b} escapes piece {a + b}")
     return failures
+
+
+def span_products(generators, degree, ring):
+    """The products prod(g_i^e_i) with sum(e_i * deg g_i) <= degree, in one
+    walk over the exponent tuples e in ascending lexicographic order, the
+    first exponent most significant, each multiplied out from 1 and then
+    reduced: the span of their normal forms, and those that extended it."""
+    degs = [g.degree() for g in generators]
+    space, polys = RowSpace(), []
+    for e in product(*(range(degree // w + 1) for w in degs)):
+        if sum(a * w for a, w in zip(e, degs)) > degree:
+            continue
+        p = Polynomial.one(ring.vars)
+        for g, a in zip(generators, e):
+            for _ in range(a):
+                p = p * g
+        p = ring.normal(p)
+        if not p.is_zero() and space.insert(p.terms):
+            polys.append(p)
+    return space, polys
+
+
+def generator_comparison(subalgebra, claimed, degree):
+    """(verdict, witness) of comparing the spans of the subalgebra's and the
+    claimed generators' products up to the degree, by `span_products`: a
+    witness is the least product of one side, by (degree, leading
+    monomial), outside the other's span; the claimed side's comes first."""
+    ring = subalgebra.ambient
+    ours = span_products(subalgebra.generators, degree, ring)
+    theirs = span_products([ring.normal(p) for p in claimed], degree, ring)
+
+    def first_outside(polys, space):
+        order = ring.order
+        for p in sorted(polys, key=lambda q: (q.degree(),
+                                              order.key(q.leading_monomial(order)))):
+            if not space.contains(p.terms):
+                return p
+        return None
+
+    missing_theirs = first_outside(theirs[1], ours[0])
+    missing_ours = first_outside(ours[1], theirs[0])
+    if missing_theirs is None and missing_ours is None:
+        return "equal", None
+    if missing_theirs is None:
+        return "strictly-contains", missing_ours
+    if missing_ours is None:
+        return "strictly-contained", missing_theirs
+    return "incomparable", missing_theirs

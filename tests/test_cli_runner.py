@@ -586,7 +586,9 @@ class TestNumericArguments:
                                       "check nilpotent D bound 0",
                                       "symbolic P power -1 saturate y",
                                       "rees P upto 0 saturate y",
-                                      "grade ideal Z"])
+                                      "grade ideal Z",
+                                      "slice D degree 0",
+                                      "verify generators S claim { x } degree 0"])
     def test_out_of_range_is_command_error(self, tmp_path, line):
         code, report = _run_file(tmp_path, PRELUDE + line + "\n")
         assert code == 2

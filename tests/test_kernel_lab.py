@@ -3,7 +3,7 @@ from itertools import product
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lndkit import kernel_lab
 
@@ -33,12 +33,13 @@ from lndkit.kernel_lab import (
 from lndkit._linalg import nullspace
 from lndkit.poly_core import GREVLEX, LEX, Polynomial, monomial_div, parse_polynomial
 from lndkit.presentation import PresentedRing, present_subalgebra
-from oracles import apply as oracle_apply, local_slice
+from oracles import apply as oracle_apply, generator_comparison, local_slice, span_products
 
 XY = ("X", "Y")
 XYZ = ("X", "Y", "Z")
 P2 = PresentedRing.polynomial_ring(XY)
 P3 = PresentedRing.polynomial_ring(XYZ)
+P2_MOD_X2_Y = PresentedRing.quotient(XY, [parse_polynomial("X^2 - Y", XY)])
 
 
 def pp(text, vars=XYZ):
@@ -110,7 +111,7 @@ class TestWalk:
         weights, bound = (2, 3, 1), 5
         walked = list(kernel_lab._walk(
             weights, bound, (0, 0, 0),
-            lambda e, i: e[:i] + (e[i] + 1,) + e[i + 1:]))
+            lambda e, i: e[:i] + (e[i] + 1,) + e[i + 1:], 0, bound))
         expected = [e for e in product(range(6), repeat=3)
                     if sum(a * w for a, w in zip(e, weights)) <= bound]
         assert walked == expected
@@ -122,11 +123,11 @@ class TestWalk:
             e = e[:i] + (e[i] + 1,) + e[i + 1:]
             return None if e == (1, 0) else e
 
-        walked = list(kernel_lab._walk((1, 1), 2, (0, 0), step))
+        walked = list(kernel_lab._walk((1, 1), 2, (0, 0), step, 0, 2))
         assert walked == [(0, 0), (0, 1), (0, 2)]
 
     def test_no_tuple_below_a_negative_bound(self):
-        assert list(kernel_lab._walk((1,), -1, (0,), None)) == []
+        assert list(kernel_lab._walk((1,), -1, (0,), None, 0, 1)) == []
 
 
 class TestKernelBasis:
@@ -247,6 +248,37 @@ class TestKernelGenerators:
         for g in corpus_a.generators:
             sub = present_subalgebra(P3, ambient)
             assert sub.member(g).member
+
+    def test_each_product_is_formed_once(self, monkeypatch):
+        # the basic Weitzenboeck n = 5 kernel to degree 8 keeps generators of
+        # degrees 1, 2, 2, 3, 3; one span serves the call, so each of their
+        # products is formed once, not again whenever an element is kept
+        d = _weitzenboeck(5)
+        certificate = certify_nilpotent(d)
+        seen = []
+        normal = d.ring.normal
+        monkeypatch.setattr(d.ring, "normal", lambda f: seen.append(f) or normal(f))
+        report = kernel_generators(d, 8, certificate)
+        degs = [g.degree() for g in report.generators]
+        assert degs == [1, 2, 2, 3, 3]
+        products = sum(1 for e in product(*(range(8 // w + 1) for w in degs))
+                       if sum(a * w for a, w in zip(e, degs)) <= 8)
+        assert len(seen) == products == 110
+
+    def test_dimension_budget_bounds_the_whole_span(self):
+        # D(Y) = X on Q[X, Y]/(X^2): the kernel to degree 6 is spanned by 1
+        # and X*Y^k, and X, X*Y, ..., X*Y^5 are all kept.  The span of the
+        # first five forms 1 + 6 + 9 + 7 + 4 + 2 = 29 products, the 1 and
+        # one extension each, against 13 standard monomials; no single
+        # extension comes near 28
+        ring = PresentedRing.quotient(XY, [pp("X^2", XY)])
+        d = derivation(ring, Y="X")
+        with budget(dims=29):
+            assert [str(g) for g in kernel_generators(d, 6).generators] == \
+                ["X", "X*Y", "X*Y^2", "X*Y^3", "X*Y^4", "X*Y^5"]
+        with pytest.raises(DimensionBudgetError, match="budget 28 exceeded at degree 6$"), \
+                budget(dims=28):
+            kernel_generators(d, 6)
 
     def test_uv_presentation_ideal_is_zero(self, uv_ring):
         d = derivation(uv_ring, X="u", Y="v")
@@ -664,6 +696,14 @@ def cusp():
     return present_subalgebra(ring, gens)
 
 
+@st.composite
+def _small_polynomial(draw):
+    """One to three terms in X, Y of degree 1 or 2, coefficients -2..2."""
+    monos = draw(st.lists(st.sampled_from([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+                          min_size=1, max_size=3, unique=True))
+    return Polynomial(XY, {m: draw(st.sampled_from([-2, -1, 1, 2])) for m in monos})
+
+
 class TestVerifyGenerators:
 
     def test_redundant_extension_equal(self, cusp):
@@ -692,7 +732,7 @@ class TestVerifyGenerators:
             return normal(f)
 
         monkeypatch.setattr(ring, "normal", counting)
-        kernel_lab._span(corpus_a.generators, 6, ring)
+        kernel_lab._Span(ring, 6, corpus_a.generators)
         # exponent vectors e with sum e_i * deg g_i <= 6, degrees (2, 3, 3, 3)
         products = sum(1 for e in product(range(4), range(3), range(3), range(3))
                        if 2 * e[0] + 3 * (e[1] + e[2] + e[3]) <= 6)
@@ -703,9 +743,30 @@ class TestVerifyGenerators:
         # counted once against the dimension budget
         ring = corpus_a.ambient
         with budget(dims=16):
-            kernel_lab._span(corpus_a.generators, 6, ring)
+            kernel_lab._Span(ring, 6, corpus_a.generators)
         with pytest.raises(DimensionBudgetError, match="budget 15"), budget(dims=15):
-            kernel_lab._span(corpus_a.generators, 6, ring)
+            kernel_lab._Span(ring, 6, corpus_a.generators)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_span_and_verdict_match_the_one_walk_reference(self, data):
+        # the span grows by one generator at a time, last to first; its
+        # products, and so every witness, come in the one walk's order
+        ring = data.draw(st.sampled_from([P2, P2_MOD_X2_Y]))
+
+        def generators():
+            gens = data.draw(st.lists(_small_polynomial(), min_size=1, max_size=3))
+            gens = [ring.normal(g) for g in gens]
+            assume(all(g.degree() > 0 for g in gens))
+            return gens
+
+        sub = present_subalgebra(ring, generators())
+        claimed = generators()
+        degree = data.draw(st.integers(1, 5))
+        span = kernel_lab._Span(ring, degree, claimed)
+        assert span.polys == span_products(claimed, degree, ring)[1]
+        out = verify_generators_up_to_degree(sub, claimed, degree)
+        assert (out.verdict, out.witness) == generator_comparison(sub, claimed, degree)
 
     def test_corpus_a_gap_documented(self, corpus_a):
         # the full candidate set reaches degree-6 elements the slim corpus
