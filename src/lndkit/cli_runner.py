@@ -80,12 +80,14 @@ _SATURATOR = {True: "certified", False: "uncertified"}
 
 @dataclass
 class Statement:
-    """One parsed statement: its form's kind, its slot values and the terms
-    its parse charged (not compared: a reprint may expand at another cost)."""
+    """One parsed statement: its form's kind, its slot values, and neither
+    compared, the terms its parse charged (a reprint may expand at another
+    cost) and its text as written, reported when it cannot be printed."""
 
     kind: str
     args: dict = field(default_factory=dict)
     terms: int = field(default=0, compare=False)
+    text: str = field(default="", compare=False)
 
     def pretty(self):
         return _KINDS[self.kind].show(self.args)
@@ -317,7 +319,7 @@ class _Parser:
                     raise _moved(exc, match.start(slot), line) from None
                 except LndError as exc:
                     raise ParseError(str(exc), line=line) from None
-        statement = Statement(form.kind, args, scope.terms_used)
+        statement = Statement(form.kind, args, scope.terms_used, text)
         if form.declares:
             self.names[args["name"]] = (form.keyword, self.vars)
             self.session.declarations.append(statement)
@@ -482,10 +484,8 @@ def _kernel(env, name, degree, expect):
     }
     notes = []
     if expect is not None:
-        report = compare_kernel_to_subalgebra(report, d, env.subalgebras[expect])
-        value["expected"] = expect
-        value["kernel_in_expected"] = report.kernel_in_expected
-        value["expected_in_kernel"] = report.expected_in_kernel
+        inside, holds = compare_kernel_to_subalgebra(report, d, env.subalgebras[expect])
+        value.update(expected=expect, kernel_in_expected=inside, expected_in_kernel=holds)
         notes.append("containment verified up to the stated degree only")
     return value, [], notes
 
@@ -628,9 +628,12 @@ def run(session, cfg=None, session_name=None):
         entries = []
         timings = []
         for index, command in enumerate(session.commands):
-            entry = {"index": index, "command": command.pretty()}
+            try:
+                shown, error = command.pretty(), decl_error
+            except LndError as exc:   # a coefficient too long to print
+                shown, error = command.text, decl_error or str(exc)
+            entry = {"index": index, "command": shown}
             t0 = time.monotonic()
-            error = decl_error
             if error is None:
                 try:
                     value, witnesses, notes = env.execute(command)

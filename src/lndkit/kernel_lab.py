@@ -79,19 +79,13 @@ def standard_monomials(ring, degree):
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelReport:
     """Exact kernel data up to the stated degree bound."""
 
     degree_bound: int
     basis: list                     # ring elements, monic, by (degree, order)
     generators: list = field(default_factory=list)
-    expected: object = None         # Subalgebra the user compared against
-    kernel_in_expected: bool = None
-    expected_in_kernel: bool = None
-
-    def ambient_basis(self, host):
-        return [host.to_ambient(p) for p in self.basis]
 
 
 def _derivation_matrix(d, monomials, power=1, image=None):
@@ -158,14 +152,14 @@ def _vector_to_polynomial(vec, monomials, positions, ring):
             monomials[lead])
 
 
-def _certified(d, certificate, refusal="derivation not certified nilpotent"):
+def _certified(d, certificate):
     """The nilpotency certificate supplied, else one computed at the
-    default bound; DegenerateInputError(refusal) when that one is
-    inconclusive."""
+    default bound; DegenerateInputError when that one is inconclusive."""
     if certificate is None:
         certificate = certify_nilpotent(d)
         if not certificate.certified:
-            raise DegenerateInputError(refusal)
+            raise DegenerateInputError(
+                "derivation not certified locally nilpotent at the default bound")
     return certificate
 
 
@@ -178,9 +172,7 @@ def kernel_basis(d, degree, certificate=None, assume_nilpotent=False):
     if degree < 1:
         raise DegenerateInputError("degree bound must be at least 1")
     if not assume_nilpotent:
-        _certified(d, certificate,
-                   "derivation not certified locally nilpotent at the default "
-                   "bound; pass assume_nilpotent=True to proceed")
+        _certified(d, certificate)
     ring = d.ring
     monomials = standard_monomials(ring, degree)
     rows, _, _ = _derivation_matrix(d, monomials)
@@ -211,10 +203,10 @@ def kernel_generators(d, degree, certificate=None, assume_nilpotent=False,
     ring = d.ring
     graded_ring = all(_homogeneous(r) for r in ring.relations.elements)
     with budget(pairs=pair_budget) if pair_budget is not None else nullcontext():
-        report = kernel_basis(d, degree, certificate, assume_nilpotent)
+        basis = kernel_basis(d, degree, certificate, assume_nilpotent).basis
         kept = []
         span, sub = _Span(ring, degree, []), None
-        for p in report.basis:
+        for p in basis:
             if p.is_constant():
                 continue
             if kept:
@@ -230,8 +222,7 @@ def kernel_generators(d, degree, certificate=None, assume_nilpotent=False,
                         continue
             kept.append(p)
             sub = None
-    report.generators = kept
-    return report
+    return KernelReport(degree, basis, kept)
 
 
 def _homogeneous(p):
@@ -239,24 +230,18 @@ def _homogeneous(p):
 
 
 def compare_kernel_to_subalgebra(report, d, subalgebra):
-    """Two-sided containment check against a claimed kernel subalgebra.
-
-    Kernel elements are mapped to the ambient ring when the derivation
-    lives on a subalgebra presentation.
-    """
-    elements = report.ambient_basis(d.host) if d.host is not None else report.basis
-    report.expected = subalgebra
-    report.kernel_in_expected = all(subalgebra.member(p).member for p in elements)
-    gens_killed = all(apply(d, _pull_in(g, d, subalgebra)).is_zero()
-                      for g in subalgebra.generators)
-    report.expected_in_kernel = gens_killed
-    return report
-
-
-def _pull_in(g, d, subalgebra):
-    if d.host is not None:
-        return d.host.express(g)
-    return g
+    """(kernel_in_expected, expected_in_kernel), up to the report's degree:
+    whether the kept generators (the basis when none were kept) lie in the
+    subalgebra, in ambient coordinates when D lives on a subalgebra, and
+    whether D kills the subalgebra's generators.  The first decides the
+    whole basis: kernel_generators keeps each element outside Q[kept]."""
+    host = d.host
+    elements = report.generators or report.basis
+    if host is not None:
+        elements = [host.to_ambient(p) for p in elements]
+    return (all(subalgebra.member(p).member for p in elements),
+            all(apply(d, g if host is None else host.express(g)).is_zero()
+                for g in subalgebra.generators))
 
 
 @dataclass

@@ -938,12 +938,12 @@ def parse_polynomial(text, vars):
     return _PolyParser(tokens, vars, expand=True).parse()
 
 
-def _format_coeff(c):
+def _digits(n):
+    """The decimal digits of the int n; LndError past the interpreter's limit."""
     try:
-        return str(c) if c.denominator != 1 else str(c.numerator)
-    except ValueError:   # past the interpreter's limit on digits
-        raise LndError(f"a coefficient of {max(c.numerator.bit_length(), c.denominator.bit_length())} bits "
-                       "is too long to print") from None
+        return str(n)
+    except ValueError:
+        raise LndError(f"a coefficient of {n.bit_length()} bits is too long to print") from None
 
 
 def format_polynomial(p, order=GRLEX):
@@ -952,21 +952,13 @@ def format_polynomial(p, order=GRLEX):
         return "0"
     parts = []
     for m, c in p.sorted_terms(order):
-        factors = []
-        for name, e in zip(p.vars, m):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        abs_c = abs(c)
-        if not factors:
-            body = _format_coeff(abs_c)
-        elif abs_c == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([_format_coeff(abs_c)] + factors)
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts)
+        num, den = c.numerator, c.denominator
+        body = [name if e == 1 else f"{name}^{e}" for name, e in zip(p.vars, m) if e]
+        size = abs(num)
+        if den != 1:
+            body.insert(0, f"{_digits(size)}/{_digits(den)}")
+        elif size != 1 or not body:
+            body.insert(0, _digits(size))
+        parts.append(("- " if num < 0 else "+ ") + "*".join(body))
+    text = " ".join(parts)   # then a leading "+ " goes and "- " becomes "-"
+    return text[2:] if text[0] == "+" else "-" + text[2:]

@@ -142,7 +142,6 @@ class Subalgebra:
         self.tag_basis = buchberger(tag_gens, self.tag_order)
         self._presented = None
         self._images = {(0,) * len(gens): Polynomial.one(ambient.vars)}
-        self._ambient = {}
 
     def member(self, f):
         """Membership with a witness expression in the generators."""
@@ -160,19 +159,14 @@ class Subalgebra:
         return res.witness
 
     def to_ambient(self, tag_poly):
-        """Substitute the generators into a tag polynomial; one normal form,
-        memoised per tag polynomial (the result is shared, never mutated)."""
+        """Substitute the generators into a tag polynomial; one normal form."""
         if tag_poly.vars != self.tag_vars:
             raise VariableMismatchError(f"element over {tag_poly.vars}, not the tags")
-        image = self._ambient.get(tag_poly)
-        if image is None:
-            total = {}
-            for mono, c in tag_poly.terms.items():
-                for m, a in self._image(mono).terms.items():
-                    total[m] = total.get(m, 0) + c * a
-            image = self._ambient[tag_poly] = self.ambient.normal(
-                Polynomial(self.ambient.vars, total))
-        return image
+        total = {}
+        for mono, c in tag_poly.terms.items():
+            for m, a in self._image(mono).terms.items():
+                total[m] = total.get(m, 0) + c * a
+        return self.ambient.normal(Polynomial(self.ambient.vars, total))
 
     def _image(self, mono):
         """A tag monomial's product of generator powers, not normalised, made

@@ -337,6 +337,44 @@ rees I upto 2 saturate 1 + w
         run(parse_session(text), RunConfig())
         assert len(inputs) == 20
 
+    @pytest.mark.parametrize("command, verdicts", [
+        ("kernel D degree 4 expect A", (True, True)),
+        ("kernel D degree 4 expect R", (False, True)),
+        ("kernel D degree 4 expect B", (True, False)),
+        ("kernel E degree 3 expect B", (False, False)),
+        ("kernel E degree 3 expect A", (False, True))])
+    def test_expect_verdicts(self, command, verdicts):
+        # (kernel_in_expected, expected_in_kernel): Ker D is A; Ker E is Q[X, Y]
+        report, code = run(_example_6_1_with(command), RunConfig())
+        assert code == 0
+        value = report["commands"][0]["value"]
+        assert (value["kernel_in_expected"], value["expected_in_kernel"]) == verdicts
+
+    def test_expect_is_decided_on_the_kept_generators(self, monkeypatch):
+        # each of the 53 basis elements lies in Q[kept], so testing the 4
+        # kept generators for membership in A decides the whole basis
+        session = _example_6_1_with("kernel D degree 4 expect A")
+        env = load_environment(session, RunConfig())
+        seen = []
+        member = Subalgebra.member
+
+        def counted(sub, f):
+            seen.append(sub)
+            return member(sub, f)
+
+        monkeypatch.setattr(Subalgebra, "member", counted)
+        value, _, _ = env.execute(session.commands[0])
+        assert (value["basis_size"], len(value["generators"])) == (53, 4)
+        assert sum(sub is env.subalgebras["A"] for sub in seen) == 4
+        assert value["kernel_in_expected"] is True
+
+
+def _example_6_1_with(command):
+    """example_6_1's declarations, E: Z -> X^2 on P3, and one command."""
+    text = corpus_path("example_6_1.lnd").read_text(encoding="utf-8")
+    session = parse_session(f"{text}derivation E on P3 {{ Z -> X^2 }}\n{command}\n")
+    return Session(session.declarations, session.commands[-1:])
+
 
 class TestGolden:
     def test_corpus_matches_golden(self, capsys):
@@ -657,6 +695,26 @@ class TestNumericArguments:
     def test_number_past_the_digit_limit_is_parse_error(self, tmp_path):
         text = "ring R = poly(x)\nideal I in R = ( x^" + "1" * 5000 + " )\n"
         assert _run_file(tmp_path, text) == (1, None)
+
+    def test_unprintable_command_is_command_error(self, tmp_path):
+        # 7^5200 has more digits than the interpreter converts to text: the
+        # entry keeps the statement as written
+        line = "check contained D in ( 7^5200 * x )"
+        text = f"ring R = poly(x, y)\nderivation D on R {{ x -> 1 }}\n{line}\n"
+        code, report = _run_file(tmp_path, text)
+        assert code == 2
+        entry = report["commands"][0]
+        assert entry["status"] == "error"
+        assert entry["error"] == "a coefficient of 14599 bits is too long to print"
+        assert entry["command"] == line
+
+    @pytest.mark.parametrize("line", ["kernel D degree 2", "dixmier D slice y of x"])
+    def test_uncertified_derivation_is_refused_in_session_terms(self, tmp_path, line):
+        text = f"ring R = poly(x, y)\nderivation D on R {{ x -> x; y -> 1 }}\n{line}\n"
+        code, report = _run_file(tmp_path, text)
+        assert code == 2
+        assert report["commands"][0]["error"] == (
+            "derivation not certified locally nilpotent at the default bound")
 
     def test_bound_zero_printed(self):
         session = parse_session(PRELUDE + "check nilpotent D bound 0\n")

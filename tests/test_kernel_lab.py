@@ -148,7 +148,7 @@ class TestKernelBasis:
         d = restrict_to_subalgebra(derivation(P3, Z="X^2"), corpus_c)
         report = kernel_basis(d, 4)
         assert report.basis  # nontrivial
-        for f in report.ambient_basis(corpus_c):
+        for f in [corpus_c.to_ambient(p) for p in report.basis]:
             if f.is_constant():
                 continue
             assert corpus_a.member(f).member
@@ -782,6 +782,6 @@ class TestClaimedKernel:
     def test_two_sided_verdict(self, corpus_a, corpus_b):
         d = restrict_to_subalgebra(derivation(P3, Z="1"), corpus_b)
         report = kernel_basis(d, 3)
-        report = compare_kernel_to_subalgebra(report, d, corpus_a)
-        assert report.kernel_in_expected
-        assert report.expected_in_kernel
+        inside, holds = compare_kernel_to_subalgebra(report, d, corpus_a)
+        assert inside
+        assert holds

@@ -14,6 +14,7 @@ Derivations*, 2nd ed., ch. 6; Weitzenboeck, Acta Math. 58 (1932)."""
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lndkit.derivation_engine import Derivation
 from lndkit.kernel_lab import kernel_basis, kernel_generators
@@ -57,3 +58,37 @@ def test_the_count_reproduces_a_known_series():
 def test_generator_degrees_are_the_classical_ones(n, degrees):
     report = kernel_generators(_basic(n), 8)
     assert [g.degree() for g in report.generators] == degrees
+
+
+def _conjugated(n, entries):
+    """The basic derivation conjugated by the change of coordinates phi:
+    x_j -> sum_i U[i][j] x_i, U lower unitriangular with the entries below
+    its diagonal row by row; D' = phi^-1 D phi, so D'(x_j) is column j of
+    U^-1 N U, N the Jordan block D(x_j) = x_(j-1)."""
+    vs = tuple(f"x{i}" for i in range(1, n + 1))
+    entries = iter(entries)
+    u = [[1 if i == j else next(entries) if j < i else 0 for j in range(n)]
+         for i in range(n)]
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):   # forward substitution: U inv = 1
+        for j in range(i):
+            inv[i][j] = -sum(u[i][k] * inv[k][j] for k in range(j, i))
+    nu = [u[i + 1] if i + 1 < n else [0] * n for i in range(n)]   # N U
+    m = [[sum(inv[i][k] * nu[k][j] for k in range(n)) for j in range(n)]
+         for i in range(n)]
+    unit = [tuple(int(i == k) for k in range(n)) for i in range(n)]
+    return Derivation(PresentedRing.polynomial_ring(vs),
+                      {vs[j]: Polynomial(vs, {unit[i]: m[i][j] for i in range(n) if m[i][j]})
+                       for j in range(n)})
+
+
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, 6),
+    st.lists(st.integers(-2, 2), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))))
+@settings(max_examples=25)
+def test_a_change_of_coordinates_keeps_the_dimensions(case):
+    # a conjugate of D is the same sl_2-module in other coordinates
+    n, degree, entries = case
+    basis = kernel_basis(_conjugated(n, entries), degree).basis
+    dims = [sum(p.degree() == k for p in basis) for k in range(degree + 1)]
+    assert dims == [_partitions(k * (n - 1) // 2, k, n - 1) for k in range(degree + 1)]
