@@ -29,15 +29,22 @@ from math import gcd, lcm
 
 def _primitive(row):
     """A fresh row scaled to coprime integers, positive at its lowest
-    column."""
-    denom = lcm(*[c.denominator for c in row.values()])
-    if denom == 1:
-        ints = {j: c.numerator for j, c in row.items() if c}
+    column.  An all-int row, as every matrix row over integral images is,
+    skips the common denominator: `gcd` refuses a Fraction entry, and only
+    then are the entries brought to the lcm of their denominators."""
+    try:
+        g = gcd(*row.values())
+    except TypeError:
+        denom = lcm(*[c.denominator for c in row.values()])
+        if denom == 1:
+            ints = {j: c.numerator for j, c in row.items() if c}
+        else:
+            ints = {j: c.numerator * (denom // c.denominator) for j, c in row.items() if c}
+        g = gcd(*ints.values())
     else:
-        ints = {j: c.numerator * (denom // c.denominator) for j, c in row.items() if c}
+        ints = {j: c for j, c in row.items() if c}
     if not ints:
         return ints
-    g = gcd(*ints.values())
     if ints[min(ints)] < 0:
         g = -g
     if g == 1:

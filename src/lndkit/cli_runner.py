@@ -100,7 +100,16 @@ class Session:
 
     def pretty(self):
         statements = self.declarations + self.commands
-        return "\n".join(s.pretty() for s in statements) + "\n"
+        return "\n".join(_shown(s)[0] for s in statements) + "\n"
+
+
+def _shown(statement):
+    """(the statement printed, None), or (its text as written, the reason)
+    when it cannot be printed: a coefficient too long for text."""
+    try:
+        return statement.pretty(), None
+    except LndError as exc:
+        return statement.text, str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +637,8 @@ def run(session, cfg=None, session_name=None):
         entries = []
         timings = []
         for index, command in enumerate(session.commands):
-            try:
-                shown, error = command.pretty(), decl_error
-            except LndError as exc:   # a coefficient too long to print
-                shown, error = command.text, decl_error or str(exc)
+            shown, error = _shown(command)
+            error = decl_error or error
             entry = {"index": index, "command": shown}
             t0 = time.monotonic()
             if error is None:

@@ -3,7 +3,13 @@ reconstruction, plus degree-bounded generator verification.
 
 Kernels are computed by exact linear algebra on the finite-dimensional
 space of normal forms up to a stated degree: correctness up to that degree
-is unconditional, and no claim is made beyond it.
+is unconditional, and no claim is made beyond it.  D's matrix is built on
+packed monomials, the ints of the ring order's `poly_core._Layout` that the
+division loop uses (Monagan and Pearce, CASC 2007): each D(x_i) is packed
+once, so each term of D(x^a) is one integer addition, its exponent overflow
+gated per variable as a division step is, and rows are keyed by packed
+monomials.  The packing reverses the ring order, so a kernel vector's
+leading monomial is its column of smallest packed form.
 
 Generators are extracted by span tests: an element lies in the subalgebra
 of the kept generators when it lies in the span of their products up to
@@ -26,7 +32,7 @@ from .config import budget, current_budget
 from ._linalg import RowSpace, nullspace, solve
 from .derivation_engine import apply, certify_nilpotent
 from .errors import DegenerateInputError, DimensionBudgetError
-from .poly_core import Polynomial, monomial_div
+from .poly_core import _FIELD_MASK, Polynomial, _layout, _top_exponent, monomial_div
 from .presentation import present_subalgebra
 
 
@@ -88,65 +94,90 @@ class KernelReport:
     generators: list = field(default_factory=list)
 
 
-def _derivation_matrix(d, monomials, power=1, image=None):
-    """Sparse rows of D^power on the monomials (one column each), the row
-    index of every image monomial, numbered in order of appearance, and
-    `image`, the memoised D of one monomial as a term map.
-
-    A monomial's image is `Derivation.leibniz` of it, memoised, so D^2
-    reuses the images D^1 produced; passing the `image` an earlier call
-    returned extends its memo instead of starting a new one.  Entries stay
-    ints while the images' coefficients are integers.  On a quotient ring
-    each image is reduced once by `ring.normal` (Fraction entries);
-    otherwise its zero entries drop out when the rows are assembled."""
-    if image is None:
-        image = _image_memo(d)
+def _derivation_matrix(images, columns, power=1):
+    """Sparse rows of D^power on the packed monomials `columns` (one column
+    each), and the row index of every packed image monomial, numbered in
+    order of appearance.  Every image is read from `images`, the `_Images`
+    of D, so D^2 reuses the images D^1 formed and each Leibniz product is
+    formed, and checked against EXPONENT_LIMIT, once per call.  Entries
+    stay ints while the images' coefficients are integers; zero entries
+    drop out as the rows are assembled."""
     row_index = {}
-    rows = {}
-    for ci, mono in enumerate(monomials):
-        image_terms = {mono: 1}
-        for _ in range(power):
+    rows = []
+    for ci, x in enumerate(columns):
+        terms = images[x]
+        for _ in range(power - 1):
             total = {}
-            for m, c in image_terms.items():
-                for t, v in image(m).items():
+            for m, c in terms:
+                for t, v in images[m]:
                     total[t] = total.get(t, 0) + c * v
-            image_terms = {t: v for t, v in total.items() if v}
-        for m, c in image_terms.items():
-            ri = row_index.setdefault(m, len(row_index))
-            rows.setdefault(ri, {})[ci] = c
-    return [rows[i] for i in range(len(row_index))], row_index, image
+            terms = [(t, v) for t, v in total.items() if v]
+        for m, c in terms:
+            ri = row_index.get(m)
+            if ri is None:
+                ri = row_index[m] = len(rows)
+                rows.append({})
+            rows[ri][ci] = c
+    return rows, row_index
 
 
-def _image_memo(d):
-    """D of one monomial as a term map, memoised per monomial."""
-    ring = d.ring
-    quotient = ring.has_relations()
-    memo = {}
+class _Images(dict):
+    """D of one packed monomial (the ring order's `poly_core._Layout`), as
+    a list of its nonzero (packed monomial, coefficient) terms, formed on
+    first lookup and kept.
 
-    def image(mono):
-        terms = memo.get(mono)
-        if terms is None:
-            terms = d.leibniz({mono: 1})
-            if quotient:
-                terms = ring.normal(Polynomial(ring.vars, terms)).terms
-            memo[mono] = terms
+    Each D(x_i) is packed once, so a term of D(x^a) = sum_i a_i x^(a - e_i)
+    D(x_i) is t + X(m), one addition, with t = X(a) - X(e_i) the packed
+    x^(a - e_i).  Exponent overflow is gated per variable as `_reduce`
+    gates a step: only when (t + gate_i) & guard is set are the products
+    checked one by one, raising ExponentOverflowError at the first past
+    EXPONENT_LIMIT, as `monomial_mul` would.  On a quotient ring each image
+    is reduced once by `ring.normal` and then packed."""
+
+    def __init__(self, d):
+        super().__init__()
+        ring = d.ring
+        self.ring = ring
+        self.layout = layout = _layout(ring.order, len(ring.vars))
+        # per nonzero D(x_i): (x_i's field shift, packed x_i, gate, packed
+        # terms), the coefficients ints where integral, as `leibniz` takes them
+        self.variables = []
+        for i, image in d._image_terms:
+            monos = [m for m, _ in image]
+            self.variables.append((layout.shifts[i], layout.weights[i],
+                                   layout.gate(_top_exponent(monos)),
+                                   list(zip(layout.pack(monos), [c for _, c in image]))))
+
+    def __missing__(self, x):
+        layout = self.layout
+        guard = layout.guard
+        out = {}
+        for shift, weight, gate, terms in self.variables:
+            e = (x >> shift) & _FIELD_MASK
+            if e:
+                t = x - weight
+                if (t + gate) & guard:
+                    layout.check(t, terms)
+                for m, c in terms:
+                    k = t + m
+                    out[k] = out.get(k, 0) + e * c
+        ring = self.ring
+        if ring.has_relations():
+            unpack = layout.unpack
+            p = ring.normal(Polynomial(ring.vars, {unpack(k): c for k, c in out.items()}))
+            terms = list(zip(layout.pack(list(p.terms)), p.terms.values()))
+        else:
+            terms = [(k, c) for k, c in out.items() if c]
+        self[x] = terms
         return terms
 
-    return image
 
-
-def _order_positions(monomials, order):
-    """Each column's position among the monomials in ascending `order`."""
-    key = order.key
-    ranked = sorted(range(len(monomials)), key=lambda j: key(monomials[j]))
-    return {j: r for r, j in enumerate(ranked)}
-
-
-def _vector_to_polynomial(vec, monomials, positions, ring):
+def _vector_to_polynomial(vec, monomials, columns, ring):
     """The monic polynomial with integer coefficient vector `vec` over the
-    monomials, and its leading monomial: the leading entry is the one at
-    the highest position (`_order_positions`), then one Fraction per entry."""
-    lead = max(vec, key=positions.__getitem__)
+    monomials, and its leading monomial: the entry whose packed column is
+    smallest, since the packing reverses the ring order, then one Fraction
+    per entry."""
+    lead = min(vec, key=columns.__getitem__)
     lc = vec[lead]
     return (Polynomial(ring.vars, {monomials[j]: Fraction(c, lc) for j, c in vec.items()}),
             monomials[lead])
@@ -175,9 +206,10 @@ def kernel_basis(d, degree, certificate=None, assume_nilpotent=False):
         _certified(d, certificate)
     ring = d.ring
     monomials = standard_monomials(ring, degree)
-    rows, _, _ = _derivation_matrix(d, monomials)
-    positions = _order_positions(monomials, ring.order)
-    basis = [_vector_to_polynomial(v, monomials, positions, ring)
+    images = _Images(d)
+    columns = images.layout.pack(monomials)
+    rows, _ = _derivation_matrix(images, columns)
+    basis = [_vector_to_polynomial(v, monomials, columns, ring)
              for v in nullspace(rows, len(monomials))]
     # deterministic listing: degree first, then lexicographically biggest
     # leading monomial first (u before v, X before Y)
@@ -267,38 +299,39 @@ def slice_search(d, degree):
         raise DegenerateInputError("degree bound must be at least 1")
     ring = d.ring
     monomials = standard_monomials(ring, degree)
-    rows, row_index, image = _derivation_matrix(d, monomials)
-    one_mono = (0,) * len(ring.vars)
-    rhs = {}
-    if one_mono in row_index:
-        rhs[row_index[one_mono]] = 1
-        vec = solve(rows, rhs, len(monomials))
+    images = _Images(d)
+    columns = images.layout.pack(monomials)
+    rows, row_index = _derivation_matrix(images, columns)
+    if 0 in row_index:   # the packed constant monomial
+        vec = solve(rows, {row_index[0]: 1}, len(monomials))
         if vec is not None:
             s = Polynomial(ring.vars, {monomials[j]: c for j, c in vec.items()})
             return SliceData(ring.normal(s))
-    # local slices: s in Ker(D^2) \ Ker(D), minimizing the cofactor degree
-    square_rows, _, _ = _derivation_matrix(d, monomials, power=2, image=image)
-    key = ring.order.key
+    # local slices: s in Ker(D^2) \ Ker(D), minimizing the cofactor degree;
+    # a smaller packed lead is a larger monomial under the ring order
+    square_rows, _ = _derivation_matrix(images, columns, power=2)
+    unpack = images.layout.unpack
     best = None
     for vec in nullspace(square_rows, len(monomials)):
         ds = {}
         for j, a in vec.items():
-            for t, v in image(monomials[j]).items():
+            for t, v in images[columns[j]]:
                 ds[t] = ds.get(t, 0) + a * v
         ds = {t: v for t, v in ds.items() if v}
         if not ds:
             continue
-        lead = max(ds, key=key)
-        rank = (max(map(sum, ds)), key(lead), max(sum(monomials[j]) for j in vec))
+        lead = min(ds)
+        rank = (max(sum(unpack(t)) for t in ds), -lead,
+                max(sum(monomials[j]) for j in vec))
         if best is None or rank < best[0]:
             best = (rank, vec, ds, lead)
     if best is None:
         return None
     _, vec, ds, lead = best
-    s, _ = _vector_to_polynomial(vec, monomials, _order_positions(monomials, ring.order),
-                                 ring)
+    s, _ = _vector_to_polynomial(vec, monomials, columns, ring)
     lc = ds[lead]
-    return SliceData(s, Polynomial(ring.vars, {t: Fraction(v, lc) for t, v in ds.items()}))
+    return SliceData(s, Polynomial(ring.vars, {unpack(t): Fraction(v, lc)
+                                               for t, v in ds.items()}))
 
 
 @dataclass

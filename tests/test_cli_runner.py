@@ -708,6 +708,14 @@ class TestNumericArguments:
         assert entry["error"] == "a coefficient of 14599 bits is too long to print"
         assert entry["command"] == line
 
+    def test_unprintable_statement_prints_as_written(self):
+        # a session that holds such a command still prints, and reparses
+        line = "check contained D in ( 7^5200 * x )"
+        text = f"ring R = poly(x, y)\nderivation D on R {{ x -> 1 }}\n{line}\n"
+        printed = parse_session(text).pretty()
+        assert printed.splitlines()[-1] == line
+        assert parse_session(printed) == parse_session(text)
+
     @pytest.mark.parametrize("line", ["kernel D degree 2", "dixmier D slice y of x"])
     def test_uncertified_derivation_is_refused_in_session_terms(self, tmp_path, line):
         text = f"ring R = poly(x, y)\nderivation D on R {{ x -> x; y -> 1 }}\n{line}\n"

@@ -16,7 +16,7 @@ from lndkit.derivation_engine import (
     irreducible_over_ufd,
     restrict_to_subalgebra,
 )
-from lndkit.errors import DegenerateInputError, DimensionBudgetError
+from lndkit.errors import DegenerateInputError, DimensionBudgetError, ExponentOverflowError
 from lndkit.grade_analyzer import GradeValue, fpf_test, grade_of_derivation
 from lndkit.kernel_lab import (
     SliceData,
@@ -31,7 +31,14 @@ from lndkit.kernel_lab import (
     verify_generators_up_to_degree,
 )
 from lndkit._linalg import nullspace
-from lndkit.poly_core import GREVLEX, LEX, Polynomial, monomial_div, parse_polynomial
+from lndkit.poly_core import (
+    EXPONENT_LIMIT,
+    GREVLEX,
+    LEX,
+    Polynomial,
+    monomial_div,
+    parse_polynomial,
+)
 from lndkit.presentation import PresentedRing, present_subalgebra
 from oracles import apply as oracle_apply, generator_comparison, local_slice, span_products
 
@@ -181,7 +188,7 @@ class TestKernelBasis:
         ring = PresentedRing(XYZ, [pp(relation)] if relation else None, order)
         d = derivation(ring, **images)
         monomials = standard_monomials(ring, 4)
-        rows, _, _ = _derivation_matrix(d, monomials)
+        rows, _, _ = _matrix(d, monomials)
         old = [Polynomial(XYZ, {monomials[j]: c for j, c in vec.items()}).monic(order)
                for vec in nullspace(rows, len(monomials))]
         old.sort(key=lambda p: (p.degree(),
@@ -380,6 +387,14 @@ class TestKernelGeneratorsAgainstMembership:
         assert builds == []
 
 
+def _matrix(d, monomials, power=1):
+    """D^power's rows on the monomials, the row index of each packed image
+    monomial, and the `_Images` of D the rows were read from."""
+    images = kernel_lab._Images(d)
+    rows, row_index = _derivation_matrix(images, images.layout.pack(monomials), power)
+    return rows, row_index, images
+
+
 def _matrix_by_apply(d, monomials, power):
     """{(image monomial, column): coefficient} of D^power through the
     diff-and-multiply oracle."""
@@ -405,15 +420,48 @@ class TestDerivationMatrix:
             images = {v: ring.normal(_random_poly(rng, XYZ, 2, den=den)) for v in XYZ}
             d = Derivation(ring, images)
             monomials = standard_monomials(ring, 3)
-            rows, row_index, image = _derivation_matrix(d, monomials, power)
+            rows, row_index, memo = _matrix(d, monomials, power)
             assert sorted(row_index.values()) == list(range(len(rows)))
-            cells = {(m, ci): c for m, ri in row_index.items()
+            # rows are keyed by packed monomials, unpacked here
+            unpack = memo.layout.unpack
+            cells = {(unpack(m), ci): c for m, ri in row_index.items()
                      for ci, c in rows[ri].items()}
             assert cells == _matrix_by_apply(d, monomials, power)
-            # the returned image is D of one monomial, in normal form
-            for m in monomials:
-                assert Polynomial(XYZ, image(m)) == oracle_apply(
-                    d, Polynomial(XYZ, {m: 1}))
+            # each image is D of one monomial, in normal form
+            for m, x in zip(monomials, memo.layout.pack(monomials)):
+                assert Polynomial(XYZ, {unpack(t): c for t, c in memo[x]}) == \
+                    oracle_apply(d, Polynomial(XYZ, {m: 1}))
+
+
+class TestExponentOverflow:
+    """D(x) = y^L, L = EXPONENT_LIMIT: D(xy) = y^(L + 1) is past the limit,
+    so every matrix that reaches it raises, with monomial_mul's message."""
+
+    MESSAGE = "exponent 2147483649 exceeds limit 2147483648"
+
+    @staticmethod
+    def _derivation(vs, **images):
+        ring = PresentedRing.polynomial_ring(vs)
+        power = (0, EXPONENT_LIMIT) + (0,) * (len(vs) - 2)
+        images = {v: Polynomial.variable(w, vs) for v, w in images.items()}
+        return Derivation(ring, {"x": Polynomial(vs, {power: 1}), **images})
+
+    @pytest.mark.parametrize("search", [kernel_basis, slice_search])
+    def test_degree_two_raises(self, search):
+        d = self._derivation(("x", "y"))
+        with pytest.raises(ExponentOverflowError) as info:
+            search(d, 2)
+        assert str(info.value) == self.MESSAGE
+
+    def test_square_matrix_raises(self):
+        # D(yz) = xy is within the limit; D^2(yz) = D(xy) is not
+        d = self._derivation(("x", "y", "z"), z="x")
+        yz = [(0, 1, 1)]
+        rows, _, _ = _matrix(d, yz)
+        assert len(rows) == 1
+        with pytest.raises(ExponentOverflowError) as info:
+            _matrix(d, yz, power=2)
+        assert str(info.value) == self.MESSAGE
 
 
 class TestGradeKernelConcordance:
@@ -472,10 +520,9 @@ class TestSliceSearch:
         ring = PresentedRing.polynomial_ring(vs)
         d = Derivation(ring, {b: Polynomial.variable(a, vs) for a, b in zip(vs, vs[1:])})
         calls = []
-        leibniz = Derivation.leibniz
-        monkeypatch.setattr(Derivation, "leibniz",
-                            lambda self, terms, *args: calls.append(terms)
-                            or leibniz(self, terms, *args))
+        missing = kernel_lab._Images.__missing__
+        monkeypatch.setattr(kernel_lab._Images, "__missing__",
+                            lambda self, x: calls.append(x) or missing(self, x))
         assert slice_search(d, 5).is_local()
         assert len(calls) == len(standard_monomials(ring, 5)) == 252
 
@@ -484,7 +531,7 @@ class TestSliceSearch:
         """The local slice of the Ker(D^2) candidates, each made monic the
         long way and ranked on its cofactor `apply` computes."""
         monomials = standard_monomials(d.ring, degree)
-        rows, _, _ = _derivation_matrix(d, monomials, power=2)
+        rows, _, _ = _matrix(d, monomials, power=2)
         return local_slice(d, [
             Polynomial(d.ring.vars, {monomials[j]: c for j, c in vec.items()})
             .monic(d.ring.order) for vec in nullspace(rows, len(monomials))])

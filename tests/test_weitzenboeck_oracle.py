@@ -9,7 +9,14 @@ partitions of floor(k(n - 1)/2) into at most k parts, each at most n - 1
 of degree n - 1, so the classical minimal systems fix the generator
 degrees: 1, 2, 3, 4 for the binary cubic, and 1, 2, 2, 3, 3 for the binary
 quartic (Gordan).  Freudenburg, *Algebraic Theory of Locally Nilpotent
-Derivations*, 2nd ed., ch. 6; Weitzenboeck, Acta Math. 58 (1932)."""
+Derivations*, 2nd ed., ch. 6; Weitzenboeck, Acta Math. 58 (1932).
+
+A direct sum of nilpotent Jordan blocks is a sum of irreducible sl_2-modules,
+a block of size m with the weights m - 1, m - 3, ..., 1 - m on its
+variables.  S^k of the sum is spanned by the degree-k monomials, each of
+weight the sum of its variables' weights, and Ker D in degree k, the span of
+the highest-weight vectors, has one dimension per irreducible summand of
+S^k: the number of monomials of weight 0 plus the number of weight 1."""
 
 from functools import lru_cache
 
@@ -92,3 +99,73 @@ def test_a_change_of_coordinates_keeps_the_dimensions(case):
     basis = kernel_basis(_conjugated(n, entries), degree).basis
     dims = [sum(p.degree() == k for p in basis) for k in range(degree + 1)]
     assert dims == [_partitions(k * (n - 1) // 2, k, n - 1) for k in range(degree + 1)]
+
+
+def _blocks(sizes):
+    """The direct sum of nilpotent Jordan blocks of the given sizes: on each
+    block's variables y_1, ..., y_m, D(y_i) = y_(i-1) and D(y_1) = 0.
+    Returns the variables, named by block letter and position (a1, a2, b1,
+    ...), each one's sl_2-weight, and for each the index of its image, None
+    for a block's first variable."""
+    vs, weights, below = [], [], []
+    for b, m in enumerate(sizes):
+        for i in range(1, m + 1):
+            vs.append(f"{chr(97 + b)}{i}")
+            weights.append(m + 1 - 2 * i)
+            below.append(len(vs) - 2 if i > 1 else None)
+    return tuple(vs), weights, below
+
+
+def _block_derivation(sizes):
+    vs, _, below = _blocks(sizes)
+    return Derivation(PresentedRing.polynomial_ring(vs),
+                      {v: Polynomial.variable(vs[j], vs)
+                       for v, j in zip(vs, below) if j is not None})
+
+
+def _weight_counts(weights, degree):
+    """Kernel dimension by degree, 0 to `degree`: the number of degree-k
+    monomials in variables of these weights whose weight is 0 or 1."""
+    counts = [{0: 1}] + [{} for _ in range(degree)]   # counts[k][w]
+    for w in weights:   # multisets: each variable may repeat
+        for k in range(1, degree + 1):
+            for v, c in counts[k - 1].items():
+                counts[k][v + w] = counts[k].get(v + w, 0) + c
+    return [c.get(0, 0) + c.get(1, 0) for c in counts]
+
+
+def test_the_block_count_reproduces_known_series():
+    assert _weight_counts(_blocks((2, 2))[1], 6) == [1, 2, 4, 6, 9, 12, 16]
+    assert _weight_counts(_blocks((3, 2))[1], 6) == [1, 2, 5, 9, 15, 23, 34]
+    # one block is the Cayley-Sylvester count
+    assert _weight_counts(_blocks((6,))[1], 8) == [_partitions(k * 5 // 2, k, 5)
+                                                   for k in range(9)]
+
+
+@pytest.mark.parametrize("sizes, degree", [((2, 2), 3), ((3, 2), 3)])
+def test_the_block_count_is_the_sympy_nullity(sizes, degree):
+    # D is linear, so it maps each degree to itself: the nullity of its
+    # matrix on the degree-k monomials, built and ranked by sympy alone
+    sympy = pytest.importorskip("sympy")
+    vs, weights, below = _blocks(sizes)
+    xs = sympy.symbols(vs)
+    images = [0 if j is None else xs[j] for j in below]
+    dims = []
+    for k in range(degree + 1):
+        monomials = sorted(sympy.itermonomials(xs, k, k), key=sympy.default_sort_key)
+        index = {m: j for j, m in enumerate(monomials)}
+        matrix = sympy.zeros(len(monomials), len(monomials))
+        for j, m in enumerate(monomials):
+            image = sympy.expand(sum(g * sympy.diff(m, x) for x, g in zip(xs, images)))
+            for term, c in sympy.Poly(image, *xs).as_dict().items():
+                matrix[index[sympy.Mul(*[x ** e for x, e in zip(xs, term)])], j] = c
+        dims.append(len(monomials) - matrix.rank())
+    assert dims == _weight_counts(weights, degree)
+
+
+@pytest.mark.parametrize("sizes, degree", [
+    ((2, 2), 6), ((3, 2), 6), ((3, 3), 5), ((2, 2, 2), 5), ((4, 2), 5), ((4, 3), 4)])
+def test_kernel_dimensions_of_block_sums_are_the_weight_counts(sizes, degree):
+    basis = kernel_basis(_block_derivation(sizes), degree).basis
+    dims = [sum(p.degree() == k for p in basis) for k in range(degree + 1)]
+    assert dims == _weight_counts(_blocks(sizes)[1], degree)
