@@ -485,15 +485,18 @@ def _grade_ideal(env, name):
 def _kernel(env, name, degree, expect):
     d = env.derivations[name]
     report = kernel_generators(d, degree)
+    # the kept generators are basis elements: each is mapped to ambient coordinates once
+    ambient = {p: p if d.host is None else d.host.to_ambient(p) for p in report.basis}
+    generators = [ambient[p] for p in report.generators]
     value = {
         "degree": degree,
         "basis_size": len(report.basis),
-        "basis": [_display(p, d.host) for p in report.basis],
-        "generators": [_display(p, d.host) for p in report.generators],
+        "basis": [format_polynomial(p) for p in ambient.values()],
+        "generators": [format_polynomial(p) for p in generators],
     }
     notes = []
     if expect is not None:
-        inside, holds = compare_kernel_to_subalgebra(report, d, env.subalgebras[expect])
+        inside, holds = compare_kernel_to_subalgebra(generators, d, env.subalgebras[expect])
         value.update(expected=expect, kernel_in_expected=inside, expected_in_kernel=holds)
         notes.append("containment verified up to the stated degree only")
     return value, [], notes

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from .config import current_budget
 from .errors import DegenerateInputError, VariableMismatchError
 from .groebner_engine import ideal_member
-from .poly_core import Polynomial, gcd as poly_gcd, monomial_mul, product_cost
+from .poly_core import (_FIELD_MASK, Polynomial, _layout, _top_exponent, gcd as poly_gcd,
+                        product_cost)
 from .presentation import PresentedRing
 
 
@@ -23,6 +24,7 @@ class Derivation:
 
     Variables missing from `images` are sent to zero.  A derivation
     induced on a subalgebra presentation keeps a link to its host.
+    `layout` packs the ring's monomials for `leibniz`.
     """
 
     def __init__(self, ring, images, host=None):
@@ -41,11 +43,14 @@ class Derivation:
             if name not in ring.vars:
                 raise VariableMismatchError(f"{name!r} is not a ring variable")
         self.host = host              # Subalgebra when induced on tags
-        # (index, image terms) per nonzero image for `leibniz`, ints where integral
-        self._image_terms = [
-            (i, [(m, c.numerator if c.denominator == 1 else c)
-                 for m, c in self.images[name].terms.items()])
-            for i, name in enumerate(ring.vars) if not self.images[name].is_zero()]
+        self.layout = layout = _layout(ring.order, len(ring.vars))
+        # per nonzero D(x_i): (x_i, its field shift, packed x_i, overflow
+        # gate, packed terms with the coefficients ints where integral)
+        self._variables = [
+            (name, layout.shifts[i], layout.weights[i], layout.gate(_top_exponent(p.terms)),
+             [(x, c.numerator if c.denominator == 1 else c)
+              for x, c in zip(layout.pack(p.terms), p.terms.values())])
+            for i, (name, p) in enumerate(self.images.items()) if p.terms]
 
     def is_zero(self):
         return all(p.is_zero() for p in self.images.values())
@@ -57,36 +62,57 @@ class Derivation:
         parts = ", ".join(f"{v} -> {p}" for v, p in self.nonzero_images())
         return f"Derivation({parts or '0'})"
 
-    def leibniz(self, terms, budget=None):
-        """D(f) by the Leibniz rule on term maps: c x^a goes to
-        sum_i c a_i x^(a - e_i) D(x_i).  Zero coefficients may remain, and
-        integer ones stay ints.  With a `budget`, each nonzero D(x_i) * df/dx_i
-        is charged to it, in variable order and before any term is formed:
-        the derivative's terms and the `product_cost`."""
+    def leibniz(self, f, budget=None):
+        """D(f) by the Leibniz rule: c x^a goes to sum_i c a_i x^(a - e_i) D(x_i).
+
+        The loop runs on packed monomials (`layout`, the ring order's
+        `poly_core._Layout`, as in division; Monagan and Pearce, CASC
+        2007).  Each D(x_i) is packed once, so a term of D(x^a) is t + X(m),
+        one addition, with t = X(a) - X(e_i).  Exponent overflow is gated
+        per variable as `poly_core._reduce` gates a step: only when
+        (t + gate_i) & guard is set are the products checked one by one,
+        raising ExponentOverflowError at the first past EXPONENT_LIMIT, as
+        `monomial_mul` would.  A Polynomial f is packed once, its integral
+        coefficients as ints (an exponent past EXPONENT_LIMIT raises), and
+        D(f) is a Polynomial, not in normal form; for a packed monomial f,
+        an int, D(f) is {packed monomial: coefficient}, zero coefficients
+        possible and integer ones ints.  With a `budget`, each nonzero
+        D(x_i) * df/dx_i is charged to it, in variable order and before any
+        term is formed: the derivative's terms and the `product_cost`."""
+        layout, packed = self.layout, isinstance(f, int)
+        if not packed:
+            _top_exponent(f.terms)
+        work = [(f, 1)] if packed else list(zip(layout.pack(f.terms), [
+            c.numerator if c.denominator == 1 else c for c in f.terms.values()]))
         if budget is not None:
-            for i, image in self._image_terms:
-                partial = [c * m[i] for m, c in terms.items() if m[i]]
+            for name, shift, _, _, image in self._variables:
+                partial = [c * e for x, c in work if (e := (x >> shift) & _FIELD_MASK)]
                 if partial:
                     cost = len(partial) + product_cost([c for _, c in image], partial)
-                    budget.charge_terms(cost,
-                                        f"applying the derivation along {self.ring.vars[i]}")
+                    budget.charge_terms(cost, f"applying the derivation along {name}")
+        guard = layout.guard
         out = {}
-        for mono, c in terms.items():
-            for i, image in self._image_terms:
-                e = mono[i]
+        for x, c in work:
+            for _, shift, weight, gate, image in self._variables:
+                e = (x >> shift) & _FIELD_MASK
                 if e:
-                    lowered = mono[:i] + (e - 1,) + mono[i + 1:]
+                    t = x - weight
+                    if (t + gate) & guard:
+                        layout.check(t, image)
                     ec = e * c
                     for m, ic in image:
-                        t = monomial_mul(lowered, m)
-                        out[t] = out.get(t, 0) + ec * ic
-        return out
+                        k = t + m
+                        out[k] = out.get(k, 0) + ec * ic
+        if packed:
+            return out
+        unpack = layout.unpack
+        return Polynomial(self.ring.vars, {unpack(k): c for k, c in out.items()})
 
 
 def apply(d, f, budget=None):
     """D(f) reduced to normal form; a `budget` is charged as in `leibniz`."""
     ring = d.ring
-    return ring.normal(Polynomial(ring.vars, d.leibniz(ring.normal(f).terms, budget)))
+    return ring.normal(d.leibniz(ring.normal(f), budget))
 
 
 def iterate(d, f, m):
@@ -104,8 +130,7 @@ def check_well_defined(d):
     """True iff every relation maps into the relation ideal: its image has
     normal form zero modulo the ring's reduced basis of relations."""
     ring = d.ring
-    return all(ring.is_zero(Polynomial(ring.vars, d.leibniz(rel.terms)))
-               for rel in ring.relations.elements)
+    return all(ring.is_zero(d.leibniz(rel)) for rel in ring.relations.elements)
 
 
 @dataclass

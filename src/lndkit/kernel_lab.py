@@ -4,12 +4,10 @@ reconstruction, plus degree-bounded generator verification.
 Kernels are computed by exact linear algebra on the finite-dimensional
 space of normal forms up to a stated degree: correctness up to that degree
 is unconditional, and no claim is made beyond it.  D's matrix is built on
-packed monomials, the ints of the ring order's `poly_core._Layout` that the
-division loop uses (Monagan and Pearce, CASC 2007): each D(x_i) is packed
-once, so each term of D(x^a) is one integer addition, its exponent overflow
-gated per variable as a division step is, and rows are keyed by packed
-monomials.  The packing reverses the ring order, so a kernel vector's
-leading monomial is its column of smallest packed form.
+the packed monomials `Derivation.leibniz` runs on, each column's image
+formed by it once, and its rows are keyed by packed monomials.  The
+packing reverses the ring order, so a kernel vector's leading monomial is
+its column of smallest packed form.
 
 Generators are extracted by span tests: an element lies in the subalgebra
 of the kept generators when it lies in the span of their products up to
@@ -30,9 +28,9 @@ from math import factorial
 
 from .config import budget, current_budget
 from ._linalg import RowSpace, nullspace, solve
-from .derivation_engine import apply, certify_nilpotent
+from .derivation_engine import APPLICATION_TERMS, apply, certify_nilpotent
 from .errors import DegenerateInputError, DimensionBudgetError
-from .poly_core import _FIELD_MASK, Polynomial, _layout, _top_exponent, monomial_div
+from .poly_core import Polynomial, monomial_div
 from .presentation import present_subalgebra
 
 
@@ -122,46 +120,18 @@ def _derivation_matrix(images, columns, power=1):
 
 
 class _Images(dict):
-    """D of one packed monomial (the ring order's `poly_core._Layout`), as
-    a list of its nonzero (packed monomial, coefficient) terms, formed on
-    first lookup and kept.
-
-    Each D(x_i) is packed once, so a term of D(x^a) = sum_i a_i x^(a - e_i)
-    D(x_i) is t + X(m), one addition, with t = X(a) - X(e_i) the packed
-    x^(a - e_i).  Exponent overflow is gated per variable as `_reduce`
-    gates a step: only when (t + gate_i) & guard is set are the products
-    checked one by one, raising ExponentOverflowError at the first past
-    EXPONENT_LIMIT, as `monomial_mul` would.  On a quotient ring each image
-    is reduced once by `ring.normal` and then packed."""
+    """D of one packed monomial (`Derivation.layout`), as a list of its
+    nonzero (packed monomial, coefficient) terms, formed by
+    `Derivation.leibniz` on first lookup and kept.  On a quotient ring
+    each image is reduced once by `ring.normal` and then packed."""
 
     def __init__(self, d):
         super().__init__()
-        ring = d.ring
-        self.ring = ring
-        self.layout = layout = _layout(ring.order, len(ring.vars))
-        # per nonzero D(x_i): (x_i's field shift, packed x_i, gate, packed
-        # terms), the coefficients ints where integral, as `leibniz` takes them
-        self.variables = []
-        for i, image in d._image_terms:
-            monos = [m for m, _ in image]
-            self.variables.append((layout.shifts[i], layout.weights[i],
-                                   layout.gate(_top_exponent(monos)),
-                                   list(zip(layout.pack(monos), [c for _, c in image]))))
+        self.leibniz, self.ring, self.layout = d.leibniz, d.ring, d.layout
 
     def __missing__(self, x):
-        layout = self.layout
-        guard = layout.guard
-        out = {}
-        for shift, weight, gate, terms in self.variables:
-            e = (x >> shift) & _FIELD_MASK
-            if e:
-                t = x - weight
-                if (t + gate) & guard:
-                    layout.check(t, terms)
-                for m, c in terms:
-                    k = t + m
-                    out[k] = out.get(k, 0) + e * c
-        ring = self.ring
+        out = self.leibniz(x)
+        ring, layout = self.ring, self.layout
         if ring.has_relations():
             unpack = layout.unpack
             p = ring.normal(Polynomial(ring.vars, {unpack(k): c for k, c in out.items()}))
@@ -261,17 +231,15 @@ def _homogeneous(p):
     return len({sum(m) for m in p.terms}) <= 1
 
 
-def compare_kernel_to_subalgebra(report, d, subalgebra):
-    """(kernel_in_expected, expected_in_kernel), up to the report's degree:
-    whether the kept generators (the basis when none were kept) lie in the
-    subalgebra, in ambient coordinates when D lives on a subalgebra, and
-    whether D kills the subalgebra's generators.  The first decides the
-    whole basis: kernel_generators keeps each element outside Q[kept]."""
+def compare_kernel_to_subalgebra(generators, d, subalgebra):
+    """(kernel_in_expected, expected_in_kernel), up to the degree of a
+    kernel report whose kept generators are `generators`, in ambient
+    coordinates: whether they lie in the subalgebra, and whether D kills
+    the subalgebra's generators.  The first decides the whole basis:
+    kernel_generators keeps each element outside Q[kept], and keeps none
+    only when the basis is the constant 1."""
     host = d.host
-    elements = report.generators or report.basis
-    if host is not None:
-        elements = [host.to_ambient(p) for p in elements]
-    return (all(subalgebra.member(p).member for p in elements),
+    return (all(subalgebra.member(p).member for p in generators),
             all(apply(d, g if host is None else host.express(g)).is_zero()
                 for g in subalgebra.generators))
 
@@ -353,16 +321,19 @@ def _orbit(d, f, certificate):
     form f.  By the Leibniz rule D^k kills a monomial once k exceeds
     sum(deg_v * (ord_v - 1)), ord_v the certified order of the variable v,
     so the orbit has at most 1 + sum(deg_v(f) * (ord_v - 1)) elements; a
-    longer one refutes the certificate."""
+    longer one refutes the certificate.  Each application is charged to
+    the current budget scope as `certify_nilpotent` charges one."""
     bound = 1 + sum(f.degree_in(v) * (certificate.orders.get(v, 1) - 1)
                     for v in d.ring.vars)
+    scope = current_budget()
     orbit = []
     while not f.is_zero():
         if len(orbit) == bound:
             raise DegenerateInputError(
                 f"element not annihilated within {bound} iterations")
         orbit.append(f)
-        f = apply(d, f)
+        scope.charge_terms(APPLICATION_TERMS, "applying the derivation")
+        f = apply(d, f, scope)
     return orbit
 
 

@@ -155,7 +155,7 @@ def _jacobian_minors(basis, ring):
     x_j -> 1."""
     one = Polynomial.one(ring.vars)
     partials = [Derivation(ring, {name: one}) for name in ring.vars]
-    jacobian = [[Polynomial(ring.vars, d.leibniz(g.terms)) for d in partials] for g in basis]
+    jacobian = [[d.leibniz(g) for d in partials] for g in basis]
     c = _height(basis, len(ring.vars))
     squares = product(combinations(jacobian, c), combinations(range(len(ring.vars)), c))
     return [_determinant([[row[j] for j in cols] for row in rows], one)

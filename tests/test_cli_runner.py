@@ -25,9 +25,9 @@ from lndkit.cli_runner import (
     strip_timing,
 )
 from lndkit.config import budget
-from lndkit.derivation_engine import certify_nilpotent
 from lndkit.errors import ParseError
-from lndkit.poly_core import Polynomial
+from lndkit.kernel_lab import SliceData, dixmier
+from lndkit.poly_core import Polynomial, parse_polynomial
 from lndkit.presentation import Subalgebra
 
 SIMPLE = """\
@@ -368,6 +368,20 @@ rees I upto 2 saturate 1 + w
         assert sum(sub is env.subalgebras["A"] for sub in seen) == 4
         assert value["kernel_in_expected"] is True
 
+    def test_kernel_elements_mapped_to_ambient_once(self, monkeypatch):
+        # example_6_1 prints 53 kernel basis elements of D through B's tags,
+        # 4 of them kept generators that are printed and compared with A
+        # too: each is mapped once, as are the 2 grade witnesses, the slice
+        # and the projection
+        calls = []
+        to_ambient = Subalgebra.to_ambient
+        monkeypatch.setattr(Subalgebra, "to_ambient",
+                            lambda sub, p: calls.append(p) or to_ambient(sub, p))
+        text = corpus_path("example_6_1.lnd").read_text(encoding="utf-8")
+        _, code = run(parse_session(text), RunConfig())
+        assert code == 0
+        assert len(calls) == 57
+
 
 def _example_6_1_with(command):
     """example_6_1's declarations, E: Z -> X^2 on P3, and one command."""
@@ -675,13 +689,16 @@ class TestNumericArguments:
         assert bounded["value"] == {"bound": 5, "certified": False, "stuck": "x"}
 
     def test_term_budget_spans_parse_and_run(self, monkeypatch):
-        # one budget bounds a command's parse and its nilpotency check together
+        # one budget bounds a command's parse, its nilpotency check and its
+        # orbit together
         text = ("ring R = poly(x, y)\nderivation D on R { y -> 1 }\n"
                 "dixmier D slice y of (x + y)^3\n")
         session = parse_session(text)
         parsed = session.commands[0].terms
+        d = load_environment(session).derivations["D"]
+        y, f = (parse_polynomial(t, d.ring.vars) for t in ("y", "(x + y)^3"))
         with budget() as scope:
-            certify_nilpotent(load_environment(session).derivations["D"])
+            dixmier(d, SliceData(y), f)
         checked = scope.terms_used
         assert parsed > 0 and checked > 0
         for limit, status in [(parsed + checked - 1, "error"),

@@ -18,9 +18,9 @@ from lndkit.derivation_engine import (
     restricts_to,
 )
 from lndkit.config import TERM_BUDGET, budget
-from lndkit.errors import BudgetExceededError, DegenerateInputError
+from lndkit.errors import BudgetExceededError, DegenerateInputError, ExponentOverflowError
 from lndkit.groebner_engine import Ideal, ideal_member
-from lndkit.poly_core import GREVLEX, LEX, Polynomial, parse_polynomial
+from lndkit.poly_core import EXPONENT_LIMIT, GREVLEX, LEX, Polynomial, parse_polynomial
 from lndkit.presentation import PresentedRing, present_subalgebra
 from oracles import apply as oracle_apply, apply_charge, diff
 
@@ -80,6 +80,16 @@ class TestApply:
             f = _random_poly(rng, XYZ)
             assert apply(d, c * f) == c * apply(d, f)
 
+
+    def test_exponent_overflow(self):
+        # D(x) = y^L, L = EXPONENT_LIMIT: D(xy) = y^(L + 1) is past the
+        # limit, with the message the kernel matrix gives
+        vs = ("x", "y")
+        ring = PresentedRing.polynomial_ring(vs)
+        d = Derivation(ring, {"x": Polynomial(vs, {(0, EXPONENT_LIMIT): 1})})
+        with pytest.raises(ExponentOverflowError) as info:
+            apply(d, parse_polynomial("x*y", vs))
+        assert str(info.value) == "exponent 2147483649 exceeds limit 2147483648"
 
     @pytest.mark.parametrize("relation", [None, "X^2 - Y*Z"])
     def test_matches_oracle_with_its_charge(self, relation):

@@ -9,6 +9,7 @@ from lndkit import kernel_lab
 
 from lndkit.config import budget
 from lndkit.derivation_engine import (
+    APPLICATION_TERMS,
     Derivation,
     NilpotencyCertificate,
     apply,
@@ -16,7 +17,12 @@ from lndkit.derivation_engine import (
     irreducible_over_ufd,
     restrict_to_subalgebra,
 )
-from lndkit.errors import DegenerateInputError, DimensionBudgetError, ExponentOverflowError
+from lndkit.errors import (
+    BudgetExceededError,
+    DegenerateInputError,
+    DimensionBudgetError,
+    ExponentOverflowError,
+)
 from lndkit.grade_analyzer import GradeValue, fpf_test, grade_of_derivation
 from lndkit.kernel_lab import (
     SliceData,
@@ -657,6 +663,28 @@ class TestDixmier:
             assert dixmier(d, SliceData(y), y, certificate).value == \
                 parse_polynomial(projection, ring.vars)
 
+    def test_orbit_is_charged_to_the_term_budget(self):
+        # y^5, 5*y^4, ..., 120 under y -> 1: each application its
+        # bookkeeping, and one derivative term and one product term on
+        # all but the constant
+        ring = PresentedRing.polynomial_ring(("x", "y"))
+        d = derivation(ring, y="1")
+        certificate = certify_nilpotent(d)
+        y = parse_polynomial("y", ring.vars)
+        with budget() as scope:
+            dixmier(d, SliceData(y), y ** 5, certificate)
+        assert scope.terms_used == 5 * (APPLICATION_TERMS + 2) + APPLICATION_TERMS
+
+    def test_long_orbit_stops_at_the_term_budget(self):
+        # the orbit of x^(2^31 - 1)*y under x -> 1 has 2^31 elements
+        ring = PresentedRing.polynomial_ring(("x", "y"))
+        d = derivation(ring, x="1")
+        x, f = (parse_polynomial(t, ring.vars) for t in ("x", "x^2147483647*y"))
+        with budget(), pytest.raises(BudgetExceededError) as info:
+            dixmier(d, SliceData(x), f)
+        assert str(info.value) == \
+            "term budget 1000000 exceeded by applying the derivation along x"
+
     def test_local_slice_denominator(self):
         d = derivation(P3, Z="X^2")
         data = SliceData(pp("Z"), pp("X^2"))
@@ -723,7 +751,7 @@ class TestReconstruct:
         certificate = certify_nilpotent(d)
         calls = []
         monkeypatch.setattr(kernel_lab, "apply",
-                            lambda d, f: calls.append(f) or apply(d, f))
+                            lambda d, f, scope: calls.append(f) or apply(d, f, scope))
         coeffs = reconstruct(d, SliceData(parse_polynomial("y", ring.vars)),
                              parse_polynomial("y^3 + x*y", ring.vars), certificate)
         assert [str(a) for a in coeffs] == ["0", "x", "0", "1"]
@@ -829,6 +857,7 @@ class TestClaimedKernel:
     def test_two_sided_verdict(self, corpus_a, corpus_b):
         d = restrict_to_subalgebra(derivation(P3, Z="1"), corpus_b)
         report = kernel_basis(d, 3)
-        inside, holds = compare_kernel_to_subalgebra(report, d, corpus_a)
+        basis = [corpus_b.to_ambient(p) for p in report.basis]
+        inside, holds = compare_kernel_to_subalgebra(basis, d, corpus_a)
         assert inside
         assert holds
