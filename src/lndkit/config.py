@@ -2,11 +2,14 @@
 
 A `budget(pairs, dims)` scope bounds the S-pair reductions of all the
 Buchberger runs inside it, summed, and the size of one enumeration: the
-monomials up to a degree, or the products of one span.  It also counts the terms formed by the work that a user's
-numbers alone can make unbounded, polynomial products while parsing (a
-power; weighted by coefficient size) and the iterations of a nilpotency
-check, against the fixed TERM_BUDGET.  Outside any scope every Buchberger
-run and every `parse_polynomial` call gets a fresh default.  A session
+monomials up to a degree, or the products of one span.  Against the fixed
+TERM_BUDGET it counts the terms formed by work a user's numbers alone can
+make unbounded: products while parsing (a power; weighted by coefficient
+size) and every application of a derivation to a polynomial (nilpotency
+checks, Dixmier slice tests and orbits, restrictions, `expect` and
+well-definedness checks, Jacobian minors).  Outside any scope, one rule:
+a Buchberger run, parse, application, `iterate`, nilpotency check or
+orbit is bounded as a whole by one default budget (`metered`).  A
 statement's parse has a scope of its own; the scope it runs in is charged
 first with the terms that parse formed, so one term budget bounds both.
 
@@ -17,7 +20,7 @@ decides no computed value: every computation is deterministic.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
 
@@ -103,3 +106,9 @@ def budget(pairs=None, dims=None):
         yield _BUDGET.get()
     finally:
         _BUDGET.reset(token)
+
+
+def metered():
+    """A context on the open budget scope, else on a fresh default one."""
+    scope = _BUDGET.get()
+    return nullcontext(scope) if scope else budget()

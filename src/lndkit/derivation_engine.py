@@ -11,12 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import current_budget
+from .config import current_budget, metered
 from .errors import DegenerateInputError, VariableMismatchError
 from .groebner_engine import ideal_member
 from .poly_core import (_FIELD_MASK, Polynomial, _layout, _top_exponent, gcd as poly_gcd,
                         product_cost)
 from .presentation import PresentedRing
+
+
+APPLICATION_TERMS = 4
 
 
 class Derivation:
@@ -62,7 +65,7 @@ class Derivation:
         parts = ", ".join(f"{v} -> {p}" for v, p in self.nonzero_images())
         return f"Derivation({parts or '0'})"
 
-    def leibniz(self, f, budget=None):
+    def leibniz(self, f):
         """D(f) by the Leibniz rule: c x^a goes to sum_i c a_i x^(a - e_i) D(x_i).
 
         The loop runs on packed monomials (`layout`, the ring order's
@@ -76,20 +79,26 @@ class Derivation:
         coefficients as ints (an exponent past EXPONENT_LIMIT raises), and
         D(f) is a Polynomial, not in normal form; for a packed monomial f,
         an int, D(f) is {packed monomial: coefficient}, zero coefficients
-        possible and integer ones ints.  With a `budget`, each nonzero
-        D(x_i) * df/dx_i is charged to it, in variable order and before any
-        term is formed: the derivative's terms and the `product_cost`."""
+        possible and integer ones ints.  A Polynomial f is charged to the
+        current budget scope before any term is formed: APPLICATION_TERMS
+        for the bookkeeping (packing, the running sum, normal forms: 27 us
+        on x -> x, as long as four or five term products), then each
+        nonzero D(x_i) * df/dx_i in variable order, its derivative's terms
+        and `product_cost`.  A packed f is not charged: the kernel matrix's
+        dimension budget bounds it."""
         layout, packed = self.layout, isinstance(f, int)
         if not packed:
             _top_exponent(f.terms)
         work = [(f, 1)] if packed else list(zip(layout.pack(f.terms), [
             c.numerator if c.denominator == 1 else c for c in f.terms.values()]))
-        if budget is not None:
+        if not packed:
+            charge = current_budget().charge_terms
+            charge(APPLICATION_TERMS, "applying the derivation")
             for name, shift, _, _, image in self._variables:
                 partial = [c * e for x, c in work if (e := (x >> shift) & _FIELD_MASK)]
                 if partial:
                     cost = len(partial) + product_cost([c for _, c in image], partial)
-                    budget.charge_terms(cost, f"applying the derivation along {name}")
+                    charge(cost, f"applying the derivation along {name}")
         guard = layout.guard
         out = {}
         for x, c in work:
@@ -109,20 +118,21 @@ class Derivation:
         return Polynomial(self.ring.vars, {unpack(k): c for k, c in out.items()})
 
 
-def apply(d, f, budget=None):
-    """D(f) reduced to normal form; a `budget` is charged as in `leibniz`."""
+def apply(d, f):
+    """D(f) reduced to normal form, charged as in `leibniz`."""
     ring = d.ring
-    return ring.normal(d.leibniz(ring.normal(f), budget))
+    return ring.normal(d.leibniz(ring.normal(f)))
 
 
 def iterate(d, f, m):
     if m < 0:
         raise ValueError("negative iteration count")
     out = d.ring.normal(f)
-    for _ in range(m):
-        if out.is_zero():
-            return out
-        out = apply(d, out)
+    with metered():
+        for _ in range(m):
+            if out.is_zero():
+                return out
+            out = apply(d, out)
     return out
 
 
@@ -160,33 +170,24 @@ def default_nilpotency_bound(d):
     return total
 
 
-APPLICATION_TERMS = 4
-
-
 def certify_nilpotent(d, bound=None):
-    """Apply d to each variable until it dies or `bound` applications.
-
-    Each application is charged to the current budget scope: what `apply`
-    forms, and APPLICATION_TERMS for its own bookkeeping (normal forms,
-    the running sum), which takes 27 us on x -> x, as long as four or five
-    term products.
-    """
+    """Apply d to each variable until it dies or `bound` applications,
+    all charged to one `metered` scope."""
     if bound is None:
         bound = default_nilpotency_bound(d)
     if bound < 1:
         raise DegenerateInputError("bound must be at least 1")
-    budget = current_budget()
     orders = {}
-    for name in d.ring.vars:
-        current = d.ring.variable(name)
-        m = 0
-        while not current.is_zero():
-            if m >= bound:
-                return NilpotencyCertificate(False, bound, stuck=name)
-            budget.charge_terms(APPLICATION_TERMS, "applying the derivation")
-            current = apply(d, current, budget)
-            m += 1
-        orders[name] = max(m, 1)
+    with metered():
+        for name in d.ring.vars:
+            current = d.ring.variable(name)
+            m = 0
+            while not current.is_zero():
+                if m >= bound:
+                    return NilpotencyCertificate(False, bound, stuck=name)
+                current = apply(d, current)
+                m += 1
+            orders[name] = max(m, 1)
     return NilpotencyCertificate(True, bound, orders=orders)
 
 

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .config import budget, current_budget
+from .config import budget, current_budget, metered
 from ._linalg import RowSpace, nullspace, solve
-from .derivation_engine import APPLICATION_TERMS, apply, certify_nilpotent
+from .derivation_engine import apply, certify_nilpotent
 from .errors import DegenerateInputError, DimensionBudgetError
 from .poly_core import Polynomial, monomial_div
 from .presentation import present_subalgebra
@@ -321,19 +321,18 @@ def _orbit(d, f, certificate):
     form f.  By the Leibniz rule D^k kills a monomial once k exceeds
     sum(deg_v * (ord_v - 1)), ord_v the certified order of the variable v,
     so the orbit has at most 1 + sum(deg_v(f) * (ord_v - 1)) elements; a
-    longer one refutes the certificate.  Each application is charged to
-    the current budget scope as `certify_nilpotent` charges one."""
+    longer one refutes the certificate.  The applications are charged to
+    one `metered` scope."""
     bound = 1 + sum(f.degree_in(v) * (certificate.orders.get(v, 1) - 1)
                     for v in d.ring.vars)
-    scope = current_budget()
     orbit = []
-    while not f.is_zero():
-        if len(orbit) == bound:
-            raise DegenerateInputError(
-                f"element not annihilated within {bound} iterations")
-        orbit.append(f)
-        scope.charge_terms(APPLICATION_TERMS, "applying the derivation")
-        f = apply(d, f, scope)
+    with metered():
+        while not f.is_zero():
+            if len(orbit) == bound:
+                raise DegenerateInputError(
+                    f"element not annihilated within {bound} iterations")
+            orbit.append(f)
+            f = apply(d, f)
     return orbit
 
 

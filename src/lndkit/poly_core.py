@@ -36,7 +36,7 @@ from itertools import chain
 from math import gcd as int_gcd, lcm
 from operator import add, ge, mul, neg, sub
 
-from .config import current_budget
+from .config import current_budget, metered
 from .errors import ExponentOverflowError, LndError, ParseError, VariableMismatchError
 
 Rational = Fraction
@@ -929,13 +929,14 @@ def parse_polynomial(text, vars):
     A first pass of the same parser forms no product or sum and only
     checks the grammar, so a ParseError anywhere in the text comes before
     any expansion.  The second pass expands, charging every product formed,
-    powers included, to the current budget scope's term counter; the
-    product that would pass its limit raises BudgetExceededError unformed.
+    powers included, to one `metered` scope's term counter; the product
+    that would pass its limit raises BudgetExceededError unformed.
     """
     vars = tuple(vars)
     tokens = _tokenize_poly(text, vars)
     _PolyParser(tokens, vars, expand=False).parse()
-    return _PolyParser(tokens, vars, expand=True).parse()
+    with metered():
+        return _PolyParser(tokens, vars, expand=True).parse()
 
 
 def _digits(n):

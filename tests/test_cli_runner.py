@@ -25,6 +25,7 @@ from lndkit.cli_runner import (
     strip_timing,
 )
 from lndkit.config import budget
+from lndkit.derivation_engine import apply
 from lndkit.errors import ParseError
 from lndkit.kernel_lab import SliceData, dixmier
 from lndkit.poly_core import Polynomial, parse_polynomial
@@ -689,8 +690,8 @@ class TestNumericArguments:
         assert bounded["value"] == {"bound": 5, "certified": False, "stuck": "x"}
 
     def test_term_budget_spans_parse_and_run(self, monkeypatch):
-        # one budget bounds a command's parse, its nilpotency check and its
-        # orbit together
+        # one budget bounds a command's parse, its slice test, its
+        # nilpotency check and its orbit together
         text = ("ring R = poly(x, y)\nderivation D on R { y -> 1 }\n"
                 "dixmier D slice y of (x + y)^3\n")
         session = parse_session(text)
@@ -698,6 +699,7 @@ class TestNumericArguments:
         d = load_environment(session).derivations["D"]
         y, f = (parse_polynomial(t, d.ring.vars) for t in ("y", "(x + y)^3"))
         with budget() as scope:
+            assert apply(d, y) == Polynomial.one(d.ring.vars)
             dixmier(d, SliceData(y), f)
         checked = scope.terms_used
         assert parsed > 0 and checked > 0
@@ -708,6 +710,15 @@ class TestNumericArguments:
             entry = report["commands"][0]
             assert entry["status"] == status
             assert status == "ok" or "term budget" in entry["error"]
+
+    def test_slice_test_stops_at_the_term_budget(self):
+        # D(s) needs some 4.3 million term products: charged before they
+        # are formed, they stop the command at once
+        text = ("ring R = poly(x, y, z)\nderivation D on R { x -> (y + z + 1)^40 }\n"
+                "dixmier D slice (x + y + z + 1)^30 of x\n")
+        report, _ = run(parse_session(text), RunConfig())
+        assert report["commands"][0]["error"] == \
+            "term budget 1000000 exceeded by applying the derivation along x"
 
     def test_number_past_the_digit_limit_is_parse_error(self, tmp_path):
         text = "ring R = poly(x)\nideal I in R = ( x^" + "1" * 5000 + " )\n"

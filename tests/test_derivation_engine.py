@@ -104,8 +104,8 @@ class TestApply:
             for _ in range(5):
                 f = _random_poly(rng, XYZ, den=den)
                 with budget() as scope:
-                    assert apply(d, f, scope) == oracle_apply(d, f)
-                    assert scope.terms_used == apply_charge(d, f)
+                    assert apply(d, f) == oracle_apply(d, f)
+                    assert scope.terms_used == apply_charge(d, f) + APPLICATION_TERMS
 
 
 def _random_poly(rng, vars, max_degree=4, n_terms=3, den=1):
@@ -152,6 +152,16 @@ class TestWellDefined:
     def test_tangent_derivation_accepted(self, cone_ring):
         d = derivation(cone_ring, u="2*v", v="w")
         assert check_well_defined(d)
+
+    def test_each_relation_image_is_charged(self, cone_ring):
+        # D(u*w - v^2) is formed from the relation itself, not its normal
+        # form, so its charge is that of D on the free polynomial ring
+        d = derivation(cone_ring, u="2*v", v="w", w="u + v")
+        free = Derivation(PresentedRing.polynomial_ring(cone_ring.vars), d.images)
+        with budget() as scope:
+            check_well_defined(d)
+        assert scope.terms_used == sum(apply_charge(free, rel) + APPLICATION_TERMS
+                                       for rel in cone_ring.relations.elements) > 0
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -279,6 +289,13 @@ class TestRestriction:
 
     def test_zero_derivation(self, corpus_c):
         assert restricts_to(Derivation(P3, {}), corpus_c)
+
+    def test_each_generator_image_is_charged(self, corpus_c):
+        d = derivation(P3, Z="X^2")
+        with budget() as scope:
+            restrict_to_subalgebra(d, corpus_c)
+        assert scope.terms_used == sum(apply_charge(d, g) + APPLICATION_TERMS
+                                       for g in corpus_c.generators) > 0
 
     def test_induced_images(self, corpus_c):
         d = restrict_to_subalgebra(derivation(P3, Z="X^2"), corpus_c)

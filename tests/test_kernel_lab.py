@@ -46,7 +46,8 @@ from lndkit.poly_core import (
     parse_polynomial,
 )
 from lndkit.presentation import PresentedRing, present_subalgebra
-from oracles import apply as oracle_apply, generator_comparison, local_slice, span_products
+from oracles import (apply as oracle_apply, apply_charge, generator_comparison, local_slice,
+                     span_products)
 
 XY = ("X", "Y")
 XYZ = ("X", "Y", "Z")
@@ -684,6 +685,10 @@ class TestDixmier:
             dixmier(d, SliceData(x), f)
         assert str(info.value) == \
             "term budget 1000000 exceeded by applying the derivation along x"
+        # outside any scope one default budget bounds the whole orbit, not
+        # each application
+        with pytest.raises(BudgetExceededError, match="term budget 1000000 exceeded"):
+            dixmier(d, SliceData(x), f)
 
     def test_local_slice_denominator(self):
         d = derivation(P3, Z="X^2")
@@ -751,7 +756,7 @@ class TestReconstruct:
         certificate = certify_nilpotent(d)
         calls = []
         monkeypatch.setattr(kernel_lab, "apply",
-                            lambda d, f, scope: calls.append(f) or apply(d, f, scope))
+                            lambda d, f: calls.append(f) or apply(d, f))
         coeffs = reconstruct(d, SliceData(parse_polynomial("y", ring.vars)),
                              parse_polynomial("y^3 + x*y", ring.vars), certificate)
         assert [str(a) for a in coeffs] == ["0", "x", "0", "1"]
@@ -861,3 +866,11 @@ class TestClaimedKernel:
         inside, holds = compare_kernel_to_subalgebra(basis, d, corpus_a)
         assert inside
         assert holds
+
+    def test_each_expected_generator_image_is_charged(self, corpus_a, corpus_b):
+        d = restrict_to_subalgebra(derivation(P3, Z="1"), corpus_b)
+        with budget() as scope:
+            assert compare_kernel_to_subalgebra([], d, corpus_a)[1]
+        images = [corpus_b.express(g) for g in corpus_a.generators]
+        assert scope.terms_used == sum(apply_charge(d, g) + APPLICATION_TERMS
+                                       for g in images) > 0

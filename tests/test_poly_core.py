@@ -5,6 +5,7 @@ from math import comb, gcd as int_gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lndkit import config
 from lndkit.config import TERM_BUDGET, budget
 from lndkit.errors import (
     BudgetExceededError,
@@ -523,6 +524,15 @@ class TestTextSyntax:
         assert len(p.terms) == 2145
         assert p.terms[(32, 32)] == comb(64, 32) * comb(32, 32)
         assert p.terms[(20, 10)] == comb(64, 20) * comb(44, 10)
+
+    def test_a_parse_outside_any_scope_is_bounded_as_a_whole(self, monkeypatch):
+        # each power fits the term budget, their sum does not
+        with budget() as scope:
+            P("(x + y + 1)^8", XY)
+        monkeypatch.setattr(config, "TERM_BUDGET", 2 * scope.terms_used)
+        P("(x + y + 1)^8 + (x + y + 2)^8", XY)
+        with pytest.raises(BudgetExceededError, match="term budget"):
+            P("(x + y + 1)^8 + (x + y + 2)^8 + (x + y + 3)^8", XY)
 
     def test_long_coefficients_are_charged_by_their_blocks(self):
         # 7^9999999 is one term, but its squarings grow by 512-bit blocks
