@@ -61,7 +61,6 @@ from .kernel_lab import (
 from .poly_core import (
     MonomialOrder,
     Polynomial,
-    Rational,
     divide,
     format_polynomial,
     gcd,

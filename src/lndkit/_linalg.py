@@ -29,17 +29,15 @@ from math import gcd, lcm
 
 def _primitive(row):
     """A fresh row scaled to coprime integers, positive at its lowest
-    column.  An all-int row, as every matrix row over integral images is,
-    skips the common denominator: `gcd` refuses a Fraction entry, and only
-    then are the entries brought to the lcm of their denominators."""
+    column.  A row of polynomial coefficients, which are ints wherever they
+    are integral, is often all ints and skips the common denominator:
+    `gcd` refuses a Fraction entry, and only then are the entries brought
+    to the lcm of their denominators."""
     try:
         g = gcd(*row.values())
     except TypeError:
         denom = lcm(*[c.denominator for c in row.values()])
-        if denom == 1:
-            ints = {j: c.numerator for j, c in row.items() if c}
-        else:
-            ints = {j: c.numerator * (denom // c.denominator) for j, c in row.items() if c}
+        ints = {j: c.numerator * (denom // c.denominator) for j, c in row.items() if c}
         g = gcd(*ints.values())
     else:
         ints = {j: c for j, c in row.items() if c}

@@ -48,11 +48,10 @@ class Derivation:
         self.host = host              # Subalgebra when induced on tags
         self.layout = layout = _layout(ring.order, len(ring.vars))
         # per nonzero D(x_i): (x_i, its field shift, packed x_i, overflow
-        # gate, packed terms with the coefficients ints where integral)
+        # gate, packed terms with their coefficients as stored)
         self._variables = [
             (name, layout.shifts[i], layout.weights[i], layout.gate(_top_exponent(p.terms)),
-             [(x, c.numerator if c.denominator == 1 else c)
-              for x, c in zip(layout.pack(p.terms), p.terms.values())])
+             list(zip(layout.pack(p.terms), p.terms.values())))
             for i, (name, p) in enumerate(self.images.items()) if p.terms]
 
     def is_zero(self):
@@ -75,11 +74,12 @@ class Derivation:
         per variable as `poly_core._reduce` gates a step: only when
         (t + gate_i) & guard is set are the products checked one by one,
         raising ExponentOverflowError at the first past EXPONENT_LIMIT, as
-        `monomial_mul` would.  A Polynomial f is packed once, its integral
-        coefficients as ints (an exponent past EXPONENT_LIMIT raises), and
-        D(f) is a Polynomial, not in normal form; for a packed monomial f,
-        an int, D(f) is {packed monomial: coefficient}, zero coefficients
-        possible and integer ones ints.  A Polynomial f is charged to the
+        `monomial_mul` would.  A Polynomial f is packed once, with its
+        coefficients as stored: ints where integral, so integer work stays
+        in ints (an exponent past EXPONENT_LIMIT raises), and D(f) is a
+        Polynomial, not in normal form; for a packed monomial f, an int,
+        D(f) is {packed monomial: coefficient}, zero coefficients possible,
+        and all ints when D's are.  A Polynomial f is charged to the
         current budget scope before any term is formed: APPLICATION_TERMS
         for the bookkeeping (packing, the running sum, normal forms: 27 us
         on x -> x, as long as four or five term products), then each
@@ -89,8 +89,7 @@ class Derivation:
         layout, packed = self.layout, isinstance(f, int)
         if not packed:
             _top_exponent(f.terms)
-        work = [(f, 1)] if packed else list(zip(layout.pack(f.terms), [
-            c.numerator if c.denominator == 1 else c for c in f.terms.values()]))
+        work = [(f, 1)] if packed else list(zip(layout.pack(f.terms), f.terms.values()))
         if not packed:
             charge = current_budget().charge_terms
             charge(APPLICATION_TERMS, "applying the derivation")

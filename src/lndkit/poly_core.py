@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials over Q with exact rational arithmetic.
 
 Monomials are plain exponent tuples, one slot per ambient variable.
-Polynomials map monomials to nonzero Fractions; every ring element used
-anywhere in the toolkit is one of these.
+Polynomials map monomials to nonzero rational coefficients, each stored
+as an int when it is integral and as a Fraction with denominator above 1
+otherwise; every ring element used anywhere in the toolkit is one of these.
 
 `remainder`, `divide`, `exact_div`, `monic_remainder` and Buchberger's
 `s_pair_remainder` share one division loop, `_reduce`.  It runs
@@ -38,8 +39,6 @@ from operator import add, ge, mul, neg, sub
 
 from .config import current_budget, metered
 from .errors import ExponentOverflowError, LndError, ParseError, VariableMismatchError
-
-Rational = Fraction
 
 # Exponents are machine-word sized by policy; anything larger is treated as a
 # runaway computation rather than a meaningful answer.
@@ -250,19 +249,24 @@ def _layout(order, n):
 # ---------------------------------------------------------------------------
 
 def _rational(value):
-    """An exact coefficient as a Fraction.  A float is refused: it holds
-    only a binary approximation of the number that was meant."""
-    if isinstance(value, float):
-        raise TypeError(f"float coefficient {value!r}; use an int or a Fraction")
-    return Fraction(value)
+    """An exact coefficient in its one stored form: an int when it is
+    integral, else a Fraction with denominator above 1.  A float is
+    refused: it holds only a binary approximation of the number that was
+    meant."""
+    if type(value) is not Fraction:
+        if isinstance(value, float):
+            raise TypeError(f"float coefficient {value!r}; use an int or a Fraction")
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class Polynomial:
     """Immutable sparse polynomial over Q.
 
     `vars` is the ambient variable tuple; `terms` maps exponent tuples to
-    nonzero Fractions (given as ints or Fractions; a float is refused).
-    The zero polynomial has an empty term map.
+    nonzero coefficients, given as ints or Fractions (a float is refused)
+    and stored by `_rational`: an int when integral, else a Fraction with
+    denominator above 1.  The zero polynomial has an empty term map.
     Sorted term lists and division records are cached per monomial order.
     """
 
@@ -276,7 +280,7 @@ class Polynomial:
             if len(mono) != n:
                 raise VariableMismatchError(
                     f"monomial {mono} does not fit {n} variables")
-            c = coeff if type(coeff) is Fraction else _rational(coeff)
+            c = coeff if type(coeff) is int else _rational(coeff)
             if c:
                 clean[tuple(mono)] = c
         self.terms = clean
@@ -291,10 +295,8 @@ class Polynomial:
 
     @classmethod
     def constant(cls, vars, value):
-        value = _rational(value)
-        if not value:
-            return cls.zero(vars)
-        return cls(vars, {(0,) * len(tuple(vars)): value})
+        vars = tuple(vars)
+        return cls(vars, {(0,) * len(vars): value})
 
     @classmethod
     def one(cls, vars):
@@ -308,7 +310,7 @@ class Polynomial:
         except ValueError:
             raise VariableMismatchError(f"{name!r} is not among {vars}") from None
         mono = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls(vars, {mono: Fraction(1)})
+        return cls(vars, {mono: 1})
 
     # -- predicates and views ------------------------------------------------
 
@@ -378,7 +380,7 @@ class Polynomial:
         lc = self.leading_coefficient(order)
         if lc == 1:
             return self
-        return self * (1 / lc)
+        return self * Fraction(1, lc)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -417,10 +419,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Polynomial.zero(self.vars)
-            return Polynomial(self.vars, {m: co * c for m, co in self.terms.items()})
+            return Polynomial(self.vars, {m: c * other for m, c in self.terms.items()})
         self._check(other)
         if len(self.terms) > len(other.terms):
             self, other = other, self
@@ -441,7 +440,7 @@ class Polynomial:
         c = _rational(scalar)
         if not c:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return self * (1 / c)
+        return self * Fraction(1, c)
 
     def __pow__(self, n):
         if n < 0:

@@ -1,7 +1,9 @@
 """Plain rational reference routines the library no longer carries, for
 checking its integer-row routes against."""
 
-from itertools import combinations_with_replacement, product
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
+from math import inf
 
 from lndkit._linalg import RowSpace
 from lndkit.groebner_engine import Ideal, ideal_member, saturation
@@ -28,8 +30,15 @@ def s_polynomial(f, g, order):
     mf, cf = f.leading_term(order)
     mg, cg = g.leading_term(order)
     lcm = monomial_lcm(mf, mg)
-    return (f * Polynomial(f.vars, {monomial_div(lcm, mf): 1 / cf})
-            - g * Polynomial(g.vars, {monomial_div(lcm, mg): 1 / cg}))
+    return (f * Polynomial(f.vars, {monomial_div(lcm, mf): Fraction(1, cf)})
+            - g * Polynomial(g.vars, {monomial_div(lcm, mg): Fraction(1, cg)}))
+
+
+def canonical(p):
+    """True when every coefficient of p is in the one form `Polynomial`
+    stores: a nonzero int, or a Fraction whose denominator is above 1."""
+    return all(c != 0 if type(c) is int else isinstance(c, Fraction) and c.denominator > 1
+               for c in p.terms.values())
 
 
 def diff(p, name):
@@ -111,6 +120,33 @@ def symbolic_piece(ideal, k, s, ring):
     s^infinity) saturated from the full power I^k, as normal forms."""
     sat = saturation(ring.lifted_ideal(power_products(ideal, k)), s)
     return Ideal(dict.fromkeys(ring.normal(g) for g in sat.generators), ring.vars)
+
+
+def _dimension(ideal):
+    """dim S/J of an ideal J of S = Q[vars], -1 for the unit ideal: the
+    size of the largest set of variables that contains the support of no
+    leading monomial of J's Groebner basis, since S/J and S/in(J) have the
+    same dimension (Cox, Little and O'Shea, ch. 9, section 3)."""
+    basis = ideal.groebner()
+    if basis.is_trivial():
+        return -1
+    supports = [{i for i, e in enumerate(p.leading_monomial(basis.order)) if e}
+                for p in basis]
+    n = len(ideal.vars)
+    return max(k for k in range(n + 1) for free in combinations(range(n), k)
+               if not any(s <= set(free) for s in supports))
+
+
+def height(ideal, ring):
+    """height I = dim R - dim R/I of an ideal of the presented ring R, inf
+    for the unit ideal.  The formula needs R equidimensional, as a
+    polynomial ring, a hypersurface or an affine domain is; grade I is at
+    most height I on any Noetherian ring, with equality on a
+    Cohen-Macaulay one (Bruns and Herzog, Cohen-Macaulay Rings, 2.1.4)."""
+    quotient = _dimension(ring.lifted_ideal(ideal.generators))
+    if quotient < 0:
+        return inf
+    return _dimension(ring.lifted_ideal([])) - quotient
 
 
 def ideal_equal(i, j, order=GREVLEX):

@@ -1,11 +1,16 @@
 import inspect
+import json
 import random
 from fractions import Fraction
+from math import inf
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lndkit import grade_analyzer, groebner_engine, presentation
+from lndkit.cli_runner import (CORPUS_SESSIONS, corpus_path, golden_path, load_environment,
+                               parse_session)
+from lndkit.config import RunConfig
 from lndkit.derivation_engine import Derivation, extend_with_variable, restrict_to_subalgebra
 from lndkit.errors import DegenerateInputError
 from lndkit.grade_analyzer import (
@@ -19,6 +24,7 @@ from lndkit.grade_analyzer import (
 from lndkit.groebner_engine import Ideal, ideal_member, ideal_quotient
 from lndkit.poly_core import GREVLEX, Polynomial, parse_polynomial
 from lndkit.presentation import PresentedRing, nzd_test, present_subalgebra
+from oracles import height
 
 XYZ = ("X", "Y", "Z")
 P3 = PresentedRing.polynomial_ring(XYZ)
@@ -517,3 +523,64 @@ class TestImageIdeal:
                 seen_fpf += 1
                 assert grade_of_derivation(d).value is GradeValue.INFINITE
         assert seen_fpf > 0
+
+
+# grade I <= height I on a Noetherian ring, with equality on a
+# Cohen-Macaulay one: polynomial rings and the hypersurfaces below are
+_HYPERSURFACES = ["x0*x1", "x0^2 - x1^3", "x0*x2 - x1^2", "x0*x1*x2", "x0^2"]
+_CAPPED = {GradeValue.ZERO: 0, GradeValue.ONE: 1, GradeValue.TWO: 2,
+           GradeValue.INFINITE: inf}
+
+
+def _capped_height(ideal, ring):
+    h = height(ideal, ring)
+    return h if h == inf else min(h, 2)
+
+
+@st.composite
+def _small_ideals(draw, vars):
+    """One to three generators over `vars`, each of one to three terms with
+    exponents up to 2, half of them 0, and small integer coefficients."""
+    monomials = st.tuples(*(st.sampled_from([0, 0, 1, 2]) for _ in vars))
+    terms = st.dictionaries(monomials, st.integers(-3, 3).filter(bool),
+                            min_size=1, max_size=3)
+    return [Polynomial(vars, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+
+
+class TestHeightOracle:
+    @pytest.mark.parametrize("n, relation",
+                             [(2, None), (3, None), (4, None),
+                              *((3, f) for f in _HYPERSURFACES)])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_capped_grade_is_capped_height(self, n, relation, data):
+        vars = tuple(f"x{i}" for i in range(n))
+        ring = (PresentedRing.polynomial_ring(vars) if relation is None else
+                PresentedRing.quotient(vars, [parse_polynomial(relation, vars)]))
+        gens = [g for g in data.draw(_small_ideals(vars)) if not ring.is_zero(g)]
+        assume(gens)
+        ideal = Ideal(gens, vars)
+        value = grade_analyzer.grade_of_ideal(ideal, ring).value
+        assert _CAPPED[value] == _capped_height(ideal, ring)
+
+    @pytest.mark.parametrize("session", CORPUS_SESSIONS)
+    def test_corpus_grades_are_at_most_their_heights(self, session):
+        # C = Q[X^2, X^3, Y + X*Y^2, X^2*Y, X^3*Z] is an affine domain, so
+        # its height is dim C - dim C/I, but it is not shown Cohen-Macaulay:
+        # only the upper bound holds there in general
+        parsed = parse_session(corpus_path(session).read_text())
+        env = load_environment(parsed, RunConfig())
+        golden = json.loads(golden_path(session).read_text())["commands"]
+        for command, entry in zip(parsed.commands, golden):
+            name = command.args.get("name")
+            if command.kind == "grade-derivation":
+                d = env.derivations[name]
+                ideal, ring = image_ideal(d), d.ring
+            elif command.kind == "grade-ideal":
+                ideal, ring = env.ideals[name].ideal, env.ideals[name].ring
+            else:
+                continue
+            claimed = _CAPPED[GradeValue(entry["value"]["grade"])]
+            h = _capped_height(ideal, ring)
+            assert (claimed == inf) == (h == inf), entry["command"]
+            assert claimed <= h, entry["command"]

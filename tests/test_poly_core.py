@@ -32,7 +32,7 @@ from lndkit.poly_core import (
     remainder,
     s_pair_remainder,
 )
-from oracles import monomial_lcm, packed_lcm
+from oracles import canonical, monomial_lcm, packed_lcm
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -201,7 +201,7 @@ class TestArithmetic:
             P("x + y") / 2.0
         p = Polynomial(XY, {(1, 0): 3, (0, 1): Fraction(1, 3)})
         assert p == P("3x + 1/3 y", XY)
-        assert all(type(c) is Fraction for c in p.terms.values())
+        assert canonical(p)
 
     @pytest.mark.parametrize("form", [lambda p: p * 0.5, lambda p: 0.5 * p,
                                       lambda p: p + 0.5, lambda p: p - 0.5,
@@ -396,8 +396,9 @@ def _orders(n):
 
 
 def _exact_terms(p):
-    """Terms in stored order, failing unless every coefficient is a Fraction."""
-    assert all(type(c) is Fraction for c in p.terms.values())
+    """Terms in stored order, failing unless every coefficient is in its
+    stored form (`oracles.canonical`)."""
+    assert canonical(p)
     return list(p.terms.items())
 
 
@@ -413,11 +414,11 @@ def _max_scan_divide(f, divisors, order):
             if any(x < y for x, y in zip(m, lt)):
                 continue
             t = tuple(x - y for x, y in zip(m, lt))
-            q[t] = c / lc
+            q[t] = Fraction(c, lc)
             for tm, tc in d.terms.items():
                 if tm != lt:
                     mm = tuple(x + y for x, y in zip(t, tm))
-                    work[mm] = work.get(mm, 0) - c / lc * tc
+                    work[mm] = work.get(mm, 0) - Fraction(c, lc) * tc
                     if not work[mm]:
                         del work[mm]
             break

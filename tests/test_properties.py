@@ -13,7 +13,7 @@ from lndkit.poly_core import (
     monomial_mul,
     parse_polynomial,
 )
-from oracles import monomial_lcm
+from oracles import canonical, monomial_lcm
 
 VARS = ("x", "y", "z")
 
@@ -23,6 +23,11 @@ monomials = st.tuples(*(st.integers(min_value=0, max_value=4) for _ in VARS))
 polynomials = st.dictionaries(monomials, coefficients, max_size=5).map(
     lambda terms: Polynomial(VARS, terms))
 nonzero_polynomials = polynomials.filter(lambda p: not p.is_zero())
+# ints and Fractions as a caller hands them over, integral Fractions among them
+scalars = st.one_of(st.integers(min_value=-20, max_value=20), coefficients).filter(
+    lambda c: c != 0)
+mixed_polynomials = st.dictionaries(monomials, scalars, max_size=5).map(
+    lambda terms: Polynomial(VARS, terms))
 
 
 @given(polynomials, polynomials)
@@ -55,6 +60,15 @@ def test_division_reconstructs(f, d1, d2):
     for m in r.terms:
         assert monomial_div(m, d1.leading_monomial(GREVLEX)) is None
         assert monomial_div(m, d2.leading_monomial(GREVLEX)) is None
+
+
+@given(mixed_polynomials, mixed_polynomials.filter(lambda p: not p.is_zero()), scalars)
+@settings(max_examples=60)
+def test_coefficients_keep_their_stored_form(f, g, c):
+    qs, r = divide(f, [g], GREVLEX)
+    results = [f, g, f + g, f - g, f * g, f * c, c * f, f / c, f.monic(GREVLEX),
+               g.monic(LEX), *qs, r, parse_polynomial(format_polynomial(f), VARS)]
+    assert all(map(canonical, results))
 
 
 @given(monomials, monomials, monomials)
