@@ -50,6 +50,12 @@ def _primitive(row):
     return {j: v // g for j, v in ints.items()}
 
 
+def _quotient(a, b):
+    """a / b as `Polynomial` stores it: a Fraction only when inexact."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
 def _step(row, pivot_row, lead):
     """A row the caller owns, with its entry at `lead` cleared by that
     column's primitive pivot row: updated in place, or rescaled into a
@@ -148,25 +154,18 @@ def _solutions(echelon, free):
 
 
 def nullspace(rows, ncols):
-    """Basis of the right nullspace of the sparse matrix, as int dicts.
+    """Basis of the right nullspace of the sparse matrix.
 
     One vector per free column, ordered by it: the unique nullspace vector
-    with 1 on that free column and 0 on the other free columns, scaled to
-    primitive integers with positive leading entry.
+    with 1 on that free column and 0 on the other free columns, its
+    entries read off the `_solutions` table by `_quotient`.
     """
     echelon = _echelon(rows)
-    columns = {fc: [] for fc in range(ncols) if fc not in echelon}
-    for pc, (num, den) in _solutions(echelon, columns).items():
+    basis = {fc: {fc: 1} for fc in range(ncols) if fc not in echelon}
+    for pc, (num, den) in _solutions(echelon, basis).items():
         for fc, a in num.items():
-            columns[fc].append((pc, a, den))
-    basis = []
-    for fc, entries in columns.items():
-        denom = lcm(*[den for _, _, den in entries])
-        vec = {fc: denom}
-        for pc, a, den in entries:
-            vec[pc] = a * (denom // den)
-        basis.append(_primitive(vec))
-    return basis
+            basis[fc][pc] = _quotient(a, den)
+    return list(basis.values())
 
 
 def solve(rows, rhs, ncols):

@@ -7,7 +7,7 @@ is unconditional, and no claim is made beyond it.  D's matrix is built on
 the packed monomials `Derivation.leibniz` runs on, each column's image
 formed by it once, and its rows are keyed by packed monomials.  The
 packing reverses the ring order, so a kernel vector's leading monomial is
-its column of smallest packed form.
+its column of smallest packed form, its free column under a graded order.
 
 Generators are extracted by span tests: an element lies in the subalgebra
 of the kept generators when it lies in the span of their products up to
@@ -23,14 +23,13 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import factorial
 
 from .config import budget, current_budget, metered
-from ._linalg import RowSpace, nullspace, solve
+from ._linalg import RowSpace, _primitive, _quotient, nullspace, solve
 from .derivation_engine import apply, certify_nilpotent
 from .errors import DegenerateInputError, DimensionBudgetError
-from .poly_core import Polynomial, monomial_div
+from .poly_core import Polynomial, _layout, monomial_div
 from .presentation import present_subalgebra
 
 
@@ -64,8 +63,9 @@ def _walk(weights, bound, start, step, spent, degree):
 
 def standard_monomials(ring, degree):
     """Monomials of total degree <= degree that are normal forms mod the
-    relations; ascending under (degree, ring order).  Raises
-    DimensionBudgetError past the current budget's monomial limit.  A
+    relations; ascending under (degree, ring order), which the packed form
+    reverses (`_Layout`).  Raises DimensionBudgetError past the current
+    budget's monomial limit.  A
     multiple of a relation's leading monomial is never a normal form, so
     the walk closes it together with everything it reaches from it."""
     lts = [p.leading_monomial(ring.order) for p in ring.relations.elements]
@@ -79,8 +79,8 @@ def standard_monomials(ring, degree):
 
     n = len(ring.vars)
     out = list(_walk((1,) * n, degree, (0,) * n, grow, 0, degree))
-    out.sort(key=lambda m: (sum(m), ring.order.key(m)))
-    return out
+    packed = _layout(ring.order, n).pack(out)
+    return [m for _, _, m in sorted(zip(map(sum, out), [-x for x in packed], out))]
 
 
 @dataclass(frozen=True)
@@ -143,14 +143,15 @@ class _Images(dict):
 
 
 def _vector_to_polynomial(vec, monomials, columns, ring):
-    """The monic polynomial with integer coefficient vector `vec` over the
+    """The monic polynomial with coefficient vector `vec` over the
     monomials, and its leading monomial: the entry whose packed column is
-    smallest, since the packing reverses the ring order, then one Fraction
-    per entry."""
+    smallest, since the packing reverses the ring order.  A nullspace
+    vector's free column holds 1 and is its lead under a graded order;
+    only a vector with another leading entry is divided by it."""
     lead = min(vec, key=columns.__getitem__)
-    lc = vec[lead]
-    return (Polynomial(ring.vars, {monomials[j]: Fraction(c, lc) for j, c in vec.items()}),
-            monomials[lead])
+    if (lc := vec[lead]) != 1:
+        vec = {j: _quotient(c, lc) for j, c in vec.items()}
+    return Polynomial(ring.vars, {monomials[j]: c for j, c in vec.items()}), monomials[lead]
 
 
 def _certified(d, certificate):
@@ -281,6 +282,7 @@ def slice_search(d, degree):
     unpack = images.layout.unpack
     best = None
     for vec in nullspace(square_rows, len(monomials)):
+        vec = _primitive(vec)
         ds = {}
         for j, a in vec.items():
             for t, v in images[columns[j]]:
@@ -297,8 +299,7 @@ def slice_search(d, degree):
         return None
     _, vec, ds, lead = best
     s, _ = _vector_to_polynomial(vec, monomials, columns, ring)
-    lc = ds[lead]
-    return SliceData(s, Polynomial(ring.vars, {unpack(t): Fraction(v, lc)
+    return SliceData(s, Polynomial(ring.vars, {unpack(t): _quotient(v, ds[lead])
                                                for t, v in ds.items()}))
 
 

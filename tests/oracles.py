@@ -6,6 +6,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import inf
 
 from lndkit._linalg import RowSpace
+from lndkit.grade_analyzer import GradeValue, image_ideal
 from lndkit.groebner_engine import Ideal, ideal_member, saturation
 from lndkit.poly_core import GREVLEX, Polynomial, _layout, monomial_div
 
@@ -147,6 +148,25 @@ def height(ideal, ring):
     if quotient < 0:
         return inf
     return _dimension(ring.lifted_ideal([])) - quotient
+
+
+CAPPED_GRADE = {GradeValue.ZERO: 0, GradeValue.ONE: 1, GradeValue.TWO: 2,
+                GradeValue.INFINITE: inf}
+
+
+def capped_height(ideal, ring):
+    """height I capped at 2, as grades are: inf stays inf."""
+    h = height(ideal, ring)
+    return h if h == inf else min(h, 2)
+
+
+def graded_ideal(env, kind, name):
+    """The ideal and ring that a `grade` command of that kind, on the
+    named derivation or ideal of a session environment, is about."""
+    if kind == "grade-derivation":
+        d = env.derivations[name]
+        return image_ideal(d), d.ring
+    return env.ideals[name].ideal, env.ideals[name].ring
 
 
 def ideal_equal(i, j, order=GREVLEX):

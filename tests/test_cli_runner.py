@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -27,9 +28,11 @@ from lndkit.cli_runner import (
 from lndkit.config import budget
 from lndkit.derivation_engine import apply
 from lndkit.errors import ParseError
+from lndkit.grade_analyzer import GradeValue
 from lndkit.kernel_lab import SliceData, dixmier
 from lndkit.poly_core import Polynomial, parse_polynomial
 from lndkit.presentation import Subalgebra
+from oracles import CAPPED_GRADE, capped_height, graded_ideal
 
 SIMPLE = """\
 ring B = poly(x, y)
@@ -882,3 +885,10 @@ def test_fuzz_run_exit_code(tmp_path_factory, form, data):
     if code != 1:   # exit 1 is a parse error, which writes no report
         report = json.loads(out_file.read_text(encoding="utf-8"))
         assert len(report["commands"]) == 1
+        entry = report["commands"][0]
+        if entry["status"] == "ok" and form.kind in ("grade-derivation", "grade-ideal"):
+            # grade I <= height I on every ring the prelude declares
+            env = load_environment(parse_session(text), RunConfig())
+            h = capped_height(*graded_ideal(env, form.kind, args["name"]))
+            claimed = CAPPED_GRADE[GradeValue(entry["value"]["grade"])]
+            assert (claimed == inf) == (h == inf) and claimed <= h, text

@@ -24,7 +24,7 @@ from lndkit.grade_analyzer import (
 from lndkit.groebner_engine import Ideal, ideal_member, ideal_quotient
 from lndkit.poly_core import GREVLEX, Polynomial, parse_polynomial
 from lndkit.presentation import PresentedRing, nzd_test, present_subalgebra
-from oracles import height
+from oracles import CAPPED_GRADE, capped_height, graded_ideal
 
 XYZ = ("X", "Y", "Z")
 P3 = PresentedRing.polynomial_ring(XYZ)
@@ -528,13 +528,6 @@ class TestImageIdeal:
 # grade I <= height I on a Noetherian ring, with equality on a
 # Cohen-Macaulay one: polynomial rings and the hypersurfaces below are
 _HYPERSURFACES = ["x0*x1", "x0^2 - x1^3", "x0*x2 - x1^2", "x0*x1*x2", "x0^2"]
-_CAPPED = {GradeValue.ZERO: 0, GradeValue.ONE: 1, GradeValue.TWO: 2,
-           GradeValue.INFINITE: inf}
-
-
-def _capped_height(ideal, ring):
-    h = height(ideal, ring)
-    return h if h == inf else min(h, 2)
 
 
 @st.composite
@@ -561,7 +554,7 @@ class TestHeightOracle:
         assume(gens)
         ideal = Ideal(gens, vars)
         value = grade_analyzer.grade_of_ideal(ideal, ring).value
-        assert _CAPPED[value] == _capped_height(ideal, ring)
+        assert CAPPED_GRADE[value] == capped_height(ideal, ring)
 
     @pytest.mark.parametrize("session", CORPUS_SESSIONS)
     def test_corpus_grades_are_at_most_their_heights(self, session):
@@ -572,15 +565,9 @@ class TestHeightOracle:
         env = load_environment(parsed, RunConfig())
         golden = json.loads(golden_path(session).read_text())["commands"]
         for command, entry in zip(parsed.commands, golden):
-            name = command.args.get("name")
-            if command.kind == "grade-derivation":
-                d = env.derivations[name]
-                ideal, ring = image_ideal(d), d.ring
-            elif command.kind == "grade-ideal":
-                ideal, ring = env.ideals[name].ideal, env.ideals[name].ring
-            else:
+            if command.kind not in ("grade-derivation", "grade-ideal"):
                 continue
-            claimed = _CAPPED[GradeValue(entry["value"]["grade"])]
-            h = _capped_height(ideal, ring)
+            claimed = CAPPED_GRADE[GradeValue(entry["value"]["grade"])]
+            h = capped_height(*graded_ideal(env, command.kind, command.args["name"]))
             assert (claimed == inf) == (h == inf), entry["command"]
             assert claimed <= h, entry["command"]

@@ -40,7 +40,9 @@ from lndkit._linalg import nullspace
 from lndkit.poly_core import (
     EXPONENT_LIMIT,
     GREVLEX,
+    GRLEX,
     LEX,
+    MonomialOrder,
     Polynomial,
     monomial_div,
     parse_polynomial,
@@ -118,6 +120,22 @@ class TestStandardMonomials:
             standard_monomials(ring, 8000)
         assert len(calls) <= (2 + 1) * (limit + 1) * 1
         assert standard_monomials(ring, 3) == [(0, 0), (1, 0), (2, 0), (3, 0)]
+
+    @pytest.mark.parametrize("order", [
+        LEX, GRLEX, GREVLEX, MonomialOrder.elimination(1), MonomialOrder.elimination(2),
+        MonomialOrder.lex((2, 0, 1)), MonomialOrder.grevlex((1, 2, 0)),
+        MonomialOrder.elimination(1, (2, 1, 0)),
+    ], ids=["lex", "grlex", "grevlex", "block1", "block2", "lex-perm", "grevlex-perm",
+            "block1-perm"])
+    @pytest.mark.parametrize("relations", [[], ["X^2 - Y"], ["X*Y - Z^2", "Y^3 - X"]],
+                             ids=["none", "one", "two"])
+    def test_sorted_as_by_the_order_key(self, order, relations):
+        # the sort on packed forms lists the monomials as (degree, order
+        # key) does, the packing reversing the order
+        ring = PresentedRing(XYZ, [pp(r) for r in relations], order)
+        monos = standard_monomials(ring, 5)
+        assert monos == sorted(monos, key=lambda m: (sum(m), order.key(m)))
+        assert len(monos) == len(set(monos)) and (len(monos) == 56) == (not relations)
 
 
 class TestWalk:

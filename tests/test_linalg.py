@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,14 +156,14 @@ class TestBackSubstitution:
         for num, den in table.values():
             assert num and all(num.values()) and den > 0
             assert gcd(den, *num.values()) == 1
-        scans = {}
+        wants = {}
         for fc in free:
-            scans[fc] = _back_substitute_by_scan(echelon, {fc: 1}, fc)
-            want = {j: Fraction(v, scans[fc][fc]) for j, v in scans[fc].items()}
+            scan = _back_substitute_by_scan(echelon, {fc: 1}, fc)
+            want = wants[fc] = {j: Fraction(v, scan[fc]) for j, v in scan.items()}
             assert _vector_of(table, fc) == want
             assert _vector_of(_solutions(echelon, {fc}), fc) == want
-        assert nullspace(rows, ncols) == [_primitive(scans[fc]) for fc in free
-                                          if fc < ncols]
+        # nullspace returns the scan's vectors normalised at their free column
+        assert nullspace(rows, ncols) == [wants[fc] for fc in free if fc < ncols]
 
 
 class TestEchelon:
@@ -246,8 +246,10 @@ def _all_fractions(vectors):
 class TestIntegerRows:
     """Rows of Python ints, alone or mixed with Fractions, as the
     derivation matrix hands them over, give the answers of the same rows
-    as Fractions, in any row order: primitive int nullspace vectors and
-    Fraction solutions.  They leave their inputs as they were."""
+    as Fractions, in any row order: nullspace vectors with 1 on their free
+    column and 0 on the other free columns, each entry in `Polynomial`'s
+    stored form, and Fraction solutions.  They leave their inputs as they
+    were."""
 
     @given(_sparse_matrices(entry=st.integers(-9, 9)), st.data())
     @settings(max_examples=200, deadline=None)
@@ -260,9 +262,14 @@ class TestIntegerRows:
             exact = _as_fractions(given_rows)
             basis = nullspace(given_rows, ncols)
             assert basis == nullspace(exact, ncols)
-            for vec in basis:
-                assert all(type(c) is int for c in vec.values())
-                assert gcd(*vec.values()) == 1 and vec[min(vec)] > 0
+            free = [fc for fc in range(ncols) if fc not in _echelon(exact)]
+            assert len(basis) == len(free)
+            for fc, vec in zip(free, basis):
+                assert type(vec[fc]) is int and vec[fc] == 1
+                assert not any(j in free for j in vec if j != fc)
+                assert all(type(c) is int and c != 0
+                           or type(c) is Fraction and c.denominator > 1
+                           for c in vec.values())
             assert rank(given_rows, ncols) == rank(exact, ncols)
             rhs = [1 + i % 3 for i in range(len(given_rows))]
             vec = solve(given_rows, rhs, ncols)
@@ -295,23 +302,14 @@ class TestSympyOracle:
         return sympy.Matrix([[sympy.Rational(row.get(j, 0)) for j in range(ncols)]
                              for row in rows])
 
-    @staticmethod
-    def _primitive(column):
-        """A sympy nullspace vector scaled to primitive integers with a
-        positive first nonzero entry, as an int dict."""
-        entries = {j: Fraction(int(c.p), int(c.q)) for j, c in enumerate(column) if c}
-        denom = lcm(*[c.denominator for c in entries.values()])
-        ints = {j: int(c * denom) for j, c in entries.items()}
-        g = gcd(*ints.values())
-        if ints[min(ints)] < 0:
-            g = -g
-        return {j: v // g for j, v in ints.items()}
-
     def test_nullspace_and_rank(self):
         sympy = pytest.importorskip("sympy")
         for _, ncols, rows in self._cases(201, 100):
             m = self._matrix(sympy, rows, ncols)
-            want = [self._primitive(v) for v in m.nullspace()]
+            # sympy's vectors, like ours, hold 1 on their free column and
+            # 0 on the other free columns
+            want = [{j: Fraction(int(c.p), int(c.q)) for j, c in enumerate(v) if c}
+                    for v in m.nullspace()]
             assert nullspace(rows, ncols) == want
             assert rank(rows, ncols) == m.rank()
 
