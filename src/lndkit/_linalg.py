@@ -22,9 +22,10 @@ unique solution, so each answer is read off the one table.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
+
+from .poly_core import _quotient
 
 
 def _primitive(row):
@@ -48,12 +49,6 @@ def _primitive(row):
     if g == 1:
         return ints
     return {j: v // g for j, v in ints.items()}
-
-
-def _quotient(a, b):
-    """a / b as `Polynomial` stores it: a Fraction only when inexact."""
-    q, r = divmod(a, b)
-    return Fraction(a, b) if r else q
 
 
 def _step(row, pivot_row, lead):
@@ -182,7 +177,7 @@ def solve(rows, rhs, ncols):
                        for i, r in enumerate(rows))
     if ncols in echelon:
         return None
-    return {pc: Fraction(num[ncols], den)
+    return {pc: _quotient(num[ncols], den)
             for pc, (num, den) in _solutions(echelon, {ncols}).items()}
 
 

@@ -152,9 +152,10 @@ def _read_vars(parser, text):
 
 
 def _read_int(parser, text):
+    """An integer in ASCII decimal digits, with an optional minus sign."""
     try:
-        return int(text)
-    except ValueError:
+        return int(re.fullmatch(r"-?[0-9]+", text)[0])
+    except (TypeError, ValueError):   # no match, or past the limit on digits
         raise ParseError(f"expected an integer, found {text!r}") from None
 
 
@@ -753,8 +754,8 @@ def _build_config(args):
 
 
 def _non_negative(text):
-    """argparse type of a budget: an integer, 0 or more, in decimal digits."""
-    if not text.isdecimal():
+    """argparse type of a budget: an integer, 0 or more, in ASCII digits."""
+    if not re.fullmatch(r"[0-9]+", text):
         raise argparse.ArgumentTypeError(f"expected an integer 0 or more, got {text!r}")
     return int(text)
 

@@ -100,9 +100,9 @@ class Ideal:
 def _interreduce(basis, records, order, guard):
     """Turn a generating set with the Groebner property, given with its
     elements' division records, into a reduced basis.  Minimality and both
-    sorts read the records' packed leading monomials: -X ascends as
-    `order.key` does, and a lead divides another when their difference
-    sets no `guard` bit."""
+    sorts read the records' packed leading monomials: -X ascends as the
+    order does (`poly_core._Layout`), and a lead divides another when their
+    difference sets no `guard` bit."""
     # minimality: drop elements whose leading term another one divides
     minimal, kept = [], []
     for i in sorted(range(len(basis)), key=lambda i: -records[i][0]):
@@ -165,7 +165,7 @@ def _buchberger(generators, order):
     The pair queue and both criteria run on the records' packed leading
     monomials (`poly_core._Layout`).  A pair's lcm is packed once, when it
     is pushed, and queued as -X(lcm): the packing reverses the order, so
-    that is `order.key` ascending, and equal keys are equal monomials;
+    that is the order ascending, and equal packed forms are equal monomials;
     the popped X(lcm) goes to `s_pair_remainder` as it is.
     The leads are coprime exactly when X(lcm) = X(lead_i) + X(lead_j), and
     lead_k divides the lcm exactly when X(lcm) - X(lead_k) sets no guard

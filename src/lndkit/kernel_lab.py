@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 from math import factorial
 
 from .config import budget, current_budget, metered
-from ._linalg import RowSpace, _primitive, _quotient, nullspace, solve
+from ._linalg import RowSpace, _primitive, nullspace, solve
 from .derivation_engine import apply, certify_nilpotent
 from .errors import DegenerateInputError, DimensionBudgetError
-from .poly_core import Polynomial, _layout, monomial_div
+from .poly_core import Polynomial, _layout, _quotient
 from .presentation import present_subalgebra
 
 
@@ -62,25 +62,27 @@ def _walk(weights, bound, start, step, spent, degree):
 
 
 def standard_monomials(ring, degree):
-    """Monomials of total degree <= degree that are normal forms mod the
-    relations; ascending under (degree, ring order), which the packed form
-    reverses (`_Layout`).  Raises DimensionBudgetError past the current
-    budget's monomial limit.  A
+    """(monomial, packed form) of each monomial of total degree <= degree
+    that is a normal form mod the relations, ascending under (degree, ring
+    order), that is by (degree, -packed) (`_Layout`).  Raises
+    DimensionBudgetError past the current budget's monomial limit.  A
     multiple of a relation's leading monomial is never a normal form, so
-    the walk closes it together with everything it reaches from it."""
-    lts = [p.leading_monomial(ring.order) for p in ring.relations.elements]
-
-    def grow(mono, i):
-        mono = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-        for lt in lts:
-            if monomial_div(mono, lt) is not None:
-                return None
-        return mono
-
+    the walk closes it, and everything it reaches from it, where a
+    relation's packed lead divides its packed form (no guard bit set)."""
     n = len(ring.vars)
-    out = list(_walk((1,) * n, degree, (0,) * n, grow, 0, degree))
-    packed = _layout(ring.order, n).pack(out)
-    return [m for _, _, m in sorted(zip(map(sum, out), [-x for x in packed], out))]
+    layout = _layout(ring.order, n)
+    leads = [p.division_record(ring.order)[0] for p in ring.relations.elements]
+
+    def grow(pair, i):
+        mono, x = pair
+        x += layout.weights[i]
+        for lead in leads:
+            if not (x - lead) & layout.guard:
+                return None
+        return mono[:i] + (mono[i] + 1,) + mono[i + 1:], x
+
+    return sorted(_walk((1,) * n, degree, ((0,) * n, 0), grow, 0, degree),
+                  key=lambda pair: (sum(pair[0]), -pair[1]))
 
 
 @dataclass(frozen=True)
@@ -176,10 +178,8 @@ def kernel_basis(d, degree, certificate=None, assume_nilpotent=False):
     if not assume_nilpotent:
         _certified(d, certificate)
     ring = d.ring
-    monomials = standard_monomials(ring, degree)
-    images = _Images(d)
-    columns = images.layout.pack(monomials)
-    rows, _ = _derivation_matrix(images, columns)
+    monomials, columns = zip(*standard_monomials(ring, degree))
+    rows, _ = _derivation_matrix(_Images(d), columns)
     basis = [_vector_to_polynomial(v, monomials, columns, ring)
              for v in nullspace(rows, len(monomials))]
     # deterministic listing: degree first, then lexicographically biggest
@@ -267,9 +267,8 @@ def slice_search(d, degree):
     if degree < 1:
         raise DegenerateInputError("degree bound must be at least 1")
     ring = d.ring
-    monomials = standard_monomials(ring, degree)
+    monomials, columns = zip(*standard_monomials(ring, degree))
     images = _Images(d)
-    columns = images.layout.pack(monomials)
     rows, row_index = _derivation_matrix(images, columns)
     if 0 in row_index:   # the packed constant monomial
         vec = solve(rows, {row_index[0]: 1}, len(monomials))
@@ -449,8 +448,8 @@ class _Span:
 
 
 def _first_outside(polys, space, ring):
-    for p in sorted(polys, key=lambda q: (q.degree(),
-                                          ring.order.key(q.leading_monomial(ring.order)))):
+    # by degree, then the smaller leading monomial first: the larger packed lead
+    for p in sorted(polys, key=lambda q: (q.degree(), -q.division_record(ring.order)[0])):
         if not space.contains(p.terms):
             return p
     return None

@@ -25,7 +25,9 @@ each step takes the largest remaining term without rescanning; and a
 leading monomial divides m exactly when their difference has no guard
 bit set.  Steps and divisor choices are those of textbook division (Cox,
 Little and O'Shea, 2.3), and every quotient and remainder equals the
-rational one exactly; only the bookkeeping differs.
+rational one exactly; only the bookkeeping differs.  `_Layout` is the one
+encoding of an order: every sort of terms, comparison of leading monomials
+and divisibility test in the library runs on packed forms.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd as int_gcd, lcm
-from operator import add, ge, mul, neg, sub
+from operator import add, mul
 
 from .config import current_budget, metered
 from .errors import ExponentOverflowError, LndError, ParseError, VariableMismatchError
@@ -56,17 +58,6 @@ def monomial_mul(a, b):
     return c
 
 
-def monomial_div(a, b):
-    """Quotient a/b as an exponent tuple, or None when b does not divide a."""
-    if all(map(ge, a, b)):
-        return tuple(map(sub, a, b))
-    return None
-
-
-def _grevlex_key(m):
-    return (sum(m), tuple(map(neg, reversed(m))))
-
-
 # (kind, block, permutation) -> {n: _Layout}, so that an order made again,
 # such as each elimination's block order, finds its layouts made
 _LAYOUTS = {}
@@ -76,12 +67,14 @@ _LAYOUTS = {}
 class MonomialOrder:
     """A monomial order acting positionally on exponent tuples.
 
-    kind is one of "lex", "grlex", "grevlex", "block"; a block order
-    compares the first `block` variables (graded reverse lex) before the
-    rest, so it eliminates them.  An optional permutation reorders the
-    variables before comparison.  Orders key the per-order caches of every
-    polynomial, so the hash is computed once; equality stays by value.
-    Equal orders share one `_Layout` per number of variables.
+    kind is one of "lex", "grlex", "grevlex", "block"; a block order compares
+    the first `block` variables (graded reverse lex) before the rest, so it
+    eliminates them.  An optional permutation reorders the variables before
+    comparison.  Only the order's `_Layout` reads `kind`, and refuses an
+    unknown one: monomials are compared through their packed forms alone.
+    Orders key the per-order caches of every polynomial, so the hash is
+    computed once; equality stays by value.  Equal orders share one
+    `_Layout` per number of variables.
     """
 
     kind: str
@@ -97,20 +90,6 @@ class MonomialOrder:
 
     def __hash__(self):
         return self._hash
-
-    def key(self, m):
-        if self.permutation is not None:
-            m = tuple(m[i] for i in self.permutation)
-        if self.kind == "lex":
-            return m
-        if self.kind == "grlex":
-            return (sum(m), m)
-        if self.kind == "grevlex":
-            return _grevlex_key(m)
-        if self.kind == "block":
-            k = self.block
-            return (_grevlex_key(m[:k]), _grevlex_key(m[k:]))
-        raise ValueError(f"unknown order kind {self.kind!r}")
 
     @classmethod
     def lex(cls, permutation=None):
@@ -260,6 +239,12 @@ def _rational(value):
     return value.numerator if value.denominator == 1 else value
 
 
+def _quotient(a, b):
+    """The int a / b as `Polynomial` stores it: a Fraction only when inexact."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
 class Polynomial:
     """Immutable sparse polynomial over Q.
 
@@ -333,11 +318,13 @@ class Polynomial:
         return max(m[i] for m in self.terms)
 
     def sorted_terms(self, order):
-        """Terms sorted descending under `order`; cached per order."""
+        """Terms by ascending packed form (`_Layout`), so descending under
+        `order`; cached per order.  ExponentOverflowError past EXPONENT_LIMIT."""
         cached = self._sorted.get(order)
         if cached is None:
-            cached = sorted(self.terms.items(), key=lambda t: order.key(t[0]),
-                            reverse=True)
+            _top_exponent(self.terms)
+            weights = _layout(order, len(self.vars)).weights
+            cached = sorted(self.terms.items(), key=lambda t: sum(map(mul, t[0], weights)))
             self._sorted[order] = cached
         return cached
 
@@ -356,10 +343,9 @@ class Polynomial:
             denom = lcm(*(c.denominator for _, c in terms))
             monos = [m for m, _ in terms]
             layout = _layout(order, len(self.vars))
-            top = _top_exponent(monos)
             row = list(zip(layout.pack(monos),
                            [c.numerator * (denom // c.denominator) for _, c in terms]))
-            record = _record(row, denom, layout.gate(top))
+            record = _record(row, denom, layout.gate(_top_exponent(monos)))
             self._records[order] = record
         return record
 
@@ -644,12 +630,11 @@ def _integer_work(f, layout):
     monomial back to f's exponent tuple, so a term that survives division
     is never unpacked."""
     scale = lcm(*(c.denominator for c in f.terms.values()))
-    monos = list(f.terms)
-    _top_exponent(monos)
-    packed = layout.pack(monos)
+    _top_exponent(f.terms)
+    packed = layout.pack(f.terms)
     work = {x: c.numerator * (scale // c.denominator)
             for x, c in zip(packed, f.terms.values())}
-    return work, scale, dict(zip(packed, monos))
+    return work, scale, dict(zip(packed, f.terms))
 
 
 def remainder_by_records(f, records, order, quotients=None):
@@ -661,7 +646,7 @@ def remainder_by_records(f, records, order, quotients=None):
     work, scale, back = _integer_work(f, layout)
     rem, scale = _reduce(work, scale, records, layout, quotients)
     get, unpack = back.get, layout.unpack
-    return Polynomial(f.vars, {get(x) or unpack(x): Fraction(c, scale) for x, c in rem})
+    return Polynomial(f.vars, {get(x) or unpack(x): _quotient(c, scale) for x, c in rem})
 
 
 def monic_remainder(f, records, order):
@@ -687,7 +672,7 @@ def _monic_row(vars, row, order, layout, back):
     get, unpack = back.get, layout.unpack
     monos = [get(x) or unpack(x) for x, _ in row]
     c0 = row[0][1]
-    p = Polynomial(vars, {m: Fraction(c, c0) for m, (_, c) in zip(monos, row)})
+    p = Polynomial(vars, {m: _quotient(c, c0) for m, (_, c) in zip(monos, row)})
     p._sorted[order] = list(p.terms.items())
     p._records[order] = _record(row, c0, layout.gate(_top_exponent(monos)))
     return p
@@ -778,9 +763,9 @@ def _tokenize_poly(text, vars):
                 raise ParseError(f"unknown variable {text[i:j]!r}", column=i)
             tokens.append(("ident", text[i:j], i))
             i = j
-        elif ch.isdecimal():
+        elif "0" <= ch <= "9":   # ASCII digits only
             j = i + 1
-            while j < n and text[j].isdecimal():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("number", text[i:j], i))
             i = j

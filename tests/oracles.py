@@ -8,7 +8,39 @@ from math import inf
 from lndkit._linalg import RowSpace
 from lndkit.grade_analyzer import GradeValue, image_ideal
 from lndkit.groebner_engine import Ideal, ideal_member, saturation
-from lndkit.poly_core import GREVLEX, Polynomial, _layout, monomial_div
+from lndkit.poly_core import GREVLEX, Polynomial, _layout
+
+
+def _grevlex_key(m):
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def order_key(order, m):
+    """The textbook sort key of the exponent tuple m under the order, larger
+    for the larger monomial (Cox, Little and O'Shea, 2.2), kept apart from
+    the library's packed `_Layout` as the reference it is checked against:
+    lex and grlex on the exponents, grevlex on the degree and then the
+    reversed exponents negated, a block order on the grevlex keys of its
+    head and tail, all after the optional permutation."""
+    if order.permutation is not None:
+        m = tuple(m[i] for i in order.permutation)
+    if order.kind == "lex":
+        return m
+    if order.kind == "grlex":
+        return (sum(m), m)
+    if order.kind == "grevlex":
+        return _grevlex_key(m)
+    if order.kind == "block":
+        return (_grevlex_key(m[:order.block]), _grevlex_key(m[order.block:]))
+    raise ValueError(f"unknown order kind {order.kind!r}")
+
+
+def monomial_div(a, b):
+    """The quotient a/b as an exponent tuple, or None when b does not
+    divide a."""
+    if all(x >= y for x, y in zip(a, b)):
+        return tuple(x - y for x, y in zip(a, b))
+    return None
 
 
 def monomial_lcm(a, b):
@@ -36,10 +68,12 @@ def s_polynomial(f, g, order):
 
 
 def canonical(p):
-    """True when every coefficient of p is in the one form `Polynomial`
-    stores: a nonzero int, or a Fraction whose denominator is above 1."""
+    """True when every coefficient of p, a polynomial or a vector of
+    `_linalg` (a dict), is in the one form `Polynomial` stores: a nonzero
+    int, or a Fraction whose denominator is above 1."""
+    values = p.values() if isinstance(p, dict) else p.terms.values()
     return all(c != 0 if type(c) is int else isinstance(c, Fraction) and c.denominator > 1
-               for c in p.terms.values())
+               for c in values)
 
 
 def diff(p, name):
@@ -98,7 +132,7 @@ def local_slice(d, candidates):
         if c.is_zero():
             continue
         c = c.monic(order)
-        key = (c.degree(), order.key(c.leading_monomial(order)), s.degree())
+        key = (c.degree(), order_key(order, c.leading_monomial(order)), s.degree())
         if best is None or key < best[0]:
             best = (key, s, c)
     return None if best is None else best[1:]
@@ -123,40 +157,46 @@ def symbolic_piece(ideal, k, s, ring):
     return Ideal(dict.fromkeys(ring.normal(g) for g in sat.generators), ring.vars)
 
 
-def _dimension(ideal):
+def groebner_leads(ideal):
+    """The leading monomials of the library's Groebner basis of an ideal."""
+    basis = ideal.groebner()
+    return [p.leading_monomial(basis.order) for p in basis]
+
+
+def _dimension(ideal, leads):
     """dim S/J of an ideal J of S = Q[vars], -1 for the unit ideal: the
     size of the largest set of variables that contains the support of no
     leading monomial of J's Groebner basis, since S/J and S/in(J) have the
-    same dimension (Cox, Little and O'Shea, ch. 9, section 3)."""
-    basis = ideal.groebner()
-    if basis.is_trivial():
+    same dimension under any order (Cox, Little and O'Shea, ch. 9, section
+    3).  `leads` gives those leading monomials for an ideal."""
+    supports = [{i for i, e in enumerate(m) if e} for m in leads(ideal)]
+    if set() in supports:   # a constant: the unit ideal
         return -1
-    supports = [{i for i, e in enumerate(p.leading_monomial(basis.order)) if e}
-                for p in basis]
     n = len(ideal.vars)
     return max(k for k in range(n + 1) for free in combinations(range(n), k)
                if not any(s <= set(free) for s in supports))
 
 
-def height(ideal, ring):
+def height(ideal, ring, leads=groebner_leads):
     """height I = dim R - dim R/I of an ideal of the presented ring R, inf
     for the unit ideal.  The formula needs R equidimensional, as a
     polynomial ring, a hypersurface or an affine domain is; grade I is at
     most height I on any Noetherian ring, with equality on a
-    Cohen-Macaulay one (Bruns and Herzog, Cohen-Macaulay Rings, 2.1.4)."""
-    quotient = _dimension(ring.lifted_ideal(ideal.generators))
+    Cohen-Macaulay one (Bruns and Herzog, Cohen-Macaulay Rings, 2.1.4).
+    The dimensions are read off the leading monomials `leads` gives."""
+    quotient = _dimension(ring.lifted_ideal(ideal.generators), leads)
     if quotient < 0:
         return inf
-    return _dimension(ring.lifted_ideal([])) - quotient
+    return _dimension(ring.lifted_ideal([]), leads) - quotient
 
 
 CAPPED_GRADE = {GradeValue.ZERO: 0, GradeValue.ONE: 1, GradeValue.TWO: 2,
                 GradeValue.INFINITE: inf}
 
 
-def capped_height(ideal, ring):
+def capped_height(ideal, ring, leads=groebner_leads):
     """height I capped at 2, as grades are: inf stays inf."""
-    h = height(ideal, ring)
+    h = height(ideal, ring, leads)
     return h if h == inf else min(h, 2)
 
 
@@ -226,7 +266,7 @@ def generator_comparison(subalgebra, claimed, degree):
     def first_outside(polys, space):
         order = ring.order
         for p in sorted(polys, key=lambda q: (q.degree(),
-                                              order.key(q.leading_monomial(order)))):
+                                              order_key(order, q.leading_monomial(order)))):
             if not space.contains(p.terms):
                 return p
         return None

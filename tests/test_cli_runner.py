@@ -575,6 +575,8 @@ class TestCommandLine:
     @pytest.mark.parametrize("flags", [["--pair-budget", "-5"],
                                        ["--dim-budget", "-1"],
                                        ["--pair-budget", "abc"],
+                                       ["--pair-budget", "\u0663"],
+                                       ["--dim-budget", "1_0"],
                                        ["--seed", "abc"]])
     def test_usage_error_exit_one(self, tmp_path, capsys, flags):
         session_file = tmp_path / "s.lnd"
@@ -631,7 +633,12 @@ def _run_file(tmp_path, text, *flags):
 class TestNumericArguments:
     @pytest.mark.parametrize("line", ["kernel D degree x",
                                       "check nilpotent D bound x",
-                                      "slice D degree 2.5"])
+                                      "slice D degree 2.5",
+                                      # numbers are ASCII decimal digits only
+                                      "kernel D degree 1_0",
+                                      "check nilpotent D bound +5",
+                                      "kernel D degree \u0663",
+                                      "derivation E on B { y -> y^\u0663 }"])
     def test_malformed_number_is_parse_error(self, tmp_path, line):
         with pytest.raises(ParseError) as err:
             parse_session(PRELUDE + line + "\n")

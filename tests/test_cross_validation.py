@@ -285,3 +285,40 @@ _IDEALS = st.one_of(
 @given(relations=st.sampled_from([[], ["x*y"], ["x^2"]]), texts=_IDEALS)
 def test_grades_match_sympy_colons_on_random_ideals(ring, relations, texts):
     _check_grades(ring, relations, [texts])
+
+
+def _sympy_leads(ideal):
+    """The leading monomials of sympy's reduced grevlex Groebner basis of
+    an ideal, computed by sympy alone."""
+    if not ideal.generators:
+        return []
+    syms = sympy.symbols(ideal.vars)
+    basis = sympy.groebner([_to_sympy(g, syms) for g in ideal.generators], *syms,
+                           order="grevlex")
+    return [sympy.Poly(e, *syms).monoms(order="grevlex")[0] for e in basis.exprs]
+
+
+@pytest.mark.parametrize("n, relation", [(2, None), (3, None), (3, "x0*x2 - x1^2"),
+                                         (3, "x0*x1")])
+def test_height_oracle_from_sympy_leads(n, relation):
+    # the height oracle of the grade tests, its dimension count read off
+    # sympy's leading monomials, against the same count on lndkit's basis;
+    # exponents are 0 half the time, so that few ideals are the unit ideal
+    from lndkit.poly_core import parse_polynomial
+    from lndkit.presentation import PresentedRing
+    from oracles import capped_height
+
+    vars = tuple(f"x{i}" for i in range(n))
+    ring = (PresentedRing.polynomial_ring(vars) if relation is None else
+            PresentedRing.quotient(vars, [parse_polynomial(relation, vars)]))
+    rng = random.Random(4 + n)
+    seen = set()
+    for _ in range(30):
+        gens = [Polynomial(vars, {tuple(rng.choice([0, 0, 1, 2]) for _ in vars):
+                                  rng.choice([-3, -1, 1, 2]) for _ in range(rng.randint(1, 3))})
+                for _ in range(rng.randint(1, 3))]
+        ideal = Ideal([g for g in gens if not ring.is_zero(g)], vars)
+        h = capped_height(ideal, ring)
+        assert capped_height(ideal, ring, _sympy_leads) == h
+        seen.add(h)
+    assert len(seen) >= 3

@@ -44,12 +44,12 @@ from lndkit.poly_core import (
     LEX,
     MonomialOrder,
     Polynomial,
-    monomial_div,
+    _layout,
     parse_polynomial,
 )
 from lndkit.presentation import PresentedRing, present_subalgebra
 from oracles import (apply as oracle_apply, apply_charge, canonical, generator_comparison,
-                     local_slice, span_products)
+                     local_slice, monomial_div, order_key, span_products)
 
 XY = ("X", "Y")
 XYZ = ("X", "Y", "Z")
@@ -90,6 +90,11 @@ def uv_ring():
     return PresentedRing.polynomial_ring(("u", "v", "X", "Y"))
 
 
+def _monomials(ring, degree):
+    """The standard monomials without their packed forms."""
+    return [m for m, _ in standard_monomials(ring, degree)]
+
+
 class TestStandardMonomials:
     def test_polynomial_ring_count(self):
         monos = standard_monomials(P2, 3)
@@ -97,7 +102,7 @@ class TestStandardMonomials:
 
     def test_relations_prune(self):
         ring = PresentedRing.quotient(XY, [pp("X^2 - Y", XY)])
-        monos = standard_monomials(ring, 4)
+        monos = _monomials(ring, 4)
         lt = ring.relations.elements[0].leading_monomial(ring.order)
         assert all(monomial_div(m, lt) is None for m in monos)
 
@@ -112,14 +117,15 @@ class TestStandardMonomials:
         # large the degree
         ring = PresentedRing.quotient(("x", "y"), [pp("y", ("x", "y"))])
         calls = []
-        monkeypatch.setattr(kernel_lab, "monomial_div",
-                            lambda a, b: calls.append(a) or monomial_div(a, b))
+        walk = kernel_lab._walk
+        monkeypatch.setattr(kernel_lab, "_walk", lambda weights, bound, start, step, *rest: walk(
+            weights, bound, start, lambda v, i: calls.append(v) or step(v, i), *rest))
         limit = 5000
         with pytest.raises(DimensionBudgetError, match=f"budget {limit} exceeded"), \
                 budget(dims=limit):
             standard_monomials(ring, 8000)
         assert len(calls) <= (2 + 1) * (limit + 1) * 1
-        assert standard_monomials(ring, 3) == [(0, 0), (1, 0), (2, 0), (3, 0)]
+        assert _monomials(ring, 3) == [(0, 0), (1, 0), (2, 0), (3, 0)]
 
     @pytest.mark.parametrize("order", [
         LEX, GRLEX, GREVLEX, MonomialOrder.elimination(1), MonomialOrder.elimination(2),
@@ -131,11 +137,15 @@ class TestStandardMonomials:
                              ids=["none", "one", "two"])
     def test_sorted_as_by_the_order_key(self, order, relations):
         # the sort on packed forms lists the monomials as (degree, order
-        # key) does, the packing reversing the order
+        # key) does, the packing reversing the order, each with its packed form
         ring = PresentedRing(XYZ, [pp(r) for r in relations], order)
-        monos = standard_monomials(ring, 5)
-        assert monos == sorted(monos, key=lambda m: (sum(m), order.key(m)))
+        pairs = standard_monomials(ring, 5)
+        monos = [m for m, _ in pairs]
+        assert monos == sorted(monos, key=lambda m: (sum(m), order_key(order, m)))
+        assert [x for _, x in pairs] == _layout(order, 3).pack(monos)
         assert len(monos) == len(set(monos)) and (len(monos) == 56) == (not relations)
+        leads = [p.leading_monomial(order) for p in ring.relations.elements]
+        assert all(monomial_div(m, lt) is None for m in monos for lt in leads)
 
 
 class TestWalk:
@@ -212,7 +222,7 @@ class TestKernelBasis:
         relation, images = case
         ring = PresentedRing(XYZ, [pp(relation)] if relation else None, order)
         d = derivation(ring, **images)
-        monomials = standard_monomials(ring, 4)
+        monomials = _monomials(ring, 4)
         rows, _, _ = _matrix(d, monomials)
         old = [Polynomial(XYZ, {monomials[j]: c for j, c in vec.items()}).monic(order)
                for vec in nullspace(rows, len(monomials))]
@@ -444,7 +454,7 @@ class TestDerivationMatrix:
         for den in [1] * 10 + [3] * 10:
             images = {v: ring.normal(_random_poly(rng, XYZ, 2, den=den)) for v in XYZ}
             d = Derivation(ring, images)
-            monomials = standard_monomials(ring, 3)
+            monomials = _monomials(ring, 3)
             rows, row_index, memo = _matrix(d, monomials, power)
             assert sorted(row_index.values()) == list(range(len(rows)))
             # rows are keyed by packed monomials, unpacked here
@@ -555,7 +565,7 @@ class TestSliceSearch:
     def _per_candidate(d, degree):
         """The local slice of the Ker(D^2) candidates, each made monic the
         long way and ranked on its cofactor `apply` computes."""
-        monomials = standard_monomials(d.ring, degree)
+        monomials = _monomials(d.ring, degree)
         rows, _, _ = _matrix(d, monomials, power=2)
         return local_slice(d, [
             Polynomial(d.ring.vars, {monomials[j]: c for j, c in vec.items()})

@@ -14,6 +14,7 @@ from lndkit._linalg import (
     rank,
     solve,
 )
+from oracles import canonical
 
 
 def _random_rows(rng, nrows, ncols, density=0.4):
@@ -77,8 +78,17 @@ class TestSolve:
             vec = solve(rows, rhs, ncols)
             assert vec is not None
             assert _apply(rows, vec) == rhs
+            assert canonical(vec)
             solved += 1
         assert solved == 40
+
+    def test_entries_in_the_stored_form(self):
+        # each entry as `Polynomial` stores it: an int when integral, else a
+        # Fraction with denominator above 1, as nullspace gives them
+        vec = solve([{0: 2, 1: 4}], {0: 6}, 2)
+        assert vec == {0: 3} and type(vec[0]) is int
+        vec = solve([{0: 2, 1: 1}, {1: 3}], [1, 1], 2)
+        assert vec == {0: Fraction(1, 3), 1: Fraction(1, 3)} and canonical(vec)
 
     def test_inconsistent_detected(self):
         rows = [{0: 1}, {0: 1}]
@@ -239,17 +249,12 @@ def _as_fractions(rows):
     return [{j: Fraction(c) for j, c in row.items()} for row in rows]
 
 
-def _all_fractions(vectors):
-    return all(type(c) is Fraction for vec in vectors for c in vec.values())
-
-
 class TestIntegerRows:
     """Rows of Python ints, alone or mixed with Fractions, as the
     derivation matrix hands them over, give the answers of the same rows
     as Fractions, in any row order: nullspace vectors with 1 on their free
-    column and 0 on the other free columns, each entry in `Polynomial`'s
-    stored form, and Fraction solutions.  They leave their inputs as they
-    were."""
+    column and 0 on the other free columns, and solutions, each entry in
+    `Polynomial`'s stored form.  They leave their inputs as they were."""
 
     @given(_sparse_matrices(entry=st.integers(-9, 9)), st.data())
     @settings(max_examples=200, deadline=None)
@@ -274,7 +279,7 @@ class TestIntegerRows:
             rhs = [1 + i % 3 for i in range(len(given_rows))]
             vec = solve(given_rows, rhs, ncols)
             assert vec == solve(exact, [Fraction(b) for b in rhs], ncols)
-            assert vec is None or _all_fractions([vec])
+            assert vec is None or canonical(vec)
             space = RowSpace()
             for row in given_rows:
                 space.insert(row)

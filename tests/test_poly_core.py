@@ -26,13 +26,12 @@ from lndkit.poly_core import (
     exact_div,
     format_polynomial,
     gcd,
-    monomial_div,
     monomial_mul,
     parse_polynomial,
     remainder,
     s_pair_remainder,
 )
-from oracles import canonical, monomial_lcm, packed_lcm
+from oracles import canonical, monomial_div, monomial_lcm, order_key, packed_lcm
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -70,24 +69,32 @@ class TestMonomials:
         assert monomial_div((2, 1, 1), (2, 1, 1)) == (0, 0, 0)
 
 
+def _lead(order, *monos):
+    """The leading monomial under the order of the sum of the monomials,
+    as the library decides it."""
+    return Polynomial(("a", "b", "c", "d")[:len(monos[0])],
+                      dict.fromkeys(monos, 1)).leading_monomial(order)
+
+
 class TestOrders:
     def test_lex(self):
-        assert LEX.key((1, 0, 0)) > LEX.key((0, 5, 5))
+        assert _lead(LEX, (0, 5, 5), (1, 0, 0)) == (1, 0, 0)
 
     def test_grevlex_classic_tie(self):
         # deg-2 monomials in (u, v, X, Y): vX beats uY under grevlex
         uY = (1, 0, 0, 1)
         vX = (0, 1, 1, 0)
-        assert GREVLEX.key(vX) > GREVLEX.key(uY)
+        assert _lead(GREVLEX, uY, vX) == _lead(GREVLEX, vX, uY) == vX
 
     def test_block_order_eliminates_leading_variables(self):
         order = MonomialOrder.elimination(1)
         # any power of the eliminated variable dominates the others
-        assert order.key((1, 0, 0)) > order.key((0, 9, 9))
+        assert _lead(order, (0, 9, 9), (1, 0, 0)) == (1, 0, 0)
 
     def test_permutation(self):
         order = MonomialOrder.lex(permutation=(2, 1, 0))
-        assert order.key((5, 0, 1)) < order.key((0, 0, 2))
+        assert _lead(order, (5, 0, 1), (0, 0, 2)) == (0, 0, 2)
+        assert _lead(LEX, (5, 0, 1), (0, 0, 2)) == (5, 0, 1)
 
     @given(st.data())
     @settings(max_examples=150)
@@ -110,7 +117,7 @@ class TestOrders:
             assert not (xl - xa) & layout.guard and not (xl - xb) & layout.guard
             assert (xl == xa + xb) == (not any(map(min, a, b)))
             assert layout.unpack(xa) == a
-            assert (xa < xb) == (order.key(a) > order.key(b))
+            assert (xa < xb) == (order_key(order, a) > order_key(order, b))
             assert (xa == xb) == (a == b)
             assert (not (xa - xb) & layout.guard) == (monomial_div(a, b) is not None)
             # the per-step gate opens exactly when a's exponents leave too
@@ -126,12 +133,46 @@ class TestOrders:
             else:
                 layout.check(xa, [(xb, 1)])
                 assert layout.pack([product]) == [xa + xb]
-        # -X sorts as order.key does, ties (repeated monomials) included
+        # -X sorts as the order key does, ties (repeated monomials) included
         monos = [m for pair in pairs for m in pair]
         monos += monos[:3]
         packed = layout.pack(monos)
-        assert (sorted(range(len(monos)), key=lambda i: order.key(monos[i]))
+        assert (sorted(range(len(monos)), key=lambda i: order_key(order, monos[i]))
                 == sorted(range(len(monos)), key=lambda i: -packed[i]))
+
+    @pytest.mark.parametrize("order", [
+        LEX, GRLEX, GREVLEX, MonomialOrder.elimination(2),
+        MonomialOrder.lex((3, 0, 2, 1)), MonomialOrder.grlex((1, 3, 2, 0)),
+        MonomialOrder.grevlex((2, 0, 3, 1)), MonomialOrder.elimination(1, (3, 1, 0, 2)),
+    ], ids=["lex", "grlex", "grevlex", "block", "lex-perm", "grlex-perm", "grevlex-perm",
+            "block-perm"])
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_sorted_terms_and_leads_agree_with_the_oracle(self, order, data):
+        # the library's one encoding of the order against the textbook key
+        # and divisibility test, exponents up to EXPONENT_LIMIT included
+        exponent = st.one_of(st.integers(min_value=0, max_value=3),
+                             st.sampled_from([EXPONENT_LIMIT - 1, EXPONENT_LIMIT]))
+        monos = data.draw(st.lists(st.tuples(*[exponent] * 4), min_size=1, max_size=8,
+                                   unique=True))
+        p = Polynomial(("a", "b", "c", "d"), dict.fromkeys(monos, 1))
+        want = sorted(monos, key=lambda m: order_key(order, m), reverse=True)
+        assert [m for m, _ in p.sorted_terms(order)] == want
+        assert p.leading_monomial(order) == want[0]
+        layout = _layout(order, 4)
+        packed = dict(zip(monos, layout.pack(monos)))
+        assert p.division_record(order)[0] == packed[want[0]]
+        for a in monos:
+            for b in monos:
+                divides = not (packed[a] - packed[b]) & layout.guard
+                assert divides == (monomial_div(a, b) is not None)
+
+    def test_sorted_terms_refuse_exponents_past_the_limit(self):
+        # packed comparisons hold only for exponents up to EXPONENT_LIMIT
+        p = Polynomial(XY, {(EXPONENT_LIMIT + 1, 0): 1, (0, 1): 1})
+        for order in (LEX, GRLEX, GREVLEX):
+            with pytest.raises(ExponentOverflowError, match="exceeds limit"):
+                p.sorted_terms(order)
 
     def test_hash_is_cached_and_equality_by_value(self):
         orders = [MonomialOrder.grevlex(), MonomialOrder.elimination(2, (2, 0, 1)),
@@ -148,7 +189,7 @@ class TestOrders:
     def test_unknown_kind_raises(self):
         order = MonomialOrder("bogus")
         with pytest.raises(ValueError):
-            order.key((1, 0))
+            P("x + y", XY).sorted_terms(order)
         with pytest.raises(ValueError):
             _layout(order, 2)
 
@@ -407,7 +448,7 @@ def _max_scan_divide(f, divisors, order):
     quotients = [{} for _ in divisors]
     rem, work = {}, dict(f.terms)
     while work:
-        m = max(work, key=order.key)
+        m = max(work, key=lambda m: order_key(order, m))
         c = work.pop(m)
         for q, d in zip(quotients, divisors):
             lt, lc = d.leading_term(order)
