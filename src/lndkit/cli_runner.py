@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from . import __version__
-from .config import RunConfig, budget, default_seed
+from .config import RunConfig, ascii_int, budget, default_seed
 from .derivation_engine import (
     Derivation,
     apply,
@@ -154,9 +154,9 @@ def _read_vars(parser, text):
 def _read_int(parser, text):
     """An integer in ASCII decimal digits, with an optional minus sign."""
     try:
-        return int(re.fullmatch(r"-?[0-9]+", text)[0])
-    except (TypeError, ValueError):   # no match, or past the limit on digits
-        raise ParseError(f"expected an integer, found {text!r}") from None
+        return ascii_int(text)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _moved(exc, offset, line=None):
@@ -755,9 +755,9 @@ def _build_config(args):
 
 def _non_negative(text):
     """argparse type of a budget: an integer, 0 or more, in ASCII digits."""
-    if not re.fullmatch(r"[0-9]+", text):
+    if text.startswith("-"):
         raise argparse.ArgumentTypeError(f"expected an integer 0 or more, got {text!r}")
-    return int(text)
+    return ascii_int(text)
 
 
 def main(argv=None):
@@ -775,7 +775,7 @@ def main(argv=None):
     corpusp.add_argument("--write-golden", action="store_true",
                          help="regenerate the golden reports")
     for p in (runp, corpusp):
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=ascii_int, default=None)
         p.add_argument("--pair-budget", type=_non_negative, default=None)
         p.add_argument("--dim-budget", type=_non_negative, default=None)
     try:

@@ -20,6 +20,7 @@ decides no computed value: every computation is deterministic.
 from __future__ import annotations
 
 import os
+import re
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -37,17 +38,20 @@ TERM_BUDGET = 10**6
 SEED_ENV_VAR = "LND_SEED"
 
 
+def ascii_int(text, what="an integer") -> int:
+    """The integer `text` spells as `-?[0-9]+`, in ASCII digits alone;
+    otherwise, or past the interpreter's limit on digits, ValueError."""
+    try:
+        return int(re.fullmatch(r"-?[0-9]+", text)[0])
+    except (TypeError, ValueError):   # no match, or too many digits
+        raise ValueError(f"expected {what}, found {text!r}") from None
+
+
 def default_seed() -> int:
     """The seed in LND_SEED, 0 when it is unset; ValueError when it is not
-    an integer."""
+    an integer (`ascii_int`)."""
     raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+    return 0 if raw is None else ascii_int(raw, f"{SEED_ENV_VAR} to be an integer")
 
 
 @dataclass

@@ -5,10 +5,10 @@ reduced Groebner bases.  Every S-pair reduction is charged to the current
 budget scope (`config.budget`, summed over all the runs in it), so runaway
 computations end in clean errors instead of wrong answers.  Buchberger
 divides by the elements' division records (`poly_core`) and builds each
-element monic from its integer remainder row; a basis keeps its
-elements' records for every normal form taken modulo it.  The pair queue,
-both criteria and inter-reduction read the records' packed leading
-monomials, so they test divisibility as the division loop does.
+element monic from its integer remainder row; each element keeps its
+record, cached on it, for every normal form taken modulo the basis.  The
+pair queue, both criteria and inter-reduction read the records' packed
+leading monomials, so they test divisibility as the division loop does.
 Inside a `basis_memo()` scope, which `lnd run` opens once per session,
 each distinct input's reduced basis is computed once.
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heappop, heappush
 
 from .config import current_budget
@@ -51,12 +50,6 @@ class GroebnerBasis:
     def is_trivial(self):
         """True for the unit ideal."""
         return any(p.is_constant() for p in self.elements)
-
-    @cached_property
-    def records(self):
-        """The elements' division records under the basis order, kept for
-        every normal form taken modulo the basis."""
-        return [p.division_record(self.order) for p in self.elements]
 
 
 class Ideal:
@@ -235,7 +228,8 @@ def _buchberger(generators, order):
 def normal_form(f, basis):
     """The unique remainder of f modulo a reduced GroebnerBasis; f itself
     modulo the zero basis, which has no elements."""
-    return remainder_by_records(f, basis.records, basis.order)
+    order = basis.order
+    return remainder_by_records(f, [p.division_record(order) for p in basis], order)
 
 
 def ideal_member(f, ideal, order=GREVLEX):

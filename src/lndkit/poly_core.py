@@ -13,10 +13,10 @@ order, its coefficients a rational scalar times a primitive integer row
 (the idiom of `_linalg`; Becker and Weispfenning, ch. 5).  The loop
 returns the remainder as an integer row at one final scale, in descending
 order, so a remainder Buchberger keeps becomes a monic polynomial, with
-its sorted terms and record, in one pass.  Inside the loop a monomial is
-one packed int (Monagan and Pearce, "Polynomial division using dynamic
-arrays, heaps, and packed exponent vectors", CASC 2007, and "Sparse
-polynomial division using a heap", JSC 2011): its exponents sit in
+its record, in one pass.  Inside the loop a monomial is one packed int
+(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
+and packed exponent vectors", CASC 2007, and "Sparse polynomial
+division using a heap", JSC 2011): its exponents sit in
 34-bit fields whose top bit is a guard, under a high part that carries
 whatever of the order's descending key the field order does not give
 (`_Layout`).  The packing is linear, so a product is one addition; it is
@@ -252,10 +252,11 @@ class Polynomial:
     nonzero coefficients, given as ints or Fractions (a float is refused)
     and stored by `_rational`: an int when integral, else a Fraction with
     denominator above 1.  The zero polynomial has an empty term map.
-    Sorted term lists and division records are cached per monomial order.
+    Only its division record is cached per monomial order; the leading
+    term is read off it.
     """
 
-    __slots__ = ("vars", "terms", "_sorted", "_records")
+    __slots__ = ("vars", "terms", "_records")
 
     def __init__(self, vars, terms):
         self.vars = tuple(vars)
@@ -269,7 +270,6 @@ class Polynomial:
             if c:
                 clean[tuple(mono)] = c
         self.terms = clean
-        self._sorted = {}
         self._records = {}
 
     # -- constructors ------------------------------------------------------
@@ -319,14 +319,11 @@ class Polynomial:
 
     def sorted_terms(self, order):
         """Terms by ascending packed form (`_Layout`), so descending under
-        `order`; cached per order.  ExponentOverflowError past EXPONENT_LIMIT."""
-        cached = self._sorted.get(order)
-        if cached is None:
-            _top_exponent(self.terms)
-            weights = _layout(order, len(self.vars)).weights
-            cached = sorted(self.terms.items(), key=lambda t: sum(map(mul, t[0], weights)))
-            self._sorted[order] = cached
-        return cached
+        `order`, sorted on each call: only text output needs them.
+        ExponentOverflowError past EXPONENT_LIMIT."""
+        _top_exponent(self.terms)
+        weights = _layout(order, len(self.vars)).weights
+        return sorted(self.terms.items(), key=lambda t: sum(map(mul, t[0], weights)))
 
     def division_record(self, order):
         """How `_reduce` divides by this nonzero polynomial; cached per order.
@@ -339,23 +336,20 @@ class Polynomial:
         """
         record = self._records.get(order)
         if record is None:
-            terms = self.sorted_terms(order)
-            denom = lcm(*(c.denominator for _, c in terms))
-            monos = [m for m, _ in terms]
             layout = _layout(order, len(self.vars))
-            row = list(zip(layout.pack(monos),
-                           [c.numerator * (denom // c.denominator) for _, c in terms]))
-            record = _record(row, denom, layout.gate(_top_exponent(monos)))
+            work, denom, top = _integer_work(self, layout)
+            record = _record(sorted(work.items()), denom, layout.gate(top))
             self._records[order] = record
         return record
 
-    def leading_term(self, order):
+    def leading_monomial(self, order):
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return self.sorted_terms(order)[0]
+        return _layout(order, len(self.vars)).unpack(self.division_record(order)[0])
 
-    def leading_monomial(self, order):
-        return self.leading_term(order)[0]
+    def leading_term(self, order):
+        m = self.leading_monomial(order)
+        return m, self.terms[m]
 
     def leading_coefficient(self, order):
         return self.leading_term(order)[1]
@@ -626,15 +620,13 @@ def remainder(f, divisors, order=GREVLEX):
 
 def _integer_work(f, layout):
     """f's terms as `_reduce` takes them: packed monomials mapped to
-    integers, the one scale they stand under, and a map from each packed
-    monomial back to f's exponent tuple, so a term that survives division
-    is never unpacked."""
+    integers, in the order of f's terms, the one scale they stand under,
+    and f's largest exponent (`_top_exponent`)."""
+    top = _top_exponent(f.terms)
     scale = lcm(*(c.denominator for c in f.terms.values()))
-    _top_exponent(f.terms)
-    packed = layout.pack(f.terms)
     work = {x: c.numerator * (scale // c.denominator)
-            for x, c in zip(packed, f.terms.values())}
-    return work, scale, dict(zip(packed, f.terms))
+            for x, c in zip(layout.pack(f.terms), f.terms.values())}
+    return work, scale, top
 
 
 def remainder_by_records(f, records, order, quotients=None):
@@ -643,9 +635,11 @@ def remainder_by_records(f, records, order, quotients=None):
     if not records:
         return f
     layout = _layout(order, len(f.vars))
-    work, scale, back = _integer_work(f, layout)
+    work, scale, _ = _integer_work(f, layout)
+    # each packed monomial back to f's exponent tuple, so a term that
+    # survives division is never unpacked
+    get, unpack = dict(zip(work, f.terms)).get, layout.unpack
     rem, scale = _reduce(work, scale, records, layout, quotients)
-    get, unpack = back.get, layout.unpack
     return Polynomial(f.vars, {get(x) or unpack(x): _quotient(c, scale) for x, c in rem})
 
 
@@ -658,22 +652,18 @@ def monic_remainder(f, records, order):
     lead, lc, tail, _, _ = f.division_record(order)
     work = dict(tail)
     work[lead] = lc
-    back = dict(zip([lead] + [x for x, _ in tail], [m for m, _ in f.sorted_terms(order)]))
-    return _monic_row(f.vars, _reduce(work, 1, records, layout)[0], order, layout, back)
+    return _monic_row(f.vars, _reduce(work, 1, records, layout)[0], order, layout)
 
 
-def _monic_row(vars, row, order, layout, back):
+def _monic_row(vars, row, order, layout):
     """The monic polynomial of a row of integer terms on packed monomials,
-    descending under `order`, with its sorted terms and record for the
-    order seeded from the row; zero if empty.  `back` maps packed monomials
-    of the row to exponent tuples already made; the rest are unpacked."""
+    descending under `order`, with its record for the order seeded from
+    the row; zero if empty.  Every monomial of the row is unpacked."""
     if not row:
         return Polynomial.zero(vars)
-    get, unpack = back.get, layout.unpack
-    monos = [get(x) or unpack(x) for x, _ in row]
+    monos = [layout.unpack(x) for x, _ in row]
     c0 = row[0][1]
     p = Polynomial(vars, {m: _quotient(c, c0) for m, (_, c) in zip(monos, row)})
-    p._sorted[order] = list(p.terms.items())
     p._records[order] = _record(row, c0, layout.gate(_top_exponent(monos)))
     return p
 
@@ -709,7 +699,7 @@ def s_pair_remainder(vars, f, g, lcm_fg, records, order):
                 work[mm] = v
             else:
                 del work[mm]
-    return _monic_row(vars, _reduce(work, 1, records, layout)[0], order, layout, {})
+    return _monic_row(vars, _reduce(work, 1, records, layout)[0], order, layout)
 
 
 def exact_div(f, g, order=GREVLEX):

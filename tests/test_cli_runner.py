@@ -471,17 +471,32 @@ class TestCommandLine:
         report = json.loads(out_file.read_text(encoding="utf-8"))
         assert report["seed"] == 42
 
+    # ASCII digits only, as for every other number: int() would take
+    # "1_0" as 10, " 7 " as 7 and an Arabic-Indic three as 3
+    @pytest.mark.parametrize("raw", ["abc", "1_0", " 7 ", "\u0663"],
+                             ids=["abc", "underscore", "spaces", "arabic-indic"])
     @pytest.mark.parametrize("action", ["run", "corpus"])
     def test_malformed_seed_env_exit_one(self, tmp_path, monkeypatch, capsys,
-                                         action):
-        monkeypatch.setenv("LND_SEED", "abc")
+                                         action, raw):
+        monkeypatch.setenv("LND_SEED", raw)
         session_file = tmp_path / "s.lnd"
         session_file.write_text(SIMPLE, encoding="utf-8")
         argv = ["run", str(session_file)] if action == "run" else ["corpus"]
         assert main(argv) == 1
         captured = capsys.readouterr()
-        assert "LND_SEED" in captured.err and "'abc'" in captured.err
+        assert "LND_SEED" in captured.err and repr(raw) in captured.err
         assert captured.out == ""
+
+    def test_negative_seed_echoed(self, tmp_path, monkeypatch):
+        # one minus sign is part of the rule, for the flag and LND_SEED alike
+        monkeypatch.setenv("LND_SEED", "-7")
+        session_file = tmp_path / "s.lnd"
+        session_file.write_text(SIMPLE, encoding="utf-8")
+        out_file = tmp_path / "report.json"
+        argv = ["run", str(session_file), "--json", str(out_file)]
+        for flags, seed in (([], -7), (["--seed", "-4"], -4)):
+            assert main(argv + flags) == 0
+            assert json.loads(out_file.read_text(encoding="utf-8"))["seed"] == seed
 
     def test_seed_flag_overrides_malformed_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LND_SEED", "abc")
@@ -577,7 +592,10 @@ class TestCommandLine:
                                        ["--pair-budget", "abc"],
                                        ["--pair-budget", "\u0663"],
                                        ["--dim-budget", "1_0"],
-                                       ["--seed", "abc"]])
+                                       ["--seed", "abc"],
+                                       ["--seed", "\u0663"],
+                                       ["--seed", "1_0"],
+                                       ["--seed", " 5"]])
     def test_usage_error_exit_one(self, tmp_path, capsys, flags):
         session_file = tmp_path / "s.lnd"
         session_file.write_text(SIMPLE, encoding="utf-8")

@@ -5,6 +5,7 @@ Groebner bases, normal forms, colon ideals, saturations and gcds against an
 independent implementation on seeded random inputs.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -322,3 +323,92 @@ def test_height_oracle_from_sympy_leads(n, relation):
         assert capped_height(ideal, ring, _sympy_leads) == h
         seen.add(h)
     assert len(seen) >= 3
+
+
+# -- the corpus's kernel, slice and Dixmier claims, re-derived ---------------
+
+def _corpus_claims():
+    """(session, command, golden value, D) for every golden kernel, slice
+    and dixmier entry of the shipped corpus.  D applies the command's
+    derivation, as its declaration gives it on the ambient variables, to
+    a sympy expression; `syms` are those variables."""
+    from lndkit.cli_runner import CORPUS_SESSIONS, corpus_path, golden_path, parse_session
+
+    claims = []
+    for name in CORPUS_SESSIONS:
+        session = parse_session(corpus_path(name).read_text(encoding="utf-8"))
+        rings, ambient, derivations = {}, {}, {}
+        for decl in session.declarations:
+            args = decl.args
+            if decl.kind == "ring":
+                rings[args["name"]] = args["vars"]
+            elif decl.kind == "subalgebra":
+                ambient[args["name"]] = args["ring"]
+            elif decl.kind == "derivation":
+                # on a polynomial ring or a subalgebra of one, so that D is
+                # the ambient derivation itself; a quotient would need its
+                # relations, and raises KeyError here
+                syms = sympy.symbols(rings[ambient.get(args["host"], args["host"])])
+                images = [(sympy.Symbol(v), _to_sympy(p, syms)) for v, p in args["images"]]
+                derivations[args["name"]] = syms, images
+        golden = json.loads(golden_path(name).read_text(encoding="utf-8"))
+        for entry in golden["commands"]:
+            command = session.commands[entry["index"]]
+            if command.kind in ("kernel", "slice", "dixmier"):
+                syms, images = derivations[command.args["name"]]
+
+                def d(f, images=images):
+                    return sympy.expand(sum(p * sympy.diff(f, v) for v, p in images))
+
+                claims.append((name, command, entry["value"], d, syms))
+    return claims
+
+
+def _read_report(text, syms):
+    """A polynomial as a report prints it, read by sympy."""
+    return sympy.parse_expr(text.replace("^", "**"), local_dict={str(s): s for s in syms})
+
+
+def test_corpus_kernel_slice_and_dixmier_claims_hold():
+    # the goldens pin the output; sympy's own derivatives check that it is
+    # true: D kills every kernel element and every projection, D(s) = 1 for
+    # a slice, D(s) = c and D(c) = 0 for a local one, and a projection is
+    # the Dixmier sum of the target's orbit
+    kinds, checked = set(), 0
+    for session, command, value, d, syms in _corpus_claims():
+        where = f"{session}: {command.text}"
+        kinds.add(command.kind)
+        if command.kind == "kernel":
+            for text in value["basis"] + value["generators"]:
+                assert d(_read_report(text, syms)) == 0, (where, text)
+                checked += 1
+        elif command.kind == "slice" and value["found"] != "none":
+            s = _read_report(value["slice"], syms)
+            if value["found"] == "slice":
+                assert d(s) == 1, where
+            else:
+                c = _read_report(value["cofactor"], syms)
+                assert d(s) == c and c != 0 and d(c) == 0, where
+            checked += 1
+        elif command.kind == "dixmier":
+            s, f = (_to_sympy(command.args[k], syms) for k in ("slice", "target"))
+            c = d(s)
+            assert c == 1 or (c != 0 and d(c) == 0), where
+            orbit = [sympy.expand(f)]
+            while orbit[-1] != 0:
+                assert len(orbit) < 64, where
+                orbit.append(d(orbit[-1]))
+            orbit.pop()
+            # c^k clears the denominators of a local slice's projection
+            k = value["denominator_power"]
+            assert k == (0 if c == 1 else max(len(orbit) - 1, 0)), where
+            if c != 1:
+                assert _read_report(value["cofactor"], syms) == c, where
+            projection = _read_report(value["projection"], syms)
+            dixmier_sum = sum(g * (-s) ** i / sympy.factorial(i) * c ** (k - i)
+                              for i, g in enumerate(orbit))
+            assert sympy.expand(dixmier_sum - projection) == 0, where
+            assert d(projection) == 0, where
+            checked += 1
+    assert kinds == {"kernel", "slice", "dixmier"}
+    assert checked >= 70

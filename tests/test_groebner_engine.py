@@ -330,8 +330,8 @@ class TestSPairRemainder:
         assert added
         for p in added:
             fresh = Polynomial(p.vars, p.terms)
-            # read the caches directly: they were seeded, not computed
-            assert p._sorted[order] == fresh.sorted_terms(order)
+            assert p.sorted_terms(order) == fresh.sorted_terms(order)
+            # read the record's cache directly: it was seeded, not computed
             assert p._records[order] == fresh.division_record(order)
 
 

@@ -168,11 +168,16 @@ class TestOrders:
                 assert divides == (monomial_div(a, b) is not None)
 
     def test_sorted_terms_refuse_exponents_past_the_limit(self):
-        # packed comparisons hold only for exponents up to EXPONENT_LIMIT
+        # packed comparisons hold only for exponents up to EXPONENT_LIMIT,
+        # so neither the sort nor the record, nor the leads read off it,
+        # may pack past it
         p = Polynomial(XY, {(EXPONENT_LIMIT + 1, 0): 1, (0, 1): 1})
         for order in (LEX, GRLEX, GREVLEX):
-            with pytest.raises(ExponentOverflowError, match="exceeds limit"):
-                p.sorted_terms(order)
+            for view in (p.sorted_terms, p.leading_monomial, p.leading_term,
+                         p.division_record):
+                with pytest.raises(ExponentOverflowError, match="exceeds limit"):
+                    view(order)
+        assert p._records == {}
 
     def test_hash_is_cached_and_equality_by_value(self):
         orders = [MonomialOrder.grevlex(), MonomialOrder.elimination(2, (2, 0, 1)),
@@ -184,7 +189,7 @@ class TestOrders:
         assert MonomialOrder.grevlex() == GREVLEX != GRLEX
         assert repr(GREVLEX) == "MonomialOrder(kind='grevlex', block=0, permutation=None)"
         f = P("x + y^2")
-        assert f.sorted_terms(MonomialOrder.grevlex()) is f.sorted_terms(GREVLEX)
+        assert f.division_record(MonomialOrder.grevlex()) is f.division_record(GREVLEX)
 
     def test_unknown_kind_raises(self):
         order = MonomialOrder("bogus")
@@ -628,7 +633,12 @@ class TestLeadingTerms:
         f = P("2x^2 + 4y")
         assert f.monic(GREVLEX) == P("x^2 + 2y")
 
-    def test_sorted_terms_cached(self):
+    def test_division_record_cached(self):
+        # the record is the one thing a polynomial caches per order, and
+        # its leading terms are read off it
+        assert Polynomial.__slots__ == ("vars", "terms", "_records")
         f = P("x + y + z")
-        first = f.sorted_terms(GREVLEX)
-        assert f.sorted_terms(GREVLEX) is first
+        first = f.division_record(GREVLEX)
+        assert f.division_record(GREVLEX) is first
+        assert f.leading_term(LEX) == ((1, 0, 0), 1)
+        assert f._records == {GREVLEX: first, LEX: f.division_record(LEX)}
