@@ -4,14 +4,15 @@ A `budget(pairs, dims)` scope bounds the S-pair reductions of all the
 Buchberger runs inside it, summed, and the size of one enumeration: the
 monomials up to a degree, or the products of one span.  Against the fixed
 TERM_BUDGET it counts the terms formed by work a user's numbers alone can
-make unbounded: products while parsing (a power; weighted by coefficient
-size) and every application of a derivation to a polynomial (nilpotency
-checks, Dixmier slice tests and orbits, restrictions, `expect` and
-well-definedness checks, Jacobian minors).  Outside any scope, one rule:
-a Buchberger run, parse, application, `iterate`, nilpotency check or
-orbit is bounded as a whole by one default budget (`metered`).  A
-statement's parse has a scope of its own; the scope it runs in is charged
-first with the terms that parse formed, so one term budget bounds both.
+make unbounded: every product of two polynomials (powers included;
+weighted by coefficient size) and every application of a derivation to a
+polynomial (nilpotency checks, Dixmier slice tests and orbits,
+restrictions, `expect` and well-definedness checks, Jacobian minors).
+Outside any scope, one rule: a Buchberger run, parse, application,
+`iterate`, nilpotency check, `dixmier` or `reconstruct` is bounded as a
+whole by one default budget (`metered`).  A statement's parse has a scope
+of its own; the scope it runs in is charged first with the terms that
+parse formed, so one term budget bounds both.
 
 The seed (`--seed`, else LND_SEED, else 0) is echoed in each report and
 decides no computed value: every computation is deterministic.

@@ -322,17 +322,16 @@ def _orbit(d, f, certificate):
     sum(deg_v * (ord_v - 1)), ord_v the certified order of the variable v,
     so the orbit has at most 1 + sum(deg_v(f) * (ord_v - 1)) elements; a
     longer one refutes the certificate.  The applications are charged to
-    one `metered` scope."""
+    the scope its caller opens, as `_project`'s products are."""
     bound = 1 + sum(f.degree_in(v) * (certificate.orders.get(v, 1) - 1)
                     for v in d.ring.vars)
     orbit = []
-    with metered():
-        while not f.is_zero():
-            if len(orbit) == bound:
-                raise DegenerateInputError(
-                    f"element not annihilated within {bound} iterations")
-            orbit.append(f)
-            f = apply(d, f)
+    while not f.is_zero():
+        if len(orbit) == bound:
+            raise DegenerateInputError(
+                f"element not annihilated within {bound} iterations")
+        orbit.append(f)
+        f = apply(d, f)
     return orbit
 
 
@@ -353,31 +352,36 @@ def dixmier(d, slice_data, f, certificate=None):
     """The projection sum((-s)^i D^i(f) / i!) onto the kernel.
 
     Finite by local nilpotency; for a local slice (s, c) the result keeps
-    an explicit denominator exponent instead of localizing the ring.
+    an explicit denominator exponent instead of localizing the ring.  The
+    whole call runs in one `metered` scope: the orbit's applications and
+    every product of the projection are charged to one term budget.
     """
     if isinstance(slice_data, Polynomial):
         slice_data = SliceData(slice_data)
     ring = d.ring
-    orbit = _orbit(d, ring.normal(f), _certified(d, certificate))
-    s = ring.normal(slice_data.slice)
-    if not slice_data.is_local():
-        return DixmierResult(_project(orbit, s, ring.one(), ring))
-    c = ring.normal(slice_data.cofactor)
-    return DixmierResult(_project(orbit, s, c, ring), max(len(orbit) - 1, 0), c)
+    with metered():
+        orbit = _orbit(d, ring.normal(f), _certified(d, certificate))
+        s = ring.normal(slice_data.slice)
+        if not slice_data.is_local():
+            return DixmierResult(_project(orbit, s, ring.one(), ring))
+        c = ring.normal(slice_data.cofactor)
+        return DixmierResult(_project(orbit, s, c, ring), max(len(orbit) - 1, 0), c)
 
 
 def reconstruct(d, slice_data, f, certificate=None):
     """Coefficients a_i in Ker(D) with f = sum(a_i s^i); true slices only:
-    a_i is the projection of D^i(f), the orbit's suffix from i, over i!."""
+    a_i is the projection of D^i(f), the orbit's suffix from i, over i!;
+    the whole call runs in one `metered` scope, as `dixmier` does."""
     if isinstance(slice_data, Polynomial):
         slice_data = SliceData(slice_data)
     if slice_data.is_local():
         raise DegenerateInputError("reconstruction needs a true slice")
     ring = d.ring
-    orbit = _orbit(d, ring.normal(f), _certified(d, certificate))
-    s, one = ring.normal(slice_data.slice), ring.one()
-    return [_project(orbit[i:], s, one, ring) / factorial(i)
-            for i in range(len(orbit))]
+    with metered():
+        orbit = _orbit(d, ring.normal(f), _certified(d, certificate))
+        s, one = ring.normal(slice_data.slice), ring.one()
+        return [_project(orbit[i:], s, one, ring) / factorial(i)
+                for i in range(len(orbit))]
 
 
 @dataclass

@@ -326,7 +326,8 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: sum(map(mul, t[0], weights)))
 
     def division_record(self, order):
-        """How `_reduce` divides by this nonzero polynomial; cached per order.
+        """How `_reduce` divides by this polynomial; cached per order, and
+        ValueError for the zero polynomial, which divides nothing.
 
         The tuple (packed leading monomial, integer leading coefficient
         lc > 0, integer tail [(packed monomial, int)] in descending order,
@@ -336,6 +337,8 @@ class Polynomial:
         """
         record = self._records.get(order)
         if record is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
             layout = _layout(order, len(self.vars))
             work, denom, top = _integer_work(self, layout)
             record = _record(sorted(work.items()), denom, layout.gate(top))
@@ -343,8 +346,6 @@ class Polynomial:
         return record
 
     def leading_monomial(self, order):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
         return _layout(order, len(self.vars)).unpack(self.division_record(order)[0])
 
     def leading_term(self, order):
@@ -398,9 +399,14 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
+        """A product by an int or Fraction is free; a product of two
+        polynomials is charged its `product_cost` to the current budget
+        scope before any term is formed."""
         if isinstance(other, (int, Fraction)):
             return Polynomial(self.vars, {m: c * other for m, c in self.terms.items()})
         self._check(other)
+        current_budget().charge_terms(product_cost(self.terms.values(), other.terms.values()),
+                                      "a polynomial product")
         if len(self.terms) > len(other.terms):
             self, other = other, self
         terms = {}
@@ -423,9 +429,17 @@ class Polynomial:
         return self * Fraction(1, c)
 
     def __pow__(self, n):
+        """By repeated squaring, each product charged as in `__mul__`."""
         if n < 0:
             raise ValueError("negative polynomial power")
-        return _power(self, n)
+        p, result = self, Polynomial.one(self.vars)
+        while n:
+            if n & 1:
+                result = result * p
+            n >>= 1
+            if n:
+                p = p * p
+        return result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -599,14 +613,13 @@ def divide(f, divisors, order=GREVLEX):
     """Multivariate division: f = sum(q_i * d_i) + r.
 
     No term of the remainder is divisible by any divisor's leading term.
-    Divisors are tried in the given sequence at each step.
+    Divisors are tried in the given sequence at each step; a zero divisor
+    raises ValueError (`division_record`).
     """
     if not divisors:
         raise ValueError("empty divisor list")
     for d in divisors:
         f._check(d)
-        if d.is_zero():
-            raise ValueError("zero divisor in division")
     quotients = [{} for _ in divisors]
     records = [d.division_record(order) for d in divisors]
     r = remainder_by_records(f, records, order, quotients)
@@ -776,15 +789,6 @@ class _PolyParser:
         self.vars = vars
         self.expand = expand   # false: form no product or sum, only check the grammar
 
-    def mul(self, a, b):
-        """a*b, its `product_cost` charged to the current budget first; when
-        not expanding, a stands in for a*b."""
-        if not self.expand:
-            return a
-        current_budget().charge_terms(product_cost(a.terms.values(), b.terms.values()),
-                                      "a polynomial product")
-        return a * b
-
     def number(self, tok):
         try:
             return int(tok[1])
@@ -831,7 +835,8 @@ class _PolyParser:
         while self.peek()[0] in ("*", "ident", "number", "("):
             if self.peek()[0] == "*":
                 self.take()
-            p = self.mul(p, self.factor())
+            q = self.factor()
+            p = p * q if self.expand else p
         return p
 
     def factor(self):
@@ -840,7 +845,8 @@ class _PolyParser:
         if self.peek()[0] != "^":
             return p
         self.take()
-        return _power(p, self.number(self.take("number")), self.mul)
+        n = self.number(self.take("number"))
+        return p ** n if self.expand else p
 
     def base(self):
         kind, value, col = self.peek()
@@ -863,18 +869,6 @@ class _PolyParser:
             return p
         raise ParseError(f"unexpected token {value!r}" if value else "empty expression",
                          column=col)
-
-
-def _power(p, n, mul=mul):
-    """p**n by repeated squaring, every product formed by `mul`."""
-    result = Polynomial.one(p.vars)
-    while n:
-        if n & 1:
-            result = mul(result, p)
-        n >>= 1
-        if n:
-            p = mul(p, p)
-    return result
 
 
 def _blocks(coefficients):
@@ -902,9 +896,10 @@ def parse_polynomial(text, vars):
 
     A first pass of the same parser forms no product or sum and only
     checks the grammar, so a ParseError anywhere in the text comes before
-    any expansion.  The second pass expands, charging every product formed,
-    powers included, to one `metered` scope's term counter; the product
-    that would pass its limit raises BudgetExceededError unformed.
+    any expansion.  The second pass expands in one `metered` scope, whose
+    term counter is charged for every product formed, powers included, as
+    `Polynomial.__mul__` charges any product of two polynomials; the
+    product that would pass its limit raises BudgetExceededError unformed.
     """
     vars = tuple(vars)
     tokens = _tokenize_poly(text, vars)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lndkit import kernel_lab
+from lndkit import config, kernel_lab
 
 from lndkit.config import budget
 from lndkit.derivation_engine import (
@@ -46,6 +46,7 @@ from lndkit.poly_core import (
     Polynomial,
     _layout,
     parse_polynomial,
+    product_cost,
 )
 from lndkit.presentation import PresentedRing, present_subalgebra
 from oracles import (apply as oracle_apply, apply_charge, canonical, generator_comparison,
@@ -694,14 +695,31 @@ class TestDixmier:
     def test_orbit_is_charged_to_the_term_budget(self):
         # y^5, 5*y^4, ..., 120 under y -> 1: each application its
         # bookkeeping, and one derivative term and one product term on
-        # all but the constant
+        # all but the constant; then _project's Horner steps, six of them,
+        # each total * (-y), orbit[i] * c^(5 - i) and c^(5 - i) * c with
+        # c = 1, all of one term but the first total, which is zero
         ring = PresentedRing.polynomial_ring(("x", "y"))
         d = derivation(ring, y="1")
         certificate = certify_nilpotent(d)
         y = parse_polynomial("y", ring.vars)
+        f = y ** 5
         with budget() as scope:
-            dixmier(d, SliceData(y), y ** 5, certificate)
-        assert scope.terms_used == 5 * (APPLICATION_TERMS + 2) + APPLICATION_TERMS
+            dixmier(d, SliceData(y), f, certificate)
+        orbit = 5 * (APPLICATION_TERMS + 2) + APPLICATION_TERMS
+        horner = product_cost([], [-1]) + 5 * product_cost([1], [-1]) \
+            + 6 * 2 * product_cost([1], [1])
+        assert scope.terms_used == orbit + horner == 51
+
+    def test_projection_stops_at_the_term_budget(self, monkeypatch):
+        # the orbit of y^20 under y -> 1 is 21 one-term elements, but the
+        # Horner sum multiplies sums of thousands of terms by the 67-term
+        # slice; formed uncharged, those products ran for 45 s and more
+        ring = PresentedRing.polynomial_ring(("x", "y", "z"))
+        d = derivation(ring, y="1")
+        s, f = (parse_polynomial(t, ring.vars) for t in ("y + (x + z + 1)^10", "y^20"))
+        monkeypatch.setattr(config, "TERM_BUDGET", 10**4)
+        with pytest.raises(BudgetExceededError, match="by a polynomial product"):
+            dixmier(d, SliceData(s), f)
 
     def test_long_orbit_stops_at_the_term_budget(self):
         # the orbit of x^(2^31 - 1)*y under x -> 1 has 2^31 elements

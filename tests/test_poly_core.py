@@ -28,6 +28,7 @@ from lndkit.poly_core import (
     gcd,
     monomial_mul,
     parse_polynomial,
+    product_cost,
     remainder,
     s_pair_remainder,
 )
@@ -236,6 +237,14 @@ class TestArithmetic:
         assert f * 2 == P("2x + 2y")
         assert f / 2 == P("1/2 x + 1/2 y")
         assert f - 1 == P("x + y - 1")
+        # a product by a scalar is free; one of two polynomials is charged
+        # its product_cost, here 2 * 3 terms, g's longest of two blocks
+        g = P("x - 2^600 y + z")
+        with budget() as scope:
+            f * 3, 3 * f, f * Fraction(1, 2)
+            assert scope.terms_used == 0
+            f * g
+            assert scope.terms_used == product_cost(f.terms.values(), g.terms.values()) == 12
 
     def test_float_coefficients_are_refused(self):
         # 1/3 as a float is a binary approximation, not the number meant
@@ -321,6 +330,15 @@ class TestDivision:
         with pytest.raises(ValueError):
             divide(P("x"), [])
         assert remainder(P("x"), []) == P("x")
+
+    def test_zero_divisor(self):
+        # refused by the zero polynomial's division record, for every route
+        zero = Polynomial.zero(XY)
+        with pytest.raises(ValueError, match="zero polynomial"):
+            zero.division_record(GREVLEX)
+        for call in (divide, remainder):
+            with pytest.raises(ValueError, match="zero polynomial"):
+                call(P("x + y", XY), [P("x", XY), zero])
 
     def test_cancelled_term_that_reenters(self):
         # reducing x cancels the constant term; reducing y by the non-monic
@@ -548,8 +566,9 @@ class TestTextSyntax:
     def test_products_are_charged_to_the_term_budget(self):
         # (x+y+1)^4 by squaring: 3*3 and 6*6 term products, then 1*15;
         # the scope sums its parses
+        expected = (P("x + y + 1") ** 2) ** 2
         with budget() as scope:
-            assert P("(x + y + 1)^4") == (P("x + y + 1") ** 2) ** 2
+            assert P("(x + y + 1)^4") == expected
             assert scope.terms_used == 60
             P("x*y")
             assert scope.terms_used == 61
