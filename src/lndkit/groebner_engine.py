@@ -8,7 +8,9 @@ divides by the elements' division records (`poly_core`) and builds each
 element monic from its integer remainder row; each element keeps its
 record, cached on it, for every normal form taken modulo the basis.  The
 pair queue, both criteria and inter-reduction read the records' packed
-leading monomials, so they test divisibility as the division loop does.
+leading monomials, so they test divisibility as the division loop does;
+the chain criterion reads each element's popped partners from a bitmask,
+and the reductions of one run share a memo of first divisors (`_reduce`).
 Inside a `basis_memo()` scope, which `lnd run` opens once per session,
 each distinct input's reduced basis is computed once.
 """
@@ -163,6 +165,12 @@ def _buchberger(generators, order):
     The leads are coprime exactly when X(lcm) = X(lead_i) + X(lead_j), and
     lead_k divides the lcm exactly when X(lcm) - X(lead_k) sets no guard
     bit, the test `_reduce` makes at every step.
+
+    done[i] has bit k set once the pair (i, k) has popped, so the chain
+    criterion tests only the leads of done[i] & done[j] (Gebauer and
+    Moeller, JSC 6, 1988).  The run's reductions share `firsts`, a memo of
+    first divisors, valid as `records` only grows by appending (`_reduce`).
+    Neither changes a decision, so every count is the plain scans'.
     """
     budget = current_budget()
     basis = [g for g in generators if not g.is_zero()]
@@ -183,7 +191,7 @@ def _buchberger(generators, order):
     layout = _layout(order, len(basis[0].vars))
     pack, guard = layout.pack, layout.guard
     start, basis = basis, []
-    lms, ecarts, records, leads, heap = [], [], [], [], []
+    lms, ecarts, records, leads, done, heap = [], [], [], [], [], []
 
     def add(p):
         """Keep p and queue its pairs with the elements kept before it."""
@@ -199,25 +207,28 @@ def _buchberger(generators, order):
         ecarts.append(ecart)
         records.append(record)
         leads.append(record[0])
+        done.append(0)
 
     for p in start:
         add(p)
-    done = set()
+    firsts = {}
 
     while heap:
         _, x, i, j = heappop(heap)
         x = -x
-        done.add((i, j))
+        done[i] |= 1 << j
+        done[j] |= 1 << i
         # coprime leading terms: S-polynomial reduces to zero
         if x == leads[i] + leads[j]:
             continue
-        # chain criterion
-        if any(k != i and k != j
-               and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
-               for k, lead in enumerate(leads) if not (x - lead) & guard):
+        # chain criterion, over the k whose pairs with i and j have both popped
+        common = done[i] & done[j]
+        while common and (x - leads[common.bit_length() - 1]) & guard:
+            common ^= 1 << (common.bit_length() - 1)
+        if common:
             continue
         budget.charge_pair()
-        r = s_pair_remainder(basis[i].vars, records[i], records[j], x, records, order)
+        r = s_pair_remainder(basis[i].vars, records[i], records[j], x, records, order, firsts)
         if r.is_zero():
             continue
         add(r)

@@ -335,16 +335,18 @@ def _orbit(d, f, certificate):
     return orbit
 
 
-def _project(orbit, s, c, ring):
+def _project(orbit, s, ring, c=None):
     """sum(D^i(f) * (-s)^i / i! * c^(k - i)) over the orbit of f, k its
-    last index (c = 1 for a true slice), by Horner's rule in -s from the
-    last element down, with a running power of c."""
+    last index, by Horner's rule in -s from the last element down, with a
+    running power of a local slice's cofactor c; a true slice has none."""
     minus_s = -s
     total = Polynomial.zero(ring.vars)
     weight = ring.one()  # c^(k - i)
     for i in reversed(range(len(orbit))):
-        total = total * minus_s + orbit[i] * weight / factorial(i)
-        weight = weight * c
+        term = orbit[i]
+        if c is not None:
+            term, weight = term * weight, weight * c
+        total = total * minus_s + term / factorial(i)
     return ring.normal(total)
 
 
@@ -363,15 +365,17 @@ def dixmier(d, slice_data, f, certificate=None):
         orbit = _orbit(d, ring.normal(f), _certified(d, certificate))
         s = ring.normal(slice_data.slice)
         if not slice_data.is_local():
-            return DixmierResult(_project(orbit, s, ring.one(), ring))
+            return DixmierResult(_project(orbit, s, ring))
         c = ring.normal(slice_data.cofactor)
-        return DixmierResult(_project(orbit, s, c, ring), max(len(orbit) - 1, 0), c)
+        return DixmierResult(_project(orbit, s, ring, c), max(len(orbit) - 1, 0), c)
 
 
 def reconstruct(d, slice_data, f, certificate=None):
     """Coefficients a_i in Ker(D) with f = sum(a_i s^i); true slices only:
     a_i is the projection of D^i(f), the orbit's suffix from i, over i!;
-    the whole call runs in one `metered` scope, as `dixmier` does."""
+    the whole call runs in one `metered` scope, as `dixmier` does.  Each
+    suffix has its own Horner sum, so the number of products formed is
+    quadratic in the orbit's length."""
     if isinstance(slice_data, Polynomial):
         slice_data = SliceData(slice_data)
     if slice_data.is_local():
@@ -379,8 +383,8 @@ def reconstruct(d, slice_data, f, certificate=None):
     ring = d.ring
     with metered():
         orbit = _orbit(d, ring.normal(f), _certified(d, certificate))
-        s, one = ring.normal(slice_data.slice), ring.one()
-        return [_project(orbit[i:], s, one, ring) / factorial(i)
+        s = ring.normal(slice_data.slice)
+        return [_project(orbit[i:], s, ring) / factorial(i)
                 for i in range(len(orbit))]
 
 

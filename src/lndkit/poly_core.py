@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import chain, islice
 from math import gcd as int_gcd, lcm
 from operator import add, mul
 
@@ -536,7 +536,7 @@ def _record(row, denom, gate):
     return lead, c0 // g, tail, Fraction(g, denom), gate
 
 
-def _reduce(work, scale, records, layout, quotients=None):
+def _reduce(work, scale, records, layout, quotients=None, firsts=None):
     """The one division loop, behind every remainder and quotient.
 
     `work` maps packed monomials (`_Layout`) to integers under one scale
@@ -566,6 +566,11 @@ def _reduce(work, scale, records, layout, quotients=None):
     at the first that does, as `monomial_mul` would.  When `quotients`
     (one dict per divisor) is given, the quotient terms are collected
     into it.
+
+    `firsts`, kept over calls whose `records` only grow by appending, maps
+    a packed monomial to its first dividing lead's index, or to ~n when
+    none of the first n leads divides it; no lead appended later precedes
+    a first divisor, so a monomial is tried only on the leads added since.
     """
     guard = layout.guard
     leads = [record[0] for record in records]
@@ -577,13 +582,19 @@ def _reduce(work, scale, records, layout, quotients=None):
         c = work.pop(x)
         if not c:
             continue
-        for i, lead in enumerate(leads):
-            t = x - lead
-            if not t & guard:
-                break
-        else:
-            rem.append((x, c))
-            continue
+        i = -1 if firsts is None else firsts.get(x, -1)
+        if i < 0:
+            for i, lead in enumerate(leads if i == -1 else islice(leads, ~i, None), ~i):
+                if not (x - lead) & guard:
+                    break
+            else:
+                i = ~len(leads)
+            if firsts is not None:
+                firsts[x] = i
+            if i < 0:
+                rem.append((x, c))
+                continue
+        t = x - leads[i]
         _, lc, tail, k, gate = records[i]
         q = c
         if lc != 1:
@@ -681,7 +692,7 @@ def _monic_row(vars, row, order, layout):
     return p
 
 
-def s_pair_remainder(vars, f, g, lcm_fg, records, order):
+def s_pair_remainder(vars, f, g, lcm_fg, records, order, firsts=None):
     """The S-polynomial of the polynomials with division records f and g,
     reduced by `records` and made monic; zero when it reduces to zero.
     `lcm_fg` is the lcm of their leading monomials, packed by the order's
@@ -694,6 +705,7 @@ def s_pair_remainder(vars, f, g, lcm_fg, records, order):
     are never formed.  Division is linear, so every step and divisor
     choice is the rational S-polynomial's, and the monic remainder is its
     monic remainder exactly, built from the remainder row by `_monic_row`.
+    `firsts` is the run's memo of first divisors, handed to `_reduce`.
     """
     layout = _layout(order, len(vars))
     lead_f, cf, tail_f, _, gate_f = f
@@ -712,7 +724,7 @@ def s_pair_remainder(vars, f, g, lcm_fg, records, order):
                 work[mm] = v
             else:
                 del work[mm]
-    return _monic_row(vars, _reduce(work, 1, records, layout)[0], order, layout)
+    return _monic_row(vars, _reduce(work, 1, records, layout, firsts=firsts)[0], order, layout)
 
 
 def exact_div(f, g, order=GREVLEX):
@@ -873,8 +885,11 @@ class _PolyParser:
 
 def _blocks(coefficients):
     """512-bit blocks of the longest numerator or denominator, at least 1."""
-    bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
-                for c in coefficients), default=0)
+    try:
+        bits = max(map(int.bit_length, coefficients), default=0)
+    except TypeError:  # a Fraction among them
+        bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                    for c in coefficients), default=0)
     return bits // 512 + 1
 
 

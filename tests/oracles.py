@@ -2,13 +2,20 @@
 checking its integer-row routes against."""
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations, combinations_with_replacement, product
 from math import inf
 
 from lndkit._linalg import RowSpace
 from lndkit.grade_analyzer import GradeValue, image_ideal
-from lndkit.groebner_engine import Ideal, ideal_member, saturation
-from lndkit.poly_core import GREVLEX, Polynomial, _layout
+from lndkit.groebner_engine import Ideal, _interreduce, ideal_member, saturation
+from lndkit.poly_core import (
+    GREVLEX,
+    Polynomial,
+    _layout,
+    monic_remainder,
+    s_pair_remainder,
+)
 
 
 def _grevlex_key(m):
@@ -67,6 +74,64 @@ def s_polynomial(f, g, order):
             - g * Polynomial(g.vars, {monomial_div(lcm, mg): Fraction(1, cg)}))
 
 
+def buchberger_reference(generators, order):
+    """The reduced basis of the generators by the pair loop without partner
+    bitmasks or a first-divisor memo: the chain criterion looks each lead
+    that divides the lcm up in a set of popped (i, j) pairs, and every
+    S-pair reduction scans the leads from the first.  Returns the basis
+    elements, the S-pairs reduced, how many reduced to zero and how many
+    pairs the chain criterion skipped; the library must reduce the same."""
+    basis = [g for g in generators if not g.is_zero()]
+    while True:
+        slimmed = []
+        for i, p in enumerate(basis):
+            others = [q.division_record(order) for q in slimmed + basis[i + 1:]]
+            r = monic_remainder(p, others, order)
+            if not r.is_zero():
+                slimmed.append(r)
+        if slimmed == basis:
+            break
+        basis = slimmed
+    if not basis:
+        return [], 0, 0, 0
+    layout = _layout(order, len(basis[0].vars))
+    start, basis, lms, ecarts, records, heap = basis, [], [], [], [], []
+
+    def add(p):
+        lm = p.leading_monomial(order)
+        ecart = p.degree() - sum(lm)
+        for t, m in enumerate(lms):
+            lcm = [*map(max, m, lm)]
+            x = layout.pack([lcm])[0]
+            heappush(heap, (sum(lcm) + max(ecarts[t], ecart), -x, t, len(basis)))
+        basis.append(p)
+        lms.append(lm)
+        ecarts.append(ecart)
+        records.append(p.division_record(order))
+
+    for p in start:
+        add(p)
+    done, reduced, zero, chained = set(), 0, 0, 0
+    while heap:
+        _, x, i, j = heappop(heap)
+        x = -x
+        done.add((i, j))
+        if x == records[i][0] + records[j][0]:
+            continue
+        if any(k != i and k != j
+               and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+               for k, record in enumerate(records) if not (x - record[0]) & layout.guard):
+            chained += 1
+            continue
+        reduced += 1
+        r = s_pair_remainder(basis[i].vars, records[i], records[j], x, records, order)
+        if r.is_zero():
+            zero += 1
+        else:
+            add(r)
+    return _interreduce(basis, records, order, layout.guard), reduced, zero, chained
+
+
 def canonical(p):
     """True when every coefficient of p, a polynomial or a vector of
     `_linalg` (a dict), is in the one form `Polynomial` stores: a nonzero
@@ -105,9 +170,11 @@ def apply(d, f):
     return d.ring.normal(total)
 
 
-def _blocks(p):
-    bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
-               for c in p.terms.values())
+def blocks(coefficients):
+    """512-bit blocks of the longest numerator or denominator, at least 1,
+    each coefficient read through its numerator and denominator."""
+    bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for c in coefficients), default=0)
     return bits // 512 + 1
 
 
@@ -116,7 +183,8 @@ def apply_charge(d, f):
     derivative's terms plus len(image) * len(derivative) term products,
     weighted by the 512-bit blocks of each factor's longest coefficient."""
     return sum(len(partial.terms)
-               + len(image.terms) * len(partial.terms) * _blocks(image) * _blocks(partial)
+               + len(image.terms) * len(partial.terms)
+               * blocks(image.terms.values()) * blocks(partial.terms.values())
                for image, partial in _leibniz_products(d, f))
 
 

@@ -30,7 +30,7 @@ from lndkit.poly_core import (
 )
 from lndkit.presentation import PresentedRing, present_subalgebra
 
-from oracles import ideal_equal, packed_lcm, s_polynomial
+from oracles import buchberger_reference, ideal_equal, packed_lcm, s_polynomial
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -230,6 +230,49 @@ class TestPairSelection:
         assert sub.member(P("x^5*z + y*x^2 + x^3*y^2")).member
 
 
+def _decision_case(case):
+    """Generators and order of one pair-loop decision case."""
+    if case == "katsura-5":
+        return _katsura(5), GREVLEX
+    if case == "cyclic-5":
+        return _cyclic(5), GREVLEX
+    if case == "cone-saturation":
+        # (u, v)^3 on the cone uw = v^2, saturated at w as `saturation`
+        # builds it: a tag t in front, eliminated by a block order
+        tuvw = ("t",) + UVW
+        gens = [P(g, tuvw) for g in ("u^3", "u^2*v", "u*v^2", "v^3", "u*w - v^2", "1 - t*w")]
+        return gens, MonomialOrder.elimination(1)
+    rng = random.Random(38)
+    return [_rational_poly(rng, XYZ) for _ in range(4)], LEX
+
+
+class TestPairLoopDecisions:
+    """The partner bitmasks and the first-divisor memo change no decision:
+    Buchberger reduces the same pairs, with the same zero reductions, to
+    the same basis as the reference loop on a set of tuples and a plain
+    first-divisor scan."""
+
+    @pytest.mark.parametrize("case", ["katsura-5", "cyclic-5", "cone-saturation", "random-lex"])
+    def test_same_decisions_as_the_reference(self, monkeypatch, case):
+        gens, order = _decision_case(case)
+        zeros = []
+
+        def spy(*args):
+            r = s_pair_remainder(*args)
+            zeros.append(r.is_zero())
+            return r
+
+        monkeypatch.setattr(groebner_engine, "s_pair_remainder", spy)
+        with budget() as scope:
+            basis = buchberger(gens, order)
+        elements, reduced, zero, chained = buchberger_reference(gens, order)
+        assert len(zeros) == scope.used == reduced
+        assert sum(zeros) == zero
+        assert basis.elements == elements
+        # each case reaches the chain criterion and reduces to zero and not
+        assert chained and 0 < zero < reduced
+
+
 def _counted(monkeypatch):
     """Count the Buchberger runs that compute a basis, memo hits aside."""
     runs = []
@@ -314,12 +357,14 @@ class TestSPairRemainder:
         rng = random.Random(11)
         gens = (_cyclic(5) if ideal == "cyclic-5"
                 else [_rational_poly(rng, XYZ) for _ in range(3)])
-        added = []
+        added, memos = [], set()
 
         def spy(*args):
-            # the pair queue hands over the lcm it packed when it queued the pair
-            vars, f, g, lcm_fg, _, order_ = args
+            # the pair queue hands over the lcm it packed when it queued the
+            # pair, and every reduction of the run its one first-divisor memo
+            vars, f, g, lcm_fg, _, order_, firsts = args
             assert lcm_fg == packed_lcm(f, g, order_, len(vars))
+            memos.add(id(firsts))
             r = s_pair_remainder(*args)
             if not r.is_zero():
                 added.append(r)
@@ -327,7 +372,7 @@ class TestSPairRemainder:
 
         monkeypatch.setattr(groebner_engine, "s_pair_remainder", spy)
         buchberger(gens, order)
-        assert added
+        assert added and len(memos) == 1
         for p in added:
             fresh = Polynomial(p.vars, p.terms)
             assert p.sorted_terms(order) == fresh.sorted_terms(order)

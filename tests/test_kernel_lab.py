@@ -696,8 +696,8 @@ class TestDixmier:
         # y^5, 5*y^4, ..., 120 under y -> 1: each application its
         # bookkeeping, and one derivative term and one product term on
         # all but the constant; then _project's Horner steps, six of them,
-        # each total * (-y), orbit[i] * c^(5 - i) and c^(5 - i) * c with
-        # c = 1, all of one term but the first total, which is zero
+        # each total * (-y), of one term but the first total, which is
+        # zero; a true slice forms no product by its cofactor 1
         ring = PresentedRing.polynomial_ring(("x", "y"))
         d = derivation(ring, y="1")
         certificate = certify_nilpotent(d)
@@ -706,9 +706,8 @@ class TestDixmier:
         with budget() as scope:
             dixmier(d, SliceData(y), f, certificate)
         orbit = 5 * (APPLICATION_TERMS + 2) + APPLICATION_TERMS
-        horner = product_cost([], [-1]) + 5 * product_cost([1], [-1]) \
-            + 6 * 2 * product_cost([1], [1])
-        assert scope.terms_used == orbit + horner == 51
+        horner = product_cost([], [-1]) + 5 * product_cost([1], [-1])
+        assert scope.terms_used == orbit + horner == 39
 
     def test_projection_stops_at_the_term_budget(self, monkeypatch):
         # the orbit of y^20 under y -> 1 is 21 one-term elements, but the

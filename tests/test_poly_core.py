@@ -21,7 +21,10 @@ from lndkit.poly_core import (
     LEX,
     MonomialOrder,
     Polynomial,
+    _blocks,
+    _integer_work,
     _layout,
+    _reduce,
     divide,
     exact_div,
     format_polynomial,
@@ -32,7 +35,7 @@ from lndkit.poly_core import (
     remainder,
     s_pair_remainder,
 )
-from oracles import canonical, monomial_div, monomial_lcm, order_key, packed_lcm
+from oracles import blocks, canonical, monomial_div, monomial_lcm, order_key, packed_lcm
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -246,6 +249,19 @@ class TestArithmetic:
             f * g
             assert scope.terms_used == product_cost(f.terms.values(), g.terms.values()) == 12
 
+    @pytest.mark.parametrize("coefficients", [
+        [3, -7, 1], [Fraction(1, 3), Fraction(-5, 2)], [2, Fraction(7, 3), -1], [],
+        [2**600, -(2**1100) + 1, 3], [Fraction(1, 2**513), 5], [Fraction(-(3**700), 7)],
+    ], ids=["ints", "fractions", "mixed", "empty", "long-ints", "long-denominator",
+            "long-numerator"])
+    def test_blocks_equal_the_numerator_denominator_formula(self, coefficients):
+        # ints are measured by int.bit_length alone, a Fraction among them
+        # through its numerator and denominator: the same blocks either way
+        assert _blocks(coefficients) == blocks(coefficients)
+        other = [1, Fraction(2**520, 7)]
+        assert product_cost(coefficients, other) == \
+            len(coefficients) * 2 * blocks(coefficients) * blocks(other)
+
     def test_float_coefficients_are_refused(self):
         # 1/3 as a float is a binary approximation, not the number meant
         with pytest.raises(TypeError):
@@ -291,6 +307,29 @@ def _random_poly(rng, vars, max_degree=6, n_terms=4):
 
 
 class TestDivision:
+    def test_first_divisor_memo_on_growing_records(self):
+        # one memo over calls whose records grow by appending, as in a
+        # Buchberger run: every remainder row and scale as without it
+        rng = random.Random(35)
+        layout = _layout(GREVLEX, 3)
+        records, firsts, found_late = [], {}, 0
+        while len(records) < 6:
+            d = _random_poly(rng, XYZ, max_degree=3)
+            if d.is_zero():
+                continue
+            records.append(d.division_record(GREVLEX))
+            for _ in range(10):
+                f = _random_poly(rng, XYZ)
+                if f.is_zero():
+                    continue
+                work, scale, _ = _integer_work(f, layout)
+                undivided = [x for x, i in firsts.items() if i < 0]
+                want = _reduce(dict(work), scale, records, layout)
+                assert _reduce(dict(work), scale, records, layout, firsts=firsts) == want
+                found_late += sum(firsts[x] >= 0 for x in undivided)
+        # some monomial no lead divided met a divisor appended after it
+        assert found_late and any(i < 0 for i in firsts.values())
+
     def test_single_divisor(self):
         qs, r = divide(P("x^2*y", XY), [P("x", XY)])
         assert qs == [P("x*y", XY)] and r.is_zero()
