@@ -46,7 +46,6 @@ from . import __version__
 from .config import RunConfig, ascii_int, budget, default_seed
 from .derivation_engine import (
     Derivation,
-    apply,
     certify_nilpotent,
     check_well_defined,
     contained_in_principal,
@@ -57,14 +56,13 @@ from .errors import BudgetExceededError, LndError, ParseError
 from .grade_analyzer import fpf_test, grade_of_derivation, grade_of_ideal
 from .groebner_engine import Ideal, basis_memo, ideal_member
 from .kernel_lab import (
-    SliceData,
     compare_kernel_to_subalgebra,
     dixmier,
     kernel_generators,
     slice_search,
     verify_generators_up_to_degree,
 )
-from .poly_core import Polynomial, format_polynomial, parse_polynomial
+from .poly_core import format_polynomial, parse_polynomial
 from .presentation import PresentedRing, present_subalgebra
 from .rees_builder import ideal_power, rees_truncation, saturator_certified, symbolic_power
 
@@ -517,15 +515,7 @@ def _slice(env, name, degree):
 
 def _dixmier(env, name, slice, target):
     d = env.derivations[name]
-    s = _element(slice, d.ring, d.host)
-    image = apply(d, s)
-    if image == Polynomial.one(d.ring.vars):
-        data = SliceData(s)
-    elif not image.is_zero() and apply(d, image).is_zero():
-        data = SliceData(s, image)
-    else:
-        raise LndError("supplied element is neither a slice nor a local slice")
-    out = dixmier(d, data, _element(target, d.ring, d.host))
+    out = dixmier(d, _element(slice, d.ring, d.host), _element(target, d.ring, d.host))
     value = {"projection": _display(out.numerator, d.host),
              "denominator_power": out.denominator_power}
     if out.cofactor is not None:

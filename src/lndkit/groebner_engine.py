@@ -31,7 +31,7 @@ from .poly_core import (
     _layout,
     exact_div,
     monic_remainder,
-    remainder_by_records,
+    remainder,
     s_pair_remainder,
 )
 
@@ -176,12 +176,13 @@ def _buchberger(generators, order):
     basis = [g for g in generators if not g.is_zero()]
     # interreduce the input; repeat until stable so the starting set is lean
     while True:
-        slimmed = []
+        records = [p.division_record(order) for p in basis]
+        slimmed, kept = [], []
         for i, p in enumerate(basis):
-            others = [q.division_record(order) for q in slimmed + basis[i + 1:]]
-            r = monic_remainder(p, others, order)
+            r = monic_remainder(p, kept + records[i + 1:], order)
             if not r.is_zero():
                 slimmed.append(r)
+                kept.append(r.division_record(order))
         if slimmed == basis:
             break
         basis = slimmed
@@ -239,8 +240,7 @@ def _buchberger(generators, order):
 def normal_form(f, basis):
     """The unique remainder of f modulo a reduced GroebnerBasis; f itself
     modulo the zero basis, which has no elements."""
-    order = basis.order
-    return remainder_by_records(f, [p.division_record(order) for p in basis], order)
+    return remainder(f, basis.elements, basis.order)
 
 
 def ideal_member(f, ideal, order=GREVLEX):

@@ -156,27 +156,25 @@ def _vector_to_polynomial(vec, monomials, columns, ring):
     return Polynomial(ring.vars, {monomials[j]: c for j, c in vec.items()}), monomials[lead]
 
 
-def _certified(d, certificate):
-    """The nilpotency certificate supplied, else one computed at the
-    default bound; DegenerateInputError when that one is inconclusive."""
-    if certificate is None:
-        certificate = certify_nilpotent(d)
-        if not certificate.certified:
-            raise DegenerateInputError(
-                "derivation not certified locally nilpotent at the default bound")
+def _certified(d):
+    """D's nilpotency certificate at the default bound; DegenerateInputError
+    when it is inconclusive."""
+    certificate = certify_nilpotent(d)
+    if not certificate.certified:
+        raise DegenerateInputError(
+            "derivation not certified locally nilpotent at the default bound")
     return certificate
 
 
-def kernel_basis(d, degree, certificate=None, assume_nilpotent=False):
+def kernel_basis(d, degree):
     """Q-basis of Ker(D) intersected with normal forms of degree <= degree.
 
-    Requires a nilpotency certificate (computed here when not supplied)
-    unless the caller overrides; the kernel itself is exact regardless.
+    Requires D's nilpotency certificate, computed here; the kernel itself
+    is exact regardless.
     """
     if degree < 1:
         raise DegenerateInputError("degree bound must be at least 1")
-    if not assume_nilpotent:
-        _certified(d, certificate)
+    _certified(d)
     ring = d.ring
     monomials, columns = zip(*standard_monomials(ring, degree))
     rows, _ = _derivation_matrix(_Images(d), columns)
@@ -188,8 +186,7 @@ def kernel_basis(d, degree, certificate=None, assume_nilpotent=False):
     return KernelReport(degree_bound=degree, basis=[p for p, _ in basis])
 
 
-def kernel_generators(d, degree, certificate=None, assume_nilpotent=False,
-                      pair_budget=None):
+def kernel_generators(d, degree, pair_budget=None):
     """Kernel basis plus a greedy minimal generating sublist.
 
     Walks the basis by degree and keeps an element only when it is not a
@@ -206,7 +203,7 @@ def kernel_generators(d, degree, certificate=None, assume_nilpotent=False,
     ring = d.ring
     graded_ring = all(_homogeneous(r) for r in ring.relations.elements)
     with budget(pairs=pair_budget) if pair_budget is not None else nullcontext():
-        basis = kernel_basis(d, degree, certificate, assume_nilpotent).basis
+        basis = kernel_basis(d, degree).basis
         kept = []
         span, sub = _Span(ring, degree, []), None
         for p in basis:
@@ -247,7 +244,7 @@ def compare_kernel_to_subalgebra(generators, d, subalgebra):
 
 @dataclass
 class SliceData:
-    """A slice D(s) = 1, or a local slice D(s) = c with D(c) = 0, c != 0."""
+    """`slice_search`'s result: D(s) = 1, or D(s) = c, D(c) = 0, c != 0."""
 
     slice: object
     cofactor: object = None  # None for a true slice
@@ -311,9 +308,18 @@ class DixmierResult:
     denominator_power: int = 0
     cofactor: object = None
 
-    @property
-    def value(self):
-        return self.numerator
+
+def _slice(d, s):
+    """s in normal form and its cofactor: None when D(s) = 1, a slice;
+    c = D(s) when c != 0 and D(c) = 0, a local slice; DegenerateInputError
+    for any other s.  Charged to the scope its caller opens."""
+    s = d.ring.normal(s)
+    c = apply(d, s)
+    if c == d.ring.one():
+        return s, None
+    if c.is_zero() or not apply(d, c).is_zero():
+        raise DegenerateInputError("supplied element is neither a slice nor a local slice")
+    return s, c
 
 
 def _orbit(d, f, certificate):
@@ -350,40 +356,37 @@ def _project(orbit, s, ring, c=None):
     return ring.normal(total)
 
 
-def dixmier(d, slice_data, f, certificate=None):
+def dixmier(d, s, f):
     """The projection sum((-s)^i D^i(f) / i!) onto the kernel.
 
-    Finite by local nilpotency; for a local slice (s, c) the result keeps
-    an explicit denominator exponent instead of localizing the ring.  The
-    whole call runs in one `metered` scope: the orbit's applications and
-    every product of the projection are charged to one term budget.
+    s must be a slice or a local slice (`_slice`); for a local slice the
+    result keeps its cofactor and an explicit denominator exponent instead
+    of localizing the ring.  The whole call runs in one `metered` scope:
+    the slice test, D's nilpotency certificate, the orbit's applications
+    and every product of the projection are charged to one term budget.
     """
-    if isinstance(slice_data, Polynomial):
-        slice_data = SliceData(slice_data)
     ring = d.ring
     with metered():
-        orbit = _orbit(d, ring.normal(f), _certified(d, certificate))
-        s = ring.normal(slice_data.slice)
-        if not slice_data.is_local():
+        s, c = _slice(d, s)
+        orbit = _orbit(d, ring.normal(f), _certified(d))
+        if c is None:
             return DixmierResult(_project(orbit, s, ring))
-        c = ring.normal(slice_data.cofactor)
         return DixmierResult(_project(orbit, s, ring, c), max(len(orbit) - 1, 0), c)
 
 
-def reconstruct(d, slice_data, f, certificate=None):
+def reconstruct(d, s, f):
     """Coefficients a_i in Ker(D) with f = sum(a_i s^i); true slices only:
-    a_i is the projection of D^i(f), the orbit's suffix from i, over i!;
-    the whole call runs in one `metered` scope, as `dixmier` does.  Each
+    s is classified as in `dixmier`, and a local slice is refused.  a_i is
+    the projection of D^i(f), the orbit's suffix from i, over i!; the
+    whole call runs in one `metered` scope, as `dixmier` does.  Each
     suffix has its own Horner sum, so the number of products formed is
     quadratic in the orbit's length."""
-    if isinstance(slice_data, Polynomial):
-        slice_data = SliceData(slice_data)
-    if slice_data.is_local():
-        raise DegenerateInputError("reconstruction needs a true slice")
     ring = d.ring
     with metered():
-        orbit = _orbit(d, ring.normal(f), _certified(d, certificate))
-        s = ring.normal(slice_data.slice)
+        s, c = _slice(d, s)
+        if c is not None:
+            raise DegenerateInputError("reconstruction needs a true slice")
+        orbit = _orbit(d, ring.normal(f), _certified(d))
         return [_project(orbit[i:], s, ring) / factorial(i)
                 for i in range(len(orbit))]
 

@@ -632,14 +632,23 @@ def divide(f, divisors, order=GREVLEX):
     for d in divisors:
         f._check(d)
     quotients = [{} for _ in divisors]
-    records = [d.division_record(order) for d in divisors]
-    r = remainder_by_records(f, records, order, quotients)
+    r = remainder(f, divisors, order, quotients)
     return [Polynomial(f.vars, q) for q in quotients], r
 
 
-def remainder(f, divisors, order=GREVLEX):
-    """Remainder of multivariate division, without quotient bookkeeping."""
-    return remainder_by_records(f, [d.division_record(order) for d in divisors], order)
+def remainder(f, divisors, order=GREVLEX, quotients=None):
+    """Remainder of multivariate division by the divisors' division
+    records under `order`; `quotients` as in `_reduce`."""
+    if not divisors:
+        return f
+    records = [d.division_record(order) for d in divisors]
+    layout = _layout(order, len(f.vars))
+    work, scale, _ = _integer_work(f, layout)
+    # each packed monomial back to f's exponent tuple, so a term that
+    # survives division is never unpacked
+    get, unpack = dict(zip(work, f.terms)).get, layout.unpack
+    rem, scale = _reduce(work, scale, records, layout, quotients)
+    return Polynomial(f.vars, {get(x) or unpack(x): _quotient(c, scale) for x, c in rem})
 
 
 def _integer_work(f, layout):
@@ -651,20 +660,6 @@ def _integer_work(f, layout):
     work = {x: c.numerator * (scale // c.denominator)
             for x, c in zip(layout.pack(f.terms), f.terms.values())}
     return work, scale, top
-
-
-def remainder_by_records(f, records, order, quotients=None):
-    """`remainder` with the divisors given by their division records under
-    `order`, as a Groebner basis keeps them; `quotients` as in `_reduce`."""
-    if not records:
-        return f
-    layout = _layout(order, len(f.vars))
-    work, scale, _ = _integer_work(f, layout)
-    # each packed monomial back to f's exponent tuple, so a term that
-    # survives division is never unpacked
-    get, unpack = dict(zip(work, f.terms)).get, layout.unpack
-    rem, scale = _reduce(work, scale, records, layout, quotients)
-    return Polynomial(f.vars, {get(x) or unpack(x): _quotient(c, scale) for x, c in rem})
 
 
 def monic_remainder(f, records, order):

@@ -25,7 +25,6 @@ from lndkit.errors import (
 )
 from lndkit.grade_analyzer import GradeValue, fpf_test, grade_of_derivation
 from lndkit.kernel_lab import (
-    SliceData,
     _derivation_matrix,
     compare_kernel_to_subalgebra,
     dixmier,
@@ -204,10 +203,8 @@ class TestKernelBasis:
     def test_non_nilpotent_needs_override(self):
         ring = PresentedRing.polynomial_ring(("x",))
         d = derivation(ring, x="x")
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DegenerateInputError, match="not certified locally nilpotent"):
             kernel_basis(d, 2)
-        report = kernel_basis(d, 2, assume_nilpotent=True)
-        assert report.basis == [Polynomial.one(("x",))]
 
     @pytest.mark.parametrize("order", [GREVLEX, LEX])
     @pytest.mark.parametrize("case", [
@@ -229,7 +226,7 @@ class TestKernelBasis:
                for vec in nullspace(rows, len(monomials))]
         old.sort(key=lambda p: (p.degree(),
                                 tuple(-e for e in p.leading_monomial(order))))
-        basis = kernel_basis(d, 4, assume_nilpotent=True).basis
+        basis = kernel_basis(d, 4).basis
         assert basis == old
         assert all(map(canonical, basis))
 
@@ -300,8 +297,10 @@ class TestKernelGenerators:
         certificate = certify_nilpotent(d)
         seen = []
         normal = d.ring.normal
+        # the certificate's applications are no products: it is made first
+        monkeypatch.setattr(kernel_lab, "certify_nilpotent", lambda d: certificate)
         monkeypatch.setattr(d.ring, "normal", lambda f: seen.append(f) or normal(f))
-        report = kernel_generators(d, 8, certificate)
+        report = kernel_generators(d, 8)
         degs = [g.degree() for g in report.generators]
         assert degs == [1, 2, 2, 3, 3]
         products = sum(1 for e in product(*(range(8 // w + 1) for w in degs))
@@ -634,80 +633,82 @@ class TestSliceSearch:
 class TestDixmier:
     def test_taylor_collapse(self):
         d = derivation(P2, Y="1")
-        s = SliceData(pp("Y", XY))
+        s = pp("Y", XY)
         f = pp("X*Y + X + Y^2", XY)
-        assert dixmier(d, s, f).value == pp("X", XY)
+        assert dixmier(d, s, f).numerator == pp("X", XY)
 
     def test_kernel_element_fixed(self):
         d = derivation(P2, Y="1")
-        s = SliceData(pp("Y", XY))
+        s = pp("Y", XY)
         f = pp("X^3 - 2*X", XY)
-        assert dixmier(d, s, f).value == f
+        assert dixmier(d, s, f).numerator == f
 
     def test_two_step_projection(self):
         ring = PresentedRing.polynomial_ring(("x", "y"))
         d = derivation(ring, x="1", y="x")
-        s = SliceData(parse_polynomial("x", ring.vars))
+        s = parse_polynomial("x", ring.vars)
         out = dixmier(d, s, parse_polynomial("y", ring.vars))
-        assert out.value == parse_polynomial("y - 1/2 x^2", ring.vars)
-        assert apply(d, out.value).is_zero()
+        assert out.numerator == parse_polynomial("y - 1/2 x^2", ring.vars)
+        assert apply(d, out.numerator).is_zero()
 
     def test_projection_properties_random(self):
         rng = random.Random(71)
         d = derivation(P2, Y="1")
-        s = SliceData(pp("Y", XY))
-        cert = certify_nilpotent(d)
+        s = pp("Y", XY)
         for _ in range(100):
             f = _random_poly(rng, XY, 5)
-            pf = dixmier(d, s, f, cert).value
+            pf = dixmier(d, s, f).numerator
             assert apply(d, pf).is_zero()
-            assert dixmier(d, s, pf, cert).value == pf
+            assert dixmier(d, s, pf).numerator == pf
 
     def test_ring_homomorphism_random(self):
         rng = random.Random(72)
         d = derivation(P2, Y="1")
-        s = SliceData(pp("Y", XY))
-        cert = certify_nilpotent(d)
+        s = pp("Y", XY)
         for _ in range(40):
             f = _random_poly(rng, XY, 4)
             g = _random_poly(rng, XY, 4)
-            pf = dixmier(d, s, f, cert).value
-            pg = dixmier(d, s, g, cert).value
-            assert dixmier(d, s, f * g, cert).value == pf * pg
-            assert dixmier(d, s, f + g, cert).value == pf + pg
+            pf = dixmier(d, s, f).numerator
+            pg = dixmier(d, s, g).numerator
+            assert dixmier(d, s, f * g).numerator == pf * pg
+            assert dixmier(d, s, f + g).numerator == pf + pg
 
     @pytest.mark.parametrize("order, projection", [(2, "0"), (1, None)])
-    def test_orbit_bound_is_tight(self, order, projection):
+    def test_orbit_bound_is_tight(self, monkeypatch, order, projection):
         # the orbit of y under y -> 1 is y, 1: exactly the bound
         # 1 + deg_y(y) * (order - 1) at the true order 2, and one element
-        # past it when a certificate claims order 1
+        # past it when a certificate claims order 1; dixmier certifies D
+        # itself, so the certificate reaches it through certify_nilpotent
         ring = PresentedRing.polynomial_ring(("x", "y"))
         d = derivation(ring, y="1")
         y = parse_polynomial("y", ring.vars)
         certificate = NilpotencyCertificate(True, 2, orders={"y": order})
+        monkeypatch.setattr(kernel_lab, "certify_nilpotent", lambda d: certificate)
         if projection is None:
             with pytest.raises(DegenerateInputError, match="within 1 iterations"):
-                dixmier(d, SliceData(y), y, certificate)
+                dixmier(d, y, y)
         else:
-            assert dixmier(d, SliceData(y), y, certificate).value == \
-                parse_polynomial(projection, ring.vars)
+            assert dixmier(d, y, y).numerator == parse_polynomial(projection, ring.vars)
 
     def test_orbit_is_charged_to_the_term_budget(self):
-        # y^5, 5*y^4, ..., 120 under y -> 1: each application its
-        # bookkeeping, and one derivative term and one product term on
-        # all but the constant; then _project's Horner steps, six of them,
-        # each total * (-y), of one term but the first total, which is
-        # zero; a true slice forms no product by its cofactor 1
+        # each application its bookkeeping, and one derivative term and one
+        # product term on a nonconstant element under y -> 1: the slice
+        # test D(y) = 1; the certificate, D(x) = 0, then D(y) = 1 and
+        # D(1) = 0; the orbit y^5, 5*y^4, ..., 120; then _project's Horner
+        # steps, six of them, each total * (-y), of one term but the first
+        # total, which is zero; a true slice forms no product by its
+        # cofactor 1
         ring = PresentedRing.polynomial_ring(("x", "y"))
         d = derivation(ring, y="1")
-        certificate = certify_nilpotent(d)
         y = parse_polynomial("y", ring.vars)
         f = y ** 5
         with budget() as scope:
-            dixmier(d, SliceData(y), f, certificate)
+            dixmier(d, y, f)
+        slice_test = APPLICATION_TERMS + 2
+        certificate = 3 * APPLICATION_TERMS + 2
         orbit = 5 * (APPLICATION_TERMS + 2) + APPLICATION_TERMS
         horner = product_cost([], [-1]) + 5 * product_cost([1], [-1])
-        assert scope.terms_used == orbit + horner == 39
+        assert scope.terms_used == slice_test + certificate + orbit + horner == 59
 
     def test_projection_stops_at_the_term_budget(self, monkeypatch):
         # the orbit of y^20 under y -> 1 is 21 one-term elements, but the
@@ -718,7 +719,7 @@ class TestDixmier:
         s, f = (parse_polynomial(t, ring.vars) for t in ("y + (x + z + 1)^10", "y^20"))
         monkeypatch.setattr(config, "TERM_BUDGET", 10**4)
         with pytest.raises(BudgetExceededError, match="by a polynomial product"):
-            dixmier(d, SliceData(s), f)
+            dixmier(d, s, f)
 
     def test_long_orbit_stops_at_the_term_budget(self):
         # the orbit of x^(2^31 - 1)*y under x -> 1 has 2^31 elements
@@ -726,22 +727,42 @@ class TestDixmier:
         d = derivation(ring, x="1")
         x, f = (parse_polynomial(t, ring.vars) for t in ("x", "x^2147483647*y"))
         with budget(), pytest.raises(BudgetExceededError) as info:
-            dixmier(d, SliceData(x), f)
+            dixmier(d, x, f)
         assert str(info.value) == \
             "term budget 1000000 exceeded by applying the derivation along x"
         # outside any scope one default budget bounds the whole orbit, not
         # each application
         with pytest.raises(BudgetExceededError, match="term budget 1000000 exceeded"):
-            dixmier(d, SliceData(x), f)
+            dixmier(d, x, f)
 
     def test_local_slice_denominator(self):
         d = derivation(P3, Z="X^2")
-        data = SliceData(pp("Z"), pp("X^2"))
-        out = dixmier(d, data, pp("Z"))
+        out = dixmier(d, pp("Z"), pp("Z"))
         # pi(Z) = (Z c - s c) / c = 0 in the localization: numerator must
         # be annihilated and carry the declared denominator power
         assert out.denominator_power == 1
         assert apply(d, out.numerator).is_zero()
+
+    def test_local_slice_is_found_from_its_image(self):
+        # D = 2 d/dx: D(x) = 2 and D(2) = 0, so x is a local slice with
+        # cofactor 2; the orbit of x^2 + y is x^2 + y, 4x, 8, and
+        # 4(x^2 + y) - 2*4x*x + 8x^2/2 = 4y
+        ring = PresentedRing.polynomial_ring(("x", "y"))
+        d = derivation(ring, x="2")
+        x, f = (parse_polynomial(t, ring.vars) for t in ("x", "x^2 + y"))
+        out = dixmier(d, x, f)
+        assert out.numerator == parse_polynomial("4*y", ring.vars)
+        assert out.denominator_power == 2
+        assert out.cofactor == parse_polynomial("2", ring.vars)
+
+    @pytest.mark.parametrize("s", ["y", "x^2"])
+    def test_neither_slice_nor_local_slice_is_refused(self, s):
+        # D(y) = 0; D(x^2) = 4x, which D does not kill
+        ring = PresentedRing.polynomial_ring(("x", "y"))
+        d = derivation(ring, x="2")
+        with pytest.raises(DegenerateInputError,
+                           match="^supplied element is neither a slice nor a local slice$"):
+            dixmier(d, parse_polynomial(s, ring.vars), parse_polynomial("x", ring.vars))
 
 
 def _random_poly(rng, vars, max_degree=4, n_terms=3, den=1):
@@ -760,57 +781,63 @@ def _random_poly(rng, vars, max_degree=4, n_terms=3, den=1):
 class TestReconstruct:
     def test_square_of_slice(self):
         d = derivation(P2, Y="1")
-        s = SliceData(pp("Y", XY))
+        s = pp("Y", XY)
         coeffs = reconstruct(d, s, pp("Y^2", XY))
         assert coeffs == [Polynomial.zero(XY), Polynomial.zero(XY),
                           Polynomial.one(XY)]
 
     def test_kernel_element(self):
         d = derivation(P2, Y="1")
-        s = SliceData(pp("Y", XY))
+        s = pp("Y", XY)
         f = pp("X^2 - 7", XY)
         assert reconstruct(d, s, f) == [f]
 
     def test_collect(self):
         d = derivation(P2, Y="1")
-        s = SliceData(pp("Y", XY))
+        s = pp("Y", XY)
         coeffs = reconstruct(d, s, pp("Y*X + Y", XY))
         assert coeffs == [Polynomial.zero(XY), pp("X + 1", XY)]
 
     def test_identity_on_randoms(self, corpus_b):
         rng = random.Random(73)
         d = restrict_to_subalgebra(derivation(P3, Z="1"), corpus_b)
-        s = slice_search(d, 2)
-        cert = certify_nilpotent(d)
+        s = slice_search(d, 2).slice
         ring = d.ring
         for _ in range(50):
             f = ring.normal(_random_poly(rng, ring.vars, 4))
-            coeffs = reconstruct(d, s, f, cert)
+            coeffs = reconstruct(d, s, f)
             total = Polynomial.zero(ring.vars)
             for i, a in enumerate(coeffs):
                 assert apply(d, a).is_zero()
-                total = total + a * s.slice ** i
+                total = total + a * s ** i
             assert ring.normal(total) == f
 
     def test_one_application_per_orbit_element(self, monkeypatch):
         # y^3 + x*y, 3*y^2 + x, 6*y, 6: every coefficient projects a suffix
-        # of that one orbit, so D runs 4 times (once per element)
+        # of that one orbit, so D runs 4 times on it (once per element),
+        # after the slice test's one application to y
         ring = PresentedRing.polynomial_ring(("x", "y"))
         d = derivation(ring, y="1")
-        certificate = certify_nilpotent(d)
         calls = []
         monkeypatch.setattr(kernel_lab, "apply",
                             lambda d, f: calls.append(f) or apply(d, f))
-        coeffs = reconstruct(d, SliceData(parse_polynomial("y", ring.vars)),
-                             parse_polynomial("y^3 + x*y", ring.vars), certificate)
+        coeffs = reconstruct(d, parse_polynomial("y", ring.vars),
+                             parse_polynomial("y^3 + x*y", ring.vars))
         assert [str(a) for a in coeffs] == ["0", "x", "0", "1"]
-        assert len(calls) == 4
+        assert [str(f) for f in calls] == ["y", "y^3 + x*y", "3*y^2 + x", "6*y", "6"]
 
     def test_local_slice_refused(self):
         d = derivation(P3, Z="X^2")
-        data = SliceData(pp("Z"), pp("X^2"))
-        with pytest.raises(DegenerateInputError):
-            reconstruct(d, data, pp("Z"))
+        with pytest.raises(DegenerateInputError, match="needs a true slice"):
+            reconstruct(d, pp("Z"), pp("Z"))
+
+    def test_local_slice_found_from_its_image_is_refused(self):
+        # D = 2 d/dx: x is a local slice with cofactor D(x) = 2, not a slice
+        ring = PresentedRing.polynomial_ring(("x", "y"))
+        d = derivation(ring, x="2")
+        x, f = (parse_polynomial(t, ring.vars) for t in ("x", "x^2"))
+        with pytest.raises(DegenerateInputError, match="needs a true slice"):
+            reconstruct(d, x, f)
 
 
 @pytest.fixture(scope="module")
