@@ -1,7 +1,9 @@
 """Run-wide tunables: budgets and the seed a report echoes.
 
-A `budget(pairs, dims)` scope bounds the S-pair reductions of all the
-Buchberger runs inside it, summed, and the size of one enumeration: the
+A `budget(pairs, dims)` scope bounds the J-pair reductions of all the
+Groebner runs inside it, summed (each pair the signature criteria keep,
+charged once before it is reduced, `groebner_engine._buchberger`), and
+the size of one enumeration: the
 monomials up to a degree, or the products of one span.  Against the fixed
 TERM_BUDGET it counts the terms formed by work a user's numbers alone can
 make unbounded: every product of two polynomials (powers included;

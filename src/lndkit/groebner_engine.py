@@ -1,15 +1,15 @@
-"""Buchberger's algorithm and the ideal toolkit every downstream test uses.
+"""Groebner bases and the ideal toolkit every downstream test uses.
 
 Membership, quotient, saturation, elimination and equality all reduce to
-reduced Groebner bases.  Every S-pair reduction is charged to the current
-budget scope (`config.budget`, summed over all the runs in it), so runaway
-computations end in clean errors instead of wrong answers.  Buchberger
+reduced Groebner bases, built by a signature-based Buchberger loop
+(`_buchberger`).  Every J-pair reduction is charged to the current budget
+scope (`config.budget`, summed over all the runs in it), so runaway
+computations end in clean errors instead of wrong answers.  The loop
 divides by the elements' division records (`poly_core`) and builds each
 element monic from its integer remainder row; each element keeps its
 record, cached on it, for every normal form taken modulo the basis.  The
 pair queue, both criteria and inter-reduction read the records' packed
-leading monomials, so they test divisibility as the division loop does;
-the chain criterion reads each element's popped partners from a bitmask,
+leading monomials, so they test divisibility as the division loop does,
 and the reductions of one run share a memo of first divisors (`_reduce`).
 Inside a `basis_memo()` scope, which `lnd run` opens once per session,
 each distinct input's reduced basis is computed once.
@@ -31,8 +31,8 @@ from .poly_core import (
     _layout,
     exact_div,
     monic_remainder,
+    regular_remainder,
     remainder,
-    s_pair_remainder,
 )
 
 
@@ -131,8 +131,11 @@ def basis_memo():
 
 def buchberger(generators, order=GREVLEX):
     """Reduced Groebner basis of the given generators, from the current
-    `basis_memo` scope when it already holds one for them."""
+    `basis_memo` scope when it already holds one for them.  Generators
+    over different variables raise VariableMismatchError."""
     generators = tuple(generators)
+    for g in generators[1:]:
+        generators[0]._check(g)
     memo = _MEMO.get()
     if memo is None:
         return _buchberger(generators, order)
@@ -147,30 +150,42 @@ def buchberger(generators, order=GREVLEX):
 def _buchberger(generators, order):
     """Reduced Groebner basis of the given generators, computed.
 
-    Pairs go by degree, deg(lcm) + max(ecart_i, ecart_j) with ecart =
-    degree - deg(leading monomial), then by smallest lcm; every ecart is 0
-    under a graded order, whose key starts with the degree, so that is
-    normal selection.  Buchberger's coprimality and chain criteria skip
-    pairs.  Each S-polynomial reduction is charged to the current budget,
-    which raises BudgetExceededError past its pair limit.  The loop keeps
-    every element's division record; an S-pair is formed on two records
-    and reduced by all of them (`s_pair_remainder`), and a new element
-    comes back monic with its record already made.
+    A signature loop (Faugere, "A new efficient algorithm for computing
+    Groebner bases without reduction to zero (F5)", ISSAC 2002; Gao, Volny
+    and Wang, "A new framework for computing Groebner bases", Math. Comp.
+    85, 2016; Roune and Stillman, "Practical Groebner basis computation",
+    ISSAC 2012).  The slimmed inputs f_0, ..., f_(n-1) stand for the unit
+    vectors e_i of a free module, and every element kept is g = sum a_i f_i
+    with the signature of its vector, the largest u*e_i in the Schreyer
+    order: u*e_i is below v*e_k when u*lm(f_i) is below v*lm(f_k) in the
+    ring order, or it equals it and i < k.  Under the layout's packing
+    (`poly_core._Layout`), which reverses the order, u*e_i is the int
+    (X(u*lm(f_i)) << width) + mask - i, and a larger int is a smaller
+    signature; a multiple by the packed t adds t << width.  An element's
+    ratio, (X(lm(g)) << width) - sig(g), is the same for all its multiples.
 
-    The pair queue and both criteria run on the records' packed leading
-    monomials (`poly_core._Layout`).  A pair's lcm is packed once, when it
-    is pushed, and queued as -X(lcm): the packing reverses the order, so
-    that is the order ascending, and equal packed forms are equal monomials;
-    the popped X(lcm) goes to `s_pair_remainder` as it is.
-    The leads are coprime exactly when X(lcm) = X(lead_i) + X(lead_j), and
-    lead_k divides the lcm exactly when X(lcm) - X(lead_k) sets no guard
-    bit, the test `_reduce` makes at every step.
-
-    done[i] has bit k set once the pair (i, k) has popped, so the chain
-    criterion tests only the leads of done[i] & done[j] (Gebauer and
-    Moeller, JSC 6, 1988).  The run's reductions share `firsts`, a memo of
-    first divisors, valid as `records` only grows by appending (`_reduce`).
-    Neither changes a decision, so every count is the plain scans'.
+    For two elements whose leads have the lcm L, the J-pair is the one of
+    the multiples (L/lm(g))*g with the larger signature; when both
+    signatures are equal there is none.  J-pairs pop in increasing
+    signature T = u*e_i, and one is skipped, with no reduction:
+    - by the syzygy criterion, when a known syzygy's signature divides T:
+      the Koszul syzygy f_k*e_i - f_i*e_k of inputs k < i, of signature
+      lm(f_k)*e_i (a memo keeps the first input lead dividing each u),
+      every T that reduced to zero, and the pair's own Koszul syzygy when
+      the two leads are coprime, which is never queued;
+    - by the rewrite criterion, when another element h with sig(h) | T has
+      a larger ratio: its multiple of signature T has a smaller lead, so
+      it covers T (the sig-lead ratio order; this covers the singular
+      criterion too).
+    Every other J-pair is charged to the current budget, which raises
+    BudgetExceededError past its pair limit, and reduced regularly:
+    t*g acts only when t*sig(g) < T (`regular_remainder`).  A zero is a
+    new syzygy; anything else is kept with signature T, monic and with its
+    record already made.  When no J-pair is left, every J-pair is covered,
+    so the elements form a Groebner basis (Gao, Volny and Wang's cover
+    theorem), which `_interreduce` makes reduced.  The run's reductions
+    share `firsts`, a memo of first divisors, valid as `records` only
+    grows by appending (`_reduce`).
     """
     budget = current_budget()
     basis = [g for g in generators if not g.is_zero()]
@@ -189,62 +204,89 @@ def _buchberger(generators, order):
     if not basis:
         return GroebnerBasis([], order)
 
-    layout = _layout(order, len(basis[0].vars))
-    pack, guard = layout.pack, layout.guard
+    vars = basis[0].vars
+    layout = _layout(order, len(vars))
+    weights, guard = layout.weights, layout.guard
+    n = len(basis)
+    width = n.bit_length()
+    mask = (1 << width) - 1
     start, basis = basis, []
-    lms, ecarts, records, leads, done, heap = [], [], [], [], [], []
+    lms, records, leads, sigs, ratios, heap = [], [], [], [], [], []
+    # per input i: the elements with signature on e_i, and the packed u of
+    # every signature u*e_i that reduced to zero
+    parts = [[] for _ in start]
+    zeros = [[] for _ in start]
+    # packed u -> the first input whose lead divides u, n for none
+    koszul = {}
 
-    def add(p):
-        """Keep p and queue its pairs with the elements kept before it."""
+    def add(p, sig):
+        """Keep p with signature sig and queue its J-pairs with the
+        elements kept before it."""
         new = len(basis)
         lm = p.leading_monomial(order)
-        ecart = p.degree() - sum(lm)
-        lcms = [[*map(max, m, lm)] for m in lms]
-        for t, (lcm, x) in enumerate(zip(lcms, pack(lcms))):
-            heappush(heap, (sum(lcm) + max(ecarts[t], ecart), -x, t, new))
         record = p.division_record(order)
+        lead = record[0]
+        # X(lcm(lm, m)) = X(m) + X(d), d the part of lm that m lacks, packed
+        # from the multiples of the weights of lm's few variables
+        steps = [(i, e, [j * weights[i] for j in range(e + 1)])
+                 for i, e in enumerate(lm) if e]
+        for k, m in enumerate(lms):
+            d = sum([row[e - m[i]] for i, e, row in steps if m[i] < e])
+            if d == lead:
+                continue
+            a, b = sig + ((leads[k] + d - lead) << width), sigs[k] + (d << width)
+            if a != b:
+                heappush(heap, (-a, new) if a < b else (-b, k))
         basis.append(p)
         lms.append(lm)
-        ecarts.append(ecart)
         records.append(record)
-        leads.append(record[0])
-        done.append(0)
+        leads.append(lead)
+        sigs.append(sig)
+        ratios.append((lead << width) - sig)
+        parts[mask - (sig & mask)].append(new)
 
-    for p in start:
-        add(p)
+    for i, p in enumerate(start):
+        add(p, (p.division_record(order)[0] << width) + mask - i)
     firsts = {}
 
     while heap:
-        _, x, i, j = heappop(heap)
-        x = -x
-        done[i] |= 1 << j
-        done[j] |= 1 << i
-        # coprime leading terms: S-polynomial reduces to zero
-        if x == leads[i] + leads[j]:
+        sig, j = heappop(heap)
+        sig = -sig
+        i = mask - (sig & mask)
+        u = (sig >> width) - leads[i]
+        # f_k*e_i - f_i*e_k, k < i, has the signature lm(f_k)*e_i
+        first = koszul.get(u)
+        if first is None:
+            first = koszul[u] = next((k for k in range(n) if not (u - leads[k]) & guard), n)
+        if first < i or any(not (u - z) & guard for z in zeros[i]):
             continue
-        # chain criterion, over the k whose pairs with i and j have both popped
-        common = done[i] & done[j]
-        while common and (x - leads[common.bit_length() - 1]) & guard:
-            common ^= 1 << (common.bit_length() - 1)
-        if common:
+        ratio = ratios[j]
+        if any(ratios[h] > ratio and not ((sig - sigs[h]) >> width) & guard
+               for h in parts[i]):
             continue
         budget.charge_pair()
-        r = s_pair_remainder(basis[i].vars, records[i], records[j], x, records, order, firsts)
+        r = regular_remainder(vars, (sig - sigs[j]) >> width, records[j],
+                              (sig, width, ratios), records, order, firsts)
         if r.is_zero():
-            continue
-        add(r)
+            zeros[i].append(u)
+        else:
+            add(r, sig)
 
     return GroebnerBasis(_interreduce(basis, records, order, guard), order)
 
 
 def normal_form(f, basis):
     """The unique remainder of f modulo a reduced GroebnerBasis; f itself
-    modulo the zero basis, which has no elements."""
+    modulo the zero basis, which has no elements.  VariableMismatchError
+    when f lives over other variables than the basis (`remainder`)."""
     return remainder(f, basis.elements, basis.order)
 
 
 def ideal_member(f, ideal, order=GREVLEX):
-    """True iff f lies in the ideal."""
+    """True iff f lies in the ideal; VariableMismatchError when f lives
+    over other variables than the ideal."""
+    if f.vars != ideal.vars:
+        raise VariableMismatchError(f"element over {f.vars}, ideal over {ideal.vars}")
     if f.is_zero():
         return True
     basis = ideal.groebner(order)

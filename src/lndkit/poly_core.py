@@ -6,7 +6,7 @@ as an int when it is integral and as a Fraction with denominator above 1
 otherwise; every ring element used anywhere in the toolkit is one of these.
 
 `remainder`, `divide`, `exact_div`, `monic_remainder` and Buchberger's
-`s_pair_remainder` share one division loop, `_reduce`.  It runs
+`regular_remainder` share one division loop, `_reduce`.  It runs
 fraction-free: the work terms are integers under one running scale, and
 each divisor enters as a record cached on the polynomial per monomial
 order, its coefficients a rational scalar times a primitive integer row
@@ -536,7 +536,7 @@ def _record(row, denom, gate):
     return lead, c0 // g, tail, Fraction(g, denom), gate
 
 
-def _reduce(work, scale, records, layout, quotients=None, firsts=None):
+def _reduce(work, scale, records, layout, quotients=None, firsts=None, regular=None):
     """The one division loop, behind every remainder and quotient.
 
     `work` maps packed monomials (`_Layout`) to integers under one scale
@@ -571,9 +571,18 @@ def _reduce(work, scale, records, layout, quotients=None, firsts=None):
     a packed monomial to its first dividing lead's index, or to ~n when
     none of the first n leads divides it; no lead appended later precedes
     a first divisor, so a monomial is tried only on the leads added since.
+
+    `regular`, given as (sig, width, ratios), gates every step by
+    signatures (`groebner_engine._buchberger`): the divisor i whose lead
+    divides x may act only when (x << width) - sig > ratios[i], which says
+    that the signature of its multiple lies below `sig`, the signature of
+    the element reduced.  A step goes to the first divisor that passes;
+    the memo still records the first that divides.
     """
     guard = layout.guard
     leads = [record[0] for record in records]
+    if regular is not None:
+        sig, width, ratios = regular
     heap = list(work)
     heapify(heap)
     rem = []
@@ -594,6 +603,15 @@ def _reduce(work, scale, records, layout, quotients=None, firsts=None):
             if i < 0:
                 rem.append((x, c))
                 continue
+        if regular is not None:
+            y = (x << width) - sig
+            if y <= ratios[i]:
+                for i in range(i + 1, len(leads)):
+                    if y > ratios[i] and not (x - leads[i]) & guard:
+                        break
+                else:
+                    rem.append((x, c))
+                    continue
         t = x - leads[i]
         _, lc, tail, k, gate = records[i]
         q = c
@@ -629,8 +647,6 @@ def divide(f, divisors, order=GREVLEX):
     """
     if not divisors:
         raise ValueError("empty divisor list")
-    for d in divisors:
-        f._check(d)
     quotients = [{} for _ in divisors]
     r = remainder(f, divisors, order, quotients)
     return [Polynomial(f.vars, q) for q in quotients], r
@@ -638,9 +654,12 @@ def divide(f, divisors, order=GREVLEX):
 
 def remainder(f, divisors, order=GREVLEX, quotients=None):
     """Remainder of multivariate division by the divisors' division
-    records under `order`; `quotients` as in `_reduce`."""
+    records under `order`; `quotients` as in `_reduce`.  A divisor over
+    other variables than f raises VariableMismatchError."""
     if not divisors:
         return f
+    for d in divisors:
+        f._check(d)
     records = [d.division_record(order) for d in divisors]
     layout = _layout(order, len(f.vars))
     work, scale, _ = _integer_work(f, layout)
@@ -687,39 +706,25 @@ def _monic_row(vars, row, order, layout):
     return p
 
 
-def s_pair_remainder(vars, f, g, lcm_fg, records, order, firsts=None):
-    """The S-polynomial of the polynomials with division records f and g,
-    reduced by `records` and made monic; zero when it reduces to zero.
-    `lcm_fg` is the lcm of their leading monomials, packed by the order's
-    layout, as Buchberger's pair queue holds it.
+def regular_remainder(vars, t, record, regular, records, order, firsts):
+    """The multiple t*g of the polynomial g with division record `record`,
+    t packed by the order's layout, reduced by `records` under the
+    signature gate `regular` and made monic; zero when it reduces to zero.
 
-    The S-polynomial is formed on the records' integer tails, times the
-    positive constant cf*cg/h with h = gcd(cf, cg), at scale 1:
-    (cg/h)*t_f*tail_f - (cf/h)*t_g*tail_g, where t_f and t_g shift the
-    leading monomials to their lcm, and the leading terms, which cancel,
-    are never formed.  Division is linear, so every step and divisor
-    choice is the rational S-polynomial's, and the monic remainder is its
-    monic remainder exactly, built from the remainder row by `_monic_row`.
-    `firsts` is the run's memo of first divisors, handed to `_reduce`.
+    The multiple is formed on g's primitive integer row at scale 1; only
+    its tail can pass EXPONENT_LIMIT, since t*lead(g) is the lcm of two
+    leading monomials.  `regular` and `firsts`, the run's memo of first
+    divisors, are handed to `_reduce`, and the remainder row is built
+    into a monic polynomial with its record by `_monic_row`.
     """
     layout = _layout(order, len(vars))
-    lead_f, cf, tail_f, _, gate_f = f
-    lead_g, cg, tail_g, _, gate_g = g
-    h = int_gcd(cf, cg)
-    work = {}
-    for lead, tail, gate, a in ((lead_f, tail_f, gate_f, cg // h),
-                                (lead_g, tail_g, gate_g, -(cf // h))):
-        t = lcm_fg - lead
-        if (t + gate) & layout.guard:
-            layout.check(t, tail)
-        for tm, tc in tail:
-            mm = t + tm
-            v = work.get(mm, 0) + a * tc
-            if v:
-                work[mm] = v
-            else:
-                del work[mm]
-    return _monic_row(vars, _reduce(work, 1, records, layout, firsts=firsts)[0], order, layout)
+    lead, lc, tail, _, gate = record
+    if (t + gate) & layout.guard:
+        layout.check(t, tail)
+    work = {t + tm: tc for tm, tc in tail}
+    work[t + lead] = lc
+    row = _reduce(work, 1, records, layout, firsts=firsts, regular=regular)[0]
+    return _monic_row(vars, row, order, layout)
 
 
 def exact_div(f, g, order=GREVLEX):
@@ -735,7 +740,8 @@ def gcd(f, g):
 
     f*g divided by lcm(f, g), the generator of (f) intersected with (g)
     (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, section
-    4.3); the intersection's S-pairs are charged to the current budget.
+    4.3); the intersection's J-pair reductions are charged to the current
+    budget.
     """
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd(0, 0) is undefined")

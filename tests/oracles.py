@@ -4,7 +4,7 @@ checking its integer-row routes against."""
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, combinations_with_replacement, product
-from math import inf
+from math import gcd as int_gcd, inf
 
 from lndkit._linalg import RowSpace
 from lndkit.grade_analyzer import GradeValue, image_ideal
@@ -13,8 +13,9 @@ from lndkit.poly_core import (
     GREVLEX,
     Polynomial,
     _layout,
+    _monic_row,
+    _reduce,
     monic_remainder,
-    s_pair_remainder,
 )
 
 
@@ -72,6 +73,40 @@ def s_polynomial(f, g, order):
     lcm = monomial_lcm(mf, mg)
     return (f * Polynomial(f.vars, {monomial_div(lcm, mf): Fraction(1, cf)})
             - g * Polynomial(g.vars, {monomial_div(lcm, mg): Fraction(1, cg)}))
+
+
+def s_pair_remainder(vars, f, g, lcm_fg, records, order, firsts=None):
+    """The S-polynomial of the polynomials with division records f and g,
+    reduced by `records` and made monic; zero when it reduces to zero.
+    `lcm_fg` is the lcm of their leading monomials, packed by the order's
+    layout, as the reference pair queue holds it.
+
+    The S-polynomial is formed on the records' integer tails, times the
+    positive constant cf*cg/h with h = gcd(cf, cg), at scale 1:
+    (cg/h)*t_f*tail_f - (cf/h)*t_g*tail_g, where t_f and t_g shift the
+    leading monomials to their lcm, and the leading terms, which cancel,
+    are never formed.  Division is linear, so every step and divisor
+    choice is the rational S-polynomial's, and the monic remainder is its
+    monic remainder exactly.
+    """
+    layout = _layout(order, len(vars))
+    lead_f, cf, tail_f, _, gate_f = f
+    lead_g, cg, tail_g, _, gate_g = g
+    h = int_gcd(cf, cg)
+    work = {}
+    for lead, tail, gate, a in ((lead_f, tail_f, gate_f, cg // h),
+                                (lead_g, tail_g, gate_g, -(cf // h))):
+        t = lcm_fg - lead
+        if (t + gate) & layout.guard:
+            layout.check(t, tail)
+        for tm, tc in tail:
+            mm = t + tm
+            v = work.get(mm, 0) + a * tc
+            if v:
+                work[mm] = v
+            else:
+                del work[mm]
+    return _monic_row(vars, _reduce(work, 1, records, layout, firsts=firsts)[0], order, layout)
 
 
 def buchberger_reference(generators, order):

@@ -508,24 +508,24 @@ class TestCommandLine:
         assert main(["corpus", "--seed", "0"]) == 0
 
     def test_pair_budget_bounds_a_whole_command(self, tmp_path):
-        # in a session of its own, `rees I upto 4` makes 10 S-pair
+        # in a session of its own, `rees I upto 4` makes 7 J-pair
         # reductions over 9 Buchberger runs, its saturator certificate
-        # included, at most 8 in any one of them
+        # included, at most 5 in any one of them
         text = corpus_path("rees_cone.lnd").read_text(encoding="utf-8")
         rees_only = "".join(line for line in text.splitlines(keepends=True)
                             if not line.startswith("symbolic"))
-        code, report = _run_file(tmp_path, rees_only, "--pair-budget", "9")
+        code, report = _run_file(tmp_path, rees_only, "--pair-budget", "6")
         assert code == 2
         [entry] = report["commands"]
         assert entry["status"] == "error"
-        assert "pair budget 9" in entry["error"]
-        code, report = _run_file(tmp_path, rees_only, "--pair-budget", "10")
+        assert "pair budget 6" in entry["error"]
+        code, report = _run_file(tmp_path, rees_only, "--pair-budget", "7")
         assert code == 0
 
     def test_a_basis_from_an_earlier_command_charges_no_pairs(self, tmp_path):
         # after the `symbolic` commands, `rees I upto 4` finds their pieces
         # and saturator certificate in the session's bases and stops
-        # needing 10 pairs; `symbolic I power 2` needs 12
+        # needing 7 pairs; `symbolic I power 2` needs 9
         out_file = tmp_path / "report.json"
         argv = ["run", str(corpus_path("rees_cone.lnd")), "--json", str(out_file)]
 
@@ -533,11 +533,11 @@ class TestCommandLine:
             report = json.loads(out_file.read_text(encoding="utf-8"))
             return next(c for c in report["commands"] if c["command"].startswith("rees"))
 
-        assert main(argv + ["--pair-budget", "7"]) == 2
-        assert "pair budget 7" in rees_entry()["error"]
-        assert main(argv + ["--pair-budget", "8"]) == 2
+        assert main(argv + ["--pair-budget", "4"]) == 2
+        assert "pair budget 4" in rees_entry()["error"]
+        assert main(argv + ["--pair-budget", "5"]) == 2
         assert rees_entry()["status"] == "ok"
-        assert main(argv + ["--pair-budget", "12"]) == 0
+        assert main(argv + ["--pair-budget", "9"]) == 0
 
     def test_irreducibility_gcds_are_charged_to_the_pair_budget(self, tmp_path):
         # the images share (a+b+c+d+e)^2; each gcd is an intersection of

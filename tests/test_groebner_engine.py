@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,12 +26,13 @@ from lndkit.poly_core import (
     MonomialOrder,
     Polynomial,
     parse_polynomial,
+    regular_remainder,
     remainder,
-    s_pair_remainder,
 )
+from lndkit.cli_runner import CORPUS_SESSIONS, RunConfig, corpus_path, parse_session, run
 from lndkit.presentation import PresentedRing, present_subalgebra
 
-from oracles import buchberger_reference, ideal_equal, packed_lcm, s_polynomial
+from oracles import buchberger_reference, ideal_equal, packed_lcm, s_pair_remainder, s_polynomial
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -90,17 +92,17 @@ class TestBuchberger:
             buchberger(gens, LEX)
 
     def test_budget_is_summed_over_runs_in_one_scope(self):
-        # each run makes 9 S-pair reductions, so 15 fits one run, not two
+        # each run makes 4 J-pair reductions, so 6 fits one run, not two
         def run():
             gens = [P("x^2 + y*z"), P("x*y - z^2"), P("y^3 - x")]
             Ideal(gens).groebner(LEX)
 
         for _ in range(2):
-            with budget(pairs=15) as scope:
+            with budget(pairs=6) as scope:
                 run()
-            assert scope.used == 9
-        with pytest.raises(BudgetExceededError, match="pair budget 15"), \
-                budget(pairs=15):
+            assert scope.used == 4
+        with pytest.raises(BudgetExceededError, match="pair budget 6"), \
+                budget(pairs=6):
             run()
             run()
 
@@ -180,35 +182,37 @@ def _rational_poly(rng, vars, max_degree=3, n_terms=4):
 
 
 class TestPairSelection:
-    """S-pair reduction counts: degree-first selection leaves every
-    grevlex run as normal selection had it and cuts the block-order runs."""
+    """J-pair reduction counts of the signature loop; Buchberger's
+    coprime and chain criteria, with degree-first selection, made the
+    counts in the comments."""
 
     def test_grevlex_cyclic_5_count(self):
         with budget() as scope:
             basis = buchberger(_cyclic(5), GREVLEX)
-        assert scope.used == 103
+        assert scope.used == 54   # 103
         assert len(basis) == 20
 
     def test_grevlex_katsura_5_count(self):
         with budget() as scope:
             buchberger(_katsura(5), GREVLEX)
-        assert scope.used == 26
+        assert scope.used == 11   # 26
 
     def test_grevlex_katsura_6_count(self):
         with budget() as scope:
             basis = buchberger(_katsura(6), GREVLEX)
-        assert scope.used == 64
+        assert scope.used == 25   # 64
         assert len(basis) == 22
 
-    # the pair queue keys on packed lcms, which must sort as order.key does
-    # for every kind of order and permutation
+    # the J-pair queue keys on packed signatures, which must sort as
+    # order.key does for every kind of order and permutation; the pairs
+    # Buchberger's criteria reduced were 25, 8, 26, 86, 13 and 4
     @pytest.mark.parametrize("ideal, order, pairs, size", [
-        ("katsura-4", MonomialOrder.lex(), 25, 4),
-        ("cyclic-4", MonomialOrder.grlex(), 8, 7),
-        ("katsura-5", MonomialOrder.grevlex((4, 2, 0, 1, 3)), 26, 13),
-        ("cyclic-5", MonomialOrder.grevlex((1, 3, 0, 4, 2)), 86, 20),
-        ("katsura-4", MonomialOrder.elimination(2), 13, 6),
-        ("cyclic-4", MonomialOrder.lex((3, 1, 2, 0)), 4, 5),
+        ("katsura-4", MonomialOrder.lex(), 12, 4),
+        ("cyclic-4", MonomialOrder.grlex(), 4, 7),
+        ("katsura-5", MonomialOrder.grevlex((4, 2, 0, 1, 3)), 13, 13),
+        ("cyclic-5", MonomialOrder.grevlex((1, 3, 0, 4, 2)), 47, 20),
+        ("katsura-4", MonomialOrder.elimination(2), 7, 6),
+        ("cyclic-4", MonomialOrder.lex((3, 1, 2, 0)), 2, 5),
     ], ids=["katsura-4-lex", "cyclic-4-grlex", "katsura-5-grevlex-permuted",
             "cyclic-5-grevlex-permuted", "katsura-4-elimination",
             "cyclic-4-lex-permuted"])
@@ -221,12 +225,13 @@ class TestPairSelection:
         assert len(basis) == size
 
     def test_tag_basis_count(self):
-        # the subalgebra C of example 6.1; normal selection made 217
+        # the subalgebra C of example 6.1; normal selection made 217 and
+        # degree-first selection with Buchberger's criteria 72
         ring = PresentedRing.polynomial_ring(XYZ)
         gens = [P(t) for t in ("x^2", "x^3", "y + x*y^2", "x^2*y", "x^3*z")]
         with budget() as scope:
             sub = present_subalgebra(ring, gens)
-        assert scope.used == 72
+        assert scope.used == 42
         assert sub.member(P("x^5*z + y*x^2 + x^3*y^2")).member
 
 
@@ -247,30 +252,122 @@ def _decision_case(case):
 
 
 class TestPairLoopDecisions:
-    """The partner bitmasks and the first-divisor memo change no decision:
-    Buchberger reduces the same pairs, with the same zero reductions, to
-    the same basis as the reference loop on a set of tuples and a plain
-    first-divisor scan."""
+    """The signature loop reaches the reference loop's reduced basis (its
+    coprime and chain criteria on a set of tuples, with a plain
+    first-divisor scan), with its own pinned counts of J-pair reductions
+    and of those that reduce to zero."""
 
-    @pytest.mark.parametrize("case", ["katsura-5", "cyclic-5", "cone-saturation", "random-lex"])
-    def test_same_decisions_as_the_reference(self, monkeypatch, case):
+    @pytest.mark.parametrize("case, pairs, zeros", [
+        ("katsura-5", 11, 3), ("cyclic-5", 54, 7), ("cone-saturation", 8, 6), ("random-lex", 6, 2),
+    ], ids=["katsura-5", "cyclic-5", "cone-saturation", "random-lex"])
+    def test_same_decisions_as_the_reference(self, monkeypatch, case, pairs, zeros):
         gens, order = _decision_case(case)
-        zeros = []
+        reduced = []
 
         def spy(*args):
-            r = s_pair_remainder(*args)
-            zeros.append(r.is_zero())
+            r = regular_remainder(*args)
+            reduced.append(r.is_zero())
             return r
 
-        monkeypatch.setattr(groebner_engine, "s_pair_remainder", spy)
+        monkeypatch.setattr(groebner_engine, "regular_remainder", spy)
         with budget() as scope:
             basis = buchberger(gens, order)
-        elements, reduced, zero, chained = buchberger_reference(gens, order)
-        assert len(zeros) == scope.used == reduced
-        assert sum(zeros) == zero
+        elements, reference_pairs, reference_zeros, _ = buchberger_reference(gens, order)
         assert basis.elements == elements
-        # each case reaches the chain criterion and reduces to zero and not
-        assert chained and 0 < zero < reduced
+        assert len(reduced) == scope.used == pairs
+        assert sum(reduced) == zeros
+        # the loop reduces fewer pairs, and fewer of them to zero
+        assert pairs < reference_pairs and zeros < reference_zeros
+
+
+def _random_order(rng, n):
+    """grevlex, lex or grlex, each also permuted, or a block order."""
+    permutation = list(range(n))
+    rng.shuffle(permutation)
+    kind = rng.choice(["grevlex", "lex", "grlex", "permuted", "block"])
+    if kind == "block":
+        return MonomialOrder.elimination(rng.randint(1, n - 1), rng.choice((None, tuple(permutation))))
+    if kind == "permuted":
+        return MonomialOrder(rng.choice(("grevlex", "lex", "grlex")), permutation=tuple(permutation))
+    return MonomialOrder(kind)
+
+
+def _random_ideal(rng, n):
+    """Two to four generators on n variables, each one of: a binomial, a
+    homogeneous polynomial with rational coefficients, or an inhomogeneous
+    one with a constant term allowed."""
+    vars = ("x", "y", "z", "w", "v")[:n]
+
+    def monomial(degree):
+        m = [0] * n
+        for _ in range(degree):
+            m[rng.randrange(n)] += 1
+        return tuple(m)
+
+    gens = []
+    for _ in range(rng.randint(2, min(4, n + 1))):
+        shape = rng.choice(("binomial", "homogeneous", "mixed"))
+        if shape == "binomial":
+            terms = {monomial(rng.randint(1, 3)): 1, monomial(rng.randint(0, 2)): rng.choice((-1, 2))}
+        elif shape == "homogeneous":
+            d = rng.randint(1, 3)
+            terms = {monomial(d): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(rng.randint(2, 4))}
+        else:
+            terms = {monomial(rng.randint(0, 3)): rng.randint(-3, 3) for _ in range(rng.randint(2, 4))}
+        gens.append(Polynomial(vars, terms))
+    return gens
+
+
+def _workload_inputs(monkeypatch):
+    """The generators and order of every Buchberger run that the corpus
+    sessions and the benchmark's ideals workload compute, each once."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    inputs, inner = {}, groebner_engine._buchberger
+
+    def capture(generators, order):
+        inputs.setdefault((order, generators), None)
+        return inner(generators, order)
+
+    monkeypatch.setattr(groebner_engine, "_buchberger", capture)
+    for name in CORPUS_SESSIONS:
+        run(parse_session(corpus_path(name).read_text(encoding="utf-8")), RunConfig())
+    for job in workloads.build("ideals", 1):
+        job.call()
+    monkeypatch.setattr(groebner_engine, "_buchberger", inner)
+    return list(inputs)
+
+
+class TestSignatureLoop:
+    """A reduced basis is unique, so the signature loop must reach the
+    reference loop's on every input, whatever the order of its
+    generators: a criterion that skips a pair it needs shows here as a
+    missing element."""
+
+    def test_random_ideals_match_the_reference(self):
+        rng = random.Random(38)
+        for _ in range(600):
+            n = rng.randint(2, 5)
+            gens, order = _random_ideal(rng, n), _random_order(rng, n)
+            assert buchberger(gens, order).elements == buchberger_reference(gens, order)[0], \
+                (order, [str(g) for g in gens])
+
+    def test_workload_inputs_match_the_reference_in_six_orders(self, monkeypatch):
+        rng = random.Random(6)
+        inputs = _workload_inputs(monkeypatch)
+        # the tag bases, the grade intersections and saturations of the
+        # corpus, and katsura-5/6, cyclic-5 and the Rees saturations
+        assert len(inputs) > 40
+        for order, generators in inputs:
+            want = buchberger_reference(generators, order)[0]
+            orders = [list(generators), list(generators[::-1])]
+            for _ in range(4):
+                orders.append(list(generators))
+                rng.shuffle(orders[-1])
+            for gens in orders:
+                assert buchberger(gens, order).elements == want, (order, [str(g) for g in gens])
 
 
 def _counted(monkeypatch):
@@ -324,7 +421,7 @@ class TestBasisMemo:
             with budget() as scope:
                 basis = buchberger(_katsura(4))
             # the second run computes the basis afresh, at its full charge
-            assert scope.used == 8
+            assert scope.used == 4
         assert len(runs) == 2
         assert basis.elements == buchberger(_katsura(4)).elements
 
@@ -360,17 +457,19 @@ class TestSPairRemainder:
         added, memos = [], set()
 
         def spy(*args):
-            # the pair queue hands over the lcm it packed when it queued the
-            # pair, and every reduction of the run its one first-divisor memo
-            vars, f, g, lcm_fg, _, order_, firsts = args
-            assert lcm_fg == packed_lcm(f, g, order_, len(vars))
+            # each J-pair is a multiple t*g whose lead is the lcm of g's lead
+            # and another's, and every reduction of the run gets its one
+            # first-divisor memo
+            vars, t, record, _, records, order_, firsts = args
+            assert any(packed_lcm(record, other, order_, len(vars)) == t + record[0]
+                       for other in records if other is not record)
             memos.add(id(firsts))
-            r = s_pair_remainder(*args)
+            r = regular_remainder(*args)
             if not r.is_zero():
                 added.append(r)
             return r
 
-        monkeypatch.setattr(groebner_engine, "s_pair_remainder", spy)
+        monkeypatch.setattr(groebner_engine, "regular_remainder", spy)
         buchberger(gens, order)
         assert added and len(memos) == 1
         for p in added:
@@ -378,6 +477,29 @@ class TestSPairRemainder:
             assert p.sorted_terms(order) == fresh.sorted_terms(order)
             # read the record's cache directly: it was seeded, not computed
             assert p._records[order] == fresh.division_record(order)
+
+
+class TestVariableMismatch:
+    """Polynomials over other variables are refused, as `Ideal` and
+    `divide` refuse them, rather than read position by position."""
+
+    def test_buchberger(self):
+        with pytest.raises(VariableMismatchError):
+            buchberger([P("x + y", XY), P("x*z - 1")])
+
+    def test_remainder(self):
+        with pytest.raises(VariableMismatchError):
+            remainder(P("x*z - 1"), [P("x + y", XY)])
+
+    def test_normal_form(self):
+        with pytest.raises(VariableMismatchError):
+            normal_form(P("x*z - 1"), Ideal([P("x + y", XY)]).groebner())
+
+    def test_ideal_member(self):
+        with pytest.raises(VariableMismatchError):
+            ideal_member(P("x*z - 1"), Ideal([P("x + y", XY)]))
+        with pytest.raises(VariableMismatchError):
+            ideal_member(Polynomial.zero(XYZ), Ideal([], XY))
 
 
 class TestZeroIdeal:

@@ -32,10 +32,10 @@ from lndkit.poly_core import (
     monomial_mul,
     parse_polynomial,
     product_cost,
+    regular_remainder,
     remainder,
-    s_pair_remainder,
 )
-from oracles import blocks, canonical, monomial_div, monomial_lcm, order_key, packed_lcm
+from oracles import blocks, canonical, monomial_div, monomial_lcm, order_key
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -459,23 +459,23 @@ class TestDivision:
         assert remainder(P("y^2 + x"), [P("2*x - 1")]) == P("y^2 + 1/2")
 
     def test_overflowing_s_pair_shift_raises(self):
-        # x + y^L and x*y - 1 under lex: the shift y of the first tail
-        # gives y^(L+1)
-        f = Polynomial(XY, {(1, 0): Fraction(1), (0, EXPONENT_LIMIT): Fraction(1)})
-        g = P("x*y - 1", XY)
-        records = [f.division_record(LEX), g.division_record(LEX)]
+        # x^2 + y^L and x*y - 1 under lex: the J-pair y*(x^2 + y^L), or the
+        # step that reduces x*(x*y - 1) by it, forms y^(L+1)
+        from lndkit.groebner_engine import buchberger
+        f = Polynomial(XY, {(2, 0): Fraction(1), (0, EXPONENT_LIMIT): Fraction(1)})
         with pytest.raises(ExponentOverflowError):
-            s_pair_remainder(XY, *records, packed_lcm(*records, LEX, 2), records, LEX)
+            buchberger([f, P("x*y - 1", XY)], LEX)
 
     def test_overflowing_s_pair_shift_raises_though_divided_away(self):
-        # as above, with y^L among the divisors: y^(L+1) would be divided
-        # away and leave no trace in the remainder
-        f = Polynomial(XY, {(1, 0): Fraction(1), (0, EXPONENT_LIMIT): Fraction(1)})
+        # the multiple y*(x^2 + y^L) with y^L among the divisors: y^(L+1)
+        # would be divided away and leave no trace in the remainder, but
+        # the multiple's tail is checked as it is formed, before any step
+        f = Polynomial(XY, {(2, 0): Fraction(1), (0, EXPONENT_LIMIT): Fraction(1)})
         records = [p.division_record(LEX)
                    for p in (f, P("x*y - 1", XY), Polynomial(XY, {(0, EXPONENT_LIMIT): 1}))]
+        [y] = _layout(LEX, 2).pack([(0, 1)])
         with pytest.raises(ExponentOverflowError):
-            s_pair_remainder(XY, *records[:2], packed_lcm(*records[:2], LEX, 2),
-                             records, LEX)
+            regular_remainder(XY, y, records[0], (0, 0, [0] * 3), records, LEX, {})
 
 
 def _exponents(n, top):
