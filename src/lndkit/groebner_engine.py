@@ -5,12 +5,13 @@ reduced Groebner bases, built by a signature-based Buchberger loop
 (`_buchberger`).  Every J-pair reduction is charged to the current budget
 scope (`config.budget`, summed over all the runs in it), so runaway
 computations end in clean errors instead of wrong answers.  The loop
-divides by the elements' division records (`poly_core`) and builds each
-element monic from its integer remainder row; each element keeps its
-record, cached on it, for every normal form taken modulo the basis.  The
-pair queue, both criteria and inter-reduction read the records' packed
-leading monomials, so they test divisibility as the division loop does,
-and the reductions of one run share a memo of first divisors (`_reduce`).
+runs on division records alone (`poly_core`): every element it keeps is
+the record of a monic remainder (`monic_remainder`), and only the reduced
+basis is built into polynomials, each with its record seeded for every
+normal form taken modulo the basis.  The pair queue, both criteria and
+inter-reduction read the records' packed leading monomials, so they test
+divisibility as the division loop does, and the reductions of one run
+share a memo of first divisors (`_reduce`).
 Inside a `basis_memo()` scope, which `lnd run` opens once per session,
 each distinct input's reduced basis is computed once.
 """
@@ -29,9 +30,9 @@ from .poly_core import (
     MonomialOrder,
     Polynomial,
     _layout,
+    _quotient,
     exact_div,
     monic_remainder,
-    regular_remainder,
     remainder,
 )
 
@@ -92,25 +93,29 @@ class Ideal:
         return f"Ideal({gens})"
 
 
-def _interreduce(basis, records, order, guard):
-    """Turn a generating set with the Groebner property, given with its
-    elements' division records, into a reduced basis.  Minimality and both
-    sorts read the records' packed leading monomials: -X ascends as the
-    order does (`poly_core._Layout`), and a lead divides another when their
-    difference sets no `guard` bit."""
+def _interreduce(vars, records, order, layout):
+    """The reduced basis, over `vars`, of a generating set with the Groebner
+    property given by its elements' division records: each element monic
+    and with its record seeded.  Minimality and both sorts read the
+    records' packed leading monomials: -X ascends as the order does
+    (`poly_core._Layout`), and a lead divides another when their
+    difference sets no guard bit."""
+    guard = layout.guard
     # minimality: drop elements whose leading term another one divides
-    minimal, kept = [], []
-    for i in sorted(range(len(basis)), key=lambda i: -records[i][0]):
-        lead = records[i][0]
-        if any(not (lead - q[0]) & guard for q in kept):
-            continue
-        minimal.append(basis[i])
-        kept.append(records[i])
+    kept = []
+    for record in sorted(records, key=lambda r: -r[0]):
+        if not any(not (record[0] - q[0]) & guard for q in kept):
+            kept.append(record)
     # no other leading term divides an element's own, so its remainder keeps it
-    reduced = [monic_remainder(p, kept[:i] + kept[i + 1:], order)
-               for i, p in enumerate(minimal)]
-    reduced.sort(key=lambda p: p.division_record(order)[0])
-    return reduced
+    reduced = sorted((monic_remainder(r, kept[:i] + kept[i + 1:], layout)
+                      for i, r in enumerate(kept)), key=lambda r: r[0])
+    basis, unpack = [], layout.unpack
+    for record in reduced:
+        lead, lc, tail, _, _ = record
+        p = Polynomial(vars, {unpack(x): _quotient(c, lc) for x, c in [(lead, lc), *tail]})
+        p._records[order] = record
+        basis.append(p)
+    return basis
 
 
 _MEMO = ContextVar("lndkit_basis_memo", default=None)
@@ -179,38 +184,36 @@ def _buchberger(generators, order):
       criterion too).
     Every other J-pair is charged to the current budget, which raises
     BudgetExceededError past its pair limit, and reduced regularly:
-    t*g acts only when t*sig(g) < T (`regular_remainder`).  A zero is a
-    new syzygy; anything else is kept with signature T, monic and with its
-    record already made.  When no J-pair is left, every J-pair is covered,
-    so the elements form a Groebner basis (Gao, Volny and Wang's cover
-    theorem), which `_interreduce` makes reduced.  The run's reductions
-    share `firsts`, a memo of first divisors, valid as `records` only
-    grows by appending (`_reduce`).
+    t*g acts only when t*sig(g) < T (`monic_remainder` with the gate).  A
+    zero is a new syzygy; anything else is kept with signature T, as the
+    division record of a monic element.  When no J-pair is left, every
+    J-pair is covered, so the elements form a Groebner basis (Gao, Volny
+    and Wang's cover theorem), which `_interreduce` makes reduced and
+    builds into polynomials.  The run's reductions share `firsts`, a memo
+    of first divisors, valid as `records` only grows by appending
+    (`_reduce`).
     """
     budget = current_budget()
-    basis = [g for g in generators if not g.is_zero()]
+    start = [g.division_record(order) for g in generators if not g.is_zero()]
+    if not start:
+        return GroebnerBasis([], order)
+    vars = generators[0].vars
+    layout = _layout(order, len(vars))
     # interreduce the input; repeat until stable so the starting set is lean
     while True:
-        records = [p.division_record(order) for p in basis]
-        slimmed, kept = [], []
-        for i, p in enumerate(basis):
-            r = monic_remainder(p, kept + records[i + 1:], order)
-            if not r.is_zero():
-                slimmed.append(r)
-                kept.append(r.division_record(order))
-        if slimmed == basis:
+        kept = []
+        for i, record in enumerate(start):
+            r = monic_remainder(record, kept + start[i + 1:], layout)
+            if r is not None:
+                kept.append(r)
+        if kept == start:
             break
-        basis = slimmed
-    if not basis:
-        return GroebnerBasis([], order)
+        start = kept
 
-    vars = basis[0].vars
-    layout = _layout(order, len(vars))
     weights, guard = layout.weights, layout.guard
-    n = len(basis)
+    n = len(start)
     width = n.bit_length()
     mask = (1 << width) - 1
-    start, basis = basis, []
     lms, records, leads, sigs, ratios, heap = [], [], [], [], [], []
     # per input i: the elements with signature on e_i, and the packed u of
     # every signature u*e_i that reduced to zero
@@ -219,13 +222,12 @@ def _buchberger(generators, order):
     # packed u -> the first input whose lead divides u, n for none
     koszul = {}
 
-    def add(p, sig):
-        """Keep p with signature sig and queue its J-pairs with the
-        elements kept before it."""
-        new = len(basis)
-        lm = p.leading_monomial(order)
-        record = p.division_record(order)
+    def add(record, sig):
+        """Keep the element with division record `record` and signature
+        sig, and queue its J-pairs with the elements kept before it."""
+        new = len(records)
         lead = record[0]
+        lm = layout.unpack(lead)
         # X(lcm(lm, m)) = X(m) + X(d), d the part of lm that m lacks, packed
         # from the multiples of the weights of lm's few variables
         steps = [(i, e, [j * weights[i] for j in range(e + 1)])
@@ -237,7 +239,6 @@ def _buchberger(generators, order):
             a, b = sig + ((leads[k] + d - lead) << width), sigs[k] + (d << width)
             if a != b:
                 heappush(heap, (-a, new) if a < b else (-b, k))
-        basis.append(p)
         lms.append(lm)
         records.append(record)
         leads.append(lead)
@@ -245,8 +246,8 @@ def _buchberger(generators, order):
         ratios.append((lead << width) - sig)
         parts[mask - (sig & mask)].append(new)
 
-    for i, p in enumerate(start):
-        add(p, (p.division_record(order)[0] << width) + mask - i)
+    for i, record in enumerate(start):
+        add(record, (record[0] << width) + mask - i)
     firsts = {}
 
     while heap:
@@ -265,14 +266,14 @@ def _buchberger(generators, order):
                for h in parts[i]):
             continue
         budget.charge_pair()
-        r = regular_remainder(vars, (sig - sigs[j]) >> width, records[j],
-                              (sig, width, ratios), records, order, firsts)
-        if r.is_zero():
+        r = monic_remainder(records[j], records, layout, (sig - sigs[j]) >> width,
+                            (sig, width, ratios), firsts)
+        if r is None:
             zeros[i].append(u)
         else:
             add(r, sig)
 
-    return GroebnerBasis(_interreduce(basis, records, order, guard), order)
+    return GroebnerBasis(_interreduce(vars, records, order, layout), order)
 
 
 def normal_form(f, basis):

@@ -5,29 +5,30 @@ Polynomials map monomials to nonzero rational coefficients, each stored
 as an int when it is integral and as a Fraction with denominator above 1
 otherwise; every ring element used anywhere in the toolkit is one of these.
 
-`remainder`, `divide`, `exact_div`, `monic_remainder` and Buchberger's
-`regular_remainder` share one division loop, `_reduce`.  It runs
-fraction-free: the work terms are integers under one running scale, and
-each divisor enters as a record cached on the polynomial per monomial
-order, its coefficients a rational scalar times a primitive integer row
-(the idiom of `_linalg`; Becker and Weispfenning, ch. 5).  The loop
-returns the remainder as an integer row at one final scale, in descending
-order, so a remainder Buchberger keeps becomes a monic polynomial, with
-its record, in one pass.  Inside the loop a monomial is one packed int
-(Monagan and Pearce, "Polynomial division using dynamic arrays, heaps,
-and packed exponent vectors", CASC 2007, and "Sparse polynomial
-division using a heap", JSC 2011): its exponents sit in
-34-bit fields whose top bit is a guard, under a high part that carries
-whatever of the order's descending key the field order does not give
-(`_Layout`).  The packing is linear, so a product is one addition; it is
-order-reversing, so the work terms sit in a min-heap of plain ints and
-each step takes the largest remaining term without rescanning; and a
-leading monomial divides m exactly when their difference has no guard
-bit set.  Steps and divisor choices are those of textbook division (Cox,
-Little and O'Shea, 2.3), and every quotient and remainder equals the
-rational one exactly; only the bookkeeping differs.  `_Layout` is the one
-encoding of an order: every sort of terms, comparison of leading monomials
-and divisibility test in the library runs on packed forms.
+`remainder`, `divide`, `exact_div` and Buchberger's `monic_remainder`
+share one division loop, `_reduce`.  It runs fraction-free: the work
+terms are integers under one running scale, and each divisor enters as a
+record cached on the polynomial per monomial order, its coefficients a
+rational scalar times a primitive integer row (the idiom of `_linalg`;
+Becker and Weispfenning, ch. 5).  The loop returns the remainder as an
+integer row at one final scale, in descending order, so a remainder
+Buchberger keeps becomes the division record of a monic polynomial in
+one pass, and no polynomial is built until the reduced basis is.  Inside
+the loop a monomial is one packed int (Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007, and "Sparse polynomial division using a heap", JSC 2011): its
+exponents sit in 34-bit fields whose top bit is a guard, under a high
+part that carries whatever of the order's descending key the field order
+does not give (`_Layout`).  The packing is linear, so a product is one
+addition; it is order-reversing, so the work terms sit in a min-heap of
+plain ints and each step takes the largest remaining term without
+rescanning; and a leading monomial divides m exactly when their
+difference has no guard bit set.  Steps and divisor choices are those of
+textbook division (Cox, Little and O'Shea, 2.3), and every quotient and
+remainder equals the rational one exactly; only the bookkeeping differs.
+`_Layout` is the one encoding of an order: every sort of terms,
+comparison of leading monomials and divisibility test in the library
+runs on packed forms.
 """
 
 from __future__ import annotations
@@ -449,7 +450,10 @@ class Polynomial:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
+        # a constant, zero included, equals its scalar and so hashes as it;
         # a sum of the term hashes does not depend on the terms' order
+        if len(self.terms) < 2 and self.is_constant():
+            return hash(self.terms.get((0,) * len(self.vars), 0))
         return hash((self.vars, sum(map(hash, self.terms.items()))))
 
     # -- substitution ---------------------------------------------------------
@@ -681,50 +685,27 @@ def _integer_work(f, layout):
     return work, scale, top
 
 
-def monic_remainder(f, records, order):
-    """The remainder of nonzero f by `records` made monic, as `_monic_row`
-    builds it from the remainder row; zero when f reduces to zero.  The
-    work is f's own primitive integer row, from its division record, at
-    scale 1: a monic remainder does not depend on the scale."""
-    layout = _layout(order, len(f.vars))
-    lead, lc, tail, _, _ = f.division_record(order)
-    work = dict(tail)
-    work[lead] = lc
-    return _monic_row(f.vars, _reduce(work, 1, records, layout)[0], order, layout)
-
-
-def _monic_row(vars, row, order, layout):
-    """The monic polynomial of a row of integer terms on packed monomials,
-    descending under `order`, with its record for the order seeded from
-    the row; zero if empty.  Every monomial of the row is unpacked."""
-    if not row:
-        return Polynomial.zero(vars)
-    monos = [layout.unpack(x) for x, _ in row]
-    c0 = row[0][1]
-    p = Polynomial(vars, {m: _quotient(c, c0) for m, (_, c) in zip(monos, row)})
-    p._records[order] = _record(row, c0, layout.gate(_top_exponent(monos)))
-    return p
-
-
-def regular_remainder(vars, t, record, regular, records, order, firsts):
+def monic_remainder(record, records, layout, t=0, regular=None, firsts=None):
     """The multiple t*g of the polynomial g with division record `record`,
-    t packed by the order's layout, reduced by `records` under the
-    signature gate `regular` and made monic; zero when it reduces to zero.
+    t packed by `layout` (0 for g itself), reduced by `records` and made
+    monic: the division record of the monic remainder, or None when it
+    reduces to zero.
 
-    The multiple is formed on g's primitive integer row at scale 1; only
-    its tail can pass EXPONENT_LIMIT, since t*lead(g) is the lcm of two
-    leading monomials.  `regular` and `firsts`, the run's memo of first
-    divisors, are handed to `_reduce`, and the remainder row is built
-    into a monic polynomial with its record by `_monic_row`.
+    The multiple is formed on g's primitive integer row at scale 1, since
+    a monic remainder does not depend on the scale; only its tail can pass
+    EXPONENT_LIMIT, since t*lead(g) is the lcm of two leading monomials in
+    Buchberger's J-pairs.  `regular`, the signature gate, and `firsts`, a
+    memo of first divisors, are handed to `_reduce`.
     """
-    layout = _layout(order, len(vars))
     lead, lc, tail, _, gate = record
     if (t + gate) & layout.guard:
         layout.check(t, tail)
     work = {t + tm: tc for tm, tc in tail}
     work[t + lead] = lc
     row = _reduce(work, 1, records, layout, firsts=firsts, regular=regular)[0]
-    return _monic_row(vars, row, order, layout)
+    if not row:
+        return None
+    return _record(row, row[0][1], layout.gate(_top_exponent(layout.unpack(x) for x, _ in row)))
 
 
 def exact_div(f, g, order=GREVLEX):

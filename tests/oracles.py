@@ -9,14 +9,7 @@ from math import gcd as int_gcd, inf
 from lndkit._linalg import RowSpace
 from lndkit.grade_analyzer import GradeValue, image_ideal
 from lndkit.groebner_engine import Ideal, _interreduce, ideal_member, saturation
-from lndkit.poly_core import (
-    GREVLEX,
-    Polynomial,
-    _layout,
-    _monic_row,
-    _reduce,
-    monic_remainder,
-)
+from lndkit.poly_core import GREVLEX, Polynomial, _layout, _reduce, remainder
 
 
 def _grevlex_key(m):
@@ -106,7 +99,8 @@ def s_pair_remainder(vars, f, g, lcm_fg, records, order, firsts=None):
                 work[mm] = v
             else:
                 del work[mm]
-    return _monic_row(vars, _reduce(work, 1, records, layout, firsts=firsts)[0], order, layout)
+    rem, scale = _reduce(work, 1, records, layout, firsts=firsts)
+    return Polynomial(vars, {layout.unpack(x): Fraction(c, scale) for x, c in rem}).monic(order)
 
 
 def buchberger_reference(generators, order):
@@ -120,8 +114,7 @@ def buchberger_reference(generators, order):
     while True:
         slimmed = []
         for i, p in enumerate(basis):
-            others = [q.division_record(order) for q in slimmed + basis[i + 1:]]
-            r = monic_remainder(p, others, order)
+            r = remainder(p, slimmed + basis[i + 1:], order).monic(order)
             if not r.is_zero():
                 slimmed.append(r)
         if slimmed == basis:
@@ -164,7 +157,7 @@ def buchberger_reference(generators, order):
             zero += 1
         else:
             add(r)
-    return _interreduce(basis, records, order, layout.guard), reduced, zero, chained
+    return _interreduce(start[0].vars, records, order, layout), reduced, zero, chained
 
 
 def canonical(p):

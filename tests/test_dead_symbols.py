@@ -1,18 +1,24 @@
-"""Every module-level function and class of lndkit has a user: a reference
-elsewhere in the package, an export from `lndkit/__init__.py`, or a
-mention in the benchmark harness (`perfbench/*.py`)."""
+"""Every module-level function and class of lndkit has a user: an import,
+a load at module level or of a global, or an attribute elsewhere in the
+package, an export from `lndkit/__init__.py`, or a mention in the
+benchmark harness (`perfbench/*.py`).  A function's local variable of the
+same name is no user."""
 
 import ast
 import re
+import symtable
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lndkit"
 
 
+def _sources():
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def _trees():
-    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
-            for path in sorted(PACKAGE.glob("*.py"))}
+    return {name: ast.parse(source) for name, source in _sources().items()}
 
 
 def _definitions(trees):
@@ -22,16 +28,39 @@ def _definitions(trees):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
 
 
-def _referenced(trees):
-    """Names used as a name or an attribute anywhere in the package."""
+def _global_loads(table):
+    """Names that a scope, or any scope inside it, reads from module level:
+    every name read at module level, and every global read elsewhere."""
+    module = table.get_type() == "module"
+    names = {symbol.get_name() for symbol in table.get_symbols()
+             if symbol.is_referenced() and (module or symbol.is_global())}
+    for child in table.get_children():
+        names |= _global_loads(child)
+    return names
+
+
+def _referenced(sources):
+    """Names imported, read from module level or taken as an attribute
+    anywhere in the given module sources."""
     names = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
+    for module, source in sources.items():
+        names |= _global_loads(symtable.symtable(source, module, "exec"))
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
     return names
+
+
+def test_a_local_of_the_same_name_is_no_user():
+    source = ("def rank():\n    pass\n\n"
+              "def slice_search():\n    rank = 1\n    return rank\n")
+    assert "rank" not in _referenced({"m.py": source})
+    assert "rank" in _referenced({"m.py": source + "\nrank()\n"})
+    assert "rank" in _referenced({"m.py": source + "\ndef f():\n    return rank()\n"})
+    assert "rank" in _referenced({"n.py": "from .m import rank\n"})
+    assert "rank" in _referenced({"n.py": "from . import m\nm.rank\n"})
 
 
 def _exported(trees):
@@ -43,7 +72,7 @@ def _exported(trees):
 
 def test_no_dead_symbols():
     trees = _trees()
-    used = _referenced(trees) | _exported(trees)
+    used = _referenced(_sources()) | _exported(trees)
     bench = "\n".join(path.read_text(encoding="utf-8")
                       for path in sorted((ROOT / "perfbench").glob("*.py")))
     dead = [f"{module}:{name}" for module, name in _definitions(trees)

@@ -25,8 +25,8 @@ from lndkit.poly_core import (
     LEX,
     MonomialOrder,
     Polynomial,
+    monic_remainder,
     parse_polynomial,
-    regular_remainder,
     remainder,
 )
 from lndkit.cli_runner import CORPUS_SESSIONS, RunConfig, corpus_path, parse_session, run
@@ -264,12 +264,13 @@ class TestPairLoopDecisions:
         gens, order = _decision_case(case)
         reduced = []
 
-        def spy(*args):
-            r = regular_remainder(*args)
-            reduced.append(r.is_zero())
+        def spy(record, records, layout, t=0, regular=None, firsts=None):
+            r = monic_remainder(record, records, layout, t, regular, firsts)
+            if regular is not None:
+                reduced.append(r is None)
             return r
 
-        monkeypatch.setattr(groebner_engine, "regular_remainder", spy)
+        monkeypatch.setattr(groebner_engine, "monic_remainder", spy)
         with budget() as scope:
             basis = buchberger(gens, order)
         elements, reference_pairs, reference_zeros, _ = buchberger_reference(gens, order)
@@ -456,23 +457,23 @@ class TestSPairRemainder:
                 else [_rational_poly(rng, XYZ) for _ in range(3)])
         added, memos = [], set()
 
-        def spy(*args):
-            # each J-pair is a multiple t*g whose lead is the lcm of g's lead
-            # and another's, and every reduction of the run gets its one
-            # first-divisor memo
-            vars, t, record, _, records, order_, firsts = args
-            assert any(packed_lcm(record, other, order_, len(vars)) == t + record[0]
-                       for other in records if other is not record)
-            memos.add(id(firsts))
-            r = regular_remainder(*args)
-            if not r.is_zero():
-                added.append(r)
+        def spy(record, records, layout, t=0, regular=None, firsts=None):
+            r = monic_remainder(record, records, layout, t, regular, firsts)
+            if regular is not None:
+                # each J-pair is a multiple t*g whose lead is the lcm of g's
+                # lead and another's, and every reduction of the run gets its
+                # one first-divisor memo
+                assert any(packed_lcm(record, other, order, len(gens[0].vars)) == t + record[0]
+                           for other in records if other is not record)
+                memos.add(id(firsts))
+                if r is not None:
+                    added.append(r)
             return r
 
-        monkeypatch.setattr(groebner_engine, "regular_remainder", spy)
-        buchberger(gens, order)
+        monkeypatch.setattr(groebner_engine, "monic_remainder", spy)
+        basis = buchberger(gens, order)
         assert added and len(memos) == 1
-        for p in added:
+        for p in basis:
             fresh = Polynomial(p.vars, p.terms)
             assert p.sorted_terms(order) == fresh.sorted_terms(order)
             # read the record's cache directly: it was seeded, not computed

@@ -200,6 +200,15 @@ class TestKernelBasis:
         report = kernel_basis(d, 4)
         assert all(apply(d, f).is_zero() for f in report.basis)
 
+    def test_a_leading_entry_other_than_one_is_divided_away(self):
+        # under lex the nullspace vector of x - y^2 holds its free 1 at y^2,
+        # below the lead x, whose entry -1 the vector is divided by
+        ring = PresentedRing(("x", "y"), None, LEX)
+        d = derivation(ring, x="2*y", y="1")
+        basis = kernel_basis(d, 4).basis
+        assert basis == [pp(t, ring.vars) for t in ("1", "x - y^2", "(x - y^2)^2")]
+        assert all(p.leading_coefficient(LEX) == 1 and apply(d, p).is_zero() for p in basis)
+
     def test_non_nilpotent_needs_override(self):
         ring = PresentedRing.polynomial_ring(("x",))
         d = derivation(ring, x="x")

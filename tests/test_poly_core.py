@@ -29,10 +29,10 @@ from lndkit.poly_core import (
     exact_div,
     format_polynomial,
     gcd,
+    monic_remainder,
     monomial_mul,
     parse_polynomial,
     product_cost,
-    regular_remainder,
     remainder,
 )
 from oracles import blocks, canonical, monomial_div, monomial_lcm, order_key
@@ -227,6 +227,15 @@ class TestArithmetic:
         f = parse_polynomial("Y + X*Y^2", vars)
         g = parse_polynomial("X^2", vars)
         assert f * g == parse_polynomial("X^2*Y + X^3*Y^2", vars)
+
+    @pytest.mark.parametrize("scalar", [1, 0, -3, Fraction(2, 7)])
+    def test_a_constant_hashes_as_the_scalar_it_equals(self, scalar):
+        # equal objects hash equal, so a constant and its scalar find each
+        # other in a set or a dict
+        c = Polynomial.constant(XY, scalar)
+        assert c == scalar and hash(c) == hash(scalar)
+        assert c in {scalar} and scalar in {c}
+        assert {c: "p"}[scalar] == "p"
 
     def test_variable_mismatch(self):
         with pytest.raises(VariableMismatchError):
@@ -475,7 +484,7 @@ class TestDivision:
                    for p in (f, P("x*y - 1", XY), Polynomial(XY, {(0, EXPONENT_LIMIT): 1}))]
         [y] = _layout(LEX, 2).pack([(0, 1)])
         with pytest.raises(ExponentOverflowError):
-            regular_remainder(XY, y, records[0], (0, 0, [0] * 3), records, LEX, {})
+            monic_remainder(records[0], records, _layout(LEX, 2), y, (0, 0, [0] * 3), {})
 
 
 def _exponents(n, top):
