@@ -28,8 +28,11 @@ template is both the form's grammar and its printed form:
 list of `var -> poly`; spaces next to punctuation are optional.
 
 Exit codes: 0 all commands succeeded; 1 usage, parse or I/O error (a
-negative budget, a malformed number or `LND_SEED`); 2 at least one
+negative budget, a malformed number, an unknown option); 2 at least one
 command-level failure, an out-of-range count (`kernel D degree 0`) included.
+
+A report echoes `RunConfig.seed`, which decides no value; the command line
+always runs at seed 0 and has no option or environment variable for it.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from . import __version__
-from .config import RunConfig, ascii_int, budget, default_seed
+from .config import DEFAULT_DIM_BUDGET, DEFAULT_PAIR_BUDGET, RunConfig, ascii_int, budget
 from .derivation_engine import (
     Derivation,
     certify_nilpotent,
@@ -604,7 +607,7 @@ def load_environment(session, cfg=None):
     Handy for driving the API against objects declared in a session file.
     """
     if cfg is None:
-        cfg = RunConfig.from_environment()
+        cfg = RunConfig()
     env = _Environment(cfg)
     for decl in session.declarations:
         try:
@@ -620,7 +623,7 @@ def run(session, cfg=None, session_name=None):
     do not abort the rest; one `basis_memo` scope spans the session.
     Returns (report dict, exit code)."""
     if cfg is None:
-        cfg = RunConfig.from_environment()
+        cfg = RunConfig()
     t_start = time.monotonic()
     with basis_memo():
         try:
@@ -695,7 +698,7 @@ def run_corpus(cfg=None, write_golden=False, out=None):
     timing fields are stripped.
     """
     if cfg is None:
-        cfg = RunConfig.from_environment()
+        cfg = RunConfig()
     if out is None:
         out = sys.stdout
     status = 0
@@ -732,17 +735,6 @@ def run_corpus(cfg=None, write_golden=False, out=None):
 # command line
 # ---------------------------------------------------------------------------
 
-def _build_config(args):
-    """The run configuration of the arguments; LND_SEED is read only when
-    --seed is absent, and a malformed one raises ValueError."""
-    cfg = RunConfig(seed=default_seed() if args.seed is None else args.seed)
-    if args.pair_budget is not None:
-        cfg.pair_budget = args.pair_budget
-    if args.dim_budget is not None:
-        cfg.dim_budget = args.dim_budget
-    return cfg
-
-
 def _non_negative(text):
     """argparse type of a budget: an integer, 0 or more, in ASCII digits."""
     if text.startswith("-"):
@@ -765,19 +757,16 @@ def main(argv=None):
     corpusp.add_argument("--write-golden", action="store_true",
                          help="regenerate the golden reports")
     for p in (runp, corpusp):
-        p.add_argument("--seed", type=ascii_int, default=None)
-        p.add_argument("--pair-budget", type=_non_negative, default=None)
-        p.add_argument("--dim-budget", type=_non_negative, default=None)
+        p.add_argument("--pair-budget", type=_non_negative,
+                       default=DEFAULT_PAIR_BUDGET)
+        p.add_argument("--dim-budget", type=_non_negative,
+                       default=DEFAULT_DIM_BUDGET)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # -h exits 0; a usage error is exit 1, like a parse error
         return 1 if exc.code else 0
-    try:
-        cfg = _build_config(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = RunConfig(pair_budget=args.pair_budget, dim_budget=args.dim_budget)
 
     if args.action == "corpus":
         return run_corpus(cfg, write_golden=args.write_golden)

@@ -16,13 +16,13 @@ whole by one default budget (`metered`).  A statement's parse has a scope
 of its own; the scope it runs in is charged first with the terms that
 parse formed, so one term budget bounds both.
 
-The seed (`--seed`, else LND_SEED, else 0) is echoed in each report and
-decides no computed value: every computation is deterministic.
+`RunConfig.seed` is echoed in each report and decides no computed value:
+every computation is deterministic.  The command line always runs at
+seed 0; no flag or environment variable sets it.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
@@ -38,23 +38,15 @@ DEFAULT_DIM_BUDGET = 5000
 # budget's default allows, because the terms formed may all be held at
 # once: at most 10^6 of them, some 760 MB.  (x+y+z+w)^32 is charged 974072.
 TERM_BUDGET = 10**6
-SEED_ENV_VAR = "LND_SEED"
 
 
-def ascii_int(text, what="an integer") -> int:
+def ascii_int(text) -> int:
     """The integer `text` spells as `-?[0-9]+`, in ASCII digits alone;
     otherwise, or past the interpreter's limit on digits, ValueError."""
     try:
         return int(re.fullmatch(r"-?[0-9]+", text)[0])
     except (TypeError, ValueError):   # no match, or too many digits
-        raise ValueError(f"expected {what}, found {text!r}") from None
-
-
-def default_seed() -> int:
-    """The seed in LND_SEED, 0 when it is unset; ValueError when it is not
-    an integer (`ascii_int`)."""
-    raw = os.environ.get(SEED_ENV_VAR)
-    return 0 if raw is None else ascii_int(raw, f"{SEED_ENV_VAR} to be an integer")
+        raise ValueError(f"expected an integer, found {text!r}") from None
 
 
 @dataclass
@@ -65,10 +57,6 @@ class RunConfig:
     seed: int = 0
     pair_budget: int = DEFAULT_PAIR_BUDGET
     dim_budget: int = DEFAULT_DIM_BUDGET
-
-    @classmethod
-    def from_environment(cls) -> "RunConfig":
-        return cls(seed=default_seed())
 
 
 @dataclass

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, islice
 from math import gcd as int_gcd, lcm
@@ -59,11 +60,6 @@ def monomial_mul(a, b):
     return c
 
 
-# (kind, block, permutation) -> {n: _Layout}, so that an order made again,
-# such as each elimination's block order, finds its layouts made
-_LAYOUTS = {}
-
-
 @dataclass(frozen=True)
 class MonomialOrder:
     """A monomial order acting positionally on exponent tuples.
@@ -82,12 +78,9 @@ class MonomialOrder:
     block: int = 0
     permutation: tuple = None
     _hash: int = field(init=False, repr=False, compare=False)
-    _layouts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        value = (self.kind, self.block, self.permutation)
-        object.__setattr__(self, "_hash", hash(value))
-        object.__setattr__(self, "_layouts", _LAYOUTS.setdefault(value, {}))
+        object.__setattr__(self, "_hash", hash((self.kind, self.block, self.permutation)))
 
     def __hash__(self):
         return self._hash
@@ -216,12 +209,11 @@ def _top_exponent(monos):
     return top
 
 
+@cache
 def _layout(order, n):
-    """The order's `_Layout` on n variables, made once."""
-    layout = order._layouts.get(n)
-    if layout is None:
-        layout = order._layouts[n] = _Layout(order, n)
-    return layout
+    """The order's `_Layout` on n variables, made once: an order made again,
+    such as each elimination's block order, finds its layouts made."""
+    return _Layout(order, n)
 
 
 # ---------------------------------------------------------------------------
@@ -443,17 +435,14 @@ class Polynomial:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.vars, other)
+        # only a polynomial over the same variables, never a scalar: so `==`
+        # stays an equivalence, as the basis memo's keys and dict dedups need
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
-        # a constant, zero included, equals its scalar and so hashes as it;
         # a sum of the term hashes does not depend on the terms' order
-        if len(self.terms) < 2 and self.is_constant():
-            return hash(self.terms.get((0,) * len(self.vars), 0))
         return hash((self.vars, sum(map(hash, self.terms.items()))))
 
     # -- substitution ---------------------------------------------------------
@@ -913,12 +902,12 @@ def _digits(n):
         raise LndError(f"a coefficient of {n.bit_length()} bits is too long to print") from None
 
 
-def format_polynomial(p, order=GRLEX):
-    """Canonical text form: terms descending under `order`."""
+def format_polynomial(p):
+    """Canonical text form: terms descending under GRLEX."""
     if p.is_zero():
         return "0"
     parts = []
-    for m, c in p.sorted_terms(order):
+    for m, c in p.sorted_terms(GRLEX):
         num, den = c.numerator, c.denominator
         body = [name if e == 1 else f"{name}^{e}" for name, e in zip(p.vars, m) if e]
         size = abs(num)

@@ -444,10 +444,10 @@ class TestCommandLine:
         session_file = tmp_path / "s.lnd"
         session_file.write_text(SIMPLE, encoding="utf-8")
         out_file = tmp_path / "report.json"
-        rc = main(["run", str(session_file), "--json", str(out_file), "--seed", "3"])
+        rc = main(["run", str(session_file), "--json", str(out_file)])
         assert rc == 0
         report = json.loads(out_file.read_text(encoding="utf-8"))
-        assert report["seed"] == 3
+        assert report["seed"] == 0
         assert report["schema_version"] == 1
 
     def test_parse_error_exit_one(self, tmp_path):
@@ -459,53 +459,33 @@ class TestCommandLine:
         assert main(["run", str(tmp_path / "absent.lnd")]) == 1
 
     def test_corpus_subcommand(self, capsys):
-        assert main(["corpus", "--seed", "0"]) == 0
+        assert main(["corpus"]) == 0
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LND_SEED", "42")
+    @pytest.mark.parametrize("action", ["run", "corpus"])
+    def test_seed_flag_is_unrecognized(self, tmp_path, capsys, action):
+        # no value depends on the seed, so the command line takes none
+        session_file = tmp_path / "s.lnd"
+        session_file.write_text(SIMPLE, encoding="utf-8")
+        argv = ["run", str(session_file)] if action == "run" else ["corpus"]
+        assert main(argv + ["--seed", "3"]) == 1
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert main([action, "-h"]) == 0
+        assert "--seed" not in capsys.readouterr().out
+
+    # the variable is not read, so no value of it is refused
+    @pytest.mark.parametrize("raw", ["abc", "1_0", " 7 ", "\u0663"],
+                             ids=["abc", "underscore", "spaces", "arabic-indic"])
+    @pytest.mark.parametrize("action", ["run", "corpus"])
+    def test_seed_env_is_ignored(self, tmp_path, monkeypatch, action, raw):
+        monkeypatch.setenv("LND_SEED", raw)
+        if action == "corpus":
+            assert main(["corpus"]) == 0
+            return
         session_file = tmp_path / "s.lnd"
         session_file.write_text(SIMPLE, encoding="utf-8")
         out_file = tmp_path / "report.json"
         assert main(["run", str(session_file), "--json", str(out_file)]) == 0
-        report = json.loads(out_file.read_text(encoding="utf-8"))
-        assert report["seed"] == 42
-
-    # ASCII digits only, as for every other number: int() would take
-    # "1_0" as 10, " 7 " as 7 and an Arabic-Indic three as 3
-    @pytest.mark.parametrize("raw", ["abc", "1_0", " 7 ", "\u0663"],
-                             ids=["abc", "underscore", "spaces", "arabic-indic"])
-    @pytest.mark.parametrize("action", ["run", "corpus"])
-    def test_malformed_seed_env_exit_one(self, tmp_path, monkeypatch, capsys,
-                                         action, raw):
-        monkeypatch.setenv("LND_SEED", raw)
-        session_file = tmp_path / "s.lnd"
-        session_file.write_text(SIMPLE, encoding="utf-8")
-        argv = ["run", str(session_file)] if action == "run" else ["corpus"]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert "LND_SEED" in captured.err and repr(raw) in captured.err
-        assert captured.out == ""
-
-    def test_negative_seed_echoed(self, tmp_path, monkeypatch):
-        # one minus sign is part of the rule, for the flag and LND_SEED alike
-        monkeypatch.setenv("LND_SEED", "-7")
-        session_file = tmp_path / "s.lnd"
-        session_file.write_text(SIMPLE, encoding="utf-8")
-        out_file = tmp_path / "report.json"
-        argv = ["run", str(session_file), "--json", str(out_file)]
-        for flags, seed in (([], -7), (["--seed", "-4"], -4)):
-            assert main(argv + flags) == 0
-            assert json.loads(out_file.read_text(encoding="utf-8"))["seed"] == seed
-
-    def test_seed_flag_overrides_malformed_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LND_SEED", "abc")
-        session_file = tmp_path / "s.lnd"
-        session_file.write_text(SIMPLE, encoding="utf-8")
-        out_file = tmp_path / "report.json"
-        argv = ["run", str(session_file), "--json", str(out_file), "--seed", "3"]
-        assert main(argv) == 0
-        assert json.loads(out_file.read_text(encoding="utf-8"))["seed"] == 3
-        assert main(["corpus", "--seed", "0"]) == 0
+        assert json.loads(out_file.read_text(encoding="utf-8"))["seed"] == 0
 
     def test_pair_budget_bounds_a_whole_command(self, tmp_path):
         # in a session of its own, `rees I upto 4` makes 7 J-pair
@@ -591,10 +571,10 @@ class TestCommandLine:
                                        ["--pair-budget", "abc"],
                                        ["--pair-budget", "\u0663"],
                                        ["--dim-budget", "1_0"],
-                                       ["--seed", "abc"],
-                                       ["--seed", "\u0663"],
-                                       ["--seed", "1_0"],
-                                       ["--seed", " 5"]])
+                                       ["--dim-budget", "abc"],
+                                       ["--dim-budget", "\u0663"],
+                                       ["--pair-budget", "1_0"],
+                                       ["--pair-budget", " 5"]])
     def test_usage_error_exit_one(self, tmp_path, capsys, flags):
         session_file = tmp_path / "s.lnd"
         session_file.write_text(SIMPLE, encoding="utf-8")
@@ -645,6 +625,37 @@ def _run_file(tmp_path, text, *flags):
     report = (json.loads(out_file.read_text(encoding="utf-8"))
               if out_file.exists() else None)
     return code, report
+
+
+class TestSessionErrors:
+    # the second line of each session, after `ring R = poly(x, y)`
+    @pytest.mark.parametrize("line, message", [
+        ("ring Q = poly(x, 1y)", "bad variable list (x, 1y) (line 2)"),
+        ("ring Q = poly(x, x)", "repeated variable (line 2)"),
+        ("ideal I in R = ( , )", "empty polynomial list (line 2)"),
+        ("derivation D on R { x 1 }", "expected 'var -> poly' in 'x 1' (line 2)"),
+        ("derivation D on R { z -> 1 }",
+         "'z' is not one of the variables (x, y) (line 2)"),
+        ("derivation D on R { x -> 1; x -> y }", "repeated variable image (line 2)"),
+        # an LndError of the polynomial reader, passed on as a ParseError
+        ("ideal I in R = ( x^3000000000 )",
+         "exponent 3000000000 exceeds limit 2147483648 (line 2)"),
+        ("ideal I in R = ( 1/0 )", "zero denominator (line 2, col 17)"),
+        ("ideal I in R = ( x^ )", "unexpected end of expression (line 2)"),
+    ])
+    def test_parse_error_message_and_exit_one(self, tmp_path, capsys, line, message):
+        text = "ring R = poly(x, y)\n" + line + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_session(text)
+        assert str(err.value) == message
+        assert _run_file(tmp_path, text) == (1, None)
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
+    def test_empty_image_entries_are_skipped(self, tmp_path):
+        text = "ring R = poly(x, y)\nderivation D on R { x -> 1; ; }\ncheck nilpotent D\n"
+        code, report = _run_file(tmp_path, text)
+        assert code == 0
+        assert report["commands"][0]["value"]["certified"]
 
 
 class TestNumericArguments:

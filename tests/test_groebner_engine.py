@@ -727,3 +727,13 @@ class TestIdealEqual:
     def test_intersection(self):
         inter = ideal_intersection(I("x", vars=XY), I("y", vars=XY))
         assert ideal_equal(inter, I("x*y", vars=XY))
+
+    def test_tag_is_fresh_when_t_and_t0_are_taken(self):
+        # the tag is t1; a tag named like a ring variable would merge the two
+        tt = ("t", "t0", "x")
+        assert groebner_engine._tagged(tt)[0] == ("t1", *tt)
+        inter = ideal_intersection(I("t*x", vars=tt), I("t0^2", vars=tt))
+        assert ideal_equal(inter, I("t*t0^2*x", vars=tt))
+        assert ideal_equal(saturation(I("t^2*t0*x", vars=tt), P("t", tt)), I("t0*x", vars=tt))
+        assert ideal_equal(saturation(I("t*t0^2", "t0*x", vars=tt), P("t0", tt)),
+                           I("t", "x", vars=tt))

@@ -1,6 +1,8 @@
 """Hypothesis property suites for the arithmetic core."""
 
-from hypothesis import given, settings, strategies as st
+from fractions import Fraction
+
+from hypothesis import example, given, settings, strategies as st
 
 from lndkit.poly_core import (
     GREVLEX,
@@ -68,6 +70,34 @@ def test_coefficients_keep_their_stored_form(f, g, c):
     results = [f, g, f + g, f - g, f * g, f * c, c * f, f / c, f.monic(GREVLEX),
                g.monic(LEX), *qs, r, parse_polynomial(format_polynomial(f), VARS)]
     assert all(map(canonical, results))
+
+
+def _polynomials_over(vars):
+    # exponents 0 and 1 and few terms, so that constants, which a scalar
+    # might be taken to equal, come up often
+    return st.dictionaries(st.tuples(*(st.integers(0, 1) for _ in vars)),
+                           st.sampled_from([1, -1, 2, Fraction(1, 2)]),
+                           max_size=2).map(lambda terms: Polynomial(vars, terms))
+
+
+# polynomials over two or three variable tuples, mixed with ints and Fractions
+equality_operands = st.one_of(
+    _polynomials_over(("x",)), _polynomials_over(("x", "y")),
+    _polynomials_over(VARS), st.sampled_from([0, 1, -1, 2, Fraction(1, 2)]))
+
+
+@given(equality_operands, equality_operands, equality_operands)
+@example(Polynomial.one(("x",)), 1, Polynomial.one(("x", "y")))
+def test_equality_is_an_equivalence_that_hashing_respects(a, b, c):
+    # sets and dict keys (the basis memo, the dedup of Rees products) rely
+    # on it: {a, 1, b} and {1, a, b} must hold as many elements
+    assert a == a
+    assert (a == b) == (b == a)
+    if a == b and b == c:
+        assert a == c
+    if a == b:
+        assert hash(a) == hash(b)
+    assert len({a, b, c}) == len({b, c, a}) == len({c, a, b})
 
 
 @given(monomials, monomials, monomials)
